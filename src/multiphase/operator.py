@@ -50,7 +50,14 @@ def flux(fp, x, g):
 
 
 class PhaseDiscretization:
-    """Caches mesh geometry and field samples for repeated assembly."""
+    """Caches mesh geometry, field samples and the Jacobian's sparsity
+    pattern for repeated assembly.
+
+    When p, q, r, mu1 and mu2 are all constant on the quadrature points they
+    are kept as (T, 1) columns: P1 gradients make s constant on a triangle,
+    so each power is then taken once per triangle instead of once per
+    quadrature point, and the quadrature sums broadcast as before.
+    """
 
     def __init__(self, fp, mesh, degree=5):
         self.fp = fp
@@ -63,15 +70,18 @@ class PhaseDiscretization:
         self.qweights = mesh.areas[:, None] * w[None, :]  # (T, K)
         x1, x2 = qp[..., 0], qp[..., 1]
         tf = fp.tf
-        self.p = tf.exp.p(x1, x2)
-        self.q = tf.exp.q(x1, x2)
-        self.r = tf.exp.r(x1, x2)
-        self.m1 = tf.w.mu1(x1, x2)
-        self.m2 = tf.w.mu2(x1, x2)
+        fields = [tf.exp.p(x1, x2), tf.exp.q(x1, x2), tf.exp.r(x1, x2),
+                  tf.w.mu1(x1, x2), tf.w.mu2(x1, x2)]
+        if all(np.ptp(f) == 0 for f in fields):
+            fields = [f[:, :1] for f in fields]
+        self.p, self.q, self.r, self.m1, self.m2 = fields
+        self._e2 = (self.p - 2, self.q - 2, self.r - 2)
+        self._energy_w = (1 / self.p, self.m1 / self.q, self.m2 / self.r)
         self.qpoints = qp
         self.free = np.flatnonzero(~mesh.boundary_flags)
         self.free_pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
         self.free_pos[self.free] = np.arange(len(self.free))
+        self._pattern = None
 
     # -- low-level pieces ------------------------------------------------
 
@@ -79,41 +89,46 @@ class PhaseDiscretization:
         u = u_vals[self.mesh.triangles]
         return np.einsum("tj,tjd->td", u, self.mesh.basis_grads)
 
-    def _s(self, g, eps):
-        g2 = np.sum(g * g, axis=1)
-        return np.sqrt(g2[:, None] + eps ** 2)           # (T, K) broadcast
+    @staticmethod
+    def _pow(s, e):
+        """s**e, set at s = 0 to 1 where e = 0 and to 0 elsewhere: the limit
+        of s**e for e >= 0, and for -1 < e < 0 the value that keeps the flux
+        s**e g and the energy density s**(e + 2) continuous."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = s ** e
+        zero = ~(s > 0)
+        if zero.any():
+            zero = np.broadcast_to(zero, v.shape)
+            v[zero] = np.broadcast_to(e, v.shape)[zero] == 0
+        return v
+
+    def _phase(self, g, eps):
+        """s^2 = |g|^2 + eps^2 and the powers s^(e-2) for e = p, q, r: the
+        only powers any of energy, residual and Jacobian needs."""
+        s2 = np.sum(g * g, axis=1)[:, None] + eps ** 2   # (T, 1)
+        s = np.sqrt(s2)
+        pw = np.power if eps > 0.0 else self._pow
+        return s2, [pw(s, e2) for e2 in self._e2]
+
+    def _flux_coef(self, powers):
+        cp, cq, cr = powers
+        return cp + self.m1 * cq + self.m2 * cr
 
     def energy(self, u_vals, eps=0.0):
         """Energy integral of the P1 state; reported energies use eps = 0,
         the regularized variant only steers the solver's line search."""
-        g = self._gradients(u_vals)
-        s = self._s(g, eps)
-        dens = (s ** self.p / self.p
-                + self.m1 * s ** self.q / self.q
-                + self.m2 * s ** self.r / self.r)
+        s2, (cp, cq, cr) = self._phase(self._gradients(u_vals), eps)
+        wp, wq, wr = self._energy_w
+        dens = s2 * (wp * cp + wq * cq + wr * cr)
         return float(np.sum(self.qweights * dens))
-
-    @staticmethod
-    def _pow(s, e):
-        """s**e with the s = 0 limit taken termwise (needs e >= 0)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = s ** e
-        return np.where(s > 0, v, np.where(e == 0, 1.0, 0.0))
-
-    def _coef(self, s, eps):
-        if eps > 0.0:
-            return (s ** (self.p - 2) + self.m1 * s ** (self.q - 2)
-                    + self.m2 * s ** (self.r - 2))
-        return (self._pow(s, self.p - 2) + self.m1 * self._pow(s, self.q - 2)
-                + self.m2 * self._pow(s, self.r - 2))
 
     def residual(self, u_vals, load=None, eps=None):
         """Galerkin residual over free nodes: flux tested against basis
         gradients, minus the load."""
         eps = self.fp.eps if eps is None else eps
         g = self._gradients(u_vals)
-        s = self._s(g, eps)
-        c = np.sum(self.qweights * self._coef(s, eps), axis=1)  # (T,)
+        _, powers = self._phase(g, eps)
+        c = np.sum(self.qweights * self._flux_coef(powers), axis=1)  # (T,)
         # flux . grad(phi_i) with per-triangle constant gradient
         gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
         contrib = c[:, None] * gdphi
@@ -124,41 +139,52 @@ class PhaseDiscretization:
             res = res - load[self.free]
         return res
 
+    def _jacobian_pattern(self):
+        """Free x free CSR pattern, the CSR slot of each of the 9 T local
+        entries (entries on a boundary row or column share one spare slot
+        past the end), and the local basis-gradient dot products."""
+        if self._pattern is None:
+            n = len(self.free)
+            loc = self.free_pos[self.mesh.triangles]      # (T, 3), -1 on boundary
+            rows = np.repeat(loc, 3, axis=1).ravel()
+            cols = np.tile(loc, (1, 3)).ravel()
+            keys = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
+            uniq, slot = np.unique(keys, return_inverse=True)
+            nnz = int(np.searchsorted(uniq, n * n))
+            uniq = uniq[:nnz]
+            idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+            indptr = np.searchsorted(uniq, np.arange(n + 1) * n).astype(idx)
+            indices = (uniq % n).astype(idx)
+            dots = np.einsum("tjd,tkd->tjk", self.mesh.basis_grads,
+                             self.mesh.basis_grads)
+            self._pattern = (indptr, indices, slot, nnz, dots)
+        return self._pattern
+
     def jacobian(self, u_vals, eps=None):
         """Exact derivative of the regularized residual, free nodes only."""
         eps = self.fp.eps if eps is None else eps
+        indptr, indices, slot, nnz, dots = self._jacobian_pattern()
         g = self._gradients(u_vals)
-        s = self._s(g, eps)
-        if eps > 0.0:
-            A = (s ** (self.p - 2) + self.m1 * s ** (self.q - 2)
-                 + self.m2 * s ** (self.r - 2))
-            B = ((self.p - 2) * s ** (self.p - 4)
-                 + self.m1 * (self.q - 2) * s ** (self.q - 4)
-                 + self.m2 * (self.r - 2) * s ** (self.r - 4))
-        else:
-            A = self._coef(s, eps)
-            # the rank-one part carries a g g^T factor that vanishes with s,
-            # so the s = 0 limit of each term is 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                B = ((self.p - 2) * s ** (self.p - 4)
-                     + self.m1 * (self.q - 2) * s ** (self.q - 4)
-                     + self.m2 * (self.r - 2) * s ** (self.r - 4))
-            B = np.where(s > 0, B, 0.0)
+        s2, powers = self._phase(g, eps)
+        A = self._flux_coef(powers)
+        # rank-one part: sum of (e-2) s^(e-4); it carries a g g^T factor
+        # that vanishes with s, so its s = 0 limit is 0
+        (ep, eq, er), (cp, cq, cr) = self._e2, powers
+        with np.errstate(divide="ignore", invalid="ignore"):
+            B = (ep * cp + self.m1 * eq * cq + self.m2 * er * cr) / s2
+        if eps == 0.0:
+            B = np.where(s2 > 0, B, 0.0)
         a_bar = np.sum(self.qweights * A, axis=1)        # (T,)
         b_bar = np.sum(self.qweights * B, axis=1)        # (T,)
         gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
-        dots = np.einsum("tjd,tkd->tjk", self.mesh.basis_grads,
-                         self.mesh.basis_grads)
         local = (a_bar[:, None, None] * dots
                  + b_bar[:, None, None] * np.einsum("tj,tk->tjk", gdphi, gdphi))
-        rows = np.repeat(self.mesh.triangles, 3, axis=1).ravel()
-        cols = np.tile(self.mesh.triangles, (1, 3)).ravel()
-        fr, fc = self.free_pos[rows], self.free_pos[cols]
-        keep = (fr >= 0) & (fc >= 0)
+        data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)
         n = len(self.free)
-        J = sp.coo_matrix((local.ravel()[keep], (fr[keep], fc[keep])),
-                          shape=(n, n)).tocsr()
-        return J
+        # fresh index arrays: in-place edits of the returned matrix (such as
+        # eliminate_zeros) must not reach the cached pattern
+        return sp.csr_matrix((data[:nnz], indices.copy(), indptr.copy()),
+                             shape=(n, n))
 
     def load_vector(self, f_at_quad):
         """Nodal load from integrand values at quadrature points (T, K)."""

@@ -73,7 +73,23 @@ def _linear_solve(J, rhs, method="direct"):
         if info != 0:
             raise np.linalg.LinAlgError(f"CG failed (info={info})")
         return x
-    return spla.spsolve(J.tocsc(), rhs)
+    # J is the symmetric Jacobian: diagonal pivots and a minimum-degree
+    # ordering on A^T + A fill far less than COLAMD. SuperLU's minimum degree
+    # can take seconds on some vertex numberings (the refined centroid fan of
+    # a disk), so it runs on a reverse Cuthill-McKee relabelling; csgraph is
+    # imported here to keep `import multiphase` light.
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    J = J.tocsr()
+    perm = reverse_cuthill_mckee(J, symmetric_mode=True)
+    try:
+        lu = spla.splu(J[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:          # SuperLU: factor is exactly singular
+        raise np.linalg.LinAlgError(str(exc)) from exc
+    x = np.empty(len(rhs))
+    x[perm] = lu.solve(np.asarray(rhs, dtype=float)[perm])
+    return x
 
 
 def _eps_schedule(fp):
@@ -89,6 +105,18 @@ def _eps_schedule(fp):
     return sched
 
 
+def _source_load(disc, source, u_vals):
+    """Nodal load of f(x, u, grad u) for the P1 state u_vals."""
+    qp = disc.qpoints
+    shape = qp.shape[:2]
+    tvals = np.einsum("tj,kj->tk", u_vals[disc.mesh.triangles], disc.bary)
+    g = disc._gradients(u_vals)
+    z1 = np.broadcast_to(g[:, 0:1], shape)
+    z2 = np.broadcast_to(g[:, 1:2], shape)
+    fvals = np.broadcast_to(source(qp[..., 0], qp[..., 1], tvals, z1, z2), shape)
+    return disc.load_vector(fvals)
+
+
 def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
                       linear_solver="direct", initial=None):
     """Damped Newton minimization of energy(u) - <load, u>.
@@ -101,10 +129,7 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
     if tol <= 0:
         raise ValueError("tol must be positive")
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
-    qp = disc.qpoints
-    z = np.zeros(qp.shape[:2])
-    fvals = np.broadcast_to(prob.source(qp[..., 0], qp[..., 1], z, z, z), z.shape)
-    load = disc.load_vector(fvals)
+    load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
     return _newton(disc, prob, load, tol, max_iter, linear_solver, initial)
 
 
@@ -121,8 +146,8 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     final_eps = sched[-1]
     check_eps = 0.0 if prob.fp.tf.exp.p_minus >= 2 else final_eps
 
-    def merit(vals):
-        return disc.energy(vals) - float(load[free] @ vals[free])
+    def merit(vals, eps=0.0):
+        return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
 
     iters = 0
     for eps in sched:
@@ -130,10 +155,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
         retries = 0
         stage_tol = tol if eps == final_eps else max(tol, 1e-8)
         stage_iters = 0
-
-        def merit_eps(vals, e=eps):
-            return disc.energy(vals, eps=e) - float(load[free] @ vals[free])
-
+        m0 = None               # merit of u at eps, carried from the line search
         while stage_iters < max_iter:
             res = disc.residual(u, load, eps=eps)
             rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
@@ -153,17 +175,23 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
                     raise RuntimeError("singular Jacobian after 5 eps retries")
                 eps = max(eps * 10.0, 1e-6) if eps > 0 else 1e-6
                 eps_used.append(eps)
+                m0 = None
                 continue
-            m0 = merit_eps(u)
+            if m0 is None:
+                m0 = merit(u, eps)
             slope = float(res @ step)   # negative for a descent direction
+            # near convergence the Armijo decrease 1e-4 t slope falls below
+            # the rounding error of the merit, which then cannot reject a step
+            noise = 1e-13 * abs(m0)
             t = 1.0
             trial = u.copy()
             for _ in range(30):
                 trial[free] = u[free] + t * step
-                if merit_eps(trial) <= m0 + 1e-4 * t * slope:
+                m_trial = merit(trial, eps)
+                if m_trial <= m0 + 1e-4 * t * slope + noise:
                     break
                 t *= 0.5
-            u = trial
+            u, m0 = trial, m_trial
             iters += 1
             stage_iters += 1
     res_final = disc.residual(u, load, eps=check_eps)
@@ -201,8 +229,6 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
         u = np.where(mesh.boundary_flags, prob.dirichlet,
                      np.asarray(initial, dtype=float))
     inner_tol = tol if inner_tol is None else inner_tol
-    qp = disc.qpoints
-    bary = disc.bary
     hist, eps_used = [], []
     energy_hist = []
     grow = 0
@@ -210,14 +236,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     converged = False
     it = 0
     for it in range(1, max_iter_outer + 1):
-        uf = FeFunction(mesh, u)
-        tvals = np.einsum("tj,kj->tk", u[mesh.triangles], bary)
-        g = uf.gradients()
-        z1 = np.broadcast_to(g[:, 0:1], tvals.shape)
-        z2 = np.broadcast_to(g[:, 1:2], tvals.shape)
-        fvals = np.broadcast_to(
-            prob.source(qp[..., 0], qp[..., 1], tvals, z1, z2), tvals.shape)
-        load = disc.load_vector(fvals)
+        load = _source_load(disc, prob.source, u)
         inner = _newton(disc, prob, load, inner_tol, 100, linear_solver,
                         initial=u)
         eps_used = inner.eps_schedule
@@ -240,14 +259,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
 def weak_residual_sup(prob, u, degree=5):
     """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
-    qp = disc.qpoints
-    tvals = np.einsum("tj,kj->tk", u.nodal_values[prob.mesh.triangles], disc.bary)
-    g = u.gradients()
-    z1 = np.broadcast_to(g[:, 0:1], tvals.shape)
-    z2 = np.broadcast_to(g[:, 1:2], tvals.shape)
-    fvals = np.broadcast_to(
-        prob.source(qp[..., 0], qp[..., 1], tvals, z1, z2), tvals.shape)
-    load = disc.load_vector(fvals)
+    load = _source_load(disc, prob.source, u.nodal_values)
     eps = 0.0 if prob.fp.tf.exp.p_minus >= 2 else prob.fp.eps
     res = disc.residual(u.nodal_values, load, eps=eps)
     return float(np.max(np.abs(res))) if len(res) else 0.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from multiphase import (ExponentTriple, FeFunction, FluxParams, UNIT_SQUARE,
                         WeightPair, assemble, check_coercive, check_gateaux,
@@ -233,3 +235,145 @@ class TestReductionRegressions:
         ref = np.zeros(square8.n_vertices)
         np.add.at(ref, square8.triangles.ravel(), (c[:, None] * gdphi).ravel())
         assert np.max(np.abs(res - ref[disc.free])) <= 1e-12
+
+
+# -- Newton-step kernel: the properties the symmetric LU relies on ----------
+
+def _constant_phase(p, dq, dr, mu1, mu2):
+    return PhaseFunction(ExponentTriple.constants(p, p + dq, p + dq + dr),
+                         WeightPair.constants(mu1, mu2))
+
+
+def _fields_at(tf, qp):
+    x1, x2 = qp[..., 0], qp[..., 1]
+    return (tf.exp.p(x1, x2), tf.exp.q(x1, x2), tf.exp.r(x1, x2),
+            tf.w.mu1(x1, x2), tf.w.mu2(x1, x2))
+
+
+def _coo_jacobian(disc, u, eps):
+    """Reference Jacobian: 7-point fields, s^(e-4) powers and a COO build."""
+    mesh = disc.mesh
+    p, q, r, m1, m2 = _fields_at(disc.fp.tf, disc.qpoints)
+    G = mesh.basis_grads
+    g = np.einsum("tj,tjd->td", u[mesh.triangles], G)
+    s = np.sqrt(np.sum(g * g, axis=1) + eps ** 2)[:, None]
+    # at eps = 0 a triangle with only boundary nodes has s = 0 and non-finite
+    # entries; they sit in boundary rows, which are dropped below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = s ** (p - 2) + m1 * s ** (q - 2) + m2 * s ** (r - 2)
+        B = ((p - 2) * s ** (p - 4) + m1 * (q - 2) * s ** (q - 4)
+             + m2 * (r - 2) * s ** (r - 4))
+        a = np.sum(disc.qweights * A, axis=1)
+        b = np.sum(disc.qweights * B, axis=1)
+        gd = np.einsum("td,tjd->tj", g, G)
+        local = (a[:, None, None] * np.einsum("tjd,tkd->tjk", G, G)
+                 + b[:, None, None] * gd[:, :, None] * gd[:, None, :])
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nv = mesh.n_vertices
+    K = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return K[disc.free][:, disc.free]
+
+
+def _seven_point(disc):
+    """A copy of disc whose constant fields are spread over every point."""
+    full = PhaseDiscretization(disc.fp, disc.mesh, disc.degree)
+    for name in ("p", "q", "r", "m1", "m2"):
+        setattr(full, name, np.broadcast_to(getattr(disc, name),
+                                            disc.qweights.shape))
+    return full
+
+
+def _rel_err(a, ref):
+    return np.max(np.abs(a - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+_phase_args = dict(dq=st.floats(0.0, 1.0), dr=st.floats(0.0, 1.0),
+                   mu1=st.floats(0.0, 2.0), mu2=st.floats(0.0, 2.0),
+                   seed=st.integers(0, 2 ** 32 - 1))
+_regularized = given(p=st.floats(1.1, 3.0),
+                     eps=st.sampled_from([1e-8, 1e-4, 1e-2]), **_phase_args)
+_unregularized = given(p=st.floats(2.0, 3.0), eps=st.just(0.0), **_phase_args)
+_settings = settings(max_examples=25, deadline=None)
+
+
+class TestJacobianProperties:
+    def _check_spd(self, mesh, p, dq, dr, mu1, mu2, eps, seed):
+        fp = FluxParams(_constant_phase(p, dq, dr, mu1, mu2), eps=eps)
+        u = random_fe(mesh, np.random.default_rng(seed)).nodal_values
+        J = PhaseDiscretization(fp, mesh).jacobian(u, eps=eps).toarray()
+        assert np.array_equal(J, J.T)
+        np.linalg.cholesky(J)
+
+    @_settings
+    @_regularized
+    def test_symmetric_positive_definite_eps(self, square8, p, dq, dr, mu1,
+                                             mu2, eps, seed):
+        self._check_spd(square8, p, dq, dr, mu1, mu2, eps, seed)
+
+    @_settings
+    @_unregularized
+    def test_symmetric_positive_definite_eps0(self, square8, p, dq, dr, mu1,
+                                              mu2, eps, seed):
+        self._check_spd(square8, p, dq, dr, mu1, mu2, eps, seed)
+
+    @_settings
+    @_regularized
+    def test_cached_pattern_matches_coo(self, square8, p, dq, dr, mu1, mu2,
+                                        eps, seed):
+        fp = FluxParams(_constant_phase(p, dq, dr, mu1, mu2), eps=eps)
+        disc = PhaseDiscretization(fp, square8)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):      # the second call reuses the cached pattern
+            u = random_fe(square8, rng).nodal_values
+            J = disc.jacobian(u, eps=eps)
+            assert J.has_canonical_format
+            assert _rel_err(J.toarray(),
+                            _coo_jacobian(disc, u, eps).toarray()) <= 1e-14
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), eps=st.sampled_from([0.0, 1e-8]))
+    def test_variable_phase_matches_coo(self, square8, variable_phase, seed,
+                                        eps):
+        fp = FluxParams(variable_phase, eps=eps)
+        disc = PhaseDiscretization(fp, square8)
+        assert disc.p.shape == disc.qweights.shape
+        u = random_fe(square8, np.random.default_rng(seed)).nodal_values
+        J = disc.jacobian(u, eps=eps)
+        assert _rel_err(J.toarray(),
+                        _coo_jacobian(disc, u, eps).toarray()) <= 1e-14
+
+    @_settings
+    @_regularized
+    def test_per_triangle_matches_seven_point(self, square8, p, dq, dr, mu1,
+                                              mu2, eps, seed):
+        fp = FluxParams(_constant_phase(p, dq, dr, mu1, mu2), eps=eps)
+        disc = PhaseDiscretization(fp, square8)
+        assert disc.p.shape == (square8.triangles.shape[0], 1)
+        full = _seven_point(disc)
+        u = random_fe(square8, np.random.default_rng(seed)).nodal_values
+        for e in (0.0, eps):
+            assert disc.energy(u, eps=e) == pytest.approx(
+                full.energy(u, eps=e), rel=1e-13)
+        assert _rel_err(disc.residual(u, eps=eps),
+                        full.residual(u, eps=eps)) <= 1e-13
+        assert _rel_err(disc.jacobian(u, eps=eps).toarray(),
+                        full.jacobian(u, eps=eps).toarray()) <= 1e-13
+
+    def test_zero_state_limits(self, triple_flux, square8):
+        # s = 0 everywhere at eps = 0: the rank-one term drops out and the
+        # p = 2 term leaves the plain stiffness matrix
+        disc = PhaseDiscretization(triple_flux, square8)
+        zero = np.zeros(square8.n_vertices)
+        J = disc.jacobian(zero, eps=0.0).toarray()
+        ref = PhaseDiscretization(FluxParams(_constant_phase(2, 0, 0, 0, 0),
+                                             eps=0.0), square8)
+        assert np.all(np.isfinite(J))
+        assert np.allclose(J, ref.jacobian(zero, eps=0.0).toarray(),
+                           rtol=0, atol=1e-13)
+        assert disc.energy(zero) == 0.0
+        # p < 2: s^(p-2) blows up at s = 0, but energy and flux vanish there
+        sub = PhaseDiscretization(FluxParams(_constant_phase(1.5, 0.5, 1, 1, 1),
+                                             eps=1e-8), square8)
+        assert sub.energy(zero) == 0.0
+        assert np.all(sub.residual(zero, eps=0.0) == 0.0)

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from multiphase import solver
 from multiphase import (Domain2D, ExponentTriple, FluxParams, PhaseProblem,
                         SourceTerm, UNIT_SQUARE, WeightPair, check_h2,
                         check_h3, first_eigenvalue, interpolate, solve_convection,
                         solve_variational, structured_mesh,
                         verify_uniqueness_empirical, weak_residual_sup)
 from multiphase.modular import PhaseFunction
+from multiphase.operator import PhaseDiscretization
+from multiphase.solver import _linear_solve
+
+from conftest import random_fe
 
 TWO_PI_SQ = 2 * np.pi ** 2
 
@@ -218,3 +225,75 @@ class TestH2H3:
         src = SourceTerm.zero()
         src.constants.update(k5=50.0, k6=0.0)
         assert not check_h3(src, 19.7).passed
+
+
+class TestLinearSolve:
+    def test_spd_matches_spsolve(self):
+        rng = np.random.default_rng(40)
+        n = 300
+        R = sp.random(n, n, density=0.01, random_state=rng, format="csr")
+        A = (R @ R.T + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr()
+        b = rng.standard_normal(n)
+        x = _linear_solve(A, b)
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_jacobian_matches_spsolve(self, triple_flux, square16):
+        disc = PhaseDiscretization(triple_flux, square16)
+        rng = np.random.default_rng(41)
+        J = disc.jacobian(random_fe(square16, rng).nodal_values, eps=0.0)
+        b = rng.standard_normal(J.shape[0])
+        ref = spla.spsolve(J.tocsc(), b)
+        assert np.max(np.abs(_linear_solve(J, b) - ref)) <= (
+            1e-12 * np.max(np.abs(ref)))
+
+    def test_singular_raises_linalg_error(self):
+        A = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _linear_solve(A, np.ones(3))
+
+
+class TestEpsRetry:
+    def test_line_search_uses_retried_eps(self, triple_flux, square8,
+                                          monkeypatch):
+        """After a failed linear solve raises eps, the line search measures
+        the merit at the raised eps, like the residual and Jacobian, and
+        starts from the merit of the current state at that eps."""
+        events = []
+        real_solve = solver._linear_solve
+        real_residual = PhaseDiscretization.residual
+        real_energy = PhaseDiscretization.energy
+
+        def failing_second(J, rhs, method="direct"):
+            events.append(("solve", None, None))
+            if sum(kind == "solve" for kind, _, _ in events) == 2:
+                raise np.linalg.LinAlgError("forced")
+            return real_solve(J, rhs, method)
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            events.append(("residual", eps, u_vals.copy()))
+            return real_residual(self, u_vals, load, eps)
+
+        def recording_energy(self, u_vals, eps=0.0):
+            events.append(("energy", eps, u_vals.copy()))
+            return real_energy(self, u_vals, eps)
+
+        monkeypatch.setattr(solver, "_linear_solve", failing_second)
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        monkeypatch.setattr(PhaseDiscretization, "energy", recording_energy)
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [0.0, 1e-6]
+        third = [i for i, (kind, _, _) in enumerate(events)
+                 if kind == "solve"][2]
+        state = [u for kind, _, u in events[:third] if kind == "residual"][-1]
+        search = []
+        for kind, eps, u in events[third + 1:]:
+            if kind != "energy":
+                break
+            search.append((eps, u))
+        assert len(search) >= 2          # the merit at u, then the trials
+        assert all(eps == 1e-6 for eps, _ in search)
+        assert np.array_equal(search[0][1], state)
