@@ -34,6 +34,8 @@ from .solver import (PhaseProblem, SourceTerm, check_h2, check_h3,
 log = logging.getLogger("multiphase")
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# random zero-trace test functions of `probe poincare-w0`
+POINCARE_TESTS = 20
 
 
 class ConfigError(ValueError):
@@ -304,22 +306,16 @@ def cmd_verify_modular(cfg, args, manifest):
 def _ball_family(cfg, mesh):
     probe = cfg.get("probe", {})
     if "ball_pairs" in probe:
-        pairs = [((c[0], c[1]), (r1, r2))
-                 for c, r1, r2 in ((p["center"], p["r1"], p["r2"])
-                                   for p in probe["ball_pairs"])]
-        balls, pairing = [], []
-        for center, (r1, r2) in pairs:
-            balls.append(Ball(center, r1))
-            balls.append(Ball(center, r2))
-            pairing.append((len(balls) - 2, len(balls) - 1))
-        return BallFamily(tuple(balls), tuple(pairing))
-    # default: 20 concentric pairs on a grid of interior centers
-    centers = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
-    fam = [(c, (0.1, 0.2)) for c in centers]
-    fam += [(c, (0.05, 0.15)) for c in centers]
-    fam += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
+        spec = [((p["center"][0], p["center"][1]), (p["r1"], p["r2"]))
+                for p in probe["ball_pairs"]]
+    else:
+        # default: 20 concentric pairs on a grid of interior centers
+        centers = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
+        spec = [(c, (0.1, 0.2)) for c in centers]
+        spec += [(c, (0.05, 0.15)) for c in centers]
+        spec += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
     balls, pairing = [], []
-    for center, (r1, r2) in fam[:20]:
+    for center, (r1, r2) in spec:
         balls.append(Ball(center, r1))
         balls.append(Ball(center, r2))
         pairing.append((len(balls) - 2, len(balls) - 1))
@@ -358,7 +354,7 @@ def cmd_probe(cfg, args, manifest):
     elif which == "poincare-w0":
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
         from .mesh import FeFunction
-        for k in range(int(probe_cfg.get("d", 0) or 20)):
+        for k in range(POINCARE_TESTS):
             vals = np.where(mesh.boundary_flags, 0.0,
                             rng.uniform(-1, 1, mesh.n_vertices))
             r = poincare_w0_ratio(fp, FeFunction(mesh, vals))
@@ -375,6 +371,9 @@ def cmd_probe(cfg, args, manifest):
     const = max(finite) if finite else 0.0
     print(f"probe={which} ratios={len(rows)} infinite={bad} "
           f"empirical_constant={_fmt(const)}")
+    if not rows:
+        print(f"probe={which} produced no ratios", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK if bad == 0 else EXIT_FAIL
 
 
@@ -382,7 +381,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="multiphase")
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--threads", type=int, default=0)
     parser.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("check-hypotheses", "solve", "eigen", "verify-modular"):
@@ -397,8 +395,6 @@ def main(argv=None):
     level = os.environ.get("MULTIPHASE_LOG", "warn").upper()
     logging.basicConfig(level=getattr(logging, level if level != "WARN" else "WARNING",
                                       logging.WARNING))
-    if args.threads:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

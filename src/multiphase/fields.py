@@ -224,7 +224,9 @@ class HypothesisReport:
     margin: float
 
     def __post_init__(self):
-        assert self.passed == (self.margin > 0)
+        if self.passed != (self.margin > 0):
+            raise ValueError(f"{self.name}: passed={self.passed} contradicts "
+                             f"margin={self.margin!r}")
 
 
 def critical_exponent(p, N, x):

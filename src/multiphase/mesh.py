@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class QuadratureMeasure:
     @property
     def total_mass(self):
         return float(self.weights.sum())
+
+
+# (point, triangle) pairs screened at once by TriMesh.locate
+_LOCATE_PAIRS = 1 << 18
 
 
 class TriMesh:
@@ -116,29 +121,56 @@ class TriMesh:
         tri = np.repeat(np.arange(self.n_triangles), len(w))
         return QuadratureMeasure(centers.reshape(-1, 2), weights.ravel(), tri)
 
+    @cached_property
+    def tri_vertices(self):
+        """Vertex coordinates of every triangle, shape (T, 3, 2)."""
+        return self.vertices[self.triangles]
+
+    @cached_property
+    def centroids(self):
+        return self.tri_vertices.mean(axis=1)
+
+    @cached_property
+    def radii(self):
+        """Largest centroid-to-vertex distance of each triangle."""
+        return np.max(np.linalg.norm(
+            self.tri_vertices - self.centroids[:, None, :], axis=2), axis=1)
+
     def locate(self, points, tol=1e-12):
         """Triangle index and barycentric coordinates for each point.
 
-        Brute-force over triangles; index -1 marks points outside the mesh.
+        Index -1 marks points outside the mesh; a point on several
+        triangles gets the lowest index.  Barycentric coordinates all
+        >= -tol put a point within (1 + 3 tol) radii of the centroid, so
+        only the (point, triangle) pairs inside that bound get the exact
+        test.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri_of = np.full(len(pts), -1, dtype=np.int64)
         bary_of = np.zeros((len(pts), 3))
-        v0 = self.vertices[self.triangles[:, 0]]
-        d1 = self.vertices[self.triangles[:, 1]] - v0
-        d2 = self.vertices[self.triangles[:, 2]] - v0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        for i, p in enumerate(pts):
-            r = p - v0
+        cx, cy = self.centroids.T
+        # the slack covers rounding in the barycentric test itself
+        reach = ((1.0 + 3.0 * tol + 1e-9) * self.radii) ** 2
+        chunk = max(1, _LOCATE_PAIRS // self.n_triangles)
+        for start in range(0, len(pts), chunk):
+            p = pts[start:start + chunk]
+            near = ((p[:, 0, None] - cx) ** 2 + (p[:, 1, None] - cy) ** 2) <= reach
+            pi, ti = np.nonzero(near)
+            tv = self.tri_vertices[ti]
+            v0 = tv[:, 0]
+            d1 = tv[:, 1] - v0
+            d2 = tv[:, 2] - v0
+            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            r = p[pi] - v0
             l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
             l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
             l0 = 1.0 - l1 - l2
-            ok = (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                t = hits[0]
-                tri_of[i] = t
-                bary_of[i] = (l0[t], l1[t], l2[t])
+            ok = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+            # pairs come ordered by point, then triangle: keep the first hit
+            found, first = np.unique(pi[ok], return_index=True)
+            hit = ok[first]
+            tri_of[start + found] = ti[hit]
+            bary_of[start + found] = np.column_stack([l0[hit], l1[hit], l2[hit]])
         return tri_of, bary_of
 
     def contains(self, points, tol=1e-12):
@@ -358,40 +390,29 @@ def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
                                          np.sin(t)]))
         if not np.all(mesh.contains(ring, tol=mesh.h_max)):
             raise ValueError("ball escapes the meshed domain")
-    bary, w = quad_rule(degree)
-    verts = mesh.vertices[mesh.triangles]       # (T, 3, 2)
-    d2 = np.sum((verts - c) ** 2, axis=2)
-    all_in = np.all(d2 <= R * R, axis=1)
-    # quick reject: triangle bounding circle entirely outside the ball
-    centroids = verts.mean(axis=1)
-    circum = np.max(np.linalg.norm(verts - centroids[:, None, :], axis=2), axis=1)
-    far = np.linalg.norm(centroids - c, axis=1) > R + circum
-    crossing = ~all_in & ~far
+    # only triangles whose bounding circle meets the ball can contribute
+    near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
+                          <= R + mesh.radii)
+    verts = mesh.tri_vertices[near]
+    all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
 
     pts_list, w_list, tri_list = [], [], []
     if np.any(all_in):
-        idx = np.flatnonzero(all_in)
-        centers = np.einsum("kj,tjd->tkd", bary, verts[idx])
-        pts_list.append(centers.reshape(-1, 2))
-        w_list.append((mesh.areas[idx, None] * w[None, :]).ravel())
+        bary, w = quad_rule(degree)
+        idx = near[all_in]
+        pts_list.append((bary @ verts[all_in]).reshape(-1, 2))
+        w_list.append((mesh.areas[idx, None] * w).ravel())
         tri_list.append(np.repeat(idx, len(w)))
 
-    if np.any(crossing):
-        idx = np.flatnonzero(crossing)
-        tv = verts[idx]
-        parents = idx
-        for _ in range(depth):
-            tv, parents = _split4(tv, parents)
-        areas = 0.5 * np.abs(
-            (tv[:, 1, 0] - tv[:, 0, 0]) * (tv[:, 2, 1] - tv[:, 0, 1])
-            - (tv[:, 1, 1] - tv[:, 0, 1]) * (tv[:, 2, 0] - tv[:, 0, 0]))
-        centers = np.einsum("kj,tjd->tkd", bary, tv)
-        wts = areas[:, None] * w[None, :]
-        inside = np.sum((centers - c) ** 2, axis=2) <= R * R
-        keep = inside.ravel()
-        pts_list.append(centers.reshape(-1, 2)[keep])
-        w_list.append(wts.ravel()[keep])
-        tri_list.append(np.repeat(parents, len(w))[keep])
+    if not np.all(all_in):
+        bary, w = _subdivided_rule(depth, degree)
+        idx = near[~all_in]
+        centers = (bary @ verts[~all_in]).reshape(-1, 2)
+        keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
+                              + (centers[:, 1] - c[1]) ** 2 <= R * R)
+        pts_list.append(centers[keep])
+        w_list.append((mesh.areas[idx, None] * w).ravel()[keep])
+        tri_list.append(idx[keep // len(w)])
 
     if not pts_list:
         raise ValueError("ball does not intersect the mesh")
@@ -400,17 +421,32 @@ def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
                              np.concatenate(tri_list))
 
 
-def _split4(tv, parents):
+@lru_cache(maxsize=None)
+def _subdivided_rule(depth, degree):
+    """The degree rule on each of the 4**depth triangles of `depth` regular
+    4-splits, as barycentric points and unit weights of the parent."""
+    bary, w = quad_rule(degree)
+    sub = np.eye(3)[None]
+    for _ in range(depth):
+        sub = _split4(sub)
+    points = (bary @ sub).reshape(-1, 3)
+    weights = np.tile(w / len(sub), len(sub))
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
+def _split4(tv):
+    """Regular 4-split of each triangle of a (N, 3, d) vertex array."""
     m01 = 0.5 * (tv[:, 0] + tv[:, 1])
     m12 = 0.5 * (tv[:, 1] + tv[:, 2])
     m20 = 0.5 * (tv[:, 2] + tv[:, 0])
-    out = np.concatenate([
+    return np.concatenate([
         np.stack([tv[:, 0], m01, m20], axis=1),
         np.stack([m01, tv[:, 1], m12], axis=1),
         np.stack([m20, m12, tv[:, 2]], axis=1),
         np.stack([m01, m12, m20], axis=1),
     ])
-    return out, np.concatenate([parents] * 4)
 
 
 def ball_average(u, ball, depth=3, degree=5):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,36 +104,61 @@ def modular(tf, u, quad):
     return sp.modular(np.abs(_as_values(u, quad)))
 
 
+def _log(x):
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus, rel_tol):
-    """Bisection for the alpha with rho(u/alpha) = 1, bracketed by the
-    norm-modular power bounds."""
+    """The alpha with rho(u/alpha) = 1, bracketed by the norm-modular power
+    bounds and found by Illinois regula falsi on h(s) = log rho(u e^-s),
+    s = log alpha, which is convex and decreasing."""
     lo = min(R ** (1.0 / p_minus), R ** (1.0 / r_plus))
     hi = max(R ** (1.0 / p_minus), R ** (1.0 / r_plus))
     lo, hi = 0.999999 * lo, 1.000001 * hi
     n = 0
-    while rho_of_alpha(lo) < 1.0:
+    rho_lo = rho_of_alpha(lo)
+    while rho_lo < 1.0:
         lo *= 0.5
         n += 1
         if n > _MAX_DOUBLINGS:
             raise NormBracketError("norm bracket failure (lower)")
-    while rho_of_alpha(hi) > 1.0:
+        rho_lo = rho_of_alpha(lo)
+    rho_hi = rho_of_alpha(hi)
+    while rho_hi > 1.0:
         hi *= 2.0
         n += 1
         if n > _MAX_DOUBLINGS:
             raise NormBracketError("norm bracket failure (upper)")
+        rho_hi = rho_of_alpha(hi)
     bracket = (lo, hi)
+    # h(a) >= 0 >= h(b); `side` is the end that moved last, and the other
+    # end's value is halved when the same end moves twice (Illinois)
+    a, ha = math.log(lo), _log(rho_lo)
+    b, hb = math.log(hi), _log(rho_hi)
+    side = 0
     iters = 0
-    alpha = 0.5 * (lo + hi)
     while True:
-        alpha = 0.5 * (lo + hi)
-        g = rho_of_alpha(alpha) - 1.0
+        d = ha - hb
+        s = a + ha * (b - a) / d if d > 0.0 else math.nan
+        if not a < s < b:
+            s = 0.5 * (a + b)
+        alpha = math.exp(s)
+        rho = rho_of_alpha(alpha)
         iters += 1
-        if abs(g) <= rel_tol or (hi - lo) <= 1e-16 * alpha or iters > 400:
+        if (abs(rho - 1.0) <= rel_tol or b - a <= 4e-16 * max(1.0, abs(s))
+                or iters > 400):
             break
-        if g > 0:
-            lo = alpha
+        h = _log(rho)
+        if h > 0.0:
+            a, ha = s, h
+            if side == 1:
+                hb *= 0.5
+            side = 1
         else:
-            hi = alpha
+            b, hb = s, h
+            if side == -1:
+                ha *= 0.5
+            side = -1
     return alpha, bracket, iters
 
 

@@ -94,8 +94,9 @@ def caccioppoli_ratio(fp, u, pair, depth=3, degree=5):
     lhs = float(qi.weights @ _phase_at(tf, qi, _grad_norm_at(u, qi)))
     # means and averages are normalized by the clipped quadrature mass so
     # constant fields are reproduced exactly despite the geometric clipping
-    mean = float(qo.weights @ u.at_quad(qo)) / qo.total_mass
-    osc = np.abs(u.at_quad(qo) - mean) / (outer.radius - inner.radius)
+    uo = u.at_quad(qo)
+    mean = float(qo.weights @ uo) / qo.total_mass
+    osc = np.abs(uo - mean) / (outer.radius - inner.radius)
     rhs = float(qo.weights @ _phase_at(tf, qo, osc))
     return _ratio(lhs, rhs)
 
@@ -128,8 +129,9 @@ def sobolev_poincare_ratio(fp, u, ball, delta, depth=3, degree=5):
     tf = fp.tf
     q = ball_quadrature(u.mesh, ball, depth=depth, degree=degree)
     area = q.total_mass
-    mean = float(q.weights @ u.at_quad(q)) / area
-    osc = np.abs(u.at_quad(q) - mean) / ball.radius
+    uq = u.at_quad(q)
+    mean = float(q.weights @ uq) / area
+    osc = np.abs(uq - mean) / ball.radius
     lhs = float(q.weights @ _phase_at(tf, q, osc)) / area
     gmod = _phase_at(tf, q, _grad_norm_at(u, q))
     avg_pow = float(q.weights @ gmod ** delta) / area

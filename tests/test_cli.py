@@ -165,6 +165,25 @@ class TestMain:
                      "probe", "poincare-w0"])
         assert code == EXIT_OK
 
+    def test_probe_poincare_w0_ignores_d(self, tmp_path):
+        path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"d": 0.5}})
+        out = tmp_path / "out"
+        code = main(["--config", path, "--out", str(out),
+                     "probe", "poincare-w0"])
+        assert code == EXIT_OK
+        text = (out / "probe_poincare-w0.csv").read_text()
+        assert len(text.splitlines()) == 22  # hash + header + 20 samples
+
+    def test_probe_without_ratios_fails(self, tmp_path):
+        path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"ball_pairs": []}})
+        code = main(["--config", path, "--out", str(tmp_path / "out"),
+                     "probe", "caccioppoli"])
+        assert code == EXIT_FAIL
+
+    def test_threads_flag_removed(self, tmp_path):
+        path = write_cfg(tmp_path, BASE_CFG)
+        assert main(["--config", path, "--threads", "2", "solve"]) == EXIT_USAGE
+
     def test_unknown_key_exit_usage(self, tmp_path):
         path = write_cfg(tmp_path, {**BASE_CFG, "bogus": True})
         assert main(["--config", path, "solve"]) == EXIT_USAGE

@@ -6,7 +6,7 @@ from multiphase import (Domain2D, ExponentTriple, ScalarField, UNIT_SQUARE,
                         compute_r0, critical_exponent,
                         estimate_holder_constant, tighten_r0)
 from multiphase.expressions import ExpressionError, parse_expression
-from multiphase.fields import HypothesisError
+from multiphase.fields import HypothesisError, HypothesisReport
 
 
 class TestDomain:
@@ -245,3 +245,14 @@ class TestTightenR0:
     def test_invalid_d(self):
         with pytest.raises(ValueError):
             tighten_r0(0.1, 1.5, 1.0, 1.0, 1.0)
+
+
+class TestHypothesisReport:
+    def test_consistent(self):
+        assert HypothesisReport("H1", True, (0.5, 0.5), 0.1).passed
+
+    @pytest.mark.parametrize("passed, margin", [(True, -0.1), (True, 0.0),
+                                                (False, 0.1)])
+    def test_inconsistent_rejected(self, passed, margin):
+        with pytest.raises(ValueError, match="contradicts"):
+            HypothesisReport("H1", passed, (0.5, 0.5), margin)

@@ -1,0 +1,249 @@
+"""The probe kernels against the plain implementations they replaced:
+ball quadrature by subdividing every crossing triangle, point location by a
+loop over points, and the Luxemburg norm by bisection."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
+                        UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
+                        refine, structured_mesh)
+from multiphase.mesh import quad_rule
+from multiphase.modular import PhaseFunction, SampledPhase
+
+
+# -- reference implementations ----------------------------------------------
+
+def loop_locate(mesh, points, tol=1e-12):
+    """Every triangle tested for every point; the lowest index wins."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    tri_of = np.full(len(pts), -1, dtype=np.int64)
+    bary_of = np.zeros((len(pts), 3))
+    v0 = mesh.vertices[mesh.triangles[:, 0]]
+    d1 = mesh.vertices[mesh.triangles[:, 1]] - v0
+    d2 = mesh.vertices[mesh.triangles[:, 2]] - v0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    for i, p in enumerate(pts):
+        r = p - v0
+        l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+        l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
+        l0 = 1.0 - l1 - l2
+        hits = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+        if len(hits):
+            t = hits[0]
+            tri_of[i] = t
+            bary_of[i] = (l0[t], l1[t], l2[t])
+    return tri_of, bary_of
+
+
+def _split4_parents(tv, parents):
+    m01 = 0.5 * (tv[:, 0] + tv[:, 1])
+    m12 = 0.5 * (tv[:, 1] + tv[:, 2])
+    m20 = 0.5 * (tv[:, 2] + tv[:, 0])
+    out = np.concatenate([
+        np.stack([tv[:, 0], m01, m20], axis=1),
+        np.stack([m01, tv[:, 1], m12], axis=1),
+        np.stack([m20, m12, tv[:, 2]], axis=1),
+        np.stack([m01, m12, m20], axis=1),
+    ])
+    return out, np.concatenate([parents] * 4)
+
+
+def split_ball_quadrature(mesh, ball, depth=3, degree=5):
+    """All triangles classified, crossing ones split `depth` times."""
+    c = np.asarray(ball.center)
+    R = ball.radius
+    t = np.linspace(0, 2 * np.pi, 17)[:-1]
+    ring = c + R * np.column_stack([np.cos(t), np.sin(t)])
+    if np.any(loop_locate(mesh, ring, tol=mesh.h_max)[0] < 0):
+        raise ValueError("ball escapes the meshed domain")
+    bary, w = quad_rule(degree)
+    verts = mesh.vertices[mesh.triangles]
+    all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
+    centroids = verts.mean(axis=1)
+    circum = np.max(np.linalg.norm(verts - centroids[:, None, :], axis=2), axis=1)
+    far = np.linalg.norm(centroids - c, axis=1) > R + circum
+    crossing = ~all_in & ~far
+    pts, wts, tris = [], [], []
+    idx = np.flatnonzero(all_in)
+    pts.append(np.einsum("kj,tjd->tkd", bary, verts[idx]).reshape(-1, 2))
+    wts.append((mesh.areas[idx, None] * w[None, :]).ravel())
+    tris.append(np.repeat(idx, len(w)))
+    tv, parents = verts[crossing], np.flatnonzero(crossing)
+    for _ in range(depth):
+        tv, parents = _split4_parents(tv, parents)
+    areas = 0.5 * np.abs(
+        (tv[:, 1, 0] - tv[:, 0, 0]) * (tv[:, 2, 1] - tv[:, 0, 1])
+        - (tv[:, 1, 1] - tv[:, 0, 1]) * (tv[:, 2, 0] - tv[:, 0, 0]))
+    centers = np.einsum("kj,tjd->tkd", bary, tv)
+    keep = (np.sum((centers - c) ** 2, axis=2) <= R * R).ravel()
+    pts.append(centers.reshape(-1, 2)[keep])
+    wts.append((areas[:, None] * w[None, :]).ravel()[keep])
+    tris.append(np.repeat(parents, len(w))[keep])
+    return np.concatenate(pts), np.concatenate(wts), np.concatenate(tris)
+
+
+def bisect_norm(rho_of_alpha, lo, hi, rel_tol):
+    """Bisection on a bracket with rho(lo) >= 1 >= rho(hi)."""
+    while True:
+        alpha = 0.5 * (lo + hi)
+        g = rho_of_alpha(alpha) - 1.0
+        if abs(g) <= rel_tol or hi - lo <= 1e-16 * alpha:
+            return alpha
+        if g > 0:
+            lo = alpha
+        else:
+            hi = alpha
+
+
+# -- meshes and balls ----------------------------------------------------------
+
+def _jittered(n, seed):
+    """Criss-cross mesh with interior vertices moved by up to 0.3 h."""
+    mesh = structured_mesh(UNIT_SQUARE, n)
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices.copy()
+    free = ~mesh.boundary_flags
+    v[free] += rng.uniform(-0.3, 0.3, (int(free.sum()), 2)) / n
+    return TriMesh(v, mesh.triangles)
+
+
+MESHES = {
+    "square16": lambda: structured_mesh(UNIT_SQUARE, 16),
+    "jittered12": lambda: _jittered(12, 3),
+    "hexagon": lambda: refine(structured_mesh(Domain2D(tuple(
+        (np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3)), 6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def mesh(request):
+    return MESHES[request.param]()
+
+
+def _random_balls(mesh, rng, count):
+    """Off-centre interior balls, balls through a boundary vertex and balls
+    centred near the boundary, which often escape."""
+    g = mesh.vertices.mean(axis=0)
+    size = float(np.max(np.linalg.norm(mesh.vertices - g, axis=1)))
+    inner = mesh.vertices[~mesh.boundary_flags]
+    outer = mesh.vertices[mesh.boundary_flags]
+    balls = []
+    for k in range(count):
+        r = rng.uniform(0.05, 0.5) * size
+        if k % 3 == 0:
+            c = rng.choice(outer) + rng.uniform(-0.1, 0.1, 2) * size
+        elif k % 3 == 1:
+            v = rng.choice(outer)
+            c = v + r * (g - v) / np.linalg.norm(g - v)
+        else:
+            c = rng.choice(inner) + rng.uniform(-0.05, 0.05, 2) * size
+        balls.append(Ball(tuple(c), r))
+    return balls
+
+
+class TestBallQuadratureMatchesSplitting:
+    def test_random_balls(self, mesh):
+        rng = np.random.default_rng(11)
+        accepted = rejected = 0
+        for ball in _random_balls(mesh, rng, 45):
+            try:
+                ref = split_ball_quadrature(mesh, ball)
+            except ValueError:
+                with pytest.raises(ValueError, match="escapes"):
+                    ball_quadrature(mesh, ball)
+                rejected += 1
+                continue
+            q = ball_quadrature(mesh, ball)
+            accepted += 1
+            pts, wts, tris = ref
+            assert len(q.weights) == len(wts)
+            T = mesh.n_triangles
+            np.testing.assert_array_equal(np.bincount(q.tri_index, minlength=T),
+                                          np.bincount(tris, minlength=T))
+            mass_ref = np.bincount(tris, wts, minlength=T)
+            mass = np.bincount(q.tri_index, q.weights, minlength=T)
+            assert np.all(np.abs(mass - mass_ref) <= 1e-13 * mass_ref)
+            # the same points, parent by parent
+            order_ref = np.lexsort((pts[:, 1].round(9), pts[:, 0].round(9), tris))
+            order = np.lexsort((q.points[:, 1].round(9), q.points[:, 0].round(9),
+                                q.tri_index))
+            assert np.max(np.abs(q.points[order] - pts[order_ref])) <= 1e-14
+        assert accepted >= 10 and rejected >= 5, (accepted, rejected)
+
+    @pytest.mark.parametrize("depth, degree", [(0, 5), (1, 2), (2, 1)])
+    def test_other_depths_and_degrees(self, depth, degree):
+        mesh = _jittered(10, 5)
+        ball = Ball((0.45, 0.55), 0.3)
+        pts, wts, tris = split_ball_quadrature(mesh, ball, depth, degree)
+        q = ball_quadrature(mesh, ball, depth=depth, degree=degree)
+        assert len(q.weights) == len(wts)
+        T = mesh.n_triangles
+        mass_ref = np.bincount(tris, wts, minlength=T)
+        mass = np.bincount(q.tri_index, q.weights, minlength=T)
+        assert np.all(np.abs(mass - mass_ref) <= 1e-13 * mass_ref)
+
+
+class TestLocateMatchesLoop:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.05])
+    def test_random_vertex_edge_and_outside_points(self, mesh, tol):
+        rng = np.random.default_rng(5)
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        pad = 0.2 * (hi - lo)
+        tri = mesh.triangles[rng.integers(0, mesh.n_triangles, 150)]
+        s = rng.random((150, 1))
+        on_edge = s * mesh.vertices[tri[:, 0]] + (1 - s) * mesh.vertices[tri[:, 1]]
+        points = np.vstack([rng.uniform(lo - pad, hi + pad, (300, 2)),
+                            mesh.vertices, on_edge])
+        tri_of, bary = mesh.locate(points, tol=tol)
+        ref_tri, ref_bary = loop_locate(mesh, points, tol=tol)
+        np.testing.assert_array_equal(tri_of, ref_tri)
+        np.testing.assert_array_equal(bary, ref_bary)
+        assert np.any(tri_of < 0) and np.any(tri_of >= 0)
+
+    def test_chunked_points(self, monkeypatch):
+        import multiphase.mesh as mesh_mod
+        mesh = _jittered(6, 1)
+        monkeypatch.setattr(mesh_mod, "_LOCATE_PAIRS", 3 * mesh.n_triangles)
+        points = np.random.default_rng(2).uniform(-0.1, 1.1, (50, 2))
+        tri_of, bary = mesh.locate(points)
+        ref_tri, ref_bary = loop_locate(mesh, points)
+        np.testing.assert_array_equal(tri_of, ref_tri)
+        np.testing.assert_array_equal(bary, ref_bary)
+
+
+class TestLuxemburgRegulaFalsi:
+    @settings(max_examples=60, deadline=None)
+    @given(exps=st.lists(st.floats(1.1, 12.0), min_size=3, max_size=3),
+           mu1=st.floats(0.0, 1e3), mu2=st.floats(0.0, 1e3),
+           log_scale=st.floats(-4.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unit_sphere_bracket_and_bisection(self, square8, exps, mu1, mu2,
+                                               log_scale, seed):
+        p, q, r = sorted(exps)
+        tf = PhaseFunction(ExponentTriple.constants(p, q, r),
+                           WeightPair.constants(mu1, mu2))
+        rng = np.random.default_rng(seed)
+        u = FeFunction(square8, 10.0 ** log_scale
+                       * rng.uniform(-1, 1, square8.n_vertices))
+        quad = square8.quadrature()
+        rel_tol = 1e-10
+        rep = luxemburg_norm(tf, u, quad, rel_tol=rel_tol)
+        sp = SampledPhase(tf, quad)
+        vals = np.abs(u.at_quad(quad))
+        nrm = rep.luxemburg_norm
+        assert abs(sp.modular(vals / nrm) - 1.0) <= rel_tol
+        lo, hi = rep.bracket
+        assert lo <= nrm <= hi
+        assert rep.iterations <= 15
+        ref = bisect_norm(lambda a: sp.modular(vals / a), lo, hi, rel_tol)
+        assert abs(nrm - ref) <= 1e-9 * ref
+
+    def test_single_power_in_one_step(self, square8):
+        tf = PhaseFunction(ExponentTriple.constants(3, 3, 3),
+                           WeightPair.constants(0, 0))
+        u = FeFunction(square8, np.linspace(0, 2, square8.n_vertices))
+        rep = luxemburg_norm(tf, u, square8.quadrature())
+        # h(s) is linear in s = log alpha, so the secant through the bracket
+        # ends lands on the root
+        assert rep.iterations == 1
