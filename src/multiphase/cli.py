@@ -163,6 +163,7 @@ class Manifest:
         self.stages = {}
         self.outputs = []
         self.hypotheses = []
+        self.solve = {}
         os.makedirs(out_dir, exist_ok=True)
 
     def stage(self, name, seconds):
@@ -179,6 +180,7 @@ class Manifest:
             "stage_seconds": self.stages,
             "hypotheses": self.hypotheses,
             "outputs": self.outputs,
+            "solve": self.solve,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
@@ -228,6 +230,7 @@ def cmd_solve(cfg, args, manifest):
         rep = solve_variational(prob, tol=tol, max_iter=max_iter,
                                 linear_solver=linear)
     manifest.stage("solve", time.perf_counter() - t0)
+    manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason}
     vtk = os.path.join(manifest.out_dir, "solution.vtk")
     write_vtk(vtk, prob.mesh, {"u": rep.solution.nodal_values},
               {"grad_u": rep.solution.gradients()},

@@ -53,6 +53,12 @@ class PhaseDiscretization:
     """Caches mesh geometry, field samples and the Jacobian's sparsity
     pattern for repeated assembly.
 
+    Energy, residual and Jacobian of a state all come from one evaluation
+    of the phase powers, reduced per triangle.  The reductions of the last
+    state are kept, keyed by eps and by the state's values, so in a Newton
+    step the accepted line-search trial's energy also serves the next
+    residual and Jacobian.  Only one state is held.
+
     When p, q, r, mu1 and mu2 are all constant on the quadrature points they
     are kept as (T, 1) columns: P1 gradients make s constant on a triangle,
     so each power is then taken once per triangle instead of once per
@@ -82,6 +88,7 @@ class PhaseDiscretization:
         self.free_pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
         self.free_pos[self.free] = np.arange(len(self.free))
         self._pattern = None
+        self._memo = None        # (eps, private copy of u_vals, reductions)
 
     # -- low-level pieces ------------------------------------------------
 
@@ -102,33 +109,49 @@ class PhaseDiscretization:
             v[zero] = np.broadcast_to(e, v.shape)[zero] == 0
         return v
 
-    def _phase(self, g, eps):
-        """s^2 = |g|^2 + eps^2 and the powers s^(e-2) for e = p, q, r: the
-        only powers any of energy, residual and Jacobian needs."""
+    def _reduced(self, u_vals, eps):
+        """The energy of the state u_vals at eps and, per triangle, the
+        quadrature sums a = sum w A and b = sum w B of the flux coefficient
+        A = sum mu s^(e-2) and of B = sum mu (e-2) s^(e-4), the rank-one
+        part of the flux derivative (e = p, q, r; mu = 1, mu1, mu2).
+
+        Served from the memo when it holds the same values at the same eps:
+        values, not array identity, are compared, because callers update
+        states in place."""
+        memo = self._memo
+        if memo is not None and memo[0] == eps and np.array_equal(memo[1], u_vals):
+            return memo[2]
+        g = self._gradients(u_vals)
         s2 = np.sum(g * g, axis=1)[:, None] + eps ** 2   # (T, 1)
         s = np.sqrt(s2)
         pw = np.power if eps > 0.0 else self._pow
-        return s2, [pw(s, e2) for e2 in self._e2]
-
-    def _flux_coef(self, powers):
-        cp, cq, cr = powers
-        return cp + self.m1 * cq + self.m2 * cr
+        ep, eq, er = self._e2
+        cp, cq, cr = pw(s, ep), pw(s, eq), pw(s, er)
+        wp, wq, wr = self._energy_w
+        dens = s2 * (wp * cp + wq * cq + wr * cr)
+        energy = float(np.sum(self.qweights * dens))
+        a_bar = np.sum(self.qweights * (cp + self.m1 * cq + self.m2 * cr), axis=1)
+        # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            B = (ep * cp + self.m1 * eq * cq + self.m2 * er * cr) / s2
+        if eps == 0.0:
+            B = np.where(s2 > 0, B, 0.0)
+        b_bar = np.sum(self.qweights * B, axis=1)
+        reduced = (energy, a_bar, b_bar)
+        self._memo = (eps, np.array(u_vals, dtype=float), reduced)
+        return reduced
 
     def energy(self, u_vals, eps=0.0):
         """Energy integral of the P1 state; reported energies use eps = 0,
         the regularized variant only steers the solver's line search."""
-        s2, (cp, cq, cr) = self._phase(self._gradients(u_vals), eps)
-        wp, wq, wr = self._energy_w
-        dens = s2 * (wp * cp + wq * cq + wr * cr)
-        return float(np.sum(self.qweights * dens))
+        return self._reduced(u_vals, eps)[0]
 
     def residual(self, u_vals, load=None, eps=None):
         """Galerkin residual over free nodes: flux tested against basis
         gradients, minus the load."""
         eps = self.fp.eps if eps is None else eps
+        _, c, _ = self._reduced(u_vals, eps)
         g = self._gradients(u_vals)
-        _, powers = self._phase(g, eps)
-        c = np.sum(self.qweights * self._flux_coef(powers), axis=1)  # (T,)
         # flux . grad(phi_i) with per-triangle constant gradient
         gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
         contrib = c[:, None] * gdphi
@@ -164,18 +187,8 @@ class PhaseDiscretization:
         """Exact derivative of the regularized residual, free nodes only."""
         eps = self.fp.eps if eps is None else eps
         indptr, indices, slot, nnz, dots = self._jacobian_pattern()
+        _, a_bar, b_bar = self._reduced(u_vals, eps)
         g = self._gradients(u_vals)
-        s2, powers = self._phase(g, eps)
-        A = self._flux_coef(powers)
-        # rank-one part: sum of (e-2) s^(e-4); it carries a g g^T factor
-        # that vanishes with s, so its s = 0 limit is 0
-        (ep, eq, er), (cp, cq, cr) = self._e2, powers
-        with np.errstate(divide="ignore", invalid="ignore"):
-            B = (ep * cp + self.m1 * eq * cq + self.m2 * er * cr) / s2
-        if eps == 0.0:
-            B = np.where(s2 > 0, B, 0.0)
-        a_bar = np.sum(self.qweights * A, axis=1)        # (T,)
-        b_bar = np.sum(self.qweights * B, axis=1)        # (T,)
         gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
         local = (a_bar[:, None, None] * dots
                  + b_bar[:, None, None] * np.einsum("tj,tk->tjk", gdphi, gdphi))

@@ -62,6 +62,9 @@ class SolveReport:
     energy_history: list
     converged: bool
     eps_schedule: list
+    start: str = "lift"              # Newton's start: "initial" or "lift"
+    stop_reason: str | None = None   # solve_convection only: "tolerance",
+                                     # "max_iter_outer" or "growth"
 
 
 def _linear_solve(J, rhs, method="direct"):
@@ -134,11 +137,11 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
 
 
 def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
+    """Damped Newton over the eps schedule.  With an initial state it starts
+    from whichever of that state and the Dirichlet lift (boundary data, zero
+    interior) has the lower merit at the first eps, the initial state on a
+    tie: the minimiser does not depend on the start, the work does."""
     mesh = prob.mesh
-    u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
-    if initial is not None:
-        u = np.where(mesh.boundary_flags, prob.dirichlet,
-                     np.asarray(initial, dtype=float))
     free = disc.free
     sched = _eps_schedule(prob.fp)
     eps_used = []
@@ -149,13 +152,26 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     def merit(vals, eps=0.0):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
 
+    u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
+    start, m_start = "lift", None
+    if initial is not None:
+        warm = np.where(mesh.boundary_flags, prob.dirichlet,
+                        np.asarray(initial, dtype=float))
+        m_lift = merit(u, sched[0])
+        m_start = merit(warm, sched[0])     # evaluated last: stays memoised
+        if m_start <= m_lift:
+            u, start = warm, "initial"
+        else:
+            m_start = m_lift
+
     iters = 0
     for eps in sched:
         eps_used.append(eps)
         retries = 0
         stage_tol = tol if eps == final_eps else max(tol, 1e-8)
         stage_iters = 0
-        m0 = None               # merit of u at eps, carried from the line search
+        # merit of u at eps, carried from the start choice or the line search
+        m0, m_start = m_start, None
         while stage_iters < max_iter:
             res = disc.residual(u, load, eps=eps)
             rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
@@ -169,7 +185,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
                 step = _linear_solve(J, -res, linear_solver)
                 if not np.all(np.isfinite(step)):
                     raise np.linalg.LinAlgError("non-finite step")
-            except Exception:
+            except np.linalg.LinAlgError:
                 retries += 1
                 if retries > 5:
                     raise RuntimeError("singular Jacobian after 5 eps retries")
@@ -203,7 +219,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
         try:
             J = disc.jacobian(u, eps=max(check_eps, final_eps))
             step = _linear_solve(J, -res_final, linear_solver)
-        except Exception:
+        except np.linalg.LinAlgError:
             break
         u = u.copy()
         u[free] += step
@@ -215,13 +231,17 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     energy_hist.append(merit(u))
     converged = rnorm <= tol
     return SolveReport(FeFunction(prob.mesh, u), iters, res_hist,
-                       energy_hist, converged, eps_used)
+                       energy_hist, converged, eps_used, start)
 
 
 def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
                      linear_solver="direct", initial=None, inner_tol=None):
     """Outer fixed point freezing f(x, u_k, grad u_k) as a load, inner
-    damped Newton on the frozen variational problem."""
+    damped Newton on the frozen variational problem, warm-started from u_k.
+
+    The report's start is that of the first inner solve ("lift" without an
+    initial state); stop_reason is "tolerance", "max_iter_outer" or
+    "growth" (the outer distance grew five times in a row)."""
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
@@ -234,11 +254,15 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     grow = 0
     prev_dist = np.inf
     converged = False
+    start = "lift"
+    stop_reason = "max_iter_outer"
     it = 0
     for it in range(1, max_iter_outer + 1):
         load = _source_load(disc, prob.source, u)
         inner = _newton(disc, prob, load, inner_tol, 100, linear_solver,
                         initial=u)
+        if it == 1 and initial is not None:
+            start = inner.start
         eps_used = inner.eps_schedule
         dist = float(np.max(np.abs(inner.solution.nodal_values[disc.free]
                                    - u[disc.free])))
@@ -247,13 +271,15 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
         energy_hist.append(inner.energy_history[-1])
         if dist <= tol and inner.converged:
             converged = True
+            stop_reason = "tolerance"
             break
         grow = grow + 1 if dist > prev_dist else 0
         prev_dist = dist
         if grow >= 5:
+            stop_reason = "growth"
             break
     return SolveReport(FeFunction(mesh, u), it, hist, energy_hist,
-                       converged, eps_used)
+                       converged, eps_used, start, stop_reason)
 
 
 def weak_residual_sup(prob, u, degree=5):

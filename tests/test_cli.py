@@ -195,3 +195,47 @@ class TestMain:
     def test_bad_subcommand_exit_usage(self, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG)
         assert main(["--config", path, "frobnicate"]) == EXIT_USAGE
+
+
+class TestSolveManifest:
+    """`solve` records where Newton started and why the fixed point stopped."""
+
+    CONVECTION_CFG = {
+        "p": {"const": 2.0}, "q": {"const": 3.0}, "r": {"const": 4.0},
+        "mu1": {"const": 1.0}, "mu2": {"const": 1.0}, "mesh_n": 8,
+        "source": {"expr": "sin(3.14159*x1)*sin(3.14159*x2)",
+                   "grad_coeff": [0.05, 0.0], "state_coeff": 0.05},
+    }
+
+    def solve(self, tmp_path, cfg):
+        out = tmp_path / "out"
+        code = main(["--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "solve"])
+        return code, json.loads((out / "manifest.json").read_text())["solve"]
+
+    def test_variational(self, tmp_path):
+        code, rec = self.solve(tmp_path, BASE_CFG)
+        assert code == EXIT_OK
+        assert rec == {"start": "lift", "stop_reason": None}
+
+    def test_convection_tolerance(self, tmp_path):
+        code, rec = self.solve(tmp_path, self.CONVECTION_CFG)
+        assert code == EXIT_OK
+        assert rec == {"start": "lift", "stop_reason": "tolerance"}
+
+    def test_convection_max_iter_outer(self, tmp_path):
+        cfg = {**self.CONVECTION_CFG, "solver": {"max_iter": 2}}
+        code, rec = self.solve(tmp_path, cfg)
+        assert code == EXIT_FAIL
+        assert rec["stop_reason"] == "max_iter_outer"
+
+    def test_convection_growth(self, tmp_path):
+        # a state coefficient of 60, about three times the first Laplace
+        # eigenvalue, makes the fixed-point map expand
+        cfg = {**self.CONVECTION_CFG, "q": {"const": 2.0}, "r": {"const": 2.0},
+               "mu1": {"const": 0.0}, "mu2": {"const": 0.0},
+               "source": {"expr": "sin(3.14159*x1)*sin(3.14159*x2)",
+                          "state_coeff": 60.0}}
+        code, rec = self.solve(tmp_path, cfg)
+        assert code == EXIT_FAIL
+        assert rec["stop_reason"] == "growth"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from multiphase import mesh as mesh_mod
+
 from multiphase import (Ball, Domain2D, FeFunction, UNIT_SQUARE, ball_average,
                         ball_quadrature, gradient_on, integrate, interpolate,
                         refine, structured_mesh, write_vtk)
@@ -168,7 +170,51 @@ class TestBallQuadrature:
         assert np.all(q.tri_index < square32.n_triangles)
 
 
+def _reference_vtk(mesh, point_data, cell_data, comment):
+    """Legacy VTK text formatted one numpy element at a time."""
+    lines = ["# vtk DataFile Version 3.0", comment, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.17g} {y:.17g} 0")
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines.extend(["5"] * mesh.n_triangles)
+    lines.append(f"POINT_DATA {mesh.n_vertices}")
+    for name, vals in point_data.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines.extend(f"{v:.17g}" for v in np.asarray(vals))
+    lines.append(f"CELL_DATA {mesh.n_triangles}")
+    for name, vals in cell_data.items():
+        vals = np.asarray(vals)
+        if vals.ndim == 2:
+            lines.append(f"VECTORS {name} double")
+            lines.extend(f"{v[0]:.17g} {v[1]:.17g} 0" for v in vals)
+        else:
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines.extend(f"{v:.17g}" for v in vals)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestVtk:
+    @pytest.mark.parametrize("block_rows", [7, None])
+    def test_bytes_match_per_element_reference(self, tmp_path, monkeypatch,
+                                               block_rows):
+        if block_rows:                     # many blocks, ragged last block
+            monkeypatch.setattr(mesh_mod, "_VTK_ROWS", block_rows)
+        mesh = refine(structured_mesh(UNIT_SQUARE, 3))   # sixths: 17 digits
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal(mesh.n_vertices) * 1e-7
+        u[:6] = [np.nan, np.inf, -0.0, 5e-324, 1e300, 3.0]
+        point = {"u": u}
+        cell = {"grad_u": rng.standard_normal((mesh.n_triangles, 2)) * 1e5,
+                "area": mesh.areas}
+        path = tmp_path / "out.vtk"
+        write_vtk(path, mesh, point, cell, comment="config_hash=abc")
+        assert path.read_bytes() == _reference_vtk(mesh, point, cell,
+                                                   "config_hash=abc")
+
     def test_roundtrip_header(self, tmp_path, square8):
         u = interpolate(lambda x, y: x + y, square8)
         path = tmp_path / "out.vtk"

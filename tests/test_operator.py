@@ -377,3 +377,75 @@ class TestJacobianProperties:
                                              eps=1e-8), square8)
         assert sub.energy(zero) == 0.0
         assert np.all(sub.residual(zero, eps=0.0) == 0.0)
+
+
+class TestStateMemo:
+    """Energy, residual and Jacobian of one state share a memoised phase
+    evaluation; the memo must never serve a different state or eps."""
+
+    @staticmethod
+    def _all(disc, u, load, eps):
+        return (disc.energy(u, eps=eps), disc.residual(u, load, eps=eps),
+                disc.jacobian(u, eps=eps))
+
+    @staticmethod
+    def _assert_identical(got, ref):
+        assert got[0] == ref[0]
+        assert np.array_equal(got[1], ref[1])
+        assert np.array_equal(got[2].indptr, ref[2].indptr)
+        assert np.array_equal(got[2].indices, ref[2].indices)
+        assert np.array_equal(got[2].data, ref[2].data)
+
+    @pytest.mark.parametrize("phase", ["triple_phase", "variable_phase"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_bit_identical_to_fresh(self, request, square8, phase, eps):
+        fp = FluxParams(request.getfixturevalue(phase), eps=1e-8)
+        rng = np.random.default_rng(11)
+        u = random_fe(square8, rng).nodal_values
+        load = rng.standard_normal(square8.n_vertices)
+        memoised = self._all(PhaseDiscretization(fp, square8), u, load, eps)
+        # a fresh discretization per quantity: no memo to draw on
+        fresh = (PhaseDiscretization(fp, square8).energy(u, eps=eps),
+                 PhaseDiscretization(fp, square8).residual(u, load, eps=eps),
+                 PhaseDiscretization(fp, square8).jacobian(u, eps=eps))
+        self._assert_identical(memoised, fresh)
+
+    def test_in_place_mutation_gives_fresh_values(self, triple_flux, square8):
+        rng = np.random.default_rng(12)
+        u = random_fe(square8, rng).nodal_values
+        load = rng.standard_normal(square8.n_vertices)
+        disc = PhaseDiscretization(triple_flux, square8)
+        before = self._all(disc, u, load, 0.0)
+        u[disc.free] *= 1.5                # same array object, new values
+        after = self._all(disc, u, load, 0.0)
+        ref = self._all(PhaseDiscretization(triple_flux, square8), u, load, 0.0)
+        self._assert_identical(after, ref)
+        assert after[0] != before[0]
+
+    def test_eps_is_part_of_the_key(self, triple_flux, square8):
+        rng = np.random.default_rng(13)
+        u = random_fe(square8, rng).nodal_values
+        disc = PhaseDiscretization(triple_flux, square8)
+        for eps in (0.0, 1e-2, 0.0):
+            fresh = PhaseDiscretization(triple_flux, square8)
+            assert disc.energy(u, eps=eps) == fresh.energy(u, eps=eps)
+            assert np.array_equal(disc.residual(u, eps=eps),
+                                  fresh.residual(u, eps=eps))
+
+    def test_one_phase_evaluation_per_state(self, triple_flux, square8,
+                                            monkeypatch):
+        real_pow = PhaseDiscretization._pow
+        exponents = []
+
+        def counting_pow(s, e):
+            exponents.append(e)
+            return real_pow(s, e)
+
+        monkeypatch.setattr(PhaseDiscretization, "_pow",
+                            staticmethod(counting_pow))
+        disc = PhaseDiscretization(triple_flux, square8)
+        u = random_fe(square8, np.random.default_rng(14)).nodal_values
+        self._all(disc, u, None, 0.0)
+        assert len(exponents) == 3           # p, q and r, once for all three
+        self._all(disc, u.copy(), None, 0.0)  # another array, same values
+        assert len(exponents) == 3

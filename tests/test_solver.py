@@ -297,3 +297,149 @@ class TestEpsRetry:
         assert len(search) >= 2          # the merit at u, then the trials
         assert all(eps == 1e-6 for eps, _ in search)
         assert np.array_equal(search[0][1], state)
+
+
+def rough_start(mesh, seed, scale=1.0):
+    """Uniform random interior values in [-scale, scale], zero boundary."""
+    vals = np.zeros(mesh.n_vertices)
+    free = ~mesh.boundary_flags
+    vals[free] = np.random.default_rng(seed).uniform(-scale, scale,
+                                                     int(free.sum()))
+    return vals
+
+
+class TestStartChoice:
+    """With an initial state, Newton starts from the lower-merit one of that
+    state and the Dirichlet lift; the minimiser does not depend on it."""
+
+    @pytest.fixture(params=["triple", "variable"])
+    def flux(self, request, triple_flux, variable_phase):
+        if request.param == "triple":
+            return triple_flux
+        return FluxParams(variable_phase, eps=1e-8)
+
+    def test_rough_start_takes_lift(self, flux, square8):
+        prob = PhaseProblem(square8, flux, sine_load(), dirichlet_zero(square8))
+        plain = solve_variational(prob, tol=1e-10)
+        rough = solve_variational(prob, tol=1e-10,
+                                  initial=rough_start(square8, 3))
+        assert plain.start == "lift" and rough.start == "lift"
+        assert plain.converged and rough.converged
+        assert np.max(np.abs(rough.solution.nodal_values
+                             - plain.solution.nodal_values)) <= 1e-10
+
+    def test_good_start_is_kept(self, flux, square8):
+        prob = PhaseProblem(square8, flux, sine_load(), dirichlet_zero(square8))
+        plain = solve_variational(prob, tol=1e-10)
+        warm = solve_variational(prob, tol=1e-10,
+                                 initial=plain.solution.nodal_values)
+        assert warm.start == "initial"
+        assert warm.converged
+        assert warm.iterations <= plain.iterations
+
+    def test_tie_keeps_initial(self, triple_flux, square8):
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10,
+                                initial=np.zeros(square8.n_vertices))
+        assert rep.start == "initial"
+        assert rep.converged
+
+    def test_singular_lift_retries_eps(self, square8):
+        # p- > 2 at eps = 0: the Jacobian vanishes at the zero-gradient lift,
+        # so the first solve fails and eps is raised once, as without initial
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(2.5, 3, 4),
+                                      WeightPair.constants(1, 1)), eps=0.0)
+        prob = PhaseProblem(square8, fp, sine_load(), dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10,
+                                initial=rough_start(square8, 4))
+        assert rep.start == "lift"
+        assert rep.converged
+        assert rep.eps_schedule == [0.0, 1e-6]
+        assert weak_residual_sup(prob, rep.solution) <= 1e-10
+
+    def test_programming_error_is_not_an_eps_retry(self, triple_flux, square8,
+                                                   monkeypatch):
+        def broken(self, u_vals, eps=None):
+            raise TypeError("broken assembly")
+
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", broken)
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        with pytest.raises(TypeError, match="broken assembly"):
+            solve_variational(prob)
+
+
+class TestConvectionReport:
+    make_problem = TestConvection.make_problem
+
+    def test_tolerance(self, triple_flux, square8):
+        rep = solve_convection(self.make_problem(square8, triple_flux))
+        assert rep.converged
+        assert rep.stop_reason == "tolerance"
+        assert rep.start == "lift"
+
+    def test_max_iter_outer(self, triple_flux, square8):
+        rep = solve_convection(self.make_problem(square8, triple_flux),
+                               max_iter_outer=2)
+        assert not rep.converged
+        assert rep.iterations == 2
+        assert rep.stop_reason == "max_iter_outer"
+
+    def test_growth(self, laplace_flux, square8):
+        # k4 = 60 is about three times the first eigenvalue of -Laplace:
+        # the fixed-point map expands and the outer distances keep growing
+        rep = solve_convection(self.make_problem(square8, laplace_flux,
+                                                 k3=0.0, k4=60.0))
+        assert not rep.converged
+        assert rep.stop_reason == "growth"
+        assert rep.iterations == 6
+        assert all(b > a for a, b in zip(rep.residual_history[1:],
+                                         rep.residual_history[2:]))
+
+    def test_start_of_first_inner_solve(self, triple_flux, square8):
+        prob = self.make_problem(square8, triple_flux)
+        rough = solve_convection(prob, initial=rough_start(square8, 5))
+        assert rough.start == "lift"
+        warm = solve_convection(prob, initial=rough.solution.nodal_values)
+        assert warm.start == "initial"
+        assert warm.stop_reason == "tolerance"
+        assert np.max(np.abs(warm.solution.nodal_values
+                             - rough.solution.nodal_values)) <= 1e-9
+
+    def test_fewer_linear_solves_than_warm_start_only(self, triple_flux,
+                                                      square16, monkeypatch):
+        prob = self.make_problem(square16, triple_flux)
+        starts = [rough_start(square16, seed, square16.h_max)
+                  for seed in (21, 22)]
+        count = [0]
+        real_solve = solver._linear_solve
+
+        def counting_solve(J, rhs, method="direct"):
+            count[0] += 1
+            return real_solve(J, rhs, method)
+
+        def run():
+            count[0] = 0
+            reps = [solve_convection(prob, initial=s) for s in starts]
+            assert all(rep.converged for rep in reps)
+            return count[0], reps
+
+        monkeypatch.setattr(solver, "_linear_solve", counting_solve)
+        chosen, reps = run()
+        # the warm-start-only path: give the zero-interior lift infinite merit
+        real_energy = PhaseDiscretization.energy
+
+        def no_lift(self, u_vals, eps=0.0):
+            if not np.any(u_vals[self.free]):
+                return np.inf
+            return real_energy(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "energy", no_lift)
+        warm_only, warm_reps = run()
+        assert all(rep.start == "initial" for rep in warm_reps)
+        assert all(rep.start == "lift" for rep in reps)
+        assert chosen < warm_only
+        for a, b in zip(reps, warm_reps):
+            assert np.max(np.abs(a.solution.nodal_values
+                                 - b.solution.nodal_values)) <= 1e-9
