@@ -45,14 +45,14 @@ class ConfigError(ValueError):
 # -- strict config schema ----------------------------------------------------
 
 _SOLVER_KEYS = {"tol", "max_iter", "eps", "linear_solver"}
-_PROBE_KEYS = {"delta", "m_grid", "balls", "ball_pairs", "sigma", "d",
+_PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "d",
                "stability_factor"}
 _SOURCE_KEYS = {"expr", "const", "affine", "grad_coeff", "state_coeff",
                 "k1", "k2", "k3", "k4", "k5", "k6",
-                "gamma1_norm", "gamma2_norm", "gamma3_norm", "m_exponent"}
+                "gamma1_norm", "gamma2_norm", "gamma3_norm"}
 _TOP_KEYS = {"domain", "p", "q", "r", "mu1", "mu2", "source", "dirichlet",
-             "mesh_n", "refinements", "solver", "probe", "seed", "out_dir",
-             "eigen_m", "quad_degree", "sample_grid"}
+             "mesh_n", "refinements", "solver", "probe", "seed", "eigen_m",
+             "quad_degree", "sample_grid"}
 
 
 def _reject_unknown(d, allowed, where):
@@ -230,7 +230,9 @@ def cmd_solve(cfg, args, manifest):
         rep = solve_variational(prob, tol=tol, max_iter=max_iter,
                                 linear_solver=linear)
     manifest.stage("solve", time.perf_counter() - t0)
-    manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason}
+    manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason,
+                      "factorizations": rep.factorizations,
+                      "check_eps": rep.check_eps}
     vtk = os.path.join(manifest.out_dir, "solution.vtk")
     write_vtk(vtk, prob.mesh, {"u": rep.solution.nodal_values},
               {"grad_u": rep.solution.gradients()},
@@ -349,7 +351,10 @@ def cmd_probe(cfg, args, manifest):
                          b.radius, b.radius, delta, r))
     elif which == "higher-integrability":
         m_grid = [float(v) for v in probe_cfg.get("m_grid", (0.05, 0.1, 0.2, 0.4))]
-        rep = higher_integrability_probe(fp, u, fam, m_grid)
+        rep = higher_integrability_probe(
+            fp, u, fam, m_grid,
+            stability_factor=float(probe_cfg.get("stability_factor", 10.0)))
+        print(f"largest_stable_m={rep.parameters['largest_stable_m']}")
         for (i, j), m, r in rep.per_ball:
             b1, b2 = fam.balls[i], fam.balls[j]
             rows.append(("higher_integrability", b1.center[0], b1.center[1],

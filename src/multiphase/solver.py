@@ -14,6 +14,9 @@ from .mesh import FeFunction
 from .operator import FluxParams, PhaseDiscretization
 
 UNIQUENESS_SEED = 0xC0FFEE
+# A held factor serves the next step only while each step cuts the residual
+# sup-norm by at least this factor (Kelley 2003, the chord method).
+CHORD_CONTRACTION = 0.1
 
 
 @dataclass
@@ -65,22 +68,34 @@ class SolveReport:
     start: str = "lift"              # Newton's start: "initial" or "lift"
     stop_reason: str | None = None   # solve_convection only: "tolerance",
                                      # "max_iter_outer" or "growth"
+    factorizations: int = 0          # Jacobians factored (summed over the
+                                     # inner solves of solve_convection)
+    check_eps: float = 0.0           # eps of `converged` and the last residual
 
 
-def _linear_solve(J, rhs, method="direct"):
+def _check_eps(fp):
+    """The eps at which a solution is judged: 0 when p- >= 2, else fp.eps."""
+    return 0.0 if fp.tf.exp.p_minus >= 2 else fp.eps
+
+
+def _factor(J, method="direct"):
+    """A solve function for the symmetric Jacobian J: Jacobi-preconditioned
+    CG, or a sparse LU factor that every right-hand side reuses."""
     if method == "cg":
         d = J.diagonal()
-        d = np.where(d > 0, d, 1.0)
-        M = sp.diags(1.0 / d)
-        x, info = spla.cg(J, rhs, M=M, rtol=1e-12, atol=0.0, maxiter=10000)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"CG failed (info={info})")
-        return x
-    # J is the symmetric Jacobian: diagonal pivots and a minimum-degree
-    # ordering on A^T + A fill far less than COLAMD. SuperLU's minimum degree
-    # can take seconds on some vertex numberings (the refined centroid fan of
-    # a disk), so it runs on a reverse Cuthill-McKee relabelling; csgraph is
-    # imported here to keep `import multiphase` light.
+        M = sp.diags(1.0 / np.where(d > 0, d, 1.0))
+
+        def solve(rhs):
+            x, info = spla.cg(J, rhs, M=M, rtol=1e-12, atol=0.0, maxiter=10000)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"CG failed (info={info})")
+            return x
+        return solve
+    # Diagonal pivots and a minimum-degree ordering on A^T + A fill far less
+    # than COLAMD. SuperLU's minimum degree can take seconds on some vertex
+    # numberings (the refined centroid fan of a disk), so it runs on a reverse
+    # Cuthill-McKee relabelling; csgraph is imported here to keep
+    # `import multiphase` light.
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     J = J.tocsr()
@@ -90,9 +105,28 @@ def _linear_solve(J, rhs, method="direct"):
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:          # SuperLU: factor is exactly singular
         raise np.linalg.LinAlgError(str(exc)) from exc
-    x = np.empty(len(rhs))
-    x[perm] = lu.solve(np.asarray(rhs, dtype=float)[perm])
-    return x
+
+    def solve(rhs):
+        x = np.empty(len(rhs))
+        x[perm] = lu.solve(rhs[perm])
+        return x
+    return solve
+
+
+def _linear_solve(A, rhs, method="direct"):
+    """Solve A x = rhs, where A is a matrix or a solve function of _factor."""
+    solve = A if callable(A) else _factor(A, method)
+    return solve(np.asarray(rhs, dtype=float))
+
+
+class _HeldFactor:
+    """At most one factored Jacobian, kept for chord steps, and its eps."""
+
+    def __init__(self):
+        self.release()
+
+    def release(self):
+        self.solve, self.eps = None, None
 
 
 def _eps_schedule(fp):
@@ -136,18 +170,29 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
     return _newton(disc, prob, load, tol, max_iter, linear_solver, initial)
 
 
-def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
+def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
+            held=None, choose_start=True):
     """Damped Newton over the eps schedule.  With an initial state it starts
     from whichever of that state and the Dirichlet lift (boundary data, zero
     interior) has the lower merit at the first eps, the initial state on a
-    tie: the minimiser does not depend on the start, the work does."""
+    tie: the minimiser does not depend on the start, the work does.  Without
+    choose_start it starts from the initial state.
+
+    A direct step reuses the factor in `held` (a chord step: Shamanskii 1967,
+    Kelley 2003) when it was made at the current eps, the previous step was
+    not damped and, after the first step of a stage, cut the residual
+    sup-norm by CHORD_CONTRACTION.  Any other step assembles and factors the
+    Jacobian anew, after releasing the held factor, and so does a chord step
+    that finds no descent.  A caller that passes `held` gets the last factor
+    back for its next solve."""
     mesh = prob.mesh
     free = disc.free
+    held = _HeldFactor() if held is None else held
     sched = _eps_schedule(prob.fp)
     eps_used = []
     res_hist, energy_hist = [], []
     final_eps = sched[-1]
-    check_eps = 0.0 if prob.fp.tf.exp.p_minus >= 2 else final_eps
+    check_eps = _check_eps(prob.fp)
 
     def merit(vals, eps=0.0):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
@@ -157,14 +202,17 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     if initial is not None:
         warm = np.where(mesh.boundary_flags, prob.dirichlet,
                         np.asarray(initial, dtype=float))
-        m_lift = merit(u, sched[0])
-        m_start = merit(warm, sched[0])     # evaluated last: stays memoised
-        if m_start <= m_lift:
+        if not choose_start:
             u, start = warm, "initial"
         else:
-            m_start = m_lift
+            m_lift = merit(u, sched[0])
+            m_start = merit(warm, sched[0])     # evaluated last: stays memoised
+            if m_start <= m_lift:
+                u, start = warm, "initial"
+            else:
+                m_start = m_lift
 
-    iters = 0
+    iters = factorizations = 0
     for eps in sched:
         eps_used.append(eps)
         retries = 0
@@ -172,26 +220,45 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
         stage_iters = 0
         # merit of u at eps, carried from the start choice or the line search
         m0, m_start = m_start, None
+        res = None                  # residual of u at eps, once computed
+        prev_rnorm = None           # residual before the last step of the stage
+        damped = False
         while stage_iters < max_iter:
-            res = disc.residual(u, load, eps=eps)
-            rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
-            if eps == final_eps:
-                res_hist.append(rnorm)
-                energy_hist.append(merit(u))
-            if rnorm <= stage_tol:
-                break
+            if held.eps != eps:
+                held.release()
+            if res is None:
+                res = disc.residual(u, load, eps=eps)
+                rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
+                if eps == final_eps:
+                    res_hist.append(rnorm)
+                    if eps == 0.0 and m0 is None:
+                        m0 = merit(u)
+                    energy_hist.append(m0 if eps == 0.0 else merit(u))
+                if rnorm <= stage_tol:
+                    break
+            contracting = (prev_rnorm is None
+                           or rnorm <= CHORD_CONTRACTION * prev_rnorm)
+            chord = (linear_solver == "direct" and held.solve is not None
+                     and not damped and contracting)
             try:
-                J = disc.jacobian(u, eps=eps)
-                step = _linear_solve(J, -res, linear_solver)
+                if not chord:
+                    held.release()          # never two factors alive
+                    factorizations += 1
+                    held.solve = _factor(disc.jacobian(u, eps=eps),
+                                         linear_solver)
+                    held.eps = eps
+                step = _linear_solve(held.solve, -res, linear_solver)
                 if not np.all(np.isfinite(step)):
                     raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError:
+                held.release()
                 retries += 1
                 if retries > 5:
                     raise RuntimeError("singular Jacobian after 5 eps retries")
                 eps = max(eps * 10.0, 1e-6) if eps > 0 else 1e-6
                 eps_used.append(eps)
-                m0 = None
+                m0 = res = prev_rnorm = None
+                damped = False
                 continue
             if m0 is None:
                 m0 = merit(u, eps)
@@ -201,13 +268,22 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
             noise = 1e-13 * abs(m0)
             t = 1.0
             trial = u.copy()
+            passed = False
             for _ in range(30):
                 trial[free] = u[free] + t * step
                 m_trial = merit(trial, eps)
                 if m_trial <= m0 + 1e-4 * t * slope + noise:
+                    passed = True
                     break
                 t *= 0.5
+            # the noise allowance can pass a tiny ascent step: a chord step
+            # must descend and pass, else it is redone from u with a fresh
+            # Jacobian
+            if chord and not (passed and slope < 0):
+                held.release()
+                continue
             u, m0 = trial, m_trial
+            prev_rnorm, res, damped = rnorm, None, t < 1.0
             iters += 1
             stage_iters += 1
     res_final = disc.residual(u, load, eps=check_eps)
@@ -216,9 +292,12 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     # last Newton polish at the check eps closes the gap for p_minus >= 2
     polish = 0
     while rnorm > tol and polish < 10 and iters < max_iter:
+        held.release()
+        factorizations += 1
         try:
             J = disc.jacobian(u, eps=max(check_eps, final_eps))
-            step = _linear_solve(J, -res_final, linear_solver)
+            step = _linear_solve(_factor(J, linear_solver), -res_final,
+                                 linear_solver)
         except np.linalg.LinAlgError:
             break
         u = u.copy()
@@ -231,7 +310,8 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None):
     energy_hist.append(merit(u))
     converged = rnorm <= tol
     return SolveReport(FeFunction(prob.mesh, u), iters, res_hist,
-                       energy_hist, converged, eps_used, start)
+                       energy_hist, converged, eps_used, start,
+                       factorizations=factorizations, check_eps=check_eps)
 
 
 def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
@@ -256,13 +336,19 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     converged = False
     start = "lift"
     stop_reason = "max_iter_outer"
+    held = _HeldFactor()        # one factor, handed from inner solve to the next
+    factorizations = 0
     it = 0
     for it in range(1, max_iter_outer + 1):
         load = _source_load(disc, prob.source, u)
+        # only the first inner solve weighs its start against the lift: later
+        # ones start from the last iterate, which always wins
         inner = _newton(disc, prob, load, inner_tol, 100, linear_solver,
-                        initial=u)
-        if it == 1 and initial is not None:
+                        initial=initial if it == 1 else u, held=held,
+                        choose_start=it == 1)
+        if it == 1:
             start = inner.start
+        factorizations += inner.factorizations
         eps_used = inner.eps_schedule
         dist = float(np.max(np.abs(inner.solution.nodal_values[disc.free]
                                    - u[disc.free])))
@@ -279,15 +365,15 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
             stop_reason = "growth"
             break
     return SolveReport(FeFunction(mesh, u), it, hist, energy_hist,
-                       converged, eps_used, start, stop_reason)
+                       converged, eps_used, start, stop_reason,
+                       factorizations, _check_eps(prob.fp))
 
 
 def weak_residual_sup(prob, u, degree=5):
     """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
     load = _source_load(disc, prob.source, u.nodal_values)
-    eps = 0.0 if prob.fp.tf.exp.p_minus >= 2 else prob.fp.eps
-    res = disc.residual(u.nodal_values, load, eps=eps)
+    res = disc.residual(u.nodal_values, load, eps=_check_eps(prob.fp))
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 

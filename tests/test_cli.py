@@ -197,8 +197,36 @@ class TestMain:
         assert main(["--config", path, "frobnicate"]) == EXIT_USAGE
 
 
+class TestConfigKeys:
+    """Every key of the strict schema is read; keys nothing read are gone."""
+
+    @pytest.mark.parametrize("cfg", [
+        {**BASE_CFG, "probe": {"balls": []}},
+        {**BASE_CFG, "source": {**BASE_CFG["source"], "m_exponent": 2.0}},
+        {**BASE_CFG, "out_dir": "elsewhere"},
+    ], ids=["probe.balls", "source.m_exponent", "out_dir"])
+    def test_unread_key_rejected(self, tmp_path, cfg):
+        with pytest.raises(ConfigError):
+            load_config(write_cfg(tmp_path, cfg))
+        assert main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "solve"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("factor, largest", [(None, "0.4"), (10.0, "0.4"),
+                                                 (0.77, "0.1"), (0.5, "None")])
+    def test_stability_factor(self, tmp_path, capsys, factor, largest):
+        # per-m maximal ratios here: 0.7645, 0.7680, 0.7750, 0.7893
+        cfg = {**BASE_CFG, "dirichlet": {"expr": "sin(3.14159*x1)*x2"}}
+        if factor is not None:
+            cfg["probe"] = {"stability_factor": factor}
+        code = main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "probe", "higher-integrability"])
+        assert code == EXIT_OK
+        assert f"largest_stable_m={largest}\n" in capsys.readouterr().out
+
+
 class TestSolveManifest:
-    """`solve` records where Newton started and why the fixed point stopped."""
+    """`solve` records where Newton started, why the fixed point stopped, how
+    many Jacobians were factored and at which eps the result was judged."""
 
     CONVECTION_CFG = {
         "p": {"const": 2.0}, "q": {"const": 3.0}, "r": {"const": 4.0},
@@ -216,12 +244,19 @@ class TestSolveManifest:
     def test_variational(self, tmp_path):
         code, rec = self.solve(tmp_path, BASE_CFG)
         assert code == EXIT_OK
-        assert rec == {"start": "lift", "stop_reason": None}
+        # p- = 1.8 < 2: judged at the regularised eps of the solver
+        assert rec == {"start": "lift", "stop_reason": None,
+                       "factorizations": rec["factorizations"],
+                       "check_eps": 1e-8}
+        assert 1 <= rec["factorizations"]
 
     def test_convection_tolerance(self, tmp_path):
         code, rec = self.solve(tmp_path, self.CONVECTION_CFG)
         assert code == EXIT_OK
-        assert rec == {"start": "lift", "stop_reason": "tolerance"}
+        assert rec == {"start": "lift", "stop_reason": "tolerance",
+                       "factorizations": rec["factorizations"],
+                       "check_eps": 0.0}
+        assert 1 <= rec["factorizations"]
 
     def test_convection_max_iter_outer(self, tmp_path):
         cfg = {**self.CONVECTION_CFG, "solver": {"max_iter": 2}}

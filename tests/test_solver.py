@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -443,3 +445,215 @@ class TestConvectionReport:
         for a, b in zip(reps, warm_reps):
             assert np.max(np.abs(a.solution.nodal_values
                                  - b.solution.nodal_values)) <= 1e-9
+
+
+class _AlwaysFresh(solver._HeldFactor):
+    """A held factor whose eps reads as NaN, which equals no stage eps: every
+    step releases it and factors afresh, the first step of an inner solve
+    included (that step skips the contraction test, so lowering
+    CHORD_CONTRACTION alone would not force it)."""
+
+    eps = property(lambda self: np.nan, lambda self, value: None)
+
+
+def count_factors(monkeypatch, wrap=None):
+    """Count (and optionally wrap) the solve functions _factor makes."""
+    real_factor = solver._factor
+    made = []
+
+    def counting_factor(J, method="direct"):
+        made.append(method)
+        solve = real_factor(J, method)
+        return solve if wrap is None else wrap(solve)
+
+    monkeypatch.setattr(solver, "_factor", counting_factor)
+    return made
+
+
+class TestChordSteps:
+    """Direct steps reuse one held LU factor while it contracts the residual,
+    within an eps stage and across the inner solves of the fixed point."""
+
+    make_problem = TestConvection.make_problem
+
+    def problems(self, triple_flux, variable_phase, square16):
+        return {
+            "triple": (solve_variational, PhaseProblem(
+                square16, triple_flux, sine_load(), dirichlet_zero(square16))),
+            "variable": (solve_variational, PhaseProblem(
+                square16, FluxParams(variable_phase, eps=1e-8), sine_load(),
+                dirichlet_zero(square16))),
+            "convection": (solve_convection,
+                           self.make_problem(square16, triple_flux)),
+        }
+
+    @pytest.mark.parametrize("case", ["triple", "variable", "convection"])
+    def test_same_answer_as_fresh_jacobians(self, case, triple_flux,
+                                            variable_phase, square16,
+                                            monkeypatch):
+        solve, prob = self.problems(triple_flux, variable_phase, square16)[case]
+        reused = solve(prob, tol=1e-10)
+        monkeypatch.setattr(solver, "_HeldFactor", _AlwaysFresh)
+        fresh = solve(prob, tol=1e-10)
+        assert reused.converged and fresh.converged
+        assert reused.factorizations < fresh.factorizations
+        assert np.max(np.abs(reused.solution.nodal_values
+                             - fresh.solution.nodal_values)) <= 1e-10
+
+    def test_fewer_factorizations_than_steps(self, triple_flux, square16,
+                                             monkeypatch):
+        prob = self.make_problem(square16, triple_flux)
+        made = count_factors(monkeypatch)
+        inner = []
+        real_newton = solver._newton
+
+        def recording_newton(*args, **kwargs):
+            rep = real_newton(*args, **kwargs)
+            inner.append((rep.iterations, rep.factorizations))
+            return rep
+
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        for seed in (21, 22):
+            made.clear()
+            inner.clear()
+            rep = solve_convection(
+                prob, initial=rough_start(square16, seed, square16.h_max))
+            assert rep.converged
+            assert rep.factorizations == len(made)
+            assert rep.factorizations == sum(f for _, f in inner)
+            assert rep.factorizations < sum(steps for steps, _ in inner)
+            # the first inner solve hands its factor to the later ones
+            assert all(f == 0 for _, f in inner[1:])
+
+    def test_one_factor_alive(self, triple_flux, variable_phase, square16,
+                              monkeypatch):
+        refs = []
+
+        def only_alive(solve):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(solve))
+            return solve
+
+        count_factors(monkeypatch, only_alive)
+        for solve, prob in self.problems(triple_flux, variable_phase,
+                                         square16).values():
+            refs.clear()
+            assert solve(prob, tol=1e-10).converged
+            assert len(refs) >= 2
+
+    def test_bad_chord_falls_back(self, triple_flux, square16, monkeypatch):
+        """A held factor that returns an ascent direction after its first
+        (fresh) step: no such step is accepted, the next Jacobian is
+        assembled at the state the chord step started from."""
+        events = []
+
+        def ascent_after_first(solve):
+            calls = [0]
+
+            def bad(rhs):
+                calls[0] += 1
+                if calls[0] == 1:
+                    return solve(rhs)
+                events.append(("chord", None))
+                return -solve(rhs)
+            return bad
+
+        count_factors(monkeypatch, ascent_after_first)
+        real_residual = PhaseDiscretization.residual
+        real_jacobian = PhaseDiscretization.jacobian
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            events.append(("residual", u_vals.copy()))
+            return real_residual(self, u_vals, load, eps)
+
+        def recording_jacobian(self, u_vals, eps=None):
+            events.append(("jacobian", u_vals.copy()))
+            return real_jacobian(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", recording_jacobian)
+        prob = self.make_problem(square16, triple_flux)
+        rep = solve_convection(prob, tol=1e-10)
+        assert rep.converged
+        assert weak_residual_sup(prob, rep.solution) <= 1e-8
+        chords = [i for i, (kind, _) in enumerate(events) if kind == "chord"]
+        assert chords
+        for i in chords:
+            state = [u for kind, u in events[:i] if kind == "residual"][-1]
+            kind, u = next(e for e in events[i + 1:] if e[0] != "chord")
+            assert kind == "jacobian"
+            assert np.array_equal(u, state)
+
+    def test_damped_chord_refreshes(self, triple_flux, square16, monkeypatch):
+        """A chord direction 2.1 times too long fails the full step and
+        lands near the Newton point after one halving, contracting the
+        residual well past CHORD_CONTRACTION: a damped step still makes the
+        next step factor afresh."""
+        events = []
+
+        def overshoot_after_first(solve):
+            calls = [0]
+
+            def long(rhs):
+                calls[0] += 1
+                if calls[0] == 1:
+                    return solve(rhs)
+                events.append("chord")
+                return 2.1 * solve(rhs)
+            return long
+
+        count_factors(monkeypatch, overshoot_after_first)
+        real_jacobian = PhaseDiscretization.jacobian
+
+        def recording_jacobian(self, u_vals, eps=None):
+            events.append("fresh")
+            return real_jacobian(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", recording_jacobian)
+        rep = solve_convection(self.make_problem(square16, triple_flux))
+        assert rep.converged
+        assert "chord" in events
+        assert ("chord", "chord") not in set(zip(events, events[1:]))
+
+    def test_cg_factors_every_step(self, triple_flux, square8, monkeypatch):
+        made = count_factors(monkeypatch)
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10, linear_solver="cg")
+        assert rep.converged
+        assert made == ["cg"] * rep.iterations
+        assert rep.factorizations == rep.iterations
+
+    def test_check_eps(self, triple_flux, square8):
+        low = FluxParams(PhaseFunction(ExponentTriple.constants(1.8, 1.9, 2.0),
+                                       WeightPair.constants(1, 1)), eps=1e-8)
+        for fp, expected in ((triple_flux, 0.0), (low, 1e-8)):
+            prob = PhaseProblem(square8, fp, sine_load(),
+                                dirichlet_zero(square8))
+            assert solve_variational(prob).check_eps == expected
+        rep = solve_convection(self.make_problem(square8, triple_flux))
+        assert rep.check_eps == 0.0
+
+
+class TestConvectionStartChoice:
+    make_problem = TestConvection.make_problem
+
+    def test_one_lift_merit_per_call(self, triple_flux, square8, monkeypatch):
+        """Only the first inner solve weighs its start against the Dirichlet
+        lift (zero interior here), whichever start wins."""
+        prob = self.make_problem(square8, triple_flux)
+        rough = solve_convection(prob, initial=rough_start(square8, 5))
+        lift_merits = [0]
+        real_energy = PhaseDiscretization.energy
+
+        def counting_energy(self, u_vals, eps=0.0):
+            lift_merits[0] += not np.any(u_vals[self.free])
+            return real_energy(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "energy", counting_energy)
+        for initial, start in ((rough_start(square8, 5), "lift"),
+                               (rough.solution.nodal_values, "initial")):
+            lift_merits[0] = 0
+            rep = solve_convection(prob, initial=initial)
+            assert rep.converged and rep.start == start
+            assert lift_merits[0] == 1
