@@ -17,6 +17,9 @@ UNIQUENESS_SEED = 0xC0FFEE
 # A held factor serves the next step only while each step cuts the residual
 # sup-norm by at least this factor (Kelley 2003, the chord method).
 CHORD_CONTRACTION = 0.1
+# A fresh Newton step whose Armijo search needs a step length below T_MIN
+# struggles, and sends the solve up the eps ladder while a rung is left.
+T_MIN = 1.0 / 128
 
 
 @dataclass
@@ -62,12 +65,15 @@ class SolveReport:
     solution: FeFunction
     iterations: int
     residual_history: list
-    energy_history: list
+    energy_history: list             # merits at the final eps, one per
+                                     # residual there; the last entry is the
+                                     # eps = 0 energy of the solution
     converged: bool
-    eps_schedule: list
+    eps_schedule: list               # the eps of each stage and retry run
     start: str = "lift"              # Newton's start: "initial" or "lift"
-    stop_reason: str | None = None   # solve_convection only: "tolerance",
-                                     # "max_iter_outer" or "growth"
+    stop_reason: str | None = None   # "line_search" when a step found no
+                                     # descent; solve_convection: also
+                                     # "tolerance", "max_iter_outer", "growth"
     factorizations: int = 0          # Jacobians factored (summed over the
                                      # inner solves of solve_convection)
     check_eps: float = 0.0           # eps of `converged` and the last residual
@@ -130,6 +136,7 @@ class _HeldFactor:
 
 
 def _eps_schedule(fp):
+    """The eps ladder: decades from max(eps, 1e-2) down to eps."""
     if fp.eps == 0.0:
         return [0.0]
     start = max(fp.eps, 1e-2)
@@ -172,27 +179,42 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
 
 def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
             held=None, choose_start=True):
-    """Damped Newton over the eps schedule.  With an initial state it starts
-    from whichever of that state and the Dirichlet lift (boundary data, zero
-    interior) has the lower merit at the first eps, the initial state on a
-    tie: the minimiser does not depend on the start, the work does.  Without
-    choose_start it starts from the initial state.
+    """Damped Newton, at the final eps unless a step struggles.
+
+    The solve starts at the last rung of _eps_schedule, the ladder.  With
+    an initial state it starts from whichever of that state and the
+    Dirichlet lift (boundary data, zero interior) has the lower merit at
+    that eps, the initial state on a tie: the minimiser does not depend on
+    the start, the work does.  Without choose_start it starts from the
+    initial state.
+
+    A fresh step struggles when its factorisation is singular or its solve
+    not finite, or when its Armijo search needs a step length below T_MIN.
+    The first such step is dropped and the solve climbs to the top rung of
+    the ladder and walks down it again, stage by stage (Deuflhard 2004,
+    ch. 3: on a strictly convex energy, eps continuation is needed for
+    conditioning only).  After that climb, or on a one-rung ladder, a
+    singular step raises eps within its stage (ten-fold, at least to 1e-6),
+    a damped step is taken, and a step that finds no descent in 30 halvings
+    stops the solve with stop_reason "line_search".
 
     A direct step reuses the factor in `held` (a chord step: Shamanskii 1967,
     Kelley 2003) when it was made at the current eps, the previous step was
     not damped and, after the first step of a stage, cut the residual
     sup-norm by CHORD_CONTRACTION.  Any other step assembles and factors the
     Jacobian anew, after releasing the held factor, and so does a chord step
-    that finds no descent.  A caller that passes `held` gets the last factor
-    back for its next solve."""
+    that finds no descent above T_MIN or whose solve fails.  A caller that
+    passes `held` gets the last factor back for its next solve.
+
+    Each residual at the final eps adds the merit at that eps to
+    energy_history; its last entry is the eps = 0 energy of the solution."""
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
-    sched = _eps_schedule(prob.fp)
-    eps_used = []
-    res_hist, energy_hist = [], []
-    final_eps = sched[-1]
+    ladder = _eps_schedule(prob.fp)
+    final_eps = ladder[-1]
     check_eps = _check_eps(prob.fp)
+    res_hist, energy_hist, eps_used = [], [], []
 
     def merit(vals, eps=0.0):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
@@ -205,15 +227,19 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
         if not choose_start:
             u, start = warm, "initial"
         else:
-            m_lift = merit(u, sched[0])
-            m_start = merit(warm, sched[0])     # evaluated last: stays memoised
+            m_lift = merit(u, final_eps)
+            m_start = merit(warm, final_eps)    # evaluated last: stays memoised
             if m_start <= m_lift:
                 u, start = warm, "initial"
             else:
                 m_start = m_lift
 
+    stages = [final_eps]            # the stages still to run
+    climbed = len(ladder) == 1      # no rung left to climb to
     iters = factorizations = 0
-    for eps in sched:
+    stop_reason = None
+    while stages and stop_reason is None:
+        eps = stages.pop(0)
         eps_used.append(eps)
         retries = 0
         stage_tol = tol if eps == final_eps else max(tol, 1e-8)
@@ -230,10 +256,10 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
                 res = disc.residual(u, load, eps=eps)
                 rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
                 if eps == final_eps:
+                    if m0 is None:
+                        m0 = merit(u, eps)
                     res_hist.append(rnorm)
-                    if eps == 0.0 and m0 is None:
-                        m0 = merit(u)
-                    energy_hist.append(m0 if eps == 0.0 else merit(u))
+                    energy_hist.append(m0)
                 if rnorm <= stage_tol:
                     break
             contracting = (prev_rnorm is None
@@ -252,6 +278,11 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
                     raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError:
                 held.release()
+                if chord:
+                    continue
+                if not climbed:
+                    climbed, stages = True, list(ladder)
+                    break
                 retries += 1
                 if retries > 5:
                     raise RuntimeError("singular Jacobian after 5 eps retries")
@@ -266,10 +297,12 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
             # near convergence the Armijo decrease 1e-4 t slope falls below
             # the rounding error of the merit, which then cannot reject a step
             noise = 1e-13 * abs(m0)
+            # a step with somewhere to go on failure stops halving at T_MIN
+            t_min = T_MIN if chord or not climbed else 0.5 ** 29
             t = 1.0
             trial = u.copy()
             passed = False
-            for _ in range(30):
+            while t >= t_min:
                 trial[free] = u[free] + t * step
                 m_trial = merit(trial, eps)
                 if m_trial <= m0 + 1e-4 * t * slope + noise:
@@ -282,6 +315,12 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
             if chord and not (passed and slope < 0):
                 held.release()
                 continue
+            if not passed:
+                if climbed:
+                    stop_reason = "line_search"
+                else:
+                    climbed, stages = True, list(ladder)
+                break
             u, m0 = trial, m_trial
             prev_rnorm, res, damped = rnorm, None, t < 1.0
             iters += 1
@@ -291,7 +330,8 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
     # the eps-regularized iteration may stop above the eps=0 residual; one
     # last Newton polish at the check eps closes the gap for p_minus >= 2
     polish = 0
-    while rnorm > tol and polish < 10 and iters < max_iter:
+    while (stop_reason is None and rnorm > tol and polish < 10
+           and iters < max_iter):
         held.release()
         factorizations += 1
         try:
@@ -307,11 +347,13 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
         polish += 1
         iters += 1
     res_hist.append(rnorm)
-    energy_hist.append(merit(u))
-    converged = rnorm <= tol
+    # at eps = 0 without a polish the carried merit is the energy of u
+    energy_hist.append(m0 if eps == 0.0 and not polish and m0 is not None
+                       else merit(u))
+    converged = rnorm <= tol and stop_reason is None
     return SolveReport(FeFunction(prob.mesh, u), iters, res_hist,
-                       energy_hist, converged, eps_used, start,
-                       factorizations=factorizations, check_eps=check_eps)
+                       energy_hist, converged, eps_used, start, stop_reason,
+                       factorizations, check_eps)
 
 
 def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
@@ -320,8 +362,9 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     damped Newton on the frozen variational problem, warm-started from u_k.
 
     The report's start is that of the first inner solve ("lift" without an
-    initial state); stop_reason is "tolerance", "max_iter_outer" or
-    "growth" (the outer distance grew five times in a row)."""
+    initial state); stop_reason is "tolerance", "max_iter_outer",
+    "growth" (the outer distance grew five times in a row) or "line_search"
+    (an inner solve found no descent)."""
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
@@ -358,6 +401,9 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
         if dist <= tol and inner.converged:
             converged = True
             stop_reason = "tolerance"
+            break
+        if inner.stop_reason == "line_search":
+            stop_reason = inner.stop_reason
             break
         grow = grow + 1 if dist > prev_dist else 0
         prev_dist = dist

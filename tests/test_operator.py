@@ -276,11 +276,17 @@ def _coo_jacobian(disc, u, eps):
 
 
 def _seven_point(disc):
-    """A copy of disc whose constant fields are spread over every point."""
+    """A copy of disc whose constant fields are spread over every point,
+    with the exponent arrays the kernel reads rebuilt from them here, so
+    the copy does not share the per-triangle ones made in __init__."""
     full = PhaseDiscretization(disc.fp, disc.mesh, disc.degree)
     for name in ("p", "q", "r", "m1", "m2"):
         setattr(full, name, np.broadcast_to(getattr(disc, name),
                                             disc.qweights.shape))
+    full._e2 = (full.p - 2, full.q - 2, full.r - 2)
+    full._energy_w = (1 / full.p, full.m1 / full.q, full.m2 / full.r)
+    assert all(a.shape == disc.qweights.shape
+               for a in full._e2 + full._energy_w)
     return full
 
 

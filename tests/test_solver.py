@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from multiphase import solver
 from multiphase import (Domain2D, ExponentTriple, FluxParams, PhaseProblem,
@@ -657,3 +658,228 @@ class TestConvectionStartChoice:
             rep = solve_convection(prob, initial=initial)
             assert rep.converged and rep.start == start
             assert lift_merits[0] == 1
+
+
+def constant_flux(p, eps=1e-8):
+    """The constant phase (p, p + 0.4, p + 0.8) with unit weights."""
+    exp = ExponentTriple.constants(p, p + 0.4, p + 0.8)
+    return FluxParams(PhaseFunction(exp, WeightPair.constants(1, 1)), eps=eps)
+
+
+def unit_sine_load():
+    return SourceTerm.of_x(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+
+
+def record_energies(monkeypatch):
+    """Record (eps, state) of every energy evaluation."""
+    calls = []
+    real_energy = PhaseDiscretization.energy
+
+    def recording_energy(self, u_vals, eps=0.0):
+        calls.append((eps, u_vals.copy()))
+        return real_energy(self, u_vals, eps)
+
+    monkeypatch.setattr(PhaseDiscretization, "energy", recording_energy)
+    return calls
+
+
+class TestContinuationOnDemand:
+    """Newton starts at the final eps and climbs to the top of the eps
+    ladder only when a fresh step struggles, then walks back down."""
+
+    def test_easy_solve_stays_at_final_eps(self, variable_phase, square16):
+        prob = PhaseProblem(square16, FluxParams(variable_phase, eps=1e-8),
+                            unit_sine_load(), dirichlet_zero(square16))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [1e-8]
+
+    def test_damped_first_step_climbs_to_top(self, square16, monkeypatch):
+        # p- = 3.5: at the zero-gradient lift the eps = 1e-8 Jacobian is
+        # nearly singular and the first Newton step overshoots by orders of
+        # magnitude, so its line search gives up below T_MIN
+        prob = PhaseProblem(square16, constant_flux(3.5), unit_sine_load(),
+                            dirichlet_zero(square16))
+        ladder = solver._eps_schedule(prob.fp)
+        calls = record_energies(monkeypatch)
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [1e-8] + ladder
+        before = next(i for i, (eps, _) in enumerate(calls) if eps == ladder[0])
+        assert all(eps == 1e-8 for eps, _ in calls[:before])
+        # the merit of the lift, then the trials t = 1, 1/2, ..., T_MIN
+        assert before == 2 + round(np.log2(1 / solver.T_MIN))
+
+    def test_singular_step_climbs(self, variable_phase, square8, monkeypatch):
+        calls = [0]
+        real_solve = solver._linear_solve
+
+        def failing_first(J, rhs, method="direct"):
+            calls[0] += 1
+            if calls[0] == 1:
+                raise np.linalg.LinAlgError("forced")
+            return real_solve(J, rhs, method)
+
+        monkeypatch.setattr(solver, "_linear_solve", failing_first)
+        prob = PhaseProblem(square8, FluxParams(variable_phase, eps=1e-8),
+                            unit_sine_load(), dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [1e-8] + solver._eps_schedule(prob.fp)
+
+
+class TestLineSearchFailure:
+    """A fresh step whose line search finds no descent is never taken: it
+    climbs the eps ladder while a rung is left, else the solve stops."""
+
+    make_problem = TestConvection.make_problem
+
+    @pytest.fixture
+    def reject_trials(self, monkeypatch):
+        # every state but the zero-interior lift has infinite merit
+        real_energy = PhaseDiscretization.energy
+
+        def energy(self, u_vals, eps=0.0):
+            if np.any(u_vals[self.free]):
+                return np.inf
+            return real_energy(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "energy", energy)
+
+    @pytest.mark.parametrize("case, schedule", [("eps0", [0.0]),
+                                                ("ladder", [1e-8, 1e-2])])
+    def test_no_descent_stops_the_solve(self, case, schedule, reject_trials,
+                                        triple_flux, variable_phase, square8):
+        fp = triple_flux if case == "eps0" else FluxParams(variable_phase,
+                                                           eps=1e-8)
+        prob = PhaseProblem(square8, fp, unit_sine_load(),
+                            dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10)
+        assert not rep.converged
+        assert rep.stop_reason == "line_search"
+        assert rep.iterations == 0
+        assert rep.eps_schedule == schedule
+        assert rep.factorizations == len(schedule)
+        assert not np.any(rep.solution.nodal_values)
+        assert rep.residual_history[-1] > 1e-10
+
+    def test_convection_stops_on_inner_failure(self, reject_trials,
+                                               triple_flux, square8):
+        prob = self.make_problem(square8, triple_flux)
+        rep = solve_convection(prob, tol=1e-10)
+        assert not rep.converged
+        assert rep.stop_reason == "line_search"
+        assert rep.iterations == 1
+
+
+class TestEnergyHistory:
+    def test_steps_record_stage_merit(self, variable_phase, square16,
+                                      monkeypatch):
+        """Per-step entries are merits at the final eps, which the line
+        search computes anyway; only the last entry costs an eps = 0
+        energy."""
+        prob = PhaseProblem(square16, FluxParams(variable_phase, eps=1e-8),
+                            unit_sine_load(), dirichlet_zero(square16))
+        calls = record_energies(monkeypatch)
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert sum(eps == 0.0 for eps, _ in calls) == 1
+        assert len(rep.energy_history) == len(rep.residual_history)
+        steps = rep.energy_history[:-1]
+        assert all(b <= a + 1e-13 * abs(a) for a, b in zip(steps, steps[1:]))
+        disc = PhaseDiscretization(prob.fp, square16)
+        load = solver._source_load(disc, prob.source,
+                                   np.zeros(square16.n_vertices))
+        u, free = rep.solution.nodal_values, disc.free
+        assert rep.energy_history[-1] == (disc.energy(u)
+                                          - float(load[free] @ u[free]))
+
+    def test_eps0_last_entry_reuses_carried_merit(self, triple_flux, square8,
+                                                  monkeypatch):
+        prob = PhaseProblem(square8, triple_flux, unit_sine_load(),
+                            dirichlet_zero(square8))
+        calls = record_energies(monkeypatch)
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        u = rep.solution.nodal_values
+        assert sum(eps == 0.0 and np.array_equal(v, u)
+                   for eps, v in calls) == 1
+        assert rep.energy_history[-1] == rep.energy_history[-2]
+
+
+# Factorisations of these solves when each ran the whole eps ladder (the
+# constant phases of the sweep and the bench's variable phase, 16 x 16
+# square, unit sine load), plus one at p = 3.5 for the first step at the
+# final eps, which struggles there.
+FACTORIZATION_CEILINGS = {1.05: 23, 1.1: 23, 1.3: 22, 1.6: 8, 2.0: 5, 2.2: 6,
+                          3.5: 9 + 1, "variable": 6}
+
+
+class TestSweepGuard:
+    make_problem = TestConvection.make_problem
+
+    @pytest.mark.parametrize("case", list(FACTORIZATION_CEILINGS))
+    def test_factorizations_at_most_ladder_counts(self, case, variable_phase,
+                                                  square16):
+        fp = (FluxParams(variable_phase, eps=1e-8) if case == "variable"
+              else constant_flux(case))
+        prob = PhaseProblem(square16, fp, unit_sine_load(),
+                            dirichlet_zero(square16))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.factorizations <= FACTORIZATION_CEILINGS[case]
+
+    def test_convection_at_small_eps(self, triple_phase, square16,
+                                     monkeypatch):
+        inner = []
+        real_newton = solver._newton
+
+        def recording_newton(*args, **kwargs):
+            rep = real_newton(*args, **kwargs)
+            inner.append(rep)
+            return rep
+
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        reps = {}
+        for eps in (0.0, 1e-8):
+            inner.clear()
+            prob = self.make_problem(square16,
+                                     FluxParams(triple_phase, eps=eps))
+            reps[eps] = solve_convection(prob, tol=1e-10)
+            assert reps[eps].converged
+            assert weak_residual_sup(prob, reps[eps].solution) <= 1e-8
+        assert len(inner) >= 2
+        assert all(rep.eps_schedule == [1e-8] for rep in inner[1:])
+        assert reps[1e-8].factorizations <= 2 * reps[0.0].factorizations
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.floats(1.05, 3.5))
+def test_accepted_steps_descend_stage_merit(square8, p):
+    """Between two residuals at one eps lies one accepted step, which never
+    raises the merit at that eps beyond the line search's noise allowance;
+    the solve meets tol at its check eps."""
+    prob = PhaseProblem(square8, constant_flux(p), unit_sine_load(),
+                        dirichlet_zero(square8))
+    states = []
+    real_residual = PhaseDiscretization.residual
+
+    def recording_residual(self, u_vals, load=None, eps=None):
+        states.append((eps, u_vals.copy(), load))
+        return real_residual(self, u_vals, load, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PhaseDiscretization, "residual", recording_residual)
+        rep = solve_variational(prob, tol=1e-10)
+    assert rep.converged
+    assert weak_residual_sup(prob, rep.solution) <= 1e-10
+    disc = PhaseDiscretization(prob.fp, square8)
+    free = disc.free
+
+    def merit(u, eps, load):
+        return disc.energy(u, eps=eps) - float(load[free] @ u[free])
+
+    for (e0, u0, l0), (e1, u1, _) in zip(states, states[1:]):
+        if e0 == e1:
+            m0 = merit(u0, e0, l0)
+            assert merit(u1, e0, l0) <= m0 + 1e-13 * abs(m0)
