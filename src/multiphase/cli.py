@@ -319,12 +319,8 @@ def _ball_family(cfg, mesh):
         spec = [(c, (0.1, 0.2)) for c in centers]
         spec += [(c, (0.05, 0.15)) for c in centers]
         spec += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
-    balls, pairing = [], []
-    for center, (r1, r2) in spec:
-        balls.append(Ball(center, r1))
-        balls.append(Ball(center, r2))
-        pairing.append((len(balls) - 2, len(balls) - 1))
-    return BallFamily(tuple(balls), tuple(pairing))
+    balls = tuple(Ball(center, r) for center, radii in spec for r in radii)
+    return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
 
 
 def cmd_probe(cfg, args, manifest):

@@ -107,6 +107,7 @@ class ScalarField:
 
     eval: object
     declared_bounds: tuple | None = None
+    constant_value: float | None = None     # set by `constant` only
 
     def __call__(self, x1, x2):
         vals = np.asarray(self.eval(np.asarray(x1, dtype=float),
@@ -126,7 +127,7 @@ class ScalarField:
     def constant(value):
         value = float(value)
         return ScalarField(lambda x1, x2: np.full(np.shape(x1), value),
-                           declared_bounds=(value, value))
+                           declared_bounds=(value, value), constant_value=value)
 
     @staticmethod
     def affine(a0, a1, a2):

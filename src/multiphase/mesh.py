@@ -29,6 +29,9 @@ _QUAD_RULES = {
                   (155 + _S15) / 1200, (155 + _S15) / 1200, (155 + _S15) / 1200,
                   (155 - _S15) / 1200, (155 - _S15) / 1200, (155 - _S15) / 1200])),
 }
+for _rule in _QUAD_RULES.values():
+    for _a in _rule:
+        _a.setflags(write=False)
 
 
 def quad_rule(degree):
@@ -45,12 +48,16 @@ class QuadratureMeasure:
     """Weighted point set discretizing an area integral.
 
     tri_index maps each point to the mesh triangle it lies in, which lets
-    P1 data be evaluated without point location.
+    P1 data be evaluated without point location.  A quadrature built from a
+    barycentric rule table also records which row of `rule` each point is,
+    so P1 data need no barycentric solve either.
     """
 
     points: np.ndarray        # (M, 2)
     weights: np.ndarray       # (M,) positive, sums to the region area
     tri_index: np.ndarray     # (M,) int
+    rule_index: np.ndarray | None = None   # (M,) int row of `rule`
+    rule: np.ndarray | None = None         # (K, 3) barycentric points
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -88,19 +95,18 @@ class TriMesh:
             grads[:, k, 0] = (a[:, 1] - b[:, 1]) * inv2a
             grads[:, k, 1] = (b[:, 0] - a[:, 0]) * inv2a
         self.basis_grads = grads
-        edges = np.sort(np.concatenate([self.triangles[:, [0, 1]],
-                                        self.triangles[:, [1, 2]],
-                                        self.triangles[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        keys, counts = np.unique(_edge_keys(self.triangles, len(self.vertices)),
+                                 return_counts=True)
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: edge shared by >2 triangles")
-        boundary_edges = uniq[counts == 1]
+        uniq = np.column_stack(np.divmod(keys, len(self.vertices)))
         flags = np.zeros(len(self.vertices), dtype=bool)
-        flags[boundary_edges.ravel()] = True
+        flags[uniq[counts == 1].ravel()] = True
         self.boundary_flags = flags
         lengths = np.hypot(*(self.vertices[uniq[:, 0]] - self.vertices[uniq[:, 1]]).T)
         self.h_max = float(lengths.max())
         self._edges = uniq
+        self._quadratures = {}
 
     @property
     def n_vertices(self):
@@ -115,11 +121,18 @@ class TriMesh:
         return float(self.areas.sum())
 
     def quadrature(self, degree=5):
-        bary, w = quad_rule(degree)
-        centers = np.einsum("kj,tjd->tkd", bary, self.vertices[self.triangles])
-        weights = self.areas[:, None] * w[None, :]
-        tri = np.repeat(np.arange(self.n_triangles), len(w))
-        return QuadratureMeasure(centers.reshape(-1, 2), weights.ravel(), tri)
+        """The degree rule on every triangle, built once per mesh and degree
+        and shared, so its arrays are read-only."""
+        if degree not in self._quadratures:
+            bary, w = quad_rule(degree)
+            arrays = (np.einsum("kj,tjd->tkd", bary, self.tri_vertices).reshape(-1, 2),
+                      (self.areas[:, None] * w).ravel(),
+                      np.repeat(np.arange(self.n_triangles), len(w)),
+                      np.tile(np.arange(len(w)), self.n_triangles))
+            for a in arrays:
+                a.setflags(write=False)
+            self._quadratures[degree] = QuadratureMeasure(*arrays, bary)
+        return self._quadratures[degree]
 
     @cached_property
     def tri_vertices(self):
@@ -156,21 +169,13 @@ class TriMesh:
             p = pts[start:start + chunk]
             near = ((p[:, 0, None] - cx) ** 2 + (p[:, 1, None] - cy) ** 2) <= reach
             pi, ti = np.nonzero(near)
-            tv = self.tri_vertices[ti]
-            v0 = tv[:, 0]
-            d1 = tv[:, 1] - v0
-            d2 = tv[:, 2] - v0
-            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-            r = p[pi] - v0
-            l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-            l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-            l0 = 1.0 - l1 - l2
-            ok = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
+            lam = _barycentric(p[pi], self.tri_vertices[ti])
+            ok = np.flatnonzero(np.all(lam >= -tol, axis=1))
             # pairs come ordered by point, then triangle: keep the first hit
             found, first = np.unique(pi[ok], return_index=True)
             hit = ok[first]
             tri_of[start + found] = ti[hit]
-            bary_of[start + found] = np.column_stack([l0[hit], l1[hit], l2[hit]])
+            bary_of[start + found] = lam[hit]
         return tri_of, bary_of
 
     def contains(self, points, tol=1e-12):
@@ -195,14 +200,11 @@ def structured_mesh(domain, n):
         ys = np.linspace(lo[1], hi[1], n + 1)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         vertices = np.column_stack([gx.ravel(), gy.ravel()])
-        tris = []
-        for i in range(n):
-            for j in range(n):
-                a = i * (n + 1) + j
-                b = (i + 1) * (n + 1) + j
-                tris.append((a, b, a + 1))
-                tris.append((b, b + 1, a + 1))
-        return TriMesh(vertices, np.asarray(tris))
+        # cell (i, j) in row-major order gives (a, b, a+1) and (b, b+1, a+1)
+        a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+        b = a + n + 1
+        tris = np.stack([a, b, a + 1, b, b + 1, a + 1], axis=1).reshape(-1, 3)
+        return TriMesh(vertices, tris)
     mesh = _triangulate_polygon(verts)
     diam = np.max(np.hypot(*(verts[:, None, :] - verts[None, :, :]).reshape(-1, 2).T))
     while mesh.h_max > diam / n:
@@ -264,30 +266,27 @@ def _triangulate_polygon(verts):
     return TriMesh(pts, np.asarray(tris))
 
 
+def _edge_keys(triangles, n):
+    """Edges (k, k+1) of every triangle, column k of a (T, 3) array, each
+    keyed as the one int64 lo * n + hi."""
+    ends = np.stack([triangles, np.roll(triangles, -1, axis=1)])
+    return ends.min(axis=0) * n + ends.max(axis=0)
+
+
 def refine(mesh):
-    """Regular 4-split of every triangle; parent vertices keep their index."""
-    edge_mid = {}
-    new_verts = [mesh.vertices]
-    next_id = mesh.n_vertices
-    mids = np.empty((mesh.n_triangles, 3), dtype=np.int64)
-    mid_coords = []
-    for t, tri in enumerate(mesh.triangles):
-        for k in range(3):
-            e = (min(tri[k], tri[(k + 1) % 3]), max(tri[k], tri[(k + 1) % 3]))
-            if e not in edge_mid:
-                edge_mid[e] = next_id
-                mid_coords.append(0.5 * (mesh.vertices[e[0]] + mesh.vertices[e[1]]))
-                next_id += 1
-            mids[t, k] = edge_mid[e]
-    vertices = np.vstack([mesh.vertices, np.asarray(mid_coords)])
-    tris = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
+    """Regular 4-split of every triangle; parent vertices keep their index
+    and edge midpoints follow in the order the triangles first reach them."""
+    n = mesh.n_vertices
+    keys = _edge_keys(mesh.triangles, n).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)       # the unique edges by first encounter
+    lo, hi = np.divmod(keys[first[order]], n)
+    vertices = np.vstack([mesh.vertices,
+                          0.5 * (mesh.vertices[lo] + mesh.vertices[hi])])
     a, b, c = mesh.triangles.T
-    ab, bc, ca = mids.T
-    tris[0::4] = np.column_stack([a, ab, ca])
-    tris[1::4] = np.column_stack([ab, b, bc])
-    tris[2::4] = np.column_stack([ca, bc, c])
-    tris[3::4] = np.column_stack([ab, bc, ca])
-    return TriMesh(vertices, tris)
+    ab, bc, ca = (n + np.argsort(order)[inverse]).reshape(-1, 3).T
+    tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return TriMesh(vertices, tris.reshape(-1, 3))
 
 
 @dataclass
@@ -308,11 +307,14 @@ class FeFunction:
         return np.einsum("tj,tjd->td", u, self.mesh.basis_grads)
 
     def at_quad(self, quad, bary=None):
-        """Values at quadrature points using the recorded triangle indices."""
+        """Values at quadrature points using the recorded triangle indices
+        and, where the quadrature records them, the rule points."""
         tris = self.mesh.triangles[quad.tri_index]
         if bary is None:
-            v = self.mesh.vertices[tris]
-            bary = _barycentric(quad.points, v)
+            if quad.rule_index is not None:
+                bary = quad.rule[quad.rule_index]
+            else:
+                bary = _barycentric(quad.points, self.mesh.vertices[tris])
         return np.einsum("mj,mj->m", self.nodal_values[tris], bary)
 
     def __call__(self, points):
@@ -396,40 +398,47 @@ def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
     verts = mesh.tri_vertices[near]
     all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
 
-    pts_list, w_list, tri_list = [], [], []
+    # rows [0, K) of the rule table are the plain rule, rows K on the
+    # subdivided one
+    table, sub_w = _ball_rule(depth, degree)
+    bary, w = quad_rule(degree)
+    K = len(w)
+    pts_list, w_list, tri_list, rule_list = [], [], [], []
     if np.any(all_in):
-        bary, w = quad_rule(degree)
         idx = near[all_in]
         pts_list.append((bary @ verts[all_in]).reshape(-1, 2))
         w_list.append((mesh.areas[idx, None] * w).ravel())
-        tri_list.append(np.repeat(idx, len(w)))
+        tri_list.append(np.repeat(idx, K))
+        rule_list.append(np.tile(np.arange(K), len(idx)))
 
     if not np.all(all_in):
-        bary, w = _subdivided_rule(depth, degree)
         idx = near[~all_in]
-        centers = (bary @ verts[~all_in]).reshape(-1, 2)
+        centers = (table[K:] @ verts[~all_in]).reshape(-1, 2)
         keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
                               + (centers[:, 1] - c[1]) ** 2 <= R * R)
         pts_list.append(centers[keep])
-        w_list.append((mesh.areas[idx, None] * w).ravel()[keep])
-        tri_list.append(idx[keep // len(w)])
+        w_list.append((mesh.areas[idx, None] * sub_w).ravel()[keep])
+        tri_list.append(idx[keep // len(sub_w)])
+        rule_list.append(K + keep % len(sub_w))
 
     if not pts_list:
         raise ValueError("ball does not intersect the mesh")
     return QuadratureMeasure(np.concatenate(pts_list),
                              np.concatenate(w_list),
-                             np.concatenate(tri_list))
+                             np.concatenate(tri_list),
+                             np.concatenate(rule_list), table)
 
 
 @lru_cache(maxsize=None)
-def _subdivided_rule(depth, degree):
-    """The degree rule on each of the 4**depth triangles of `depth` regular
-    4-splits, as barycentric points and unit weights of the parent."""
+def _ball_rule(depth, degree):
+    """The degree rule's barycentric points followed by the same rule on
+    each of the 4**depth triangles of `depth` regular 4-splits, with the
+    unit weights of the latter."""
     bary, w = quad_rule(degree)
     sub = np.eye(3)[None]
     for _ in range(depth):
         sub = _split4(sub)
-    points = (bary @ sub).reshape(-1, 3)
+    points = np.concatenate([bary, (bary @ sub).reshape(-1, 3)])
     weights = np.tile(w / len(sub), len(sub))
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -461,16 +470,14 @@ _VTK_ROWS = 8192      # rows formatted per write
 
 def _write_rows(fh, fmt, rows):
     """Write fmt.format(*row) for each row of a 2-D array, fmt.format(value)
-    for each value of a 1-D one.  Rows come from .tolist() a block at a time:
-    formatting Python numbers is several times faster than formatting numpy
-    scalars, gives the same text, and no copy of the whole file is held."""
+    for each value of a 1-D one.  Each block of rows is one format call on
+    the repeated fmt over its values as Python numbers: formatting those is
+    several times faster than formatting numpy scalars, gives the same
+    text, and no copy of the whole file is held."""
     rows = np.asarray(rows)
     for i in range(0, len(rows), _VTK_ROWS):
-        block = rows[i:i + _VTK_ROWS].tolist()
-        if rows.ndim == 1:
-            fh.write("".join([fmt.format(v) for v in block]))
-        else:
-            fh.write("".join([fmt.format(*r) for r in block]))
+        block = rows[i:i + _VTK_ROWS]
+        fh.write((fmt * len(block)).format(*block.ravel().tolist()))
 
 
 def write_vtk(path, mesh, point_data=None, cell_data=None, comment="multiphase"):

@@ -47,35 +47,62 @@ class PropertyReport:
 
 
 class SampledPhase:
-    """Phase function evaluated once at a fixed quadrature point set.
+    """The phase function sampled once at a point set: a quadrature measure,
+    or bare (M, 2) points for the pointwise checks.
 
-    Everything downstream (modular, Luxemburg bisection, seminorms)
-    reduces to vectorized power sums over these cached arrays.
+    This is the one place where the N-function is written out.  When p, q,
+    r, mu1 and mu2 are all constant fields they are kept as scalars and no
+    point is sampled; the modular of u/alpha then splits into alpha^-e times
+    power sums of |u| (`scaled_modular`).
     """
 
-    def __init__(self, tf, quad):
-        x1, x2 = quad.points[:, 0], quad.points[:, 1]
-        self.p = tf.exp.p(x1, x2)
-        self.q = tf.exp.q(x1, x2)
-        self.r = tf.exp.r(x1, x2)
-        self.m1 = tf.w.mu1(x1, x2)
-        self.m2 = tf.w.mu2(x1, x2)
-        self.weights = quad.weights
-        self.quad = quad
-        # extremes over the actual quadrature points, merged with the cached
-        # sampled extremes so the power bounds hold exactly for the sums
-        self.p_minus = min(float(self.p.min()), tf.exp.p_minus)
-        self.r_plus = max(float(self.r.max()), tf.exp.r_plus)
+    def __init__(self, tf, where):
+        self.quad = where if hasattr(where, "weights") else None
+        self.weights = None if self.quad is None else self.quad.weights
+        fields = (tf.exp.p, tf.exp.q, tf.exp.r, tf.w.mu1, tf.w.mu2)
+        values = [f.constant_value for f in fields]
+        self.constant = None not in values
+        if not self.constant:
+            pts = (self.quad.points if self.quad is not None
+                   else np.atleast_2d(np.asarray(where, dtype=float)))
+            values = [f(pts[:, 0], pts[:, 1]) for f in fields]
+        self.p, self.q, self.r, self.m1, self.m2 = values
+        # extremes over the actual points, merged with the cached sampled
+        # extremes so the power bounds hold exactly for the sums
+        self.p_minus = min(float(np.min(self.p)), tf.exp.p_minus)
+        self.r_plus = max(float(np.max(self.r)), tf.exp.r_plus)
 
     def phi(self, t):
         """Pointwise N-function values for |u| samples t (t >= 0)."""
         return t ** self.p + self.m1 * t ** self.q + self.m2 * t ** self.r
+
+    def flux_coef(self, s):
+        """The flux coefficient s^(p-2) + mu1 s^(q-2) + mu2 s^(r-2)."""
+        return (s ** (self.p - 2) + self.m1 * s ** (self.q - 2)
+                + self.m2 * s ** (self.r - 2))
 
     def modular(self, u_abs):
         vals = self.phi(u_abs)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand in modular")
         return float(np.dot(self.weights, vals))
+
+    def scaled_modular(self, u_abs):
+        """alpha -> modular of u/alpha.  On a constant phase it is
+        sum_e c_e alpha^-e S_e with the power sums S_e = sum w |u|^e taken
+        once; where that value is not finite the per-point modular decides,
+        so its ValueError still fires."""
+        if not self.constant:
+            return lambda alpha: self.modular(u_abs / alpha)
+        e = np.array([self.p, self.q, self.r])
+        sums = np.array([1.0, self.m1, self.m2]) * (self.weights @ u_abs[:, None] ** e)
+
+        def rho(alpha):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(sums @ alpha ** -e)
+            return value if math.isfinite(value) else self.modular(u_abs / alpha)
+
+        return rho
 
 
 def _as_values(u, quad):
@@ -93,9 +120,7 @@ def t_value(tf, x, t):
     """The N-function at a single point: t^p + mu1 t^q + mu2 t^r."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    x1, x2 = float(x[0]), float(x[1])
-    return float(t ** tf.exp.p(x1, x2) + tf.w.mu1(x1, x2) * t ** tf.exp.q(x1, x2)
-                 + tf.w.mu2(x1, x2) * t ** tf.exp.r(x1, x2))
+    return float(np.asarray(SampledPhase(tf, [x]).phi(np.float64(t))).item())
 
 
 def modular(tf, u, quad):
@@ -162,25 +187,26 @@ def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus, rel_tol):
     return alpha, bracket, iters
 
 
-def luxemburg_norm(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
-    """Luxemburg norm inf{alpha > 0 : rho(u/alpha) <= 1} with its report."""
+def luxemburg_norm(tf, u, quad, rel_tol=DEFAULT_REL_TOL, sampled=None):
+    """Luxemburg norm inf{alpha > 0 : rho(u/alpha) <= 1} with its report.
+
+    `sampled` is a SampledPhase of tf on quad to reuse."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    sp = SampledPhase(tf, quad)
+    sp = SampledPhase(tf, quad) if sampled is None else sampled
     vals = np.abs(_as_values(u, quad))
     R = sp.modular(vals)
     if R == 0.0:
         return ModularReport(0.0, 0.0, (0.0, 0.0), 0)
     alpha, bracket, iters = _luxemburg_bisect(
-        lambda a: sp.modular(vals / a), R, sp.p_minus, sp.r_plus, rel_tol)
+        sp.scaled_modular(vals), R, sp.p_minus, sp.r_plus, rel_tol)
     return ModularReport(R, alpha, bracket, iters)
 
 
 def weighted_seminorm(exponent, weight, u, quad, rel_tol=DEFAULT_REL_TOL):
     """Luxemburg-style seminorm for the single-term weighted modular."""
     x1, x2 = quad.points[:, 0], quad.points[:, 1]
-    e = exponent(x1, x2)
-    wv = weight(x1, x2)
+    e, wv = exponent(x1, x2), weight(x1, x2)
     if np.any(wv < 0):
         raise ValueError("weight must be nonnegative")
     vals = np.abs(_as_values(u, quad))
@@ -199,10 +225,9 @@ def check_norm_modular_relations(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
     """Unit-ball equivalences and the two-sided power bounds between the
     Luxemburg norm and the modular."""
     sp = SampledPhase(tf, quad)
+    rep = luxemburg_norm(tf, u, quad, rel_tol, sampled=sp)
+    rho, nrm = rep.modular_value, rep.luxemburg_norm
     vals = np.abs(_as_values(u, quad))
-    rho = sp.modular(vals)
-    rep = luxemburg_norm(tf, u, quad, rel_tol)
-    nrm = rep.luxemburg_norm
     pm, rp = sp.p_minus, sp.r_plus
     slacks = {}
     if rho == 0.0:
@@ -227,23 +252,12 @@ def check_norm_modular_relations(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
     return PropertyReport("norm_modular", passed, slacks)
 
 
-def _sample_fields(tf, xs):
-    x1, x2 = xs[:, 0], xs[:, 1]
-    return (tf.exp.p(x1, x2), tf.exp.q(x1, x2), tf.exp.r(x1, x2),
-            tf.w.mu1(x1, x2), tf.w.mu2(x1, x2))
-
-
-def _phi(p, q, r, m1, m2, t):
-    return t ** p + m1 * t ** q + m2 * t ** r
-
-
 def check_delta2(tf, xs, ts):
     """Doubling bound phi(x, 2t) <= 2^{r+} phi(x, t) at sampled (x, t)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts = np.asarray(ts, dtype=float)
-    p, q, r, m1, m2 = _sample_fields(tf, xs)
-    c_delta = 2.0 ** max(float(r.max()), tf.exp.r_plus)
-    ratio = _phi(p, q, r, m1, m2, 2.0 * ts) / _phi(p, q, r, m1, m2, ts)
+    sp = SampledPhase(tf, xs)
+    c_delta = 2.0 ** sp.r_plus
+    ratio = sp.phi(2.0 * ts) / sp.phi(ts)
     worst = float(ratio.max())
     return PropertyReport("delta2", worst <= c_delta * (1 + 1e-12),
                           {"c_delta_minus_max_ratio": c_delta - worst})
@@ -251,12 +265,11 @@ def check_delta2(tf, xs, ts):
 
 def check_subadditivity(tf, xs, ts, ss):
     """phi(x, t+s) <= C_Delta (phi(x,t) + phi(x,s)) with C_Delta = 2^{r+}."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ts, ss = np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
-    p, q, r, m1, m2 = _sample_fields(tf, xs)
-    c_delta = 2.0 ** max(float(r.max()), tf.exp.r_plus)
-    denom = _phi(p, q, r, m1, m2, ts) + _phi(p, q, r, m1, m2, ss)
-    num = _phi(p, q, r, m1, m2, ts + ss)
+    sp = SampledPhase(tf, xs)
+    c_delta = 2.0 ** sp.r_plus
+    denom = sp.phi(ts) + sp.phi(ss)
+    num = sp.phi(ts + ss)
     mask = denom > 0
     ratio = np.where(mask, num / np.where(mask, denom, 1.0), 0.0)
     worst = float(ratio.max())
@@ -274,9 +287,9 @@ def check_uniform_convexity(tf, eps, xs, ts, ss):
     if not np.any(keep):
         raise ValueError("no samples survive the |t-s| > eps max(t,s) filter")
     xs, ts, ss = xs[keep], ts[keep], ss[keep]
-    p, q, r, m1, m2 = _sample_fields(tf, xs)
-    mid = _phi(p, q, r, m1, m2, 0.5 * (ts + ss))
-    avg = 0.5 * (_phi(p, q, r, m1, m2, ts) + _phi(p, q, r, m1, m2, ss))
+    sp = SampledPhase(tf, xs)
+    mid = sp.phi(0.5 * (ts + ss))
+    avg = 0.5 * (sp.phi(ts) + sp.phi(ss))
     eta = float(np.min(1.0 - mid / avg))
     return PropertyReport("uniform_convexity", eta > 0, {"eta_hat": eta})
 

@@ -37,16 +37,11 @@ class AssembledSystem:
 
 def flux(fp, x, g):
     """Pointwise flux (s^{p-2} + mu1 s^{q-2} + mu2 s^{r-2}) g."""
-    x1, x2 = float(x[0]), float(x[1])
-    tf = fp.tf
     g = np.asarray(g, dtype=float)
     s = np.sqrt(g @ g + fp.eps ** 2)
     if s == 0.0:
         return np.zeros(2)
-    coef = (s ** (tf.exp.p(x1, x2) - 2)
-            + tf.w.mu1(x1, x2) * s ** (tf.exp.q(x1, x2) - 2)
-            + tf.w.mu2(x1, x2) * s ** (tf.exp.r(x1, x2) - 2))
-    return float(coef) * g
+    return np.asarray(SampledPhase(fp.tf, [x]).flux_coef(s)).item() * g
 
 
 class PhaseDiscretization:
@@ -262,14 +257,14 @@ def check_coercive(fp, u, scales, degree=5):
     g = disc._gradients(u.nodal_values)
     gnorm_tri = np.linalg.norm(g, axis=1)
     gvals = gnorm_tri[quad.tri_index]
+    sp_ = SampledPhase(fp.tf, quad)
     out = []
     for c in scales:
         cv = c * u.nodal_values
         res = disc.residual(cv, eps=eps)
         pairing = float(res @ cv[disc.free])
-        nrm = luxemburg_norm(fp.tf, c * gvals, quad).luxemburg_norm
+        nrm = luxemburg_norm(fp.tf, c * gvals, quad, sampled=sp_).luxemburg_norm
         ratio = pairing / nrm
-        sp_ = SampledPhase(fp.tf, quad)
         bound = min(nrm ** (sp_.p_minus - 1.0), nrm ** (sp_.r_plus - 1.0))
         out.append((float(c), ratio, bound))
     return out

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Ball, FeFunction, ball_quadrature
-from .modular import luxemburg_norm
+from .modular import SampledPhase, luxemburg_norm
 from .solver import PhaseProblem, SourceTerm, solve_variational
 
 INF_SENTINEL = float("inf")
@@ -48,13 +48,6 @@ class ProbeReport:
     parameters: dict = field(default_factory=dict)
 
 
-def _phase_at(tf, quad, t):
-    x1, x2 = quad.points[:, 0], quad.points[:, 1]
-    return (t ** tf.exp.p(x1, x2)
-            + tf.w.mu1(x1, x2) * t ** tf.exp.q(x1, x2)
-            + tf.w.mu2(x1, x2) * t ** tf.exp.r(x1, x2))
-
-
 def _grad_norm_at(u, quad):
     g = u.gradients()
     return np.linalg.norm(g, axis=1)[quad.tri_index]
@@ -81,23 +74,28 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
+def _pair_quadratures(mesh, pair, depth, degree):
+    """A concentric (inner, outer) ball pair and their quadratures."""
+    inner, outer = pair
+    if inner.center != outer.center or not inner.radius < outer.radius:
+        raise ValueError("need concentric balls with R1 < R2")
+    return (inner, outer, ball_quadrature(mesh, inner, depth=depth, degree=degree),
+            ball_quadrature(mesh, outer, depth=depth, degree=degree))
+
+
 def caccioppoli_ratio(fp, u, pair, depth=3, degree=5):
     """LHS/RHS of the Caccioppoli inequality on one concentric ball pair:
     gradient energy on the inner ball against the scaled oscillation
     energy on the outer ball."""
-    inner, outer = pair
-    if inner.center != outer.center or not inner.radius < outer.radius:
-        raise ValueError("need concentric balls with R1 < R2")
+    inner, outer, qi, qo = _pair_quadratures(u.mesh, pair, depth, degree)
     tf = fp.tf
-    qi = ball_quadrature(u.mesh, inner, depth=depth, degree=degree)
-    qo = ball_quadrature(u.mesh, outer, depth=depth, degree=degree)
-    lhs = float(qi.weights @ _phase_at(tf, qi, _grad_norm_at(u, qi)))
+    lhs = float(qi.weights @ SampledPhase(tf, qi).phi(_grad_norm_at(u, qi)))
     # means and averages are normalized by the clipped quadrature mass so
     # constant fields are reproduced exactly despite the geometric clipping
     uo = u.at_quad(qo)
     mean = float(qo.weights @ uo) / qo.total_mass
     osc = np.abs(uo - mean) / (outer.radius - inner.radius)
-    rhs = float(qo.weights @ _phase_at(tf, qo, osc))
+    rhs = float(qo.weights @ SampledPhase(tf, qo).phi(osc))
     return _ratio(lhs, rhs)
 
 
@@ -106,18 +104,14 @@ def caccioppoli_truncation_ratio(fp, u, pair, l, sign, depth=3, degree=5):
     gradient restricted to where the truncation is active."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    inner, outer = pair
-    if inner.center != outer.center or not inner.radius < outer.radius:
-        raise ValueError("need concentric balls with R1 < R2")
+    inner, outer, qi, qo = _pair_quadratures(u.mesh, pair, depth, degree)
     tf = fp.tf
-    qi = ball_quadrature(u.mesh, inner, depth=depth, degree=degree)
-    qo = ball_quadrature(u.mesh, outer, depth=depth, degree=degree)
     active_i = sign * (u.at_quad(qi) - l) > 0
     gi = _grad_norm_at(u, qi) * active_i
-    lhs = float(qi.weights @ _phase_at(tf, qi, gi))
+    lhs = float(qi.weights @ SampledPhase(tf, qi).phi(gi))
     trunc_o = np.maximum(sign * (u.at_quad(qo) - l), 0.0)
-    rhs = float(qo.weights @ _phase_at(
-        tf, qo, trunc_o / (outer.radius - inner.radius)))
+    rhs = float(qo.weights @ SampledPhase(tf, qo).phi(
+        trunc_o / (outer.radius - inner.radius)))
     return _ratio(lhs, rhs)
 
 
@@ -132,8 +126,9 @@ def sobolev_poincare_ratio(fp, u, ball, delta, depth=3, degree=5):
     uq = u.at_quad(q)
     mean = float(q.weights @ uq) / area
     osc = np.abs(uq - mean) / ball.radius
-    lhs = float(q.weights @ _phase_at(tf, q, osc)) / area
-    gmod = _phase_at(tf, q, _grad_norm_at(u, q))
+    sp = SampledPhase(tf, q)
+    lhs = float(q.weights @ sp.phi(osc)) / area
+    gmod = sp.phi(_grad_norm_at(u, q))
     avg_pow = float(q.weights @ gmod ** delta) / area
     denom = 1.0 + avg_pow ** (1.0 / delta)
     return lhs / denom
@@ -159,9 +154,9 @@ def sobolev_poincare_zero_set(fp, u, ball, E_indicator, delta, gamma,
     if np.any(np.abs(u.nodal_values[node_in & inside]) > 1e-12):
         raise ValueError("u does not vanish on E")
     area = q.total_mass
-    lhs = float(q.weights @ _phase_at(
-        tf, q, np.abs(u.at_quad(q)) / ball.radius)) / area
-    gmod = _phase_at(tf, q, _grad_norm_at(u, q))
+    sp = SampledPhase(tf, q)
+    lhs = float(q.weights @ sp.phi(np.abs(u.at_quad(q)) / ball.radius)) / area
+    gmod = sp.phi(_grad_norm_at(u, q))
     rhs = (float(q.weights @ gmod ** delta) / area) ** (1.0 / delta)
     return _ratio(lhs, rhs)
 
@@ -173,8 +168,10 @@ def poincare_w0_ratio(fp, u, degree=5):
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
     quad = u.mesh.quadrature(degree)
-    num = luxemburg_norm(fp.tf, u, quad).luxemburg_norm
-    den = luxemburg_norm(fp.tf, _grad_norm_at(u, quad), quad).luxemburg_norm
+    sp = SampledPhase(fp.tf, quad)
+    num = luxemburg_norm(fp.tf, u, quad, sampled=sp).luxemburg_norm
+    den = luxemburg_norm(fp.tf, _grad_norm_at(u, quad), quad,
+                         sampled=sp).luxemburg_norm
     return num / den
 
 
@@ -188,11 +185,10 @@ def higher_integrability_probe(fp, u, family, m_grid, depth=3, degree=5,
             raise ValueError("m_grid entries must lie in (0, 1)")
     rows = []
     for i, j in family.pairing:
-        inner, outer = family.balls[i], family.balls[j]
-        qi = ball_quadrature(u.mesh, inner, depth=depth, degree=degree)
-        qo = ball_quadrature(u.mesh, outer, depth=depth, degree=degree)
-        gi = _phase_at(tf, qi, _grad_norm_at(u, qi))
-        go = _phase_at(tf, qo, _grad_norm_at(u, qo))
+        _, _, qi, qo = _pair_quadratures(
+            u.mesh, (family.balls[i], family.balls[j]), depth, degree)
+        gi = SampledPhase(tf, qi).phi(_grad_norm_at(u, qi))
+        go = SampledPhase(tf, qo).phi(_grad_norm_at(u, qo))
         avg_o = float(qo.weights @ go) / qo.total_mass
         for m in m_grid:
             avg_pow = float(qi.weights @ gi ** (1.0 + m)) / qi.total_mass
@@ -214,14 +210,12 @@ def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,),
     unit-constant RHS built from v and the boundary datum w on B_2R."""
     tf = fp.tf
     rows = []
-    for inner, outer in ball_pairs:
-        if inner.center != outer.center or not inner.radius < outer.radius:
-            raise ValueError("need concentric balls with R < 2R")
-        qi = ball_quadrature(v.mesh, inner, depth=depth, degree=degree)
-        qo = ball_quadrature(v.mesh, outer, depth=depth, degree=degree)
-        gv_i = _phase_at(tf, qi, _grad_norm_at(v, qi))
-        gv_o = _phase_at(tf, qo, _grad_norm_at(v, qo))
-        gw_o = _phase_at(tf, qo, _grad_norm_at(w, qo))
+    for pair in ball_pairs:
+        inner, outer, qi, qo = _pair_quadratures(v.mesh, pair, depth, degree)
+        sp_o = SampledPhase(tf, qo)
+        gv_i = SampledPhase(tf, qi).phi(_grad_norm_at(v, qi))
+        gv_o = sp_o.phi(_grad_norm_at(v, qo))
+        gw_o = sp_o.phi(_grad_norm_at(w, qo))
         for m in m_grid:
             lhs = float(qi.weights @ gv_i ** (1.0 + m)) / qi.total_mass
             term1 = (float(qo.weights @ gv_o) / qo.total_mass) ** (1.0 + m)

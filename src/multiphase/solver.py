@@ -139,14 +139,11 @@ def _eps_schedule(fp):
     """The eps ladder: decades from max(eps, 1e-2) down to eps."""
     if fp.eps == 0.0:
         return [0.0]
-    start = max(fp.eps, 1e-2)
-    sched = []
-    e = start
+    sched, e = [], max(fp.eps, 1e-2)
     while e > fp.eps * 1.0000001:
         sched.append(e)
         e *= 0.1
-    sched.append(fp.eps)
-    return sched
+    return sched + [fp.eps]
 
 
 def _source_load(disc, source, u_vals):
@@ -372,8 +369,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
         u = np.where(mesh.boundary_flags, prob.dirichlet,
                      np.asarray(initial, dtype=float))
     inner_tol = tol if inner_tol is None else inner_tol
-    hist, eps_used = [], []
-    energy_hist = []
+    hist, eps_used, energy_hist = [], [], []
     grow = 0
     prev_dist = np.inf
     converged = False
@@ -563,8 +559,5 @@ def verify_uniqueness_empirical(prob, n_starts, tol=1e-10, **kwargs):
             sols.append(rep.solution.nodal_values[free])
     if len(sols) < 2:
         raise RuntimeError("insufficient converged solves")
-    dist = 0.0
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            dist = max(dist, float(np.max(np.abs(sols[i] - sols[j]))))
-    return dist
+    sols = np.array(sols)
+    return float(np.max(np.abs(sols[:, None] - sols[None])))
