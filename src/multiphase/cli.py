@@ -47,9 +47,10 @@ class ConfigError(ValueError):
 _SOLVER_KEYS = {"tol", "max_iter", "eps", "linear_solver"}
 _PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "d",
                "stability_factor"}
+# growth constants: check_h2 reads k3 and k4, check_h3 reads k5 and k6
+_SOURCE_CONSTANTS = ("k3", "k4", "k5", "k6")
 _SOURCE_KEYS = {"expr", "const", "affine", "grad_coeff", "state_coeff",
-                "k1", "k2", "k3", "k4", "k5", "k6",
-                "gamma1_norm", "gamma2_norm", "gamma3_norm"}
+                *_SOURCE_CONSTANTS}
 _TOP_KEYS = {"domain", "p", "q", "r", "mu1", "mu2", "source", "dirichlet",
              "mesh_n", "refinements", "solver", "probe", "seed", "eigen_m",
              "quad_degree", "sample_grid"}
@@ -104,9 +105,7 @@ def build_source(cfg):
     src = cfg.get("source")
     if src is None:
         return SourceTerm.zero()
-    constants = {k: float(src[k]) for k in
-                 ("k1", "k2", "k3", "k4", "k5", "k6",
-                  "gamma1_norm", "gamma2_norm", "gamma3_norm") if k in src}
+    constants = {k: float(src[k]) for k in _SOURCE_CONSTANTS if k in src}
     base = None
     for kind in ("expr", "const", "affine"):
         if kind in src:

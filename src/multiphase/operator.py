@@ -54,10 +54,12 @@ class PhaseDiscretization:
     step the accepted line-search trial's energy also serves the next
     residual and Jacobian.  Only one state is held.
 
-    When p, q, r, mu1 and mu2 are all constant on the quadrature points they
-    are kept as (T, 1) columns: P1 gradients make s constant on a triangle,
-    so each power is then taken once per triangle instead of once per
-    quadrature point, and the quadrature sums broadcast as before.
+    The fields p, q, r, mu1 and mu2 are sampled once, through SampledPhase,
+    as (T, K) arrays.  When they are all constant fields no point is
+    sampled and they are kept as (T, 1) columns: P1 gradients make s
+    constant on a triangle, so each power is then taken once per triangle
+    instead of once per quadrature point, and the quadrature sums broadcast
+    as before.
     """
 
     def __init__(self, fp, mesh, degree=5):
@@ -69,13 +71,10 @@ class PhaseDiscretization:
         verts = mesh.vertices[mesh.triangles]
         qp = np.einsum("kj,tjd->tkd", bary, verts)       # (T, K, 2)
         self.qweights = mesh.areas[:, None] * w[None, :]  # (T, K)
-        x1, x2 = qp[..., 0], qp[..., 1]
-        tf = fp.tf
-        fields = [tf.exp.p(x1, x2), tf.exp.q(x1, x2), tf.exp.r(x1, x2),
-                  tf.w.mu1(x1, x2), tf.w.mu2(x1, x2)]
-        if all(np.ptp(f) == 0 for f in fields):
-            fields = [f[:, :1] for f in fields]
-        self.p, self.q, self.r, self.m1, self.m2 = fields
+        ph = SampledPhase(fp.tf, qp.reshape(-1, 2))
+        self.p, self.q, self.r, self.m1, self.m2 = (
+            np.full((len(qp), 1), v) if ph.constant else v.reshape(qp.shape[:2])
+            for v in (ph.p, ph.q, ph.r, ph.m1, ph.m2))
         self._e2 = (self.p - 2, self.q - 2, self.r - 2)
         self._energy_w = (1 / self.p, self.m1 / self.q, self.m2 / self.r)
         self.qpoints = qp

@@ -9,8 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import HypothesisReport
+from .fields import ExponentTriple, HypothesisReport, WeightPair
 from .mesh import FeFunction
+from .modular import PhaseFunction
 from .operator import FluxParams, PhaseDiscretization
 
 UNIQUENESS_SEED = 0xC0FFEE
@@ -434,8 +435,15 @@ def _p1_matrices(mesh):
 
 
 def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
-    """First Dirichlet eigenvalue of the m-Laplacian via the Rayleigh
-    quotient; inverse iteration for m = 2, projected descent otherwise."""
+    """First Dirichlet eigenvalue of the m-Laplacian and its eigenfunction.
+
+    m = 2: inverse iteration from a random start drawn with `seed`.  Other
+    m: the inverse power method (Biezuner-Ercole-Martins 2009) from the
+    modulus of the m = 2 eigenfunction, which settles to the same answer
+    from every seed.  Each of its steps solves -Delta_m w = |u|^(m-2) u by
+    _newton and sets u = w / ||w||_m and lambda = N(u) / D(u); it stops
+    when lambda changes by at most tol relative, and raises RuntimeError
+    when max_iter steps do not get there or a solve fails."""
     if m <= 1:
         raise ValueError("m must exceed 1")
     K, M = _p1_matrices(mesh)
@@ -458,10 +466,35 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     vals[free] = x
     if abs(m - 2.0) < 1e-14:
         return lam, FeFunction(mesh, vals)
-    return _rayleigh_descent(mesh, m, vals, free, tol)
+    # -Delta_m is the operator of the m-phase with mu1 = mu2 = 0; below
+    # m = 2 its Jacobian needs eps > 0
+    fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
+                                  WeightPair.constants(0.0, 0.0)),
+                    eps=0.0 if m >= 2 else 1e-10)
+    disc = PhaseDiscretization(fp, mesh)
+    prob = PhaseProblem(mesh, fp, SourceTerm.zero(), np.zeros(mesh.n_vertices))
+    held = _HeldFactor()
+    u, lam = np.abs(vals), np.inf
+    for _ in range(max_iter):
+        N, D, _, gD = _m_power_quantities(disc, mesh, m, u)
+        scale = D ** (1.0 / m)
+        u, new_lam = u / scale, N / D
+        if abs(new_lam - lam) <= tol * new_lam:
+            return new_lam, FeFunction(mesh, u)
+        lam = new_lam
+        # the load |u|^(m-2) u is gD / m, of degree m - 1 in u; the step has
+        # the solution w = lam^(-1/(m-1)) u when u is an eigenfunction
+        rep = _newton(disc, prob, gD / (m * scale ** (m - 1.0)), tol, 100,
+                      "direct", initial=lam ** (-1.0 / (m - 1.0)) * u,
+                      held=held, choose_start=False)
+        if not rep.converged:
+            raise RuntimeError("inverse power step: -Delta_m w = |u|^(m-2) u "
+                               f"not solved ({rep.stop_reason or 'max_iter'})")
+        u = rep.solution.nodal_values
+    raise RuntimeError(f"m = {m} eigenvalue not settled in {max_iter} steps")
 
 
-def _m_power_quantities(disc, mesh, m, u_vals, degree=5):
+def _m_power_quantities(disc, mesh, m, u_vals):
     """N(u) = int |grad u|^m, D(u) = int |u|^m and their nodal gradients."""
     g = np.einsum("tj,tjd->td", u_vals[mesh.triangles], mesh.basis_grads)
     s = np.linalg.norm(g, axis=1)
@@ -475,53 +508,10 @@ def _m_power_quantities(disc, mesh, m, u_vals, degree=5):
               (m * np.sum(w, axis=1)[:, None] * coef[:, None] * gdphi).ravel())
     tvals = np.einsum("tj,kj->tk", u_vals[mesh.triangles], disc.bary)
     D = float(np.sum(w * np.abs(tvals) ** m))
-    dens = m * np.abs(tvals) ** (m - 2.0) * tvals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = m * np.abs(tvals) ** (m - 2.0) * tvals
     dens = np.where(np.isfinite(dens), dens, 0.0)
-    gD = np.zeros(mesh.n_vertices)
-    np.add.at(gD, mesh.triangles.ravel(),
-              np.einsum("tk,kj->tj", w * dens, disc.bary).ravel())
-    return N, D, gN, gD
-
-
-def _rayleigh_descent(mesh, m, init_vals, free, tol):
-    from .fields import ExponentTriple, WeightPair
-    from .modular import PhaseFunction
-
-    fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
-                                  WeightPair.constants(0.0, 0.0)), eps=1e-10)
-    disc = PhaseDiscretization(fp, mesh)
-    u = init_vals.copy()
-    N, D, gN, gD = _m_power_quantities(disc, mesh, m, u)
-    u /= D ** (1.0 / m)
-    quotient = np.inf
-    step = 1.0
-    for _ in range(5000):
-        N, D, gN, gD = _m_power_quantities(disc, mesh, m, u)
-        quot = N / D
-        if quotient - quot <= tol * abs(quot) and quotient != np.inf:
-            quotient = min(quotient, quot)
-            break
-        quotient = quot
-        # gradient of the quotient, restricted to free nodes
-        grad = (gN - quot * gD) / D
-        grad[mesh.boundary_flags] = 0.0
-        gn = float(np.max(np.abs(grad)))
-        if gn == 0:
-            break
-        accepted = False
-        for _ in range(40):
-            trial = u - step * grad / gn
-            tN, tD, _, _ = _m_power_quantities(disc, mesh, m, trial)
-            if tD > 0 and tN / tD < quot:
-                u = trial / tD ** (1.0 / m)
-                step *= 1.5
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    N, D, _, _ = _m_power_quantities(disc, mesh, m, u)
-    return N / D, FeFunction(mesh, u)
+    return N, D, gN, disc.load_vector(dens)
 
 
 def check_h2(src, lambda_p_minus):

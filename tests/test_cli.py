@@ -211,6 +211,16 @@ class TestConfigKeys:
         assert main(["--config", write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out"), "solve"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key", ["k1", "k2", "gamma1_norm",
+                                     "gamma2_norm", "gamma3_norm"])
+    def test_unread_growth_constant_rejected(self, tmp_path, capsys, key):
+        # check_h2 reads only k3 and k4, check_h3 only k5 and k6
+        cfg = {**BASE_CFG, "source": {**BASE_CFG["source"], "k3": 0.1,
+                                      key: 1.0}}
+        assert main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "check-hypotheses"]) == EXIT_USAGE
+        assert "unknown config key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("factor, largest", [(None, "0.4"), (10.0, "0.4"),
                                                  (0.77, "0.1"), (0.5, "None")])
     def test_stability_factor(self, tmp_path, capsys, factor, largest):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiphase import mesh as mesh_mod
 
@@ -62,6 +63,52 @@ class TestRefine:
         m = structured_mesh(UNIT_SQUARE, 3)
         m2 = refine(m)
         assert np.allclose(m2.vertices[:m.n_vertices], m.vertices)
+
+
+_DOMAINS = {
+    "square": UNIT_SQUARE,
+    "rectangle": Domain2D(((-1, 0.5), (2, 0.5), (2, 1.5), (-1, 1.5))),
+    "hexagon": Domain2D(tuple((np.cos(a), np.sin(a))
+                              for a in np.arange(6) * np.pi / 3)),
+    "nonconvex": Domain2D(((0, 0), (2, 0), (2, 2), (1, 1), (0, 2))),
+}
+
+
+class TestRefineProperties:
+    """Area and boundary survive refinement, on any domain and any
+    interior vertex placement."""
+
+    @staticmethod
+    def _mesh(domain, n, seed, jitter):
+        mesh = structured_mesh(_DOMAINS[domain], n)
+        v = mesh.vertices.copy()
+        free = ~mesh.boundary_flags
+        # every height is at least 2 min(area) / h_max; moving each vertex by
+        # under a third of that keeps every triangle positively oriented
+        step = jitter * 2 * mesh.areas.min() / mesh.h_max
+        rng = np.random.default_rng(seed)
+        v[free] += step * rng.uniform(-1, 1, (int(free.sum()), 2))
+        return mesh_mod.TriMesh(v, mesh.triangles)
+
+    _given = given(domain=st.sampled_from(sorted(_DOMAINS)),
+                   n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+                   jitter=st.floats(0.0, 0.3), times=st.integers(1, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @_given
+    def test_area_preserved(self, domain, n, seed, jitter, times):
+        mesh = fine = self._mesh(domain, n, seed, jitter)
+        for _ in range(times):
+            fine = refine(fine)
+        assert abs(fine.area - mesh.area) <= 1e-14 * mesh.area
+
+    @settings(max_examples=40, deadline=None)
+    @_given
+    def test_boundary_kept(self, domain, n, seed, jitter, times):
+        mesh = fine = self._mesh(domain, n, seed, jitter)
+        for _ in range(times):
+            fine = refine(fine)
+        assert np.all(fine.boundary_flags[:mesh.n_vertices][mesh.boundary_flags])
 
 
 class TestGradient:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiphase import (ExponentTriple, FeFunction, ScalarField, UNIT_SQUARE,
                         WeightPair, check_delta2, check_norm_modular_relations,
@@ -109,6 +110,43 @@ class TestLuxemburgNorm:
         rep = luxemburg_norm(triple_phase, u, quad16)
         lo, hi = rep.bracket
         assert lo <= rep.luxemburg_norm <= hi
+
+
+class TestLuxemburgProperties:
+    """The Luxemburg norm is a norm, up to its root-finding tolerance."""
+
+    REL_TOL = 1e-10
+
+    @staticmethod
+    def _samples(quad, seed, scale):
+        rng = np.random.default_rng(seed)
+        return scale * rng.uniform(-1.0, 1.0, quad.weights.shape)
+
+    def _norm(self, tf, vals, quad):
+        return luxemburg_norm(tf, vals, quad, rel_tol=self.REL_TOL).luxemburg_norm
+
+    @settings(max_examples=30, deadline=None)
+    @given(phase=st.sampled_from(["triple_phase", "variable_phase"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-3, 1e3),
+           c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    def test_homogeneous(self, request, square8, phase, seed, scale, c):
+        tf, quad = request.getfixturevalue(phase), square8.quadrature(5)
+        u = self._samples(quad, seed, scale)
+        n1, nc = self._norm(tf, u, quad), self._norm(tf, c * u, quad)
+        assert abs(nc - abs(c) * n1) <= 4 * self.REL_TOL * abs(c) * n1
+
+    @settings(max_examples=30, deadline=None)
+    @given(phase=st.sampled_from(["triple_phase", "variable_phase"]),
+           seeds=st.tuples(st.integers(0, 2 ** 32 - 1),
+                           st.integers(0, 2 ** 32 - 1)),
+           scales=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+    def test_triangle_inequality(self, request, square8, phase, seeds, scales):
+        tf, quad = request.getfixturevalue(phase), square8.quadrature(5)
+        u = self._samples(quad, seeds[0], scales[0])
+        v = self._samples(quad, seeds[1], scales[1])
+        nu, nv = self._norm(tf, u, quad), self._norm(tf, v, quad)
+        assert self._norm(tf, u + v, quad) <= (nu + nv) * (1 + 4 * self.REL_TOL)
 
 
 class TestWeightedSeminorm:

@@ -4,10 +4,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from multiphase import (ExponentTriple, FeFunction, FluxParams, UNIT_SQUARE,
-                        WeightPair, assemble, check_coercive, check_gateaux,
-                        check_monotone, energy, flux, interpolate,
-                        structured_mesh)
+from multiphase import (ExponentTriple, FeFunction, FluxParams, ScalarField,
+                        UNIT_SQUARE, WeightPair, assemble, check_coercive,
+                        check_gateaux, check_monotone, energy, flux,
+                        interpolate, structured_mesh)
 from multiphase.modular import PhaseFunction
 from multiphase.operator import PhaseDiscretization
 
@@ -365,6 +365,17 @@ class TestJacobianProperties:
                         full.residual(u, eps=eps)) <= 1e-13
         assert _rel_err(disc.jacobian(u, eps=eps).toarray(),
                         full.jacobian(u, eps=eps).toarray()) <= 1e-13
+
+    def test_constant_phase_samples_no_field(self, triple_flux, square8,
+                                             monkeypatch):
+        def no_eval(self, x1, x2):
+            raise AssertionError("a constant field was evaluated")
+
+        monkeypatch.setattr(ScalarField, "__call__", no_eval)
+        disc = PhaseDiscretization(triple_flux, square8)
+        T = square8.n_triangles
+        for name, value in zip(("p", "q", "r", "m1", "m2"), (2, 3, 4, 1, 1)):
+            assert np.array_equal(getattr(disc, name), np.full((T, 1), value))
 
     def test_zero_state_limits(self, triple_flux, square8):
         # s = 0 everywhere at eps = 0: the rank-one term drops out and the

@@ -199,6 +199,42 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             first_eigenvalue(square8, 1.0)
 
+    # lambda of the Rayleigh descent the inverse power method replaced
+    # (seed 7, n = 16); a minimised quotient may only come out lower
+    DESCENT_M3_N16 = 63.9569147823
+    DESCENT_M15_N16 = 10.1521495410
+
+    def test_m3_seed_free(self, square16):
+        lams = [first_eigenvalue(square16, 3.0, seed=s)[0] for s in range(20)]
+        assert max(lams) <= self.DESCENT_M3_N16 * (1 + 1e-9)
+        assert max(lams) - min(lams) <= 1e-9 * min(lams)
+
+    def test_m15_not_above_descent(self, square16):
+        lam, _ = first_eigenvalue(square16, 1.5)
+        assert lam <= self.DESCENT_M15_N16 * (1 + 1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_m15_warning_free(self, square16):
+        """u = 0 on triangles with only boundary nodes: |u|^(m-2) u must
+        not warn there."""
+        first_eigenvalue(square16, 1.5)
+
+    def test_max_iter_exhausted_raises(self, square16):
+        with pytest.raises(RuntimeError):
+            first_eigenvalue(square16, 3.0, max_iter=1)
+
+    @pytest.mark.parametrize("m", [1.5, 3.0])
+    def test_m_eigenfunction_normalised_one_sign(self, square16, m):
+        lam, ef = first_eigenvalue(square16, m)
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
+                                      WeightPair.constants(0, 0)), eps=1e-10)
+        N, D, _, _ = solver._m_power_quantities(
+            PhaseDiscretization(fp, square16), square16, m, ef.nodal_values)
+        assert D == pytest.approx(1.0, rel=1e-12)
+        assert lam == pytest.approx(N / D, rel=1e-12)
+        interior = ef.nodal_values[~square16.boundary_flags]
+        assert np.all(interior > 0) or np.all(interior < 0)
+
 
 class TestH2H3:
     def test_h2_pass(self):
