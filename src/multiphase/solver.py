@@ -440,10 +440,11 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     m = 2: inverse iteration from a random start drawn with `seed`.  Other
     m: the inverse power method (Biezuner-Ercole-Martins 2009) from the
     modulus of the m = 2 eigenfunction, which settles to the same answer
-    from every seed.  Each of its steps solves -Delta_m w = |u|^(m-2) u by
-    _newton and sets u = w / ||w||_m and lambda = N(u) / D(u); it stops
+    from every seed.  Each of its steps solves -Delta_m w = lambda |u|^(m-2) u
+    by _newton and sets u = w / ||w||_m and lambda = N(u) / D(u); it stops
     when lambda changes by at most tol relative, and raises RuntimeError
-    when max_iter steps do not get there or a solve fails."""
+    when max_iter steps do not get there or a step is not solved, as near
+    m = 1 and for large m on fine meshes."""
     if m <= 1:
         raise ValueError("m must exceed 1")
     K, M = _p1_matrices(mesh)
@@ -482,14 +483,19 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
         if abs(new_lam - lam) <= tol * new_lam:
             return new_lam, FeFunction(mesh, u)
         lam = new_lam
-        # the load |u|^(m-2) u is gD / m, of degree m - 1 in u; the step has
-        # the solution w = lam^(-1/(m-1)) u when u is an eigenfunction
-        rep = _newton(disc, prob, gD / (m * scale ** (m - 1.0)), tol, 100,
-                      "direct", initial=lam ** (-1.0 / (m - 1.0)) * u,
-                      held=held, choose_start=False)
+        # |u|^(m-2) u is gD / m, of degree m - 1 in u.  With the load
+        # lam |u|^(m-2) u the step's solution is w = u when u is an
+        # eigenfunction, so w keeps the scale of u and u is the warm start.
+        # lambda is stationary at the eigenfunction: a step solved to
+        # sqrt(tol) of its load moves it by O(tol)
+        load = gD * (lam / (m * scale ** (m - 1.0)))
+        rep = _newton(disc, prob, load,
+                      np.sqrt(tol) * np.max(np.abs(load[disc.free])), 100,
+                      "direct", initial=u, held=held, choose_start=False)
         if not rep.converged:
-            raise RuntimeError("inverse power step: -Delta_m w = |u|^(m-2) u "
-                               f"not solved ({rep.stop_reason or 'max_iter'})")
+            raise RuntimeError("inverse power step -Delta_m w = lambda "
+                               "|u|^(m-2) u not solved "
+                               f"({rep.stop_reason or 'max_iter'})")
         u = rep.solution.nodal_values
     raise RuntimeError(f"m = {m} eigenvalue not settled in {max_iter} steps")
 

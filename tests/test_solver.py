@@ -235,6 +235,47 @@ class TestEigenvalue:
         interior = ef.nodal_values[~square16.boundary_flags]
         assert np.all(interior > 0) or np.all(interior < 0)
 
+    @pytest.mark.parametrize("m", [1.1, 1.5, 3.0])
+    def test_m_eigenpair_solves_equation(self, square16, m):
+        """-Delta_m u = lambda |u|^(m-2) u to 1e-4 of its load: an
+        unsettled pair (a step solved with its gradients below eps) leaves
+        a residual of the size of the load."""
+        lam, ef = first_eigenvalue(square16, m)
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
+                                      WeightPair.constants(0, 0)),
+                        eps=0.0 if m >= 2 else 1e-10)
+        disc = PhaseDiscretization(fp, square16)
+        _, _, _, gD = solver._m_power_quantities(disc, square16, m,
+                                                 ef.nodal_values)
+        load = lam * gD / m
+        res = disc.residual(ef.nodal_values, load)
+        assert np.max(np.abs(res)) <= 1e-4 * np.max(np.abs(load[disc.free]))
+
+    def test_m_near_one_raises(self, square16):
+        """At m = 1.05 the step's Newton solve stalls above sqrt(tol) of
+        its load: no lambda rather than an unsettled one.  A solver that
+        settles it must still come out at or below the descent's
+        5.1322338515."""
+        with pytest.raises(RuntimeError, match="not solved"):
+            first_eigenvalue(square16, 1.05)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    def test_loose_tol_still_descends(self, tol):
+        """A loose tol loosens the steps relative to their load, so they
+        still move: lambda ends below the m = 2 start's quotient and
+        within tol of the tight value."""
+        mesh = structured_mesh(UNIT_SQUARE, 32)
+        _, ef2 = first_eigenvalue(mesh, 2.0)
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(3, 3, 3),
+                                      WeightPair.constants(0, 0)), eps=0.0)
+        N, D, _, _ = solver._m_power_quantities(
+            PhaseDiscretization(fp, mesh), mesh, 3.0,
+            np.abs(ef2.nodal_values))
+        tight, _ = first_eigenvalue(mesh, 3.0)
+        lam, _ = first_eigenvalue(mesh, 3.0, tol=tol)
+        assert lam < N / D
+        assert lam <= tight * (1 + tol)
+
 
 class TestH2H3:
     def test_h2_pass(self):
