@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fields import Domain2D
 
@@ -68,8 +69,30 @@ class QuadratureMeasure:
         return float(self.weights.sum())
 
 
+@dataclass(frozen=True)
+class FreePattern:
+    """int32 CSR pattern of the free x free (off-boundary) matrices summed
+    from per-triangle 3 x 3 blocks, the int32 CSR slot of each of the 9 T
+    block entries (boundary rows and columns share one spare slot past the
+    end), and the basis-gradient dots: the stiffness blocks per unit area."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+    dots: np.ndarray
+
+    def assemble(self, blocks):
+        """The free x free CSR matrix of the (T, 3, 3) blocks."""
+        nnz, n = len(self.indices), len(self.indptr) - 1
+        data = np.bincount(self.slot, weights=blocks.ravel(), minlength=nnz + 1)
+        # fresh index arrays: edits of the matrix must not reach the pattern
+        return sp.csr_matrix((data[:nnz], self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
+
+
 # (point, triangle) pairs screened at once by TriMesh.locate
 _LOCATE_PAIRS = 1 << 18
+_RING_SLACK = 0.05     # barycentric slack of ball_quadrature's ring check
 
 
 class TriMesh:
@@ -87,14 +110,15 @@ class TriMesh:
         self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         if np.any(self.areas <= 0):
             raise ValueError("all triangles must have positive signed area")
-        # constant gradients of the three barycentric basis functions
-        grads = np.empty((len(self.triangles), 3, 2))
+        # constant basis gradients (T, 3, 2), stored (T, 2, 3) as G's data
+        grads = np.empty((len(self.triangles), 2, 3))
         inv2a = 1.0 / (2.0 * self.areas)
         for k in range(3):
             a, b = v[:, (k + 1) % 3], v[:, (k + 2) % 3]
-            grads[:, k, 0] = (a[:, 1] - b[:, 1]) * inv2a
-            grads[:, k, 1] = (b[:, 0] - a[:, 0]) * inv2a
-        self.basis_grads = grads
+            grads[:, 0, k] = (a[:, 1] - b[:, 1]) * inv2a
+            grads[:, 1, k] = (b[:, 0] - a[:, 0]) * inv2a
+        grads.setflags(write=False)
+        self.basis_grads = grads.transpose(0, 2, 1)
         keys, counts = np.unique(_edge_keys(self.triangles, len(self.vertices)),
                                  return_counts=True)
         if np.any(counts > 2):
@@ -125,14 +149,47 @@ class TriMesh:
         and shared, so its arrays are read-only."""
         if degree not in self._quadratures:
             bary, w = quad_rule(degree)
-            arrays = (np.einsum("kj,tjd->tkd", bary, self.tri_vertices).reshape(-1, 2),
+            arrays = ((bary @ self.vertices[self.triangles]).reshape(-1, 2),
                       (self.areas[:, None] * w).ravel(),
-                      np.repeat(np.arange(self.n_triangles), len(w)),
-                      np.tile(np.arange(len(w)), self.n_triangles))
+                      np.repeat(np.arange(self.n_triangles, dtype=np.int32), len(w)),
+                      np.tile(np.arange(len(w), dtype=np.int32), self.n_triangles))
             for a in arrays:
                 a.setflags(write=False)
             self._quadratures[degree] = QuadratureMeasure(*arrays, bary)
         return self._quadratures[degree]
+
+    @cached_property
+    def grad_operator(self):
+        """The P1 gradient operator, a read-only (2 T, N) CSR matrix G:
+        (G @ u).reshape(T, 2) is the gradient of u on each triangle, and
+        G.T @ f.ravel() sums f . grad(phi_i) at each node i for (T, 2) f."""
+        T = self.n_triangles
+        G = sp.csr_matrix((self.basis_grads.transpose(0, 2, 1).ravel(),
+                           np.repeat(self.triangles, 2, axis=0).ravel().astype(np.int32),
+                           np.arange(0, 6 * T + 1, 3, dtype=np.int32)),
+                          shape=(2 * T, self.n_vertices))
+        G.indices.setflags(write=False)
+        G.indptr.setflags(write=False)
+        return G
+
+    @cached_property
+    def free_pattern(self):
+        """The FreePattern of this mesh, read-only."""
+        free = ~self.boundary_flags
+        n = int(np.count_nonzero(free))
+        loc = np.where(free, np.cumsum(free) - 1, -1)[self.triangles]
+        off = loc < 0                              # (T, 3) on the boundary
+        keys = np.where(off[:, :, None] | off[:, None, :], n * n,
+                        loc[:, :, None] * n + loc[:, None, :]).ravel()
+        uniq = np.unique(keys)
+        slot = np.searchsorted(uniq, keys).astype(np.int32)
+        uniq = uniq[:np.searchsorted(uniq, n * n)]
+        bg = self.basis_grads
+        arrays = (np.searchsorted(uniq, np.arange(n + 1) * n).astype(np.int32),
+                  (uniq % n).astype(np.int32), slot, bg @ bg.transpose(0, 2, 1))
+        for a in arrays:
+            a.setflags(write=False)
+        return FreePattern(*arrays)
 
     @cached_property
     def tri_vertices(self):
@@ -303,8 +360,7 @@ class FeFunction:
 
     def gradients(self):
         """Constant gradient per triangle, shape (n_triangles, 2)."""
-        u = self.nodal_values[self.mesh.triangles]
-        return np.einsum("tj,tjd->td", u, self.mesh.basis_grads)
+        return (self.mesh.grad_operator @ self.nodal_values).reshape(-1, 2)
 
     def at_quad(self, quad, bary=None):
         """Values at quadrature points using the recorded triangle indices
@@ -338,8 +394,8 @@ def _barycentric(points, tri_verts):
 
 def gradient_on(tri_index, u):
     """Constant gradient of the P1 interpolant on one triangle."""
-    tri = u.mesh.triangles[tri_index]
-    return np.einsum("j,jd->d", u.nodal_values[tri], u.mesh.basis_grads[tri_index])
+    t = range(u.mesh.n_triangles)[tri_index]     # a negative index counts back
+    return u.mesh.grad_operator[2 * t:2 * t + 2] @ u.nodal_values
 
 
 def interpolate(fn, mesh):
@@ -383,14 +439,16 @@ def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
     Triangles crossing the circle are subdivided `depth` times; at the
     finest level quadrature points outside the ball are dropped.  Returns
     a QuadratureMeasure whose tri_index refers to the *parent* triangles,
-    so P1 data can still be evaluated per parent.
+    so P1 data can still be evaluated per parent.  A ball is rejected when a
+    point of its circle lies outside the mesh by more than 5 % of a
+    triangle's size, a fixed barycentric slack below the P1 resolution.
     """
     c = np.asarray(ball.center)
     R = ball.radius
     if check_containment:
         ring = c + (R * np.column_stack([np.cos(t := np.linspace(0, 2 * np.pi, 17)[:-1]),
                                          np.sin(t)]))
-        if not np.all(mesh.contains(ring, tol=mesh.h_max)):
+        if not np.all(mesh.contains(ring, tol=_RING_SLACK)):
             raise ValueError("ball escapes the meshed domain")
     # only triangles whose bounding circle meets the ball can contribute
     near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import quad_rule
 from .modular import SampledPhase, luxemburg_norm
 
 
@@ -45,8 +44,8 @@ def flux(fp, x, g):
 
 
 class PhaseDiscretization:
-    """Caches mesh geometry, field samples and the Jacobian's sparsity
-    pattern for repeated assembly.
+    """Field samples for repeated assembly through the mesh's quadrature, P1
+    gradient operator G and free x free pattern, shared per mesh.
 
     Energy, residual and Jacobian of a state all come from one evaluation
     of the phase powers, reduced per triangle.  The reductions of the last
@@ -58,37 +57,39 @@ class PhaseDiscretization:
     as (T, K) arrays.  When they are all constant fields no point is
     sampled and they are kept as (T, 1) columns: P1 gradients make s
     constant on a triangle, so each power is then taken once per triangle
-    instead of once per quadrature point, and the quadrature sums broadcast
-    as before.
+    instead of once per quadrature point, and weighed by the triangle's
+    weight total.
     """
 
     def __init__(self, fp, mesh, degree=5):
         self.fp = fp
         self.mesh = mesh
         self.degree = degree
-        bary, w = quad_rule(degree)
-        self.bary = bary
-        verts = mesh.vertices[mesh.triangles]
-        qp = np.einsum("kj,tjd->tkd", bary, verts)       # (T, K, 2)
-        self.qweights = mesh.areas[:, None] * w[None, :]  # (T, K)
-        ph = SampledPhase(fp.tf, qp.reshape(-1, 2))
+        quad, T = mesh.quadrature(degree), mesh.n_triangles
+        self.bary = quad.rule
+        self.qpoints = quad.points.reshape(T, -1, 2)       # (T, K, 2)
+        self.qweights = quad.weights.reshape(T, -1)        # (T, K)
+        self._tri_weights = self.qweights.sum(axis=1)
+        ph = SampledPhase(fp.tf, quad)
         self.p, self.q, self.r, self.m1, self.m2 = (
-            np.full((len(qp), 1), v) if ph.constant else v.reshape(qp.shape[:2])
+            np.full((T, 1), v) if ph.constant else v.reshape(self.qweights.shape)
             for v in (ph.p, ph.q, ph.r, ph.m1, ph.m2))
         self._e2 = (self.p - 2, self.q - 2, self.r - 2)
         self._energy_w = (1 / self.p, self.m1 / self.q, self.m2 / self.r)
-        self.qpoints = qp
         self.free = np.flatnonzero(~mesh.boundary_flags)
-        self.free_pos = np.full(mesh.n_vertices, -1, dtype=np.int64)
-        self.free_pos[self.free] = np.arange(len(self.free))
-        self._pattern = None
         self._memo = None        # (eps, private copy of u_vals, reductions)
 
     # -- low-level pieces ------------------------------------------------
 
     def _gradients(self, u_vals):
-        u = u_vals[self.mesh.triangles]
-        return np.einsum("tj,tjd->td", u, self.mesh.basis_grads)
+        return (self.mesh.grad_operator @ u_vals).reshape(-1, 2)
+
+    def _quad_sums(self, x):
+        """Per-triangle quadrature sums of x, given per point (T, K) or
+        constant on each triangle (T, 1)."""
+        if x.shape[1] == 1:
+            return self._tri_weights * x[:, 0]
+        return np.sum(self.qweights * x, axis=1)
 
     @staticmethod
     def _pow(s, e):
@@ -104,10 +105,10 @@ class PhaseDiscretization:
         return v
 
     def _reduced(self, u_vals, eps):
-        """The energy of the state u_vals at eps and, per triangle, the
-        quadrature sums a = sum w A and b = sum w B of the flux coefficient
-        A = sum mu s^(e-2) and of B = sum mu (e-2) s^(e-4), the rank-one
-        part of the flux derivative (e = p, q, r; mu = 1, mu1, mu2).
+        """The energy of u_vals at eps, its gradients g and, per triangle,
+        the quadrature sums a = sum w A and b = sum w B of the flux
+        coefficient A = sum mu s^(e-2) and of B = sum mu (e-2) s^(e-4), the
+        rank-one part of the flux derivative (e = p, q, r; mu = 1, mu1, mu2).
 
         Served from the memo when it holds the same values at the same eps:
         values, not array identity, are compared, because callers update
@@ -122,16 +123,14 @@ class PhaseDiscretization:
         ep, eq, er = self._e2
         cp, cq, cr = pw(s, ep), pw(s, eq), pw(s, er)
         wp, wq, wr = self._energy_w
-        dens = s2 * (wp * cp + wq * cq + wr * cr)
-        energy = float(np.sum(self.qweights * dens))
-        a_bar = np.sum(self.qweights * (cp + self.m1 * cq + self.m2 * cr), axis=1)
+        energy = float(np.sum(self._quad_sums(s2 * (wp * cp + wq * cq + wr * cr))))
+        a_bar = self._quad_sums(cp + self.m1 * cq + self.m2 * cr)
         # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0
         with np.errstate(divide="ignore", invalid="ignore"):
             B = (ep * cp + self.m1 * eq * cq + self.m2 * er * cr) / s2
         if eps == 0.0:
             B = np.where(s2 > 0, B, 0.0)
-        b_bar = np.sum(self.qweights * B, axis=1)
-        reduced = (energy, a_bar, b_bar)
+        reduced = (energy, a_bar, self._quad_sums(B), g)
         self._memo = (eps, np.array(u_vals, dtype=float), reduced)
         return reduced
 
@@ -142,63 +141,32 @@ class PhaseDiscretization:
 
     def residual(self, u_vals, load=None, eps=None):
         """Galerkin residual over free nodes: flux tested against basis
-        gradients, minus the load."""
+        gradients, G^T (a g), minus the load."""
         eps = self.fp.eps if eps is None else eps
-        _, c, _ = self._reduced(u_vals, eps)
-        g = self._gradients(u_vals)
-        # flux . grad(phi_i) with per-triangle constant gradient
-        gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
-        contrib = c[:, None] * gdphi
-        res = np.zeros(self.mesh.n_vertices)
-        np.add.at(res, self.mesh.triangles.ravel(), contrib.ravel())
-        res = res[self.free]
+        _, a_bar, _, g = self._reduced(u_vals, eps)
+        res = (self.mesh.grad_operator.T @ (a_bar[:, None] * g).ravel())[self.free]
         if load is not None:
             res = res - load[self.free]
         return res
 
-    def _jacobian_pattern(self):
-        """Free x free CSR pattern, the CSR slot of each of the 9 T local
-        entries (entries on a boundary row or column share one spare slot
-        past the end), and the local basis-gradient dot products."""
-        if self._pattern is None:
-            n = len(self.free)
-            loc = self.free_pos[self.mesh.triangles]      # (T, 3), -1 on boundary
-            rows = np.repeat(loc, 3, axis=1).ravel()
-            cols = np.tile(loc, (1, 3)).ravel()
-            keys = np.where((rows >= 0) & (cols >= 0), rows * n + cols, n * n)
-            uniq, slot = np.unique(keys, return_inverse=True)
-            nnz = int(np.searchsorted(uniq, n * n))
-            uniq = uniq[:nnz]
-            idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
-            indptr = np.searchsorted(uniq, np.arange(n + 1) * n).astype(idx)
-            indices = (uniq % n).astype(idx)
-            dots = np.einsum("tjd,tkd->tjk", self.mesh.basis_grads,
-                             self.mesh.basis_grads)
-            self._pattern = (indptr, indices, slot, nnz, dots)
-        return self._pattern
-
     def jacobian(self, u_vals, eps=None):
         """Exact derivative of the regularized residual, free nodes only."""
         eps = self.fp.eps if eps is None else eps
-        indptr, indices, slot, nnz, dots = self._jacobian_pattern()
-        _, a_bar, b_bar = self._reduced(u_vals, eps)
-        g = self._gradients(u_vals)
-        gdphi = np.einsum("td,tjd->tj", g, self.mesh.basis_grads)
-        local = (a_bar[:, None, None] * dots
-                 + b_bar[:, None, None] * np.einsum("tj,tk->tjk", gdphi, gdphi))
-        data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)
-        n = len(self.free)
-        # fresh index arrays: in-place edits of the returned matrix (such as
-        # eliminate_zeros) must not reach the cached pattern
-        return sp.csr_matrix((data[:nnz], indices.copy(), indptr.copy()),
-                             shape=(n, n))
+        pattern = self.mesh.free_pattern
+        _, a_bar, b_bar, g = self._reduced(u_vals, eps)
+        bg = self.mesh.basis_grads
+        gdphi = bg[:, :, 0] * g[:, 0:1] + bg[:, :, 1] * g[:, 1:2]    # (T, 3)
+        # the outer product is formed before it is scaled: exactly symmetric
+        blocks = gdphi[:, :, None] * gdphi[:, None, :]
+        blocks *= b_bar[:, None, None]
+        blocks += a_bar[:, None, None] * pattern.dots
+        return pattern.assemble(blocks)
 
     def load_vector(self, f_at_quad):
         """Nodal load from integrand values at quadrature points (T, K)."""
-        contrib = np.einsum("tk,kj->tj", self.qweights * f_at_quad, self.bary)
-        out = np.zeros(self.mesh.n_vertices)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out
+        contrib = (self.qweights * f_at_quad) @ self.bary
+        return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
+                           minlength=self.mesh.n_vertices)
 
     def assemble(self, u_vals, load=None, eps=None):
         return AssembledSystem(self.residual(u_vals, load, eps),
@@ -253,9 +221,7 @@ def check_coercive(fp, u, scales, degree=5):
         raise ValueError("u must be nonzero")
     quad = u.mesh.quadrature(degree)
     eps = 0.0 if fp.tf.exp.p_minus >= 2 else fp.eps
-    g = disc._gradients(u.nodal_values)
-    gnorm_tri = np.linalg.norm(g, axis=1)
-    gvals = gnorm_tri[quad.tri_index]
+    gvals = np.linalg.norm(u.gradients(), axis=1)[quad.tri_index]
     sp_ = SampledPhase(fp.tf, quad)
     out = []
     for c in scales:

@@ -151,7 +151,7 @@ def _source_load(disc, source, u_vals):
     """Nodal load of f(x, u, grad u) for the P1 state u_vals."""
     qp = disc.qpoints
     shape = qp.shape[:2]
-    tvals = np.einsum("tj,kj->tk", u_vals[disc.mesh.triangles], disc.bary)
+    tvals = u_vals[disc.mesh.triangles] @ disc.bary.T
     g = disc._gradients(u_vals)
     z1 = np.broadcast_to(g[:, 0:1], shape)
     z2 = np.broadcast_to(g[:, 1:2], shape)
@@ -420,20 +420,6 @@ def weak_residual_sup(prob, u, degree=5):
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 
-def _p1_matrices(mesh):
-    """Stiffness and consistent mass matrices over all nodes."""
-    dots = np.einsum("tjd,tkd->tjk", mesh.basis_grads, mesh.basis_grads)
-    K_loc = mesh.areas[:, None, None] * dots
-    mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M_loc = mesh.areas[:, None, None] * mass_ref[None, :, :]
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    n = mesh.n_vertices
-    K = sp.coo_matrix((K_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((M_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
-
-
 def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     """First Dirichlet eigenvalue of the m-Laplacian and its eigenfunction.
 
@@ -447,22 +433,21 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     m = 1 and for large m on fine meshes."""
     if m <= 1:
         raise ValueError("m must exceed 1")
-    K, M = _p1_matrices(mesh)
+    # stiffness and consistent mass matrices over the free nodes
+    pattern, area = mesh.free_pattern, mesh.areas[:, None, None]
+    K = pattern.assemble(area * pattern.dots)
+    M = pattern.assemble(area * (np.ones((3, 3)) + np.eye(3)) / 12.0)
     free = np.flatnonzero(~mesh.boundary_flags)
-    Kf = K[np.ix_(free, free)].tocsc()
-    Mf = M[np.ix_(free, free)].tocsr()
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=len(free))
-    lu = spla.splu(Kf)
+    lu = spla.splu(K.tocsc())
     lam = np.inf
     for _ in range(max_iter):
-        y = lu.solve(Mf @ x)
-        y /= np.sqrt(float(y @ (Mf @ y)))
-        new_lam = float(y @ (Kf @ y))
-        if abs(new_lam - lam) <= tol * abs(new_lam):
-            lam, x = new_lam, y
+        y = lu.solve(M @ x)
+        y /= np.sqrt(float(y @ (M @ y)))
+        x, lam, old = y, float(y @ (K @ y)), lam
+        if abs(lam - old) <= tol * abs(lam):
             break
-        lam, x = new_lam, y
     vals = np.zeros(mesh.n_vertices)
     vals[free] = x
     if abs(m - 2.0) < 1e-14:
@@ -477,7 +462,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     held = _HeldFactor()
     u, lam = np.abs(vals), np.inf
     for _ in range(max_iter):
-        N, D, _, gD = _m_power_quantities(disc, mesh, m, u)
+        N, D, gD = _m_power_quantities(disc, mesh, m, u)
         scale = D ** (1.0 / m)
         u, new_lam = u / scale, N / D
         if abs(new_lam - lam) <= tol * new_lam:
@@ -501,23 +486,14 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
 
 
 def _m_power_quantities(disc, mesh, m, u_vals):
-    """N(u) = int |grad u|^m, D(u) = int |u|^m and their nodal gradients."""
-    g = np.einsum("tj,tjd->td", u_vals[mesh.triangles], mesh.basis_grads)
-    s = np.linalg.norm(g, axis=1)
-    w = disc.qweights
-    N = float(np.sum(w * (s ** m)[:, None]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(s > 0, s ** (m - 2.0), 0.0)
-    gdphi = np.einsum("td,tjd->tj", g, mesh.basis_grads)
-    gN = np.zeros(mesh.n_vertices)
-    np.add.at(gN, mesh.triangles.ravel(),
-              (m * np.sum(w, axis=1)[:, None] * coef[:, None] * gdphi).ravel())
-    tvals = np.einsum("tj,kj->tk", u_vals[mesh.triangles], disc.bary)
-    D = float(np.sum(w * np.abs(tvals) ** m))
+    """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D."""
+    N = float(disc._tri_weights @ np.linalg.norm(disc._gradients(u_vals), axis=1) ** m)
+    tvals = u_vals[mesh.triangles] @ disc.bary.T
+    D = float(np.sum(disc.qweights * np.abs(tvals) ** m))
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = m * np.abs(tvals) ** (m - 2.0) * tvals
     dens = np.where(np.isfinite(dens), dens, 0.0)
-    return N, D, gN, disc.load_vector(dens)
+    return N, D, disc.load_vector(dens)
 
 
 def check_h2(src, lambda_p_minus):

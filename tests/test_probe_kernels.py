@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
                         UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
                         refine, structured_mesh)
-from multiphase.mesh import quad_rule
+from multiphase.mesh import _RING_SLACK, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
 
 
@@ -56,7 +56,7 @@ def split_ball_quadrature(mesh, ball, depth=3, degree=5):
     R = ball.radius
     t = np.linspace(0, 2 * np.pi, 17)[:-1]
     ring = c + R * np.column_stack([np.cos(t), np.sin(t)])
-    if np.any(loop_locate(mesh, ring, tol=mesh.h_max)[0] < 0):
+    if np.any(loop_locate(mesh, ring, tol=_RING_SLACK)[0] < 0):
         raise ValueError("ball escapes the meshed domain")
     bary, w = quad_rule(degree)
     verts = mesh.vertices[mesh.triangles]
@@ -183,6 +183,18 @@ class TestBallQuadratureMatchesSplitting:
         mass_ref = np.bincount(tris, wts, minlength=T)
         mass = np.bincount(q.tri_index, q.weights, minlength=T)
         assert np.all(np.abs(mass - mass_ref) <= 1e-13 * mass_ref)
+
+
+class TestBallContainment:
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_same_verdict_on_every_mesh(self, n):
+        """A ball crossing the boundary by 0.05 is rejected however fine the
+        mesh, and an interior ball is accepted."""
+        mesh = structured_mesh(UNIT_SQUARE, n)
+        with pytest.raises(ValueError, match="escapes"):
+            ball_quadrature(mesh, Ball((0.3, 0.5), 0.35))
+        q = ball_quadrature(mesh, Ball((0.5, 0.5), 0.3))
+        assert q.total_mass == pytest.approx(np.pi * 0.09, rel=1e-2)
 
 
 class TestLocateMatchesLoop:

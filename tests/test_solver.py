@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from multiphase import solver
 from multiphase import (Domain2D, ExponentTriple, FluxParams, PhaseProblem,
                         SourceTerm, UNIT_SQUARE, WeightPair, check_h2,
-                        check_h3, first_eigenvalue, interpolate, solve_convection,
+                        check_h3, first_eigenvalue, interpolate, refine,
+                        solve_convection,
                         solve_variational, structured_mesh,
                         verify_uniqueness_empirical, weak_residual_sup)
 from multiphase.modular import PhaseFunction
@@ -45,6 +46,30 @@ class TestVariationalLaplace:
                                       - exact.nodal_values)))
         assert errs[1] / errs[2] > 3.0
         assert errs[0] / errs[1] > 3.0
+
+    def test_manufactured_rates_over_refine(self, laplace_flux):
+        """Over a refine hierarchy (n = 8 ... 64) the error of the P1
+        solution falls at rate 1 in the H1 seminorm and 2 in L2."""
+        mesh = structured_mesh(UNIT_SQUARE, 4)
+        h1, l2 = [], []
+        for _ in range(4):
+            mesh = refine(mesh)
+            prob = PhaseProblem(mesh, laplace_flux, sine_load(),
+                                dirichlet_zero(mesh))
+            rep = solve_variational(prob, tol=1e-12)
+            assert rep.converged
+            quad = mesh.quadrature(5)
+            x, y = np.pi * quad.points.T
+            grad = np.pi * np.column_stack([np.cos(x) * np.sin(y),
+                                            np.sin(x) * np.cos(y)])
+            dg = rep.solution.gradients()[quad.tri_index] - grad
+            h1.append(np.sqrt(quad.weights @ np.sum(dg * dg, axis=1)))
+            du = rep.solution.at_quad(quad) - np.sin(x) * np.sin(y)
+            l2.append(np.sqrt(quad.weights @ du ** 2))
+        h1_rates = np.log2(np.array(h1[:-1]) / h1[1:])
+        l2_rates = np.log2(np.array(l2[:-1]) / l2[1:])
+        assert np.all(np.abs(h1_rates - 1.0) <= 0.05), h1_rates
+        assert np.all(np.abs(l2_rates - 2.0) <= 0.05), l2_rates
 
     def test_zero_load_zero_solution(self, laplace_flux, square8):
         prob = PhaseProblem(square8, laplace_flux, SourceTerm.zero(),
@@ -192,7 +217,7 @@ class TestEigenvalue:
         fp = FluxParams(PhaseFunction(ExponentTriple.constants(3, 3, 3),
                                       WeightPair.constants(0, 0)), eps=1e-10)
         disc = PhaseDiscretization(fp, mesh)
-        N, D, _, _ = _m_power_quantities(disc, mesh, 3.0, ef2.nodal_values)
+        N, D, _ = _m_power_quantities(disc, mesh, 3.0, ef2.nodal_values)
         assert lam3 <= N / D + 1e-10
 
     def test_invalid_m(self, square8):
@@ -228,7 +253,7 @@ class TestEigenvalue:
         lam, ef = first_eigenvalue(square16, m)
         fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
                                       WeightPair.constants(0, 0)), eps=1e-10)
-        N, D, _, _ = solver._m_power_quantities(
+        N, D, _ = solver._m_power_quantities(
             PhaseDiscretization(fp, square16), square16, m, ef.nodal_values)
         assert D == pytest.approx(1.0, rel=1e-12)
         assert lam == pytest.approx(N / D, rel=1e-12)
@@ -245,7 +270,7 @@ class TestEigenvalue:
                                       WeightPair.constants(0, 0)),
                         eps=0.0 if m >= 2 else 1e-10)
         disc = PhaseDiscretization(fp, square16)
-        _, _, _, gD = solver._m_power_quantities(disc, square16, m,
+        _, _, gD = solver._m_power_quantities(disc, square16, m,
                                                  ef.nodal_values)
         load = lam * gD / m
         res = disc.residual(ef.nodal_values, load)
@@ -268,7 +293,7 @@ class TestEigenvalue:
         _, ef2 = first_eigenvalue(mesh, 2.0)
         fp = FluxParams(PhaseFunction(ExponentTriple.constants(3, 3, 3),
                                       WeightPair.constants(0, 0)), eps=0.0)
-        N, D, _, _ = solver._m_power_quantities(
+        N, D, _ = solver._m_power_quantities(
             PhaseDiscretization(fp, mesh), mesh, 3.0,
             np.abs(ef2.nodal_values))
         tight, _ = first_eigenvalue(mesh, 3.0)
