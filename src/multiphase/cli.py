@@ -16,10 +16,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .expressions import parse_expression
 from .fields import (Domain2D, ExponentTriple, ScalarField, UNIT_SQUARE,
                      WeightPair, check_h1, check_hprime)
-from .mesh import Ball, refine, structured_mesh, write_vtk
+from .mesh import Ball, FeFunction, refine, structured_mesh, write_vtk
 from .modular import (PhaseFunction, check_delta2, check_norm_modular_relations,
                       check_seminorm_domination, check_subadditivity,
                       check_uniform_convexity)
@@ -44,7 +43,7 @@ class ConfigError(ValueError):
 
 # -- strict config schema ----------------------------------------------------
 
-_SOLVER_KEYS = {"tol", "max_iter", "eps", "linear_solver"}
+_SOLVER_KEYS = {"tol", "max_iter", "eps"}
 _PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "d",
                "stability_factor"}
 # growth constants: check_h2 reads k3 and k4, check_h3 reads k5 and k6
@@ -163,6 +162,7 @@ class Manifest:
         self.outputs = []
         self.hypotheses = []
         self.solve = {}
+        self.error = None
         os.makedirs(out_dir, exist_ok=True)
 
     def stage(self, name, seconds):
@@ -180,6 +180,7 @@ class Manifest:
             "hypotheses": self.hypotheses,
             "outputs": self.outputs,
             "solve": self.solve,
+            "error": self.error,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
@@ -220,14 +221,11 @@ def cmd_solve(cfg, args, manifest):
     solver_cfg = cfg.get("solver", {})
     tol = float(solver_cfg.get("tol", 1e-10))
     max_iter = int(solver_cfg.get("max_iter", 100))
-    linear = solver_cfg.get("linear_solver", "direct")
     t0 = time.perf_counter()
     if prob.source.grad_dependent:
-        rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter,
-                               linear_solver=linear)
+        rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter)
     else:
-        rep = solve_variational(prob, tol=tol, max_iter=max_iter,
-                                linear_solver=linear)
+        rep = solve_variational(prob, tol=tol, max_iter=max_iter)
     manifest.stage("solve", time.perf_counter() - t0)
     manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason,
                       "factorizations": rep.factorizations,
@@ -289,7 +287,6 @@ def cmd_verify_modular(cfg, args, manifest):
     checks = [check_delta2(tf, pts[idx], ts),
               check_subadditivity(tf, pts[idx], ts, ss),
               check_uniform_convexity(tf, 0.5, pts[idx], ts, ss)]
-    from .mesh import FeFunction
     for _ in range(20):
         u = FeFunction(mesh, rng.uniform(-2, 2, mesh.n_vertices))
         checks.append(check_norm_modular_relations(tf, u, quad))
@@ -356,7 +353,6 @@ def cmd_probe(cfg, args, manifest):
                          b1.radius, b2.radius, m, r))
     elif which == "poincare-w0":
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        from .mesh import FeFunction
         for k in range(POINCARE_TESTS):
             vals = np.where(mesh.boundary_flags, 0.0,
                             rng.uniform(-1, 1, mesh.n_vertices))
@@ -413,15 +409,17 @@ def main(argv=None):
         "verify-modular": cmd_verify_modular,
         "probe": cmd_probe,
     }
+    # a failed command still writes its manifest, with the error and the
+    # stages timed before it
     try:
         code = handlers[args.command](cfg, args, manifest)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        manifest.error, code = f"config error: {exc}", EXIT_USAGE
+        print(manifest.error, file=sys.stderr)
     except Exception as exc:
         log.exception("command failed")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        manifest.error, code = f"{type(exc).__name__}: {exc}", EXIT_FAIL
+        print(f"error: {manifest.error}", file=sys.stderr)
     manifest.write()
     return code
 

@@ -7,7 +7,7 @@ fields are black boxes to us.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

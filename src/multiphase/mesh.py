@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import Domain2D
 
 # Symmetric triangle rules in barycentric coordinates; weights sum to 1.
 _S15 = np.sqrt(15.0)
@@ -433,7 +432,7 @@ class Ball:
         return np.pi * self.radius ** 2
 
 
-def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
+def ball_quadrature(mesh, ball, depth=3, degree=5):
     """Quadrature over the intersection of the mesh with a ball.
 
     Triangles crossing the circle are subdivided `depth` times; at the
@@ -445,11 +444,10 @@ def ball_quadrature(mesh, ball, depth=3, degree=5, check_containment=True):
     """
     c = np.asarray(ball.center)
     R = ball.radius
-    if check_containment:
-        ring = c + (R * np.column_stack([np.cos(t := np.linspace(0, 2 * np.pi, 17)[:-1]),
-                                         np.sin(t)]))
-        if not np.all(mesh.contains(ring, tol=_RING_SLACK)):
-            raise ValueError("ball escapes the meshed domain")
+    ring = c + (R * np.column_stack([np.cos(t := np.linspace(0, 2 * np.pi, 17)[:-1]),
+                                     np.sin(t)]))
+    if not np.all(mesh.contains(ring, tol=_RING_SLACK)):
+        raise ValueError("ball escapes the meshed domain")
     # only triangles whose bounding circle meets the ball can contribute
     near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
                           <= R + mesh.radii)

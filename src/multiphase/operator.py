@@ -26,6 +26,11 @@ class FluxParams:
             raise ValueError("eps = 0 needs p_minus >= 2 "
                              "(flux derivative singular at zero gradient)")
 
+    @property
+    def check_eps(self):
+        """The eps at which a solution is judged: 0 when p- >= 2, else eps."""
+        return 0.0 if self.tf.exp.p_minus >= 2 else self.eps
+
 
 @dataclass
 class AssembledSystem:
@@ -193,8 +198,7 @@ def check_gateaux(fp, u, h, delta, degree=5):
         raise ValueError("direction must vanish on boundary nodes")
     e_plus = disc.energy(u.nodal_values + delta * hv)
     e_minus = disc.energy(u.nodal_values - delta * hv)
-    eps = 0.0 if fp.tf.exp.p_minus >= 2 else fp.eps
-    res = disc.residual(u.nodal_values, eps=eps)
+    res = disc.residual(u.nodal_values, eps=fp.check_eps)
     pairing = float(res @ hv[disc.free])
     return abs((e_plus - e_minus) / (2.0 * delta) - pairing)
 
@@ -220,13 +224,12 @@ def check_coercive(fp, u, scales, degree=5):
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
     quad = u.mesh.quadrature(degree)
-    eps = 0.0 if fp.tf.exp.p_minus >= 2 else fp.eps
     gvals = np.linalg.norm(u.gradients(), axis=1)[quad.tri_index]
     sp_ = SampledPhase(fp.tf, quad)
     out = []
     for c in scales:
         cv = c * u.nodal_values
-        res = disc.residual(cv, eps=eps)
+        res = disc.residual(cv, eps=fp.check_eps)
         pairing = float(res @ cv[disc.free])
         nrm = luxemburg_norm(fp.tf, c * gvals, quad, sampled=sp_).luxemburg_norm
         ratio = pairing / nrm

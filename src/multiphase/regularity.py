@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Ball, FeFunction, ball_quadrature
+from .mesh import Ball, ball_quadrature
 from .modular import SampledPhase, luxemburg_norm
 from .solver import PhaseProblem, SourceTerm, solve_variational
 
@@ -44,7 +44,6 @@ class ProbeReport:
     inequality_name: str
     per_ball: list
     empirical_constant: float
-    refinement_trace: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import ExponentTriple, HypothesisReport, WeightPair
@@ -80,24 +79,9 @@ class SolveReport:
     check_eps: float = 0.0           # eps of `converged` and the last residual
 
 
-def _check_eps(fp):
-    """The eps at which a solution is judged: 0 when p- >= 2, else fp.eps."""
-    return 0.0 if fp.tf.exp.p_minus >= 2 else fp.eps
-
-
-def _factor(J, method="direct"):
-    """A solve function for the symmetric Jacobian J: Jacobi-preconditioned
-    CG, or a sparse LU factor that every right-hand side reuses."""
-    if method == "cg":
-        d = J.diagonal()
-        M = sp.diags(1.0 / np.where(d > 0, d, 1.0))
-
-        def solve(rhs):
-            x, info = spla.cg(J, rhs, M=M, rtol=1e-12, atol=0.0, maxiter=10000)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"CG failed (info={info})")
-            return x
-        return solve
+def _factor(J):
+    """A solve function for the symmetric matrix J: a sparse LU factor that
+    every right-hand side reuses."""
     # Diagonal pivots and a minimum-degree ordering on A^T + A fill far less
     # than COLAMD. SuperLU's minimum degree can take seconds on some vertex
     # numberings (the refined centroid fan of a disk), so it runs on a reverse
@@ -120,9 +104,9 @@ def _factor(J, method="direct"):
     return solve
 
 
-def _linear_solve(A, rhs, method="direct"):
+def _linear_solve(A, rhs):
     """Solve A x = rhs, where A is a matrix or a solve function of _factor."""
-    solve = A if callable(A) else _factor(A, method)
+    solve = A if callable(A) else _factor(A)
     return solve(np.asarray(rhs, dtype=float))
 
 
@@ -159,8 +143,7 @@ def _source_load(disc, source, u_vals):
     return disc.load_vector(fvals)
 
 
-def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
-                      linear_solver="direct", initial=None):
+def solve_variational(prob, tol=1e-10, max_iter=100, degree=5, initial=None):
     """Damped Newton minimization of energy(u) - <load, u>.
 
     Requires a gradient-independent source; f is evaluated at (t, z) =
@@ -172,11 +155,11 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5,
         raise ValueError("tol must be positive")
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
     load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
-    return _newton(disc, prob, load, tol, max_iter, linear_solver, initial)
+    return _newton(disc, prob, load, tol, max_iter, initial)
 
 
-def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
-            held=None, choose_start=True):
+def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
+            choose_start=True):
     """Damped Newton, at the final eps unless a step struggles.
 
     The solve starts at the last rung of _eps_schedule, the ladder.  With
@@ -196,7 +179,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
     a damped step is taken, and a step that finds no descent in 30 halvings
     stops the solve with stop_reason "line_search".
 
-    A direct step reuses the factor in `held` (a chord step: Shamanskii 1967,
+    A step reuses the factor in `held` (a chord step: Shamanskii 1967,
     Kelley 2003) when it was made at the current eps, the previous step was
     not damped and, after the first step of a stage, cut the residual
     sup-norm by CHORD_CONTRACTION.  Any other step assembles and factors the
@@ -211,7 +194,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
     held = _HeldFactor() if held is None else held
     ladder = _eps_schedule(prob.fp)
     final_eps = ladder[-1]
-    check_eps = _check_eps(prob.fp)
+    check_eps = prob.fp.check_eps
     res_hist, energy_hist, eps_used = [], [], []
 
     def merit(vals, eps=0.0):
@@ -262,16 +245,14 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
                     break
             contracting = (prev_rnorm is None
                            or rnorm <= CHORD_CONTRACTION * prev_rnorm)
-            chord = (linear_solver == "direct" and held.solve is not None
-                     and not damped and contracting)
+            chord = held.solve is not None and not damped and contracting
             try:
                 if not chord:
                     held.release()          # never two factors alive
                     factorizations += 1
-                    held.solve = _factor(disc.jacobian(u, eps=eps),
-                                         linear_solver)
+                    held.solve = _factor(disc.jacobian(u, eps=eps))
                     held.eps = eps
-                step = _linear_solve(held.solve, -res, linear_solver)
+                step = _linear_solve(held.solve, -res)
                 if not np.all(np.isfinite(step)):
                     raise np.linalg.LinAlgError("non-finite step")
             except np.linalg.LinAlgError:
@@ -334,8 +315,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
         factorizations += 1
         try:
             J = disc.jacobian(u, eps=max(check_eps, final_eps))
-            step = _linear_solve(_factor(J, linear_solver), -res_final,
-                                 linear_solver)
+            step = _linear_solve(_factor(J), -res_final)
         except np.linalg.LinAlgError:
             break
         u = u.copy()
@@ -355,7 +335,7 @@ def _newton(disc, prob, load, tol, max_iter, linear_solver, initial=None,
 
 
 def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
-                     linear_solver="direct", initial=None, inner_tol=None):
+                     initial=None):
     """Outer fixed point freezing f(x, u_k, grad u_k) as a load, inner
     damped Newton on the frozen variational problem, warm-started from u_k.
 
@@ -369,7 +349,6 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     if initial is not None:
         u = np.where(mesh.boundary_flags, prob.dirichlet,
                      np.asarray(initial, dtype=float))
-    inner_tol = tol if inner_tol is None else inner_tol
     hist, eps_used, energy_hist = [], [], []
     grow = 0
     prev_dist = np.inf
@@ -383,7 +362,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
         load = _source_load(disc, prob.source, u)
         # only the first inner solve weighs its start against the lift: later
         # ones start from the last iterate, which always wins
-        inner = _newton(disc, prob, load, inner_tol, 100, linear_solver,
+        inner = _newton(disc, prob, load, tol, 100,
                         initial=initial if it == 1 else u, held=held,
                         choose_start=it == 1)
         if it == 1:
@@ -409,14 +388,14 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
             break
     return SolveReport(FeFunction(mesh, u), it, hist, energy_hist,
                        converged, eps_used, start, stop_reason,
-                       factorizations, _check_eps(prob.fp))
+                       factorizations, prob.fp.check_eps)
 
 
 def weak_residual_sup(prob, u, degree=5):
     """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
     disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
     load = _source_load(disc, prob.source, u.nodal_values)
-    res = disc.residual(u.nodal_values, load, eps=_check_eps(prob.fp))
+    res = disc.residual(u.nodal_values, load, eps=prob.fp.check_eps)
     return float(np.max(np.abs(res))) if len(res) else 0.0
 
 
@@ -440,10 +419,10 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     free = np.flatnonzero(~mesh.boundary_flags)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=len(free))
-    lu = spla.splu(K.tocsc())
+    solve = _factor(K)
     lam = np.inf
     for _ in range(max_iter):
-        y = lu.solve(M @ x)
+        y = solve(M @ x)
         y /= np.sqrt(float(y @ (M @ y)))
         x, lam, old = y, float(y @ (K @ y)), lam
         if abs(lam - old) <= tol * abs(lam):
@@ -476,7 +455,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
         load = gD * (lam / (m * scale ** (m - 1.0)))
         rep = _newton(disc, prob, load,
                       np.sqrt(tol) * np.max(np.abs(load[disc.free])), 100,
-                      "direct", initial=u, held=held, choose_start=False)
+                      initial=u, held=held, choose_start=False)
         if not rep.converged:
             raise RuntimeError("inverse power step -Delta_m w = lambda "
                                "|u|^(m-2) u not solved "
@@ -506,13 +485,13 @@ def check_h2(src, lambda_p_minus):
     return HypothesisReport("H2", margin > 0, (), margin)
 
 
-def check_h3(src, lambda_2, threshold=1.0):
-    """Uniqueness margin threshold - (k5/lambda + k6/sqrt(lambda))."""
+def check_h3(src, lambda_2):
+    """Uniqueness margin 1 - (k5/lambda + k6/sqrt(lambda))."""
     if lambda_2 <= 0:
         raise ValueError("lambda must be positive")
     k5 = float(src.constants.get("k5", 0.0))
     k6 = float(src.constants.get("k6", 0.0))
-    margin = threshold - (k5 / lambda_2 + k6 / np.sqrt(lambda_2))
+    margin = 1.0 - (k5 / lambda_2 + k6 / np.sqrt(lambda_2))
     return HypothesisReport("H3", margin > 0, (), margin)
 
 

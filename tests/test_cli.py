@@ -196,6 +196,27 @@ class TestMain:
         path = write_cfg(tmp_path, BASE_CFG)
         assert main(["--config", path, "frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("m, code, error", [
+        (1.05, EXIT_FAIL, "RuntimeError: inverse power step"),
+        (1.0, EXIT_USAGE, "config error: eigen_m must exceed 1"),
+    ], ids=["numeric", "config"])
+    def test_failed_command_writes_manifest(self, tmp_path, capsys, m, code,
+                                            error):
+        """A command that raises still leaves a manifest naming the error."""
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, {"eigen_m": m, "mesh_n": 16})
+        assert main(["--config", path, "--out", str(out), "eigen"]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(error)
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["outputs"] == [] and manifest["stage_seconds"] == {}
+
+    def test_successful_command_has_no_error(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, {"mesh_n": 4})
+        assert main(["--config", path, "--out", str(out), "eigen"]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["error"] is None
+
 
 class TestConfigKeys:
     """Every key of the strict schema is read; keys nothing read are gone."""
@@ -220,6 +241,13 @@ class TestConfigKeys:
         assert main(["--config", write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "out"), "check-hypotheses"]) == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_linear_solver_key_removed(self, tmp_path, capsys):
+        # every solve runs on one sparse LU factor; no key selects another
+        cfg = {**BASE_CFG, "solver": {"linear_solver": "direct"}}
+        assert main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "solve"]) == EXIT_USAGE
+        assert "linear_solver" in capsys.readouterr().err
 
     @pytest.mark.parametrize("factor, largest", [(None, "0.4"), (10.0, "0.4"),
                                                  (0.77, "0.1"), (0.5, "None")])

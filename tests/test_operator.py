@@ -10,6 +10,7 @@ from multiphase import (ExponentTriple, FeFunction, FluxParams, ScalarField,
                         interpolate, structured_mesh)
 from multiphase.modular import PhaseFunction
 from multiphase.operator import PhaseDiscretization
+from multiphase.solver import PhaseProblem, SourceTerm, solve_variational
 
 from conftest import random_fe
 
@@ -25,6 +26,30 @@ class TestFluxParams:
         with pytest.raises(ValueError, match="p_minus"):
             FluxParams(tf, eps=0.0)
         FluxParams(tf, eps=1e-8)  # fine with regularization
+
+    @pytest.mark.parametrize("p", [1.8, 2.2])
+    def test_check_eps_one_owner(self, p, square8, monkeypatch):
+        """A solve's verdict and the Gateaux and coercivity checks all judge
+        at fp.check_eps: 0 when p- >= 2, else the regularising eps."""
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(p, p + 0.1, p + 0.2),
+                                      WeightPair.constants(1, 1)), eps=1e-8)
+        assert fp.check_eps == (0.0 if p >= 2 else 1e-8)
+        prob = PhaseProblem(square8, fp,
+                            SourceTerm.of_x(lambda x1, x2: np.ones_like(x1)),
+                            np.zeros(square8.n_vertices))
+        assert solve_variational(prob).check_eps == fp.check_eps
+        seen = []
+        real_residual = PhaseDiscretization.residual
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            seen.append(eps)
+            return real_residual(self, u_vals, load, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        u = random_fe(square8, np.random.default_rng(3))
+        check_gateaux(fp, u, u, 1e-5)
+        check_coercive(fp, u, [1.0, 2.0])
+        assert seen == [fp.check_eps] * 3
 
 
 class TestPointwiseFlux:

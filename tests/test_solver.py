@@ -369,11 +369,11 @@ class TestEpsRetry:
         real_residual = PhaseDiscretization.residual
         real_energy = PhaseDiscretization.energy
 
-        def failing_second(J, rhs, method="direct"):
+        def failing_second(J, rhs):
             events.append(("solve", None, None))
             if sum(kind == "solve" for kind, _, _ in events) == 2:
                 raise np.linalg.LinAlgError("forced")
-            return real_solve(J, rhs, method)
+            return real_solve(J, rhs)
 
         def recording_residual(self, u_vals, load=None, eps=None):
             events.append(("residual", eps, u_vals.copy()))
@@ -520,9 +520,9 @@ class TestConvectionReport:
         count = [0]
         real_solve = solver._linear_solve
 
-        def counting_solve(J, rhs, method="direct"):
+        def counting_solve(J, rhs):
             count[0] += 1
-            return real_solve(J, rhs, method)
+            return real_solve(J, rhs)
 
         def run():
             count[0] = 0
@@ -564,9 +564,9 @@ def count_factors(monkeypatch, wrap=None):
     real_factor = solver._factor
     made = []
 
-    def counting_factor(J, method="direct"):
-        made.append(method)
-        solve = real_factor(J, method)
+    def counting_factor(J):
+        made.append(J.shape)
+        solve = real_factor(J)
         return solve if wrap is None else wrap(solve)
 
     monkeypatch.setattr(solver, "_factor", counting_factor)
@@ -718,15 +718,6 @@ class TestChordSteps:
         assert "chord" in events
         assert ("chord", "chord") not in set(zip(events, events[1:]))
 
-    def test_cg_factors_every_step(self, triple_flux, square8, monkeypatch):
-        made = count_factors(monkeypatch)
-        prob = PhaseProblem(square8, triple_flux, sine_load(),
-                            dirichlet_zero(square8))
-        rep = solve_variational(prob, tol=1e-10, linear_solver="cg")
-        assert rep.converged
-        assert made == ["cg"] * rep.iterations
-        assert rep.factorizations == rep.iterations
-
     def test_check_eps(self, triple_flux, square8):
         low = FluxParams(PhaseFunction(ExponentTriple.constants(1.8, 1.9, 2.0),
                                        WeightPair.constants(1, 1)), eps=1e-8)
@@ -816,11 +807,11 @@ class TestContinuationOnDemand:
         calls = [0]
         real_solve = solver._linear_solve
 
-        def failing_first(J, rhs, method="direct"):
+        def failing_first(J, rhs):
             calls[0] += 1
             if calls[0] == 1:
                 raise np.linalg.LinAlgError("forced")
-            return real_solve(J, rhs, method)
+            return real_solve(J, rhs)
 
         monkeypatch.setattr(solver, "_linear_solve", failing_first)
         prob = PhaseProblem(square8, FluxParams(variable_phase, eps=1e-8),
