@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -165,8 +166,14 @@ class Manifest:
         self.error = None
         os.makedirs(out_dir, exist_ok=True)
 
-    def stage(self, name, seconds):
-        self.stages[name] = seconds
+    @contextmanager
+    def stage(self, name):
+        """Time the block as stage `name`, also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = time.perf_counter() - t0
 
     def add_output(self, path):
         self.outputs.append(os.path.basename(path))
@@ -194,18 +201,17 @@ def cmd_check_hypotheses(cfg, args, manifest):
     tf = build_phase(cfg, domain)
     samples = domain.sample_grid(64)
     reports = []
-    t0 = time.perf_counter()
-    reports.append(check_h1(tf.exp, tf.w, domain.dim, samples))
-    sigma = float(cfg.get("probe", {}).get("sigma", 1.0))
-    reports.append(check_hprime(tf.exp, sigma, domain.dim, samples))
-    src = build_source(cfg)
-    if src.constants:
-        mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
-        lam_p, _ = first_eigenvalue(mesh, tf.exp.p_minus)
-        lam_2, _ = first_eigenvalue(mesh, 2.0)
-        reports.append(check_h2(src, lam_p))
-        reports.append(check_h3(src, lam_2))
-    manifest.stage("check_hypotheses", time.perf_counter() - t0)
+    with manifest.stage("check_hypotheses"):
+        reports.append(check_h1(tf.exp, tf.w, domain.dim, samples))
+        sigma = float(cfg.get("probe", {}).get("sigma", 1.0))
+        reports.append(check_hprime(tf.exp, sigma, domain.dim, samples))
+        src = build_source(cfg)
+        if src.constants:
+            mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
+            lam_p, _ = first_eigenvalue(mesh, tf.exp.p_minus)
+            lam_2, _ = first_eigenvalue(mesh, 2.0)
+            reports.append(check_h2(src, lam_p))
+            reports.append(check_h3(src, lam_2))
     print(f"{'hypothesis':<12}{'passed':<8}{'margin':<24}")
     ok = True
     for rep in reports:
@@ -221,12 +227,11 @@ def cmd_solve(cfg, args, manifest):
     solver_cfg = cfg.get("solver", {})
     tol = float(solver_cfg.get("tol", 1e-10))
     max_iter = int(solver_cfg.get("max_iter", 100))
-    t0 = time.perf_counter()
-    if prob.source.grad_dependent:
-        rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter)
-    else:
-        rep = solve_variational(prob, tol=tol, max_iter=max_iter)
-    manifest.stage("solve", time.perf_counter() - t0)
+    with manifest.stage("solve"):
+        if prob.source.grad_dependent:
+            rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter)
+        else:
+            rep = solve_variational(prob, tol=tol, max_iter=max_iter)
     manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason,
                       "factorizations": rep.factorizations,
                       "check_eps": rep.check_eps}
@@ -253,14 +258,13 @@ def cmd_eigen(cfg, args, manifest):
     mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
     k = int(cfg.get("refinements", 0))
     rows = []
-    t0 = time.perf_counter()
-    lam, ef = first_eigenvalue(mesh, m)
-    rows.append((mesh.h_max, lam))
-    for _ in range(k):
-        mesh = refine(mesh)
+    with manifest.stage("eigen"):
         lam, ef = first_eigenvalue(mesh, m)
         rows.append((mesh.h_max, lam))
-    manifest.stage("eigen", time.perf_counter() - t0)
+        for _ in range(k):
+            mesh = refine(mesh)
+            lam, ef = first_eigenvalue(mesh, m)
+            rows.append((mesh.h_max, lam))
     for h, l in rows:
         print(f"h_max={_fmt(h)} lambda={_fmt(l)}")
     csv = os.path.join(manifest.out_dir, "eigenvalues.csv")
@@ -279,19 +283,18 @@ def cmd_verify_modular(cfg, args, manifest):
     mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
     quad = mesh.quadrature(int(cfg.get("quad_degree", 5)))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    t0 = time.perf_counter()
-    pts = domain.sample_grid(32)
-    idx = rng.integers(0, len(pts), size=10000)
-    ts = 10.0 ** rng.uniform(-6, 3, size=10000)
-    ss = 10.0 ** rng.uniform(-6, 3, size=10000)
-    checks = [check_delta2(tf, pts[idx], ts),
-              check_subadditivity(tf, pts[idx], ts, ss),
-              check_uniform_convexity(tf, 0.5, pts[idx], ts, ss)]
-    for _ in range(20):
-        u = FeFunction(mesh, rng.uniform(-2, 2, mesh.n_vertices))
-        checks.append(check_norm_modular_relations(tf, u, quad))
-        checks.append(check_seminorm_domination(tf, u, quad))
-    manifest.stage("verify_modular", time.perf_counter() - t0)
+    with manifest.stage("verify_modular"):
+        pts = domain.sample_grid(32)
+        idx = rng.integers(0, len(pts), size=10000)
+        ts = 10.0 ** rng.uniform(-6, 3, size=10000)
+        ss = 10.0 ** rng.uniform(-6, 3, size=10000)
+        checks = [check_delta2(tf, pts[idx], ts),
+                  check_subadditivity(tf, pts[idx], ts, ss),
+                  check_uniform_convexity(tf, 0.5, pts[idx], ts, ss)]
+        for _ in range(20):
+            u = FeFunction(mesh, rng.uniform(-2, 2, mesh.n_vertices))
+            checks.append(check_norm_modular_relations(tf, u, quad))
+            checks.append(check_seminorm_domination(tf, u, quad))
     rows, ok = [], True
     for c in checks:
         rows.append((c.name, str(bool(c.passed)), c.min_slack))
@@ -324,43 +327,43 @@ def cmd_probe(cfg, args, manifest):
     prob, _ = build_problem(cfg)
     fp, mesh = prob.fp, prob.mesh
     probe_cfg = cfg.get("probe", {})
-    t0 = time.perf_counter()
-    u = minimize_dirichlet(fp, mesh, prob.dirichlet)
-    fam = _ball_family(cfg, mesh)
-    rows = []
-    if which == "caccioppoli":
-        for i, j in fam.pairing:
-            b1, b2 = fam.balls[i], fam.balls[j]
-            r = caccioppoli_ratio(fp, u, (b1, b2))
-            rows.append(("caccioppoli", b1.center[0], b1.center[1],
-                         b1.radius, b2.radius, 0.0, r))
-    elif which == "sobolev-poincare":
-        delta = float(probe_cfg.get("delta", 0.75))
-        for i, _j in fam.pairing:
-            b = fam.balls[i]
-            r = sobolev_poincare_ratio(fp, u, b, delta)
-            rows.append(("sobolev_poincare", b.center[0], b.center[1],
-                         b.radius, b.radius, delta, r))
-    elif which == "higher-integrability":
-        m_grid = [float(v) for v in probe_cfg.get("m_grid", (0.05, 0.1, 0.2, 0.4))]
-        rep = higher_integrability_probe(
-            fp, u, fam, m_grid,
-            stability_factor=float(probe_cfg.get("stability_factor", 10.0)))
-        print(f"largest_stable_m={rep.parameters['largest_stable_m']}")
-        for (i, j), m, r in rep.per_ball:
-            b1, b2 = fam.balls[i], fam.balls[j]
-            rows.append(("higher_integrability", b1.center[0], b1.center[1],
-                         b1.radius, b2.radius, m, r))
-    elif which == "poincare-w0":
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        for k in range(POINCARE_TESTS):
-            vals = np.where(mesh.boundary_flags, 0.0,
-                            rng.uniform(-1, 1, mesh.n_vertices))
-            r = poincare_w0_ratio(fp, FeFunction(mesh, vals))
-            rows.append(("poincare_w0", 0.0, 0.0, 0.0, 0.0, float(k), r))
-    else:
-        raise ConfigError(f"unknown probe {which!r}")
-    manifest.stage(f"probe_{which}", time.perf_counter() - t0)
+    with manifest.stage(f"probe_{which}"):
+        u = minimize_dirichlet(fp, mesh, prob.dirichlet)
+        fam = _ball_family(cfg, mesh)
+        rows = []
+        if which == "caccioppoli":
+            for i, j in fam.pairing:
+                b1, b2 = fam.balls[i], fam.balls[j]
+                r = caccioppoli_ratio(fp, u, (b1, b2))
+                rows.append(("caccioppoli", b1.center[0], b1.center[1],
+                             b1.radius, b2.radius, 0.0, r))
+        elif which == "sobolev-poincare":
+            delta = float(probe_cfg.get("delta", 0.75))
+            for i, _j in fam.pairing:
+                b = fam.balls[i]
+                r = sobolev_poincare_ratio(fp, u, b, delta)
+                rows.append(("sobolev_poincare", b.center[0], b.center[1],
+                             b.radius, b.radius, delta, r))
+        elif which == "higher-integrability":
+            m_grid = [float(v)
+                      for v in probe_cfg.get("m_grid", (0.05, 0.1, 0.2, 0.4))]
+            rep = higher_integrability_probe(
+                fp, u, fam, m_grid,
+                stability_factor=float(probe_cfg.get("stability_factor", 10.0)))
+            print(f"largest_stable_m={rep.parameters['largest_stable_m']}")
+            for (i, j), m, r in rep.per_ball:
+                b1, b2 = fam.balls[i], fam.balls[j]
+                rows.append(("higher_integrability", b1.center[0], b1.center[1],
+                             b1.radius, b2.radius, m, r))
+        elif which == "poincare-w0":
+            rng = np.random.default_rng(int(cfg.get("seed", 0)))
+            for k in range(POINCARE_TESTS):
+                vals = np.where(mesh.boundary_flags, 0.0,
+                                rng.uniform(-1, 1, mesh.n_vertices))
+                r = poincare_w0_ratio(fp, FeFunction(mesh, vals))
+                rows.append(("poincare_w0", 0.0, 0.0, 0.0, 0.0, float(k), r))
+        else:
+            raise ConfigError(f"unknown probe {which!r}")
     csv = os.path.join(manifest.out_dir, f"probe_{which}.csv")
     write_csv(csv, ["inequality", "center_x", "center_y", "R1", "R2",
                     "param", "ratio"], rows, manifest.config_hash)

@@ -180,7 +180,9 @@ class TriMesh:
         off = loc < 0                              # (T, 3) on the boundary
         keys = np.where(off[:, :, None] | off[:, None, :], n * n,
                         loc[:, :, None] * n + loc[:, None, :]).ravel()
-        uniq = np.unique(keys)
+        # sort and an adjacent-difference mask: np.unique is many times slower
+        uniq = np.sort(keys)
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
         slot = np.searchsorted(uniq, keys).astype(np.int32)
         uniq = uniq[:np.searchsorted(uniq, n * n)]
         bg = self.basis_grads
@@ -212,7 +214,8 @@ class TriMesh:
         triangles gets the lowest index.  Barycentric coordinates all
         >= -tol put a point within (1 + 3 tol) radii of the centroid, so
         only the (point, triangle) pairs inside that bound get the exact
-        test.
+        test, and only triangles whose centroid lies in a chunk's bounding
+        box, padded by the largest such reach, are measured against it.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri_of = np.full(len(pts), -1, dtype=np.int64)
@@ -220,11 +223,19 @@ class TriMesh:
         cx, cy = self.centroids.T
         # the slack covers rounding in the barycentric test itself
         reach = ((1.0 + 3.0 * tol + 1e-9) * self.radii) ** 2
+        # 1 % over the largest reach: no pair the distance test accepts is
+        # lost to rounding in the box test
+        pad = 1.01 * np.sqrt(reach.max())
         chunk = max(1, _LOCATE_PAIRS // self.n_triangles)
         for start in range(0, len(pts), chunk):
             p = pts[start:start + chunk]
-            near = ((p[:, 0, None] - cx) ** 2 + (p[:, 1, None] - cy) ** 2) <= reach
+            lo, hi = p.min(axis=0) - pad, p.max(axis=0) + pad
+            cand = np.flatnonzero((cx >= lo[0]) & (cx <= hi[0])
+                                  & (cy >= lo[1]) & (cy <= hi[1]))
+            near = ((p[:, 0, None] - cx[cand]) ** 2
+                    + (p[:, 1, None] - cy[cand]) ** 2) <= reach[cand]
             pi, ti = np.nonzero(near)
+            ti = cand[ti]
             lam = _barycentric(p[pi], self.tri_vertices[ti])
             ok = np.flatnonzero(np.all(lam >= -tol, axis=1))
             # pairs come ordered by point, then triangle: keep the first hit
@@ -472,10 +483,13 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
         centers = (table[K:] @ verts[~all_in]).reshape(-1, 2)
         keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
                               + (centers[:, 1] - c[1]) ** 2 <= R * R)
+        parent, row = np.divmod(keep, len(sub_w))
         pts_list.append(centers[keep])
-        w_list.append((mesh.areas[idx, None] * sub_w).ravel()[keep])
-        tri_list.append(idx[keep // len(sub_w)])
-        rule_list.append(K + keep % len(sub_w))
+        tri_list.append(idx[parent])
+        w_list.append(mesh.areas[tri_list[-1]] * sub_w[row])
+        rule_list.append(K + row)
+        # not held through the concatenation, which copies the kept points
+        del centers, keep, parent, row
 
     if not pts_list:
         raise ValueError("ball does not intersect the mesh")

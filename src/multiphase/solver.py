@@ -72,10 +72,13 @@ class SolveReport:
     eps_schedule: list               # the eps of each stage and retry run
     start: str = "lift"              # Newton's start: "initial" or "lift"
     stop_reason: str | None = None   # "line_search" when a step found no
-                                     # descent; solve_convection: also
-                                     # "tolerance", "max_iter_outer", "growth"
-    factorizations: int = 0          # Jacobians factored (summed over the
-                                     # inner solves of solve_convection)
+                                     # descent, "max_iter" when the step
+                                     # budget ended an unconverged solve;
+                                     # solve_convection: also "tolerance",
+                                     # "max_iter_outer", "growth"
+    factorizations: int = 0          # matrices factored, the start's Poisson
+                                     # solve included (summed over the inner
+                                     # solves of solve_convection)
     check_eps: float = 0.0           # eps of `converged` and the last residual
 
 
@@ -108,6 +111,12 @@ def _linear_solve(A, rhs):
     """Solve A x = rhs, where A is a matrix or a solve function of _factor."""
     solve = A if callable(A) else _factor(A)
     return solve(np.asarray(rhs, dtype=float))
+
+
+def _stiffness(mesh):
+    """The unit-coefficient P1 stiffness matrix over the free nodes."""
+    pattern = mesh.free_pattern
+    return pattern.assemble(mesh.areas[:, None, None] * pattern.dots)
 
 
 class _HeldFactor:
@@ -158,6 +167,33 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5, initial=None):
     return _newton(disc, prob, load, tol, max_iter, initial)
 
 
+def _ray_start(mesh, free, load, lift, merit):
+    """The lowest-merit state found on the ray from the Dirichlet lift g
+    along its Poisson correction w = K^-1 (load - K g), K the unit
+    stiffness, and its merit: one linear (Kacanov-type) solve as the first
+    step of Newton (Diening-Fornasier-Tomasi-Wank 2020).  From t = 1 the
+    step length doubles while the merit of g + t w falls, else halves while
+    it falls, within [T_MIN, 1 / T_MIN]; g itself is kept unless beaten."""
+    G = mesh.grad_operator
+    kg = G.T @ (np.repeat(mesh.areas, 2) * (G @ lift))
+    w = _factor(_stiffness(mesh))(load[free] - kg[free])
+
+    def point(t):
+        v = lift.copy()
+        v[free] += t * w
+        return v, merit(v)
+
+    m_lift = merit(lift)
+    t, (u, m) = 1.0, point(1.0)
+    factor = 2.0 if m < m_lift else 0.5
+    while T_MIN <= t * factor <= 1.0 / T_MIN:
+        v, m_v = point(t * factor)
+        if not m_v < m:
+            break
+        t, u, m = t * factor, v, m_v
+    return (u, m) if m < m_lift else (lift, m_lift)
+
+
 def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             choose_start=True):
     """Damped Newton, at the final eps unless a step struggles.
@@ -167,7 +203,9 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     Dirichlet lift (boundary data, zero interior) has the lower merit at
     that eps, the initial state on a tie: the minimiser does not depend on
     the start, the work does.  Without choose_start it starts from the
-    initial state.
+    initial state.  Without an initial state it starts from the lift moved
+    along its Poisson correction by _ray_start, at the merit of that eps;
+    that linear solve counts as a factorisation.
 
     A fresh step struggles when its factorisation is singular or its solve
     not finite, or when its Armijo search needs a step length below T_MIN.
@@ -202,6 +240,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
 
     u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
     start, m_start = "lift", None
+    iters = factorizations = 0
     if initial is not None:
         warm = np.where(mesh.boundary_flags, prob.dirichlet,
                         np.asarray(initial, dtype=float))
@@ -214,10 +253,14 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 u, start = warm, "initial"
             else:
                 m_start = m_lift
+    elif len(free):
+        held.release()              # never two factors alive
+        factorizations += 1
+        u, m_start = _ray_start(mesh, free, load, u,
+                                lambda vals: merit(vals, final_eps))
 
     stages = [final_eps]            # the stages still to run
     climbed = len(ladder) == 1      # no rung left to climb to
-    iters = factorizations = 0
     stop_reason = None
     while stages and stop_reason is None:
         eps = stages.pop(0)
@@ -329,6 +372,8 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     energy_hist.append(m0 if eps == 0.0 and not polish and m0 is not None
                        else merit(u))
     converged = rnorm <= tol and stop_reason is None
+    if not converged and stop_reason is None:
+        stop_reason = "max_iter"
     return SolveReport(FeFunction(prob.mesh, u), iters, res_hist,
                        energy_hist, converged, eps_used, start, stop_reason,
                        factorizations, check_eps)
@@ -413,9 +458,9 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     if m <= 1:
         raise ValueError("m must exceed 1")
     # stiffness and consistent mass matrices over the free nodes
-    pattern, area = mesh.free_pattern, mesh.areas[:, None, None]
-    K = pattern.assemble(area * pattern.dots)
-    M = pattern.assemble(area * (np.ones((3, 3)) + np.eye(3)) / 12.0)
+    K = _stiffness(mesh)
+    M = mesh.free_pattern.assemble(mesh.areas[:, None, None]
+                                   * (np.ones((3, 3)) + np.eye(3)) / 12.0)
     free = np.flatnonzero(~mesh.boundary_flags)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=len(free))
@@ -459,7 +504,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
         if not rep.converged:
             raise RuntimeError("inverse power step -Delta_m w = lambda "
                                "|u|^(m-2) u not solved "
-                               f"({rep.stop_reason or 'max_iter'})")
+                               f"({rep.stop_reason})")
         u = rep.solution.nodal_values
     raise RuntimeError(f"m = {m} eigenvalue not settled in {max_iter} steps")
 

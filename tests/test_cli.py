@@ -209,7 +209,13 @@ class TestMain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"].startswith(error)
         assert manifest["error"] in capsys.readouterr().err
-        assert manifest["outputs"] == [] and manifest["stage_seconds"] == {}
+        assert manifest["outputs"] == []
+        # the stage that raised is timed; a config error comes before it
+        stages = manifest["stage_seconds"]
+        if code == EXIT_FAIL:
+            assert list(stages) == ["eigen"] and stages["eigen"] > 0
+        else:
+            assert stages == {}
 
     def test_successful_command_has_no_error(self, tmp_path):
         out = tmp_path / "out"

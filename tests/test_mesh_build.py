@@ -1,7 +1,8 @@
-"""Mesh set-up against the loop implementations it replaced: the rectangle's
-triangles built cell by cell, edges found by np.unique over rows, and
-refinement numbering midpoints through a dict.  Everything the mesh stores
-must come out bit-identical."""
+"""Mesh set-up against the implementations it replaced: the rectangle's
+triangles built cell by cell, edges found by np.unique over rows,
+refinement numbering midpoints through a dict, and the free pattern's keys
+made unique by np.unique.  Everything the mesh stores must come out
+bit-identical."""
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def dict_refine(mesh):
     return vertices, tris
 
 
+def unique_free_pattern(mesh):
+    """indptr, indices and slot of the free pattern through np.unique."""
+    free = ~mesh.boundary_flags
+    n = int(np.count_nonzero(free))
+    loc = np.where(free, np.cumsum(free) - 1, -1)[mesh.triangles]
+    off = loc < 0
+    keys = np.where(off[:, :, None] | off[:, None, :], n * n,
+                    loc[:, :, None] * n + loc[:, None, :]).ravel()
+    uniq = np.unique(keys)
+    slot = np.searchsorted(uniq, keys).astype(np.int32)
+    uniq = uniq[:np.searchsorted(uniq, n * n)]
+    return (np.searchsorted(uniq, np.arange(n + 1) * n).astype(np.int32),
+            (uniq % n).astype(np.int32), slot)
+
+
 # -- meshes -------------------------------------------------------------------
 
 def _jittered(n, seed):
@@ -112,6 +128,13 @@ class TestMeshMatchesLoops:
     def test_refine_twice(self, mesh):
         once = TriMesh(*dict_refine(mesh))
         _assert_mesh_equal(refine(refine(mesh)), *dict_refine(once))
+
+    def test_free_pattern(self, mesh):
+        pattern = mesh.free_pattern
+        for got, want in zip((pattern.indptr, pattern.indices, pattern.slot),
+                             unique_free_pattern(mesh)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
     def test_rectangle_triangles(self, n):

@@ -1,6 +1,7 @@
 """The probe kernels against the plain implementations they replaced:
-ball quadrature by subdividing every crossing triangle, point location by a
-loop over points, and the Luxemburg norm by bisection."""
+ball quadrature by subdividing every crossing triangle and by forming every
+subdivided point's weight before the cut, point location by a loop over
+points, and the Luxemburg norm by bisection."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
                         UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
                         refine, structured_mesh)
-from multiphase.mesh import _RING_SLACK, quad_rule
+from multiphase.cli import _ball_family
+from multiphase.mesh import _RING_SLACK, _ball_rule, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
 
 
@@ -82,6 +84,42 @@ def split_ball_quadrature(mesh, ball, depth=3, degree=5):
     wts.append((areas[:, None] * w[None, :]).ravel()[keep])
     tris.append(np.repeat(parents, len(w))[keep])
     return np.concatenate(pts), np.concatenate(wts), np.concatenate(tris)
+
+
+def dense_ball_quadrature(mesh, ball, depth=3, degree=5):
+    """ball_quadrature as it was built before: the weight, triangle and
+    rule index of every subdivided point of every crossing triangle, cut to
+    the points in the ball afterwards, and a ring check by the point loop."""
+    c = np.asarray(ball.center)
+    R = ball.radius
+    t = np.linspace(0, 2 * np.pi, 17)[:-1]
+    ring = c + (R * np.column_stack([np.cos(t), np.sin(t)]))
+    if np.any(loop_locate(mesh, ring, tol=_RING_SLACK)[0] < 0):
+        raise ValueError("ball escapes the meshed domain")
+    near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
+                          <= R + mesh.radii)
+    verts = mesh.tri_vertices[near]
+    all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
+    table, sub_w = _ball_rule(depth, degree)
+    bary, w = quad_rule(degree)
+    K = len(w)
+    pts, wts, tris, rows = [], [], [], []
+    if np.any(all_in):
+        idx = near[all_in]
+        pts.append((bary @ verts[all_in]).reshape(-1, 2))
+        wts.append((mesh.areas[idx, None] * w).ravel())
+        tris.append(np.repeat(idx, K))
+        rows.append(np.tile(np.arange(K), len(idx)))
+    if not np.all(all_in):
+        idx = near[~all_in]
+        centers = (table[K:] @ verts[~all_in]).reshape(-1, 2)
+        keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
+                              + (centers[:, 1] - c[1]) ** 2 <= R * R)
+        pts.append(centers[keep])
+        wts.append((mesh.areas[idx, None] * sub_w).ravel()[keep])
+        tris.append(idx[keep // len(sub_w)])
+        rows.append(K + keep % len(sub_w))
+    return tuple(map(np.concatenate, (pts, wts, tris, rows)))
 
 
 def bisect_norm(rho_of_alpha, lo, hi, rel_tol):
@@ -183,6 +221,38 @@ class TestBallQuadratureMatchesSplitting:
         mass_ref = np.bincount(tris, wts, minlength=T)
         mass = np.bincount(q.tri_index, q.weights, minlength=T)
         assert np.all(np.abs(mass - mass_ref) <= 1e-13 * mass_ref)
+
+
+class TestBallQuadratureMatchesDense:
+    """Weights and indices formed only at the kept points, and a ring check
+    that screens triangles by box: every array bit-identical."""
+
+    @staticmethod
+    def assert_same(mesh, ball):
+        try:
+            ref = dense_ball_quadrature(mesh, ball)
+        except ValueError:
+            with pytest.raises(ValueError, match="escapes"):
+                ball_quadrature(mesh, ball)
+            return False
+        q = ball_quadrature(mesh, ball)
+        for got, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
+                             ref):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        return True
+
+    def test_random_balls(self, mesh):
+        balls = _random_balls(mesh, np.random.default_rng(11), 45)
+        accepted = sum(self.assert_same(mesh, ball) for ball in balls)
+        assert 10 <= accepted <= len(balls) - 5
+
+    def test_probe_family(self):
+        """The 40 balls of the probe commands' default family at n = 64."""
+        mesh = structured_mesh(UNIT_SQUARE, 64)
+        balls = _ball_family({}, mesh).balls
+        assert len(balls) == 40
+        assert all(self.assert_same(mesh, ball) for ball in balls)
 
 
 class TestBallContainment:
