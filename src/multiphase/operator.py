@@ -39,6 +39,11 @@ class AssembledSystem:
     energy: float
 
 
+def _column_sums(C, Y):
+    """Per-column sums of C * Y for (n, T) C and Y of shape (n, 1) or (n, T)."""
+    return Y[:, 0] @ C if Y.shape[1] == 1 else np.einsum("ij,ij->j", C, Y)
+
+
 def flux(fp, x, g):
     """Pointwise flux (s^{p-2} + mu1 s^{q-2} + mu2 s^{r-2}) g."""
     g = np.asarray(g, dtype=float)
@@ -58,12 +63,18 @@ class PhaseDiscretization:
     step the accepted line-search trial's energy also serves the next
     residual and Jacobian.  Only one state is held.
 
-    The fields p, q, r, mu1 and mu2 are sampled once, through SampledPhase,
-    as (T, K) arrays.  When they are all constant fields no point is
-    sampled and they are kept as (T, 1) columns: P1 gradients make s
-    constant on a triangle, so each power is then taken once per triangle
-    instead of once per quadrature point, and weighed by the triangle's
-    weight total.
+    The fields p, q, r, mu1 and mu2 are sampled once, through SampledPhase.
+    The exponents are stacked as X, next to the quadrature weights times
+    (1, mu1, mu2), Wa, and to 1 / X, so a state's three powers of s are one
+    exp-log pass over X with the weights folded in, reduced by contractions.
+    Their last axis runs over the triangles, along which s and every
+    per-triangle result vary.  On a space-varying phase X, Wa and 1 / X are
+    (3 K, T), p, q and r are (T, K) views of X, and mu1 and mu2 are (T, K)
+    samples.  When all five fields are constant no point is sampled: P1
+    gradients make s constant on a triangle, so X is the (3, 1) column of
+    exponents, Wa the triangle weight totals times (1, mu1, mu2), (3, T),
+    each power is taken once per triangle, and p, q, r, mu1 and mu2 are
+    (T, 1) columns.
     """
 
     def __init__(self, fp, mesh, degree=5):
@@ -74,13 +85,28 @@ class PhaseDiscretization:
         self.bary = quad.rule
         self.qpoints = quad.points.reshape(T, -1, 2)       # (T, K, 2)
         self.qweights = quad.weights.reshape(T, -1)        # (T, K)
-        self._tri_weights = self.qweights.sum(axis=1)
         ph = SampledPhase(fp.tf, quad)
-        self.p, self.q, self.r, self.m1, self.m2 = (
-            np.full((T, 1), v) if ph.constant else v.reshape(self.qweights.shape)
-            for v in (ph.p, ph.q, ph.r, ph.m1, ph.m2))
-        self._e2 = (self.p - 2, self.q - 2, self.r - 2)
-        self._energy_w = (1 / self.p, self.m1 / self.q, self.m2 / self.r)
+        if ph.constant:
+            self.p, self.q, self.r, self.m1, self.m2 = (
+                np.full((T, 1), v) for v in (ph.p, ph.q, ph.r, ph.m1, ph.m2))
+            self._X = np.array([[ph.p], [ph.q], [ph.r]], dtype=float)
+            tri_weights = self.qweights @ np.ones(self.qweights.shape[1])
+            self._Wa = np.multiply.outer([1.0, ph.m1, ph.m2], tri_weights)
+        else:
+            shape = self.qweights.shape
+            X = np.empty((3,) + shape[::-1])
+            for x, v in zip(X, (ph.p, ph.q, ph.r)):
+                x[...] = v.reshape(shape).T
+            self.m1, self.m2 = ph.m1.reshape(shape), ph.m2.reshape(shape)
+            del ph          # frees the samples of p, q and r, copied into X
+            Wa = np.empty_like(X)
+            Wa[0] = self.qweights.T
+            np.multiply(Wa[0], self.m1.T, out=Wa[1])
+            np.multiply(Wa[0], self.m2.T, out=Wa[2])
+            self.p, self.q, self.r = X[0].T, X[1].T, X[2].T
+            self._X, self._Wa = X.reshape(-1, T), Wa.reshape(-1, T)
+        self._inv_X = np.reciprocal(self._X)
+        self._ones = np.ones(len(self._X))
         self.free = np.flatnonzero(~mesh.boundary_flags)
         self._memo = None        # (eps, private copy of u_vals, reductions)
 
@@ -89,24 +115,32 @@ class PhaseDiscretization:
     def _gradients(self, u_vals):
         return (self.mesh.grad_operator @ u_vals).reshape(-1, 2)
 
-    def _quad_sums(self, x):
-        """Per-triangle quadrature sums of x, given per point (T, K) or
-        constant on each triangle (T, 1)."""
-        if x.shape[1] == 1:
-            return self._tri_weights * x[:, 0]
-        return np.sum(self.qweights * x, axis=1)
+    def at_quad(self, u_vals):
+        """Values of the P1 state u_vals at the quadrature points, (T, K)."""
+        return u_vals[self.mesh.triangles] @ self.bary.T
 
     @staticmethod
-    def _pow(s, e):
-        """s**e, set at s = 0 to 1 where e = 0 and to 0 elsewhere: the limit
-        of s**e for e >= 0, and for -1 < e < 0 the value that keeps the flux
-        s**e g and the energy density s**(e + 2) continuous."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = s ** e
-        zero = ~(s > 0)
+    def _pow(s, e, out=None):
+        """s**e as exp(e log s), one pass over the broadcast of s and e, into
+        out when given (out may be e).  At s = 0 it is 1 where e = 0 and 0
+        elsewhere: the limit of s**e for e >= 0, and for -1 < e < 0 the value
+        that keeps the flux s**e g and the energy density s**(e + 2)
+        continuous."""
+        zero = ~(np.asarray(s) > 0)
+        at = None
         if zero.any():
-            zero = np.broadcast_to(zero, v.shape)
-            v[zero] = np.broadcast_to(e, v.shape)[zero] == 0
+            shape = np.broadcast_shapes(zero.shape, np.shape(e))
+            zero = zero.reshape((1,) * (len(shape) - zero.ndim) + zero.shape)
+            # index only the entries over a zero of s, broadcast along the
+            # axes where s has length 1
+            at = tuple(i if n > 1 else slice(None)
+                       for i, n in zip(np.nonzero(zero), zero.shape))
+            at_zero = np.broadcast_to(e, shape)[at] == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.multiply(e, np.log(s), out=out)
+        np.exp(v, out=v)
+        if at is not None:
+            v[at] = at_zero
         return v
 
     def _reduced(self, u_vals, eps):
@@ -115,6 +149,9 @@ class PhaseDiscretization:
         coefficient A = sum mu s^(e-2) and of B = sum mu (e-2) s^(e-4), the
         rank-one part of the flux derivative (e = p, q, r; mu = 1, mu1, mu2).
 
+        With C = w mu s^(e-2) per point and exponent, a is the sum of C,
+        b = (sum C e - 2 a) / s^2 and the energy density sums s^2 C / e.
+
         Served from the memo when it holds the same values at the same eps:
         values, not array identity, are compared, because callers update
         states in place."""
@@ -122,20 +159,18 @@ class PhaseDiscretization:
         if memo is not None and memo[0] == eps and np.array_equal(memo[1], u_vals):
             return memo[2]
         g = self._gradients(u_vals)
-        s2 = np.sum(g * g, axis=1)[:, None] + eps ** 2   # (T, 1)
-        s = np.sqrt(s2)
-        pw = np.power if eps > 0.0 else self._pow
-        ep, eq, er = self._e2
-        cp, cq, cr = pw(s, ep), pw(s, eq), pw(s, er)
-        wp, wq, wr = self._energy_w
-        energy = float(np.sum(self._quad_sums(s2 * (wp * cp + wq * cq + wr * cr))))
-        a_bar = self._quad_sums(cp + self.m1 * cq + self.m2 * cr)
+        s2 = g[:, 0] ** 2 + g[:, 1] ** 2 + eps ** 2      # (T,)
+        C = np.subtract(self._X, 2.0, out=np.empty(self._Wa.shape))
+        self._pow(np.sqrt(s2), C, out=C)
+        C *= self._Wa
+        energy = float(s2 @ _column_sums(C, self._inv_X))
+        a_bar = self._ones @ C
         # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            B = (ep * cp + self.m1 * eq * cq + self.m2 * er * cr) / s2
+            b_bar = (_column_sums(C, self._X) - 2.0 * a_bar) / s2
         if eps == 0.0:
-            B = np.where(s2 > 0, B, 0.0)
-        reduced = (energy, a_bar, self._quad_sums(B), g)
+            b_bar[~(s2 > 0)] = 0.0
+        reduced = (energy, a_bar, b_bar, g)
         self._memo = (eps, np.array(u_vals, dtype=float), reduced)
         return reduced
 

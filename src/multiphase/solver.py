@@ -144,7 +144,7 @@ def _source_load(disc, source, u_vals):
     """Nodal load of f(x, u, grad u) for the P1 state u_vals."""
     qp = disc.qpoints
     shape = qp.shape[:2]
-    tvals = u_vals[disc.mesh.triangles] @ disc.bary.T
+    tvals = disc.at_quad(u_vals)
     g = disc._gradients(u_vals)
     z1 = np.broadcast_to(g[:, 0:1], shape)
     z2 = np.broadcast_to(g[:, 1:2], shape)
@@ -349,15 +349,16 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             stage_iters += 1
     res_final = disc.residual(u, load, eps=check_eps)
     rnorm = float(np.max(np.abs(res_final))) if len(res_final) else 0.0
-    # the eps-regularized iteration may stop above the eps=0 residual; one
-    # last Newton polish at the check eps closes the gap for p_minus >= 2
+    # the eps-regularized iteration may stop above the eps=0 residual; a
+    # last Newton polish with the Jacobian of that residual, at the check
+    # eps, closes the gap for p_minus >= 2
     polish = 0
     while (stop_reason is None and rnorm > tol and polish < 10
            and iters < max_iter):
         held.release()
         factorizations += 1
         try:
-            J = disc.jacobian(u, eps=max(check_eps, final_eps))
+            J = disc.jacobian(u, eps=check_eps)
             step = _linear_solve(_factor(J), -res_final)
         except np.linalg.LinAlgError:
             break
@@ -511,8 +512,9 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
 
 def _m_power_quantities(disc, mesh, m, u_vals):
     """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D."""
-    N = float(disc._tri_weights @ np.linalg.norm(disc._gradients(u_vals), axis=1) ** m)
-    tvals = u_vals[mesh.triangles] @ disc.bary.T
+    N = float(np.sum(np.linalg.norm(disc._gradients(u_vals), axis=1) ** m
+                     @ disc.qweights))
+    tvals = disc.at_quad(u_vals)
     D = float(np.sum(disc.qweights * np.abs(tvals) ** m))
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = m * np.abs(tvals) ** (m - 2.0) * tvals

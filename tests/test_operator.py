@@ -302,16 +302,21 @@ def _coo_jacobian(disc, u, eps):
 
 def _seven_point(disc):
     """A copy of disc whose constant fields are spread over every point,
-    with the exponent arrays the kernel reads rebuilt from them here, so
-    the copy does not share the per-triangle ones made in __init__."""
+    with the stacked arrays the kernel reads (X, Wa = w (1, mu1, mu2) and
+    1 / X) rebuilt from them here in the (3 K, T) layout of a space-varying
+    phase, so the copy shares none of the per-triangle ones made in
+    __init__."""
     full = PhaseDiscretization(disc.fp, disc.mesh, disc.degree)
+    shape = disc.qweights.shape
     for name in ("p", "q", "r", "m1", "m2"):
-        setattr(full, name, np.broadcast_to(getattr(disc, name),
-                                            disc.qweights.shape))
-    full._e2 = (full.p - 2, full.q - 2, full.r - 2)
-    full._energy_w = (1 / full.p, full.m1 / full.q, full.m2 / full.r)
-    assert all(a.shape == disc.qweights.shape
-               for a in full._e2 + full._energy_w)
+        setattr(full, name, np.broadcast_to(getattr(disc, name), shape))
+    X = np.concatenate([full.p.T, full.q.T, full.r.T])
+    Wa = np.concatenate([full.qweights.T, (full.qweights * full.m1).T,
+                         (full.qweights * full.m2).T])
+    full._X, full._Wa, full._inv_X = X, Wa, 1 / X
+    full._ones = np.ones(len(X))
+    assert all(a.shape == (3 * shape[1], shape[0])
+               for a in (full._X, full._Wa, full._inv_X))
     return full
 
 
@@ -474,20 +479,108 @@ class TestStateMemo:
             assert np.array_equal(disc.residual(u, eps=eps),
                                   fresh.residual(u, eps=eps))
 
-    def test_one_phase_evaluation_per_state(self, triple_flux, square8,
+    def test_one_phase_evaluation_per_state(self, request, square8,
                                             monkeypatch):
+        """p, q and r are raised in one power evaluation per state, over
+        the stacked exponents, and never again for the same values."""
         real_pow = PhaseDiscretization._pow
-        exponents = []
+        shapes = []
 
-        def counting_pow(s, e):
-            exponents.append(e)
-            return real_pow(s, e)
+        def counting_pow(s, e, out=None):
+            shapes.append(np.shape(e))
+            return real_pow(s, e, out)
 
         monkeypatch.setattr(PhaseDiscretization, "_pow",
                             staticmethod(counting_pow))
-        disc = PhaseDiscretization(triple_flux, square8)
-        u = random_fe(square8, np.random.default_rng(14)).nodal_values
-        self._all(disc, u, None, 0.0)
-        assert len(exponents) == 3           # p, q and r, once for all three
-        self._all(disc, u.copy(), None, 0.0)  # another array, same values
-        assert len(exponents) == 3
+        T = square8.n_triangles
+        for phase, shape in (("triple_phase", (3, T)),
+                             ("variable_phase", (3 * 7, T))):
+            fp = FluxParams(request.getfixturevalue(phase), eps=1e-8)
+            disc = PhaseDiscretization(fp, square8)
+            u = random_fe(square8, np.random.default_rng(14)).nodal_values
+            shapes.clear()
+            self._all(disc, u, None, 0.0)
+            assert shapes == [shape]             # p, q and r at once
+            self._all(disc, u.copy(), None, 0.0)  # another array, same values
+            assert shapes == [shape]
+
+
+class TestPhasePowers:
+    """The kernel's one power evaluation, exp(e log s), against np.power
+    and against a direct 7-point evaluation of the energy and residual."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(-12.0, 6.0),
+                                    st.floats(-1.0, 2.0, exclude_min=True)),
+                          min_size=1, max_size=20))
+    def test_exp_log_matches_power(self, pairs):
+        """s in [1e-12, 1e6] and e = exponent - 2 in (-1, 2]."""
+        log_s, e = np.array(pairs).T
+        s = 10.0 ** log_s
+        v = PhaseDiscretization._pow(s, e)
+        assert np.max(np.abs(v / np.power(s, e) - 1)) <= 1e-14
+        out = e.copy()                  # in place over the exponents
+        assert PhaseDiscretization._pow(s, out, out=out) is out
+        assert np.array_equal(out, PhaseDiscretization._pow(s, e))
+
+    def test_zero_base(self):
+        e = np.array([0.0, 1e-300, 0.2, 2.0, -0.5, -1e-300])
+        v = PhaseDiscretization._pow(np.zeros((2, 1)), np.tile(e, (2, 1)))
+        assert np.array_equal(v, np.tile([1.0, 0, 0, 0, 0, 0], (2, 1)))
+        # s along the last axis, as the kernel passes it: one column is s = 0
+        v = PhaseDiscretization._pow(np.array([0.0, 2.0]), e[:, None])
+        assert np.array_equal(v[:, 0], [1.0, 0, 0, 0, 0, 0])
+        assert np.array_equal(v[:, 1], np.power(2.0, e))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-2])
+    def test_variable_phase_matches_seven_point(self, square8, variable_phase,
+                                                eps):
+        disc = PhaseDiscretization(FluxParams(variable_phase, eps=1e-8),
+                                   square8)
+        p, q, r, m1, m2 = _fields_at(variable_phase, disc.qpoints)
+        w = disc.qweights
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            u = random_fe(square8, rng).nodal_values
+            g = np.einsum("tj,tjd->td", u[square8.triangles],
+                          square8.basis_grads)
+            s = np.sqrt(np.sum(g * g, axis=1) + eps ** 2)[:, None]
+            density = s ** p / p + m1 * s ** q / q + m2 * s ** r / r
+            a = np.sum(w * (s ** (p - 2) + m1 * s ** (q - 2)
+                            + m2 * s ** (r - 2)), axis=1)
+            gd = np.einsum("td,tjd->tj", g, square8.basis_grads)
+            ref = np.zeros(square8.n_vertices)
+            np.add.at(ref, square8.triangles.ravel(), (a[:, None] * gd).ravel())
+            assert disc.energy(u, eps=eps) == pytest.approx(
+                np.sum(w * density), rel=1e-14)
+            assert _rel_err(disc.residual(u, eps=eps),
+                            ref[disc.free]) <= 1e-14
+
+    def test_per_point_buffers_within_budget(self, square8, variable_phase):
+        """A space-varying phase keeps at most 11 (T, K) float arrays:
+        X, Wa and 1 / X (three each) and the mu1 and mu2 samples, with no
+        base buffer counted twice and the mesh's quadrature not counted."""
+        disc = PhaseDiscretization(FluxParams(variable_phase, eps=1e-8),
+                                   square8)
+        disc.jacobian(random_fe(square8, np.random.default_rng(16)).nodal_values)
+        T, K = disc.qweights.shape
+        quad = square8.quadrature(disc.degree)
+
+        def base(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for v in value:
+                    yield from arrays(v)
+
+        shared = {id(base(quad.points)), id(base(quad.weights))}
+        owned = {id(b): b for v in vars(disc).values() for a in arrays(v)
+                 if id(b := base(a)) not in shared}
+        assert disc.p.base is not None and base(disc.p) is base(disc.r)
+        per_point = sum(b.nbytes for b in owned.values() if b.size >= T * K)
+        assert per_point <= 11 * T * K * 8

@@ -824,6 +824,22 @@ class TestContinuationOnDemand:
         assert rep.eps_schedule == [1e-8] + solver._eps_schedule(prob.fp)
 
 
+class TestEpsZeroPolish:
+    """For p- >= 2 a solve at a user eps > 0 is judged at check_eps = 0;
+    the closing Newton polish must use the Jacobian of that residual."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_user_eps_converges_at_zero(self, n):
+        mesh = structured_mesh(UNIT_SQUARE, n)
+        prob = PhaseProblem(mesh, constant_flux(2.2, eps=0.1),
+                            unit_sine_load(), dirichlet_zero(mesh))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.check_eps == 0.0
+        assert rep.converged, rep.residual_history[-1]
+        assert rep.residual_history[-1] <= 1e-10
+        assert rep.factorizations <= 5
+
+
 class TestPoissonStart:
     """Without an initial state Newton starts on the ray from the Dirichlet
     lift along its Poisson correction, at a merit never above the lift's;
