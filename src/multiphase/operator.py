@@ -165,8 +165,10 @@ class PhaseDiscretization:
         C *= self._Wa
         energy = float(s2 @ _column_sums(C, self._inv_X))
         a_bar = self._ones @ C
-        # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0.
+        # At eps = 0 with p- < 2 a tiny s overflows b, which is unused there:
+        # the Jacobian of such a phase needs eps > 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             b_bar = (_column_sums(C, self._X) - 2.0 * a_bar) / s2
         if eps == 0.0:
             b_bar[~(s2 > 0)] = 0.0

@@ -20,6 +20,9 @@ CHORD_CONTRACTION = 0.1
 # A fresh Newton step whose Armijo search needs a step length below T_MIN
 # struggles, and sends the solve up the eps ladder while a rung is left.
 T_MIN = 1.0 / 128
+# _factor takes LAPACK banded Cholesky up to this half-bandwidth of the
+# RCM-relabelled matrix, and SuperLU above it
+BAND_MAX = 128
 
 
 @dataclass
@@ -83,17 +86,55 @@ class SolveReport:
 
 
 def _factor(J):
-    """A solve function for the symmetric matrix J: a sparse LU factor that
-    every right-hand side reuses."""
-    # Diagonal pivots and a minimum-degree ordering on A^T + A fill far less
-    # than COLAMD. SuperLU's minimum degree can take seconds on some vertex
-    # numberings (the refined centroid fan of a disk), so it runs on a reverse
-    # Cuthill-McKee relabelling; csgraph is imported here to keep
+    """A solve function for the symmetric positive definite matrix J, with
+    a factor that every right-hand side reuses.
+
+    J is relabelled by reverse Cuthill-McKee (RCM), which keeps its nonzeros
+    near the diagonal.  While the half-bandwidth b of the relabelled matrix
+    is at most BAND_MAX, J is factored by LAPACK banded Cholesky (dpbtrf),
+    whose (b + 1) x N band is built straight from J's CSR arrays.  A wider
+    band takes more memory than the fill of a sparse LU, and its time gain
+    shrinks, so above BAND_MAX the relabelled matrix goes to symmetric-mode
+    SuperLU with a minimum-degree ordering on A^T + A.  A matrix that is
+    not positive definite (banded path) or exactly singular (SuperLU) raises
+    np.linalg.LinAlgError."""
+    # SuperLU's minimum degree can take seconds on some vertex numberings
+    # (the refined centroid fan of a disk), so it also runs on the RCM
+    # relabelling; csgraph and LAPACK are imported here to keep
     # `import multiphase` light.
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     J = J.tocsr()
+    if not J.has_canonical_format:          # duplicates would overwrite
+        J = J.copy()                        # each other in the band
+        J.sum_duplicates()
     perm = reverse_cuthill_mckee(J, symmetric_mode=True)
+    n = len(perm)
+    at = np.empty(n, dtype=perm.dtype)      # position of each node in perm
+    at[perm] = np.arange(n, dtype=perm.dtype)
+    pj = at[J.indices]
+    below = at[np.repeat(np.arange(n, dtype=perm.dtype), np.diff(J.indptr))] - pj
+    band = int(below.max(initial=0))        # the half-bandwidth b
+    if band <= BAND_MAX:
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+        keep = below >= 0
+        ab = np.zeros((band + 1, n), order="F")
+        ab[below[keep], pj[keep]] = J.data[keep]
+        chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"banded Cholesky: leading minor {info} is not positive")
+        if info < 0:
+            raise ValueError(f"dpbtrf: illegal argument {-info}")
+
+        def solve(rhs):
+            x = np.empty(len(rhs))
+            x[perm] = dpbtrs(chol, rhs[perm], lower=1)[0]
+            return x
+        return solve
+    # diagonal pivots and a minimum-degree ordering on A^T + A fill far less
+    # than COLAMD
     try:
         lu = spla.splu(J[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -487,7 +528,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     held = _HeldFactor()
     u, lam = np.abs(vals), np.inf
     for _ in range(max_iter):
-        N, D, gD = _m_power_quantities(disc, mesh, m, u)
+        N, D, gD = _m_power_quantities(disc, m, u)
         scale = D ** (1.0 / m)
         u, new_lam = u / scale, N / D
         if abs(new_lam - lam) <= tol * new_lam:
@@ -510,7 +551,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     raise RuntimeError(f"m = {m} eigenvalue not settled in {max_iter} steps")
 
 
-def _m_power_quantities(disc, mesh, m, u_vals):
+def _m_power_quantities(disc, m, u_vals):
     """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D."""
     N = float(np.sum(np.linalg.norm(disc._gradients(u_vals), axis=1) ** m
                      @ disc.qweights))

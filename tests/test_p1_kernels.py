@@ -182,7 +182,7 @@ class TestAgainstOldFormulas:
                                        WeightPair.constants(0, 0)), eps=1e-10)
         disc = PhaseDiscretization(fpm, mesh)
         u = np.where(mesh.boundary_flags, 0.0, _state(mesh, 8))
-        N, D, gD = solver._m_power_quantities(disc, mesh, m, u)
+        N, D, gD = solver._m_power_quantities(disc, m, u)
         bary, _ = quad_rule(5)
         _, w = old_quadrature(mesh)
         s = np.linalg.norm(old_gradients(mesh, u), axis=1)
