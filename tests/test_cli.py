@@ -1,12 +1,17 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from multiphase import cli
 from multiphase.cli import (ConfigError, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                             build_domain, build_phase, build_source,
                             load_config, main, _ball_family)
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -53,6 +58,25 @@ class TestConfigLoading:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
             load_config(str(path))
+
+    def test_readme_key_table_matches_schema(self):
+        """The README's key table names exactly the keys load_config accepts:
+        the top-level keys, with solver, probe and source as dotted sub-keys."""
+        text = README.read_text(encoding="utf-8")
+        after = text.split("Config keys that `load_config` accepts")[1]
+        rows = []
+        for line in after.splitlines()[1:]:
+            if line.startswith("|"):
+                rows.append(line)
+            elif rows:
+                break
+        listed = {k for row in rows for k in re.findall(r"`([^`]+)`",
+                                                        row.split("|")[1])}
+        subs = {"solver": cli._SOLVER_KEYS, "probe": cli._PROBE_KEYS,
+                "source": cli._SOURCE_KEYS}
+        accepted = ((cli._TOP_KEYS - set(subs))
+                    | {f"{sub}.{k}" for sub, keys in subs.items() for k in keys})
+        assert listed == accepted
 
 
 class TestBuilders:
