@@ -45,8 +45,7 @@ class ConfigError(ValueError):
 # -- strict config schema ----------------------------------------------------
 
 _SOLVER_KEYS = {"tol", "max_iter", "eps"}
-_PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "d",
-               "stability_factor"}
+_PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "stability_factor"}
 # growth constants: check_h2 reads k3 and k4, check_h3 reads k5 and k6
 _SOURCE_CONSTANTS = ("k3", "k4", "k5", "k6")
 _SOURCE_KEYS = {"expr", "const", "affine", "grad_coeff", "state_coeff",
@@ -136,7 +135,7 @@ def build_problem(cfg):
     if "dirichlet" in cfg:
         bc = ScalarField.from_spec(cfg["dirichlet"])
         dirichlet = bc(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    return PhaseProblem(mesh, fp, source, dirichlet), cfg
+    return PhaseProblem(mesh, fp, source, dirichlet)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -223,7 +222,7 @@ def cmd_check_hypotheses(cfg, args, manifest):
 
 
 def cmd_solve(cfg, args, manifest):
-    prob, _ = build_problem(cfg)
+    prob = build_problem(cfg)
     solver_cfg = cfg.get("solver", {})
     tol = float(solver_cfg.get("tol", 1e-10))
     max_iter = int(solver_cfg.get("max_iter", 100))
@@ -307,7 +306,7 @@ def cmd_verify_modular(cfg, args, manifest):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _ball_family(cfg, mesh):
+def _ball_family(cfg):
     probe = cfg.get("probe", {})
     if "ball_pairs" in probe:
         spec = [((p["center"][0], p["center"][1]), (p["r1"], p["r2"]))
@@ -324,12 +323,12 @@ def _ball_family(cfg, mesh):
 
 def cmd_probe(cfg, args, manifest):
     which = args.which
-    prob, _ = build_problem(cfg)
+    prob = build_problem(cfg)
     fp, mesh = prob.fp, prob.mesh
     probe_cfg = cfg.get("probe", {})
     with manifest.stage(f"probe_{which}"):
         u = minimize_dirichlet(fp, mesh, prob.dirichlet)
-        fam = _ball_family(cfg, mesh)
+        fam = _ball_family(cfg)
         rows = []
         if which == "caccioppoli":
             for i, j in fam.pairing:

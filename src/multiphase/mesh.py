@@ -383,6 +383,10 @@ class FeFunction:
                 bary = _barycentric(quad.points, self.mesh.vertices[tris])
         return np.einsum("mj,mj->m", self.nodal_values[tris], bary)
 
+    def grad_norm_at(self, quad):
+        """|grad u| at the quadrature points, from their triangles."""
+        return np.linalg.norm(self.gradients(), axis=1)[quad.tri_index]
+
     def __call__(self, points):
         tri_of, bary = self.mesh.locate(points)
         if np.any(tri_of < 0):
@@ -528,9 +532,9 @@ def _split4(tv):
     ])
 
 
-def ball_average(u, ball, depth=3, degree=5):
+def ball_average(u, ball):
     """Mean of a P1 function over a ball, normalized by pi R^2."""
-    quad = ball_quadrature(u.mesh, ball, depth=depth, degree=degree)
+    quad = ball_quadrature(u.mesh, ball)
     vals = u.at_quad(quad)
     return float(np.dot(quad.weights, vals) / ball.area)
 

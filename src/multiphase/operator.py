@@ -216,20 +216,20 @@ class PhaseDiscretization:
                                self.energy(u_vals))
 
 
-def energy(fp, u, degree=5):
-    return PhaseDiscretization(fp, u.mesh, degree).energy(u.nodal_values)
+def energy(fp, u):
+    return PhaseDiscretization(fp, u.mesh).energy(u.nodal_values)
 
 
-def assemble(fp, u, load=None, degree=5):
-    return PhaseDiscretization(fp, u.mesh, degree).assemble(u.nodal_values, load)
+def assemble(fp, u, load=None):
+    return PhaseDiscretization(fp, u.mesh).assemble(u.nodal_values, load)
 
 
-def check_gateaux(fp, u, h, delta, degree=5):
+def check_gateaux(fp, u, h, delta):
     """Central-difference discrepancy between the energy derivative and the
     assembled residual, paired against the direction h."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    disc = PhaseDiscretization(fp, u.mesh, degree)
+    disc = PhaseDiscretization(fp, u.mesh)
     hv = h.nodal_values
     if np.any(hv[u.mesh.boundary_flags] != 0):
         raise ValueError("direction must vanish on boundary nodes")
@@ -240,9 +240,9 @@ def check_gateaux(fp, u, h, delta, degree=5):
     return abs((e_plus - e_minus) / (2.0 * delta) - pairing)
 
 
-def check_monotone(fp, u, v, degree=5):
+def check_monotone(fp, u, v):
     """<A(u) - A(v), u - v> over free nodes."""
-    disc = PhaseDiscretization(fp, u.mesh, degree)
+    disc = PhaseDiscretization(fp, u.mesh)
     bnd = u.mesh.boundary_flags
     if not np.allclose(u.nodal_values[bnd], v.nodal_values[bnd]):
         raise ValueError("u and v must share boundary values")
@@ -252,16 +252,16 @@ def check_monotone(fp, u, v, degree=5):
     return float((ru - rv) @ du)
 
 
-def check_coercive(fp, u, scales, degree=5):
+def check_coercive(fp, u, scales):
     """Rayleigh-type coercivity ratios <A(cu), cu> / ||grad(cu)||_T along
     increasing scales, with the norm-power lower bound per scale."""
-    disc = PhaseDiscretization(fp, u.mesh, degree)
+    disc = PhaseDiscretization(fp, u.mesh)
     if np.any(u.nodal_values[u.mesh.boundary_flags] != 0):
         raise ValueError("u must vanish on the boundary")
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
-    quad = u.mesh.quadrature(degree)
-    gvals = np.linalg.norm(u.gradients(), axis=1)[quad.tri_index]
+    quad = u.mesh.quadrature()
+    gvals = u.grad_norm_at(quad)
     sp_ = SampledPhase(fp.tf, quad)
     out = []
     for c in scales:

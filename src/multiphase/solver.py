@@ -148,6 +148,11 @@ def _factor(J):
     return solve
 
 
+def _sup_norm(r):
+    """max |r|, 0 for an empty r (a mesh without free nodes)."""
+    return float(np.max(np.abs(r))) if len(r) else 0.0
+
+
 def _linear_solve(A, rhs):
     """Solve A x = rhs, where A is a matrix or a solve function of _factor."""
     solve = A if callable(A) else _factor(A)
@@ -193,7 +198,7 @@ def _source_load(disc, source, u_vals):
     return disc.load_vector(fvals)
 
 
-def solve_variational(prob, tol=1e-10, max_iter=100, degree=5, initial=None):
+def solve_variational(prob, tol=1e-10, max_iter=100, initial=None):
     """Damped Newton minimization of energy(u) - <load, u>.
 
     Requires a gradient-independent source; f is evaluated at (t, z) =
@@ -203,7 +208,7 @@ def solve_variational(prob, tol=1e-10, max_iter=100, degree=5, initial=None):
         raise ValueError("solve_variational needs a gradient-independent source")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
+    disc = PhaseDiscretization(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
     return _newton(disc, prob, load, tol, max_iter, initial)
 
@@ -319,7 +324,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 held.release()
             if res is None:
                 res = disc.residual(u, load, eps=eps)
-                rnorm = float(np.max(np.abs(res))) if len(res) else 0.0
+                rnorm = _sup_norm(res)
                 if eps == final_eps:
                     if m0 is None:
                         m0 = merit(u, eps)
@@ -389,7 +394,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             iters += 1
             stage_iters += 1
     res_final = disc.residual(u, load, eps=check_eps)
-    rnorm = float(np.max(np.abs(res_final))) if len(res_final) else 0.0
+    rnorm = _sup_norm(res_final)
     # the eps-regularized iteration may stop above the eps=0 residual; a
     # last Newton polish with the Jacobian of that residual, at the check
     # eps, closes the gap for p_minus >= 2
@@ -406,7 +411,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
         u = u.copy()
         u[free] += step
         res_final = disc.residual(u, load, eps=check_eps)
-        rnorm = float(np.max(np.abs(res_final)))
+        rnorm = _sup_norm(res_final)
         polish += 1
         iters += 1
     res_hist.append(rnorm)
@@ -421,8 +426,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                        factorizations, check_eps)
 
 
-def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
-                     initial=None):
+def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     """Outer fixed point freezing f(x, u_k, grad u_k) as a load, inner
     damped Newton on the frozen variational problem, warm-started from u_k.
 
@@ -430,12 +434,10 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
     initial state); stop_reason is "tolerance", "max_iter_outer",
     "growth" (the outer distance grew five times in a row) or "line_search"
     (an inner solve found no descent)."""
-    disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
+    disc = PhaseDiscretization(prob.fp, prob.mesh)
     mesh = prob.mesh
-    u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
-    if initial is not None:
-        u = np.where(mesh.boundary_flags, prob.dirichlet,
-                     np.asarray(initial, dtype=float))
+    u = np.where(mesh.boundary_flags, prob.dirichlet,
+                 0.0 if initial is None else np.asarray(initial, dtype=float))
     hist, eps_used, energy_hist = [], [], []
     grow = 0
     prev_dist = np.inf
@@ -456,8 +458,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
             start = inner.start
         factorizations += inner.factorizations
         eps_used = inner.eps_schedule
-        dist = float(np.max(np.abs(inner.solution.nodal_values[disc.free]
-                                   - u[disc.free])))
+        dist = _sup_norm(inner.solution.nodal_values[disc.free] - u[disc.free])
         u = inner.solution.nodal_values
         hist.append(dist)
         energy_hist.append(inner.energy_history[-1])
@@ -478,12 +479,11 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, degree=5,
                        factorizations, prob.fp.check_eps)
 
 
-def weak_residual_sup(prob, u, degree=5):
+def weak_residual_sup(prob, u):
     """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
-    disc = PhaseDiscretization(prob.fp, prob.mesh, degree)
+    disc = PhaseDiscretization(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, u.nodal_values)
-    res = disc.residual(u.nodal_values, load, eps=prob.fp.check_eps)
-    return float(np.max(np.abs(res))) if len(res) else 0.0
+    return _sup_norm(disc.residual(u.nodal_values, load, eps=prob.fp.check_eps))
 
 
 def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):

@@ -107,13 +107,13 @@ class TestBuilders:
         assert src.grad_dependent
 
     def test_default_ball_family_twenty_pairs(self):
-        fam = _ball_family({}, None)
+        fam = _ball_family({})
         assert len(fam.pairing) == 20
 
     def test_configured_ball_pairs(self):
         cfg = {"probe": {"ball_pairs": [
             {"center": [0.5, 0.5], "r1": 0.1, "r2": 0.3}]}}
-        fam = _ball_family(cfg, None)
+        fam = _ball_family(cfg)
         assert len(fam.pairing) == 1
         assert fam.balls[1].radius == 0.3
 
@@ -188,15 +188,15 @@ class TestMain:
         code = main(["--config", path, "--out", str(out),
                      "probe", "poincare-w0"])
         assert code == EXIT_OK
-
-    def test_probe_poincare_w0_ignores_d(self, tmp_path):
-        path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"d": 0.5}})
-        out = tmp_path / "out"
-        code = main(["--config", path, "--out", str(out),
-                     "probe", "poincare-w0"])
-        assert code == EXIT_OK
         text = (out / "probe_poincare-w0.csv").read_text()
         assert len(text.splitlines()) == 22  # hash + header + 20 samples
+
+    def test_probe_d_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"d": 0.5}})
+        code = main(["--config", path, "--out", str(tmp_path / "out"),
+                     "probe", "poincare-w0"])
+        assert code == EXIT_USAGE
+        assert "'d'" in capsys.readouterr().err
 
     def test_probe_without_ratios_fails(self, tmp_path):
         path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"ball_pairs": []}})

@@ -250,7 +250,7 @@ class TestBallQuadratureMatchesDense:
     def test_probe_family(self):
         """The 40 balls of the probe commands' default family at n = 64."""
         mesh = structured_mesh(UNIT_SQUARE, 64)
-        balls = _ball_family({}, mesh).balls
+        balls = _ball_family({}).balls
         assert len(balls) == 40
         assert all(self.assert_same(mesh, ball) for ball in balls)
 

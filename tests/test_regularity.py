@@ -174,6 +174,14 @@ class TestHigherIntegrability:
         with pytest.raises(ValueError, match="m_grid"):
             higher_integrability_probe(triple_flux, u, fam, [1.5])
 
+    def test_empty_inputs_rejected(self, triple_flux, square16):
+        u = FeFunction(square16, np.zeros(square16.n_vertices))
+        with pytest.raises(ValueError, match="ball family has no pairs"):
+            higher_integrability_probe(triple_flux, u, BallFamily((), ()), [0.1])
+        fam = BallFamily.concentric_pairs([(0.5, 0.5)], [(0.1, 0.2)])
+        with pytest.raises(ValueError, match="m_grid is empty"):
+            higher_integrability_probe(triple_flux, u, fam, [])
+
 
 class TestBoundaryHigherIntegrability:
     def test_identical_maps_bounded(self, triple_flux, square32):
@@ -187,3 +195,11 @@ class TestBoundaryHigherIntegrability:
         bad = (Ball((0.4, 0.5), 0.1), Ball((0.5, 0.5), 0.2))
         with pytest.raises(ValueError):
             boundary_higher_integrability_probe(triple_flux, v, v, [bad])
+
+    def test_empty_inputs_rejected(self, triple_flux, square16):
+        v = FeFunction(square16, np.zeros(square16.n_vertices))
+        with pytest.raises(ValueError, match="ball_pairs is empty"):
+            boundary_higher_integrability_probe(triple_flux, v, v, [])
+        with pytest.raises(ValueError, match="m_grid is empty"):
+            boundary_higher_integrability_probe(triple_flux, v, v,
+                                                [CENTER_PAIR], m_grid=())
