@@ -82,6 +82,13 @@ class _BallKernel:
         return self.phase.phi(u.grad_norm_at(self.quad))
 
 
+def _check_m_grid(m_grid):
+    if len(m_grid) == 0:
+        raise ValueError("m_grid is empty")
+    if not all(0 < m < 1 for m in m_grid):
+        raise ValueError("m_grid entries must lie in (0, 1)")
+
+
 def _pair_kernels(tf, mesh, pair):
     """Kernels of a concentric (inner, outer) ball pair and R2 - R1."""
     inner, outer = pair
@@ -167,11 +174,7 @@ def poincare_w0_ratio(fp, u):
 def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
     """Reverse-Hoelder ratios of the gradient modular over half/full ball
     pairs, per integrability bump m."""
-    if len(m_grid) == 0:
-        raise ValueError("m_grid is empty")
-    for m in m_grid:
-        if not 0 < m < 1:
-            raise ValueError("m_grid entries must lie in (0, 1)")
+    _check_m_grid(m_grid)
     if not family.pairing:
         raise ValueError("ball family has no pairs")
     rows = []
@@ -194,8 +197,7 @@ def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
 def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,)):
     """Comparison-map reverse-Hoelder ratios: LHS on B_R against the
     unit-constant RHS built from v and the boundary datum w on B_2R."""
-    if len(m_grid) == 0:
-        raise ValueError("m_grid is empty")
+    _check_m_grid(m_grid)
     if len(ball_pairs) == 0:
         raise ValueError("ball_pairs is empty")
     rows = []

@@ -68,17 +68,20 @@ class SolveReport:
     solution: FeFunction
     iterations: int
     residual_history: list
-    energy_history: list             # merits at the final eps, one per
+    energy_history: list             # merits at the final eps, then at
+                                     # check_eps in the check stage, one per
                                      # residual there; the last entry is the
                                      # eps = 0 energy of the solution
     converged: bool
-    eps_schedule: list               # the eps of each stage and retry run
+    eps_schedule: list               # the eps of each stage and retry run,
+                                     # the check stage's when it ran
     start: str = "lift"              # Newton's start: "initial" or "lift"
     stop_reason: str | None = None   # "line_search" when a step found no
-                                     # descent, "max_iter" when the step
-                                     # budget ended an unconverged solve;
-                                     # solve_convection: also "tolerance",
-                                     # "max_iter_outer", "growth"
+                                     # descent, "singular" when a check-stage
+                                     # Jacobian was singular, "max_iter" when
+                                     # the step budget ended an unconverged
+                                     # solve; solve_convection: also
+                                     # "tolerance", "max_iter_outer", "growth"
     factorizations: int = 0          # matrices factored, the start's Poisson
                                      # solve included (summed over the inner
                                      # solves of solve_convection)
@@ -263,6 +266,11 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     a damped step is taken, and a step that finds no descent in 30 halvings
     stops the solve with stop_reason "line_search".
 
+    A last stage that converges above tol at check_eps (p_minus >= 2 with a
+    user eps > 0, or after an eps retry) is followed by the check stage at
+    check_eps, which never climbs or raises eps: a singular step there stops
+    the solve with stop_reason "singular".
+
     A step reuses the factor in `held` (a chord step: Shamanskii 1967,
     Kelley 2003) when it was made at the current eps, the previous step was
     not damped and, after the first step of a stage, cut the residual
@@ -271,8 +279,9 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     that finds no descent above T_MIN or whose solve fails.  A caller that
     passes `held` gets the last factor back for its next solve.
 
-    Each residual at the final eps adds the merit at that eps to
-    energy_history; its last entry is the eps = 0 energy of the solution."""
+    Each residual at the final eps, and in the check stage at check_eps,
+    adds the merit at that eps to energy_history; its last entry is the
+    eps = 0 energy of the solution."""
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
@@ -307,12 +316,13 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
 
     stages = [final_eps]            # the stages still to run
     climbed = len(ladder) == 1      # no rung left to climb to
+    checking = False                # the check stage at check_eps is running
     stop_reason = None
     while stages and stop_reason is None:
         eps = stages.pop(0)
         eps_used.append(eps)
         retries = 0
-        stage_tol = tol if eps == final_eps else max(tol, 1e-8)
+        stage_tol = tol if eps in (final_eps, check_eps) else max(tol, 1e-8)
         stage_iters = 0
         # merit of u at eps, carried from the start choice or the line search
         m0, m_start = m_start, None
@@ -325,12 +335,17 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             if res is None:
                 res = disc.residual(u, load, eps=eps)
                 rnorm = _sup_norm(res)
-                if eps == final_eps:
+                if eps in (final_eps, check_eps):
                     if m0 is None:
                         m0 = merit(u, eps)
                     res_hist.append(rnorm)
                     energy_hist.append(m0)
                 if rnorm <= stage_tol:
+                    # the eps-regularized iteration may stop above the
+                    # residual at check_eps; the check stage closes the gap
+                    if (not stages and eps != check_eps and _sup_norm(
+                            disc.residual(u, load, eps=check_eps)) > tol):
+                        stages, climbed, checking = [check_eps], True, True
                     break
             contracting = (prev_rnorm is None
                            or rnorm <= CHORD_CONTRACTION * prev_rnorm)
@@ -348,6 +363,9 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 held.release()
                 if chord:
                     continue
+                if checking:
+                    stop_reason = "singular"
+                    break
                 if not climbed:
                     climbed, stages = True, list(ladder)
                     break
@@ -393,31 +411,10 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             prev_rnorm, res, damped = rnorm, None, t < 1.0
             iters += 1
             stage_iters += 1
-    res_final = disc.residual(u, load, eps=check_eps)
-    rnorm = _sup_norm(res_final)
-    # the eps-regularized iteration may stop above the eps=0 residual; a
-    # last Newton polish with the Jacobian of that residual, at the check
-    # eps, closes the gap for p_minus >= 2
-    polish = 0
-    while (stop_reason is None and rnorm > tol and polish < 10
-           and iters < max_iter):
-        held.release()
-        factorizations += 1
-        try:
-            J = disc.jacobian(u, eps=check_eps)
-            step = _linear_solve(_factor(J), -res_final)
-        except np.linalg.LinAlgError:
-            break
-        u = u.copy()
-        u[free] += step
-        res_final = disc.residual(u, load, eps=check_eps)
-        rnorm = _sup_norm(res_final)
-        polish += 1
-        iters += 1
+    rnorm = _sup_norm(disc.residual(u, load, eps=check_eps))
     res_hist.append(rnorm)
-    # at eps = 0 without a polish the carried merit is the energy of u
-    energy_hist.append(m0 if eps == 0.0 and not polish and m0 is not None
-                       else merit(u))
+    # at eps = 0 the carried merit is the energy of u
+    energy_hist.append(m0 if eps == 0.0 and m0 is not None else merit(u))
     converged = rnorm <= tol and stop_reason is None
     if not converged and stop_reason is None:
         stop_reason = "max_iter"
@@ -432,8 +429,8 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
 
     The report's start is that of the first inner solve ("lift" without an
     initial state); stop_reason is "tolerance", "max_iter_outer",
-    "growth" (the outer distance grew five times in a row) or "line_search"
-    (an inner solve found no descent)."""
+    "growth" (the outer distance grew five times in a row), "line_search"
+    or "singular" (the stop of an inner solve)."""
     disc = PhaseDiscretization(prob.fp, prob.mesh)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet,
@@ -466,7 +463,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
             converged = True
             stop_reason = "tolerance"
             break
-        if inner.stop_reason == "line_search":
+        if inner.stop_reason in ("line_search", "singular"):
             stop_reason = inner.stop_reason
             break
         grow = grow + 1 if dist > prev_dist else 0

@@ -318,6 +318,16 @@ class TestSolveManifest:
                        "check_eps": 1e-8}
         assert 1 <= rec["factorizations"]
 
+    def test_check_stage(self, tmp_path):
+        # p- = 2.2 >= 2 at a user eps of 0.1: the solve ends with a Newton
+        # stage at check_eps = 0 and is judged there
+        cfg = {**BASE_CFG, "p": {"const": 2.2}, "q": {"const": 2.2},
+               "r": {"const": 2.2}, "mesh_n": 32, "solver": {"eps": 0.1}}
+        code, rec = self.solve(tmp_path, cfg)
+        assert code == EXIT_OK
+        assert rec["stop_reason"] is None
+        assert rec["check_eps"] == 0.0
+
     def test_convection_tolerance(self, tmp_path):
         code, rec = self.solve(tmp_path, self.CONVECTION_CFG)
         assert code == EXIT_OK

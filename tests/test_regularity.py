@@ -203,3 +203,10 @@ class TestBoundaryHigherIntegrability:
         with pytest.raises(ValueError, match="m_grid is empty"):
             boundary_higher_integrability_probe(triple_flux, v, v,
                                                 [CENTER_PAIR], m_grid=())
+
+    @pytest.mark.parametrize("m", [1.5, -0.5, 0.0])
+    def test_m_outside_unit_interval_rejected(self, triple_flux, square16, m):
+        v = interpolate(lambda x, y: x + y, square16)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            boundary_higher_integrability_probe(triple_flux, v, v,
+                                                [CENTER_PAIR], m_grid=(m,))

@@ -838,6 +838,85 @@ class TestEpsZeroPolish:
         assert rep.factorizations <= 5
 
 
+# Factorisations of these solves (32 x 32 square, unit sine load) when an
+# eps = 0 Newton polish of undamped steps, each with a fresh factor, closed
+# the gap to check_eps in place of the check stage
+POLISH_FACTORIZATIONS = {((2.2, 2.6, 3.0), 0.1): 5, ((2.2, 2.6, 3.0), 0.03): 6,
+                         ((2.0, 2.5, 3.0), 0.1): 6, ((2.0, 2.5, 3.0), 0.03): 5,
+                         ((3, 3, 4), 0.1): 7, ((3, 3, 4), 0.03): 8}
+
+
+def check_stage_problem(exps, eps, n=32):
+    mesh = structured_mesh(UNIT_SQUARE, n)
+    fp = FluxParams(PhaseFunction(ExponentTriple.constants(*exps),
+                                  WeightPair.constants(1, 1)), eps=eps)
+    return PhaseProblem(mesh, fp, unit_sine_load(), dirichlet_zero(mesh))
+
+
+class TestCheckStage:
+    """For p- >= 2 a solve at a user eps > 0 whose residual at check_eps = 0
+    is above tol ends with an ordinary damped Newton stage at check_eps."""
+
+    make_problem = TestConvection.make_problem
+
+    @pytest.mark.parametrize("exps, eps", list(POLISH_FACTORIZATIONS))
+    def test_every_step_descends(self, exps, eps, monkeypatch):
+        prob = check_stage_problem(exps, eps)
+        states = []             # the distinct states judged at check_eps
+        real_residual = PhaseDiscretization.residual
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            if eps == 0.0 and not (states
+                                   and np.array_equal(states[-1], u_vals)):
+                states.append(u_vals.copy())
+            return real_residual(self, u_vals, load, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged and rep.stop_reason is None
+        assert rep.eps_schedule == [eps, 0.0]
+        assert rep.factorizations <= POLISH_FACTORIZATIONS[exps, eps]
+        disc = PhaseDiscretization(prob.fp, prob.mesh)
+        load = solver._source_load(disc, prob.source,
+                                   np.zeros(prob.mesh.n_vertices))
+        free = disc.free
+        merits = [disc.energy(u) - float(load[free] @ u[free]) for u in states]
+        # the state the final-eps stage left, then one per check-stage step
+        assert len(merits) >= 2
+        assert all(b <= a + 1e-13 * abs(a) for a, b in zip(merits, merits[1:]))
+        # the check stage adds its merits to energy_history, then the energy
+        # of the solution
+        tail = rep.energy_history[-len(merits) - 1:]
+        assert tail == pytest.approx(merits + merits[-1:], rel=1e-14)
+
+    @pytest.fixture
+    def singular_at_zero(self, monkeypatch):
+        real_jacobian = PhaseDiscretization.jacobian
+
+        def jacobian(self, u_vals, eps=None):
+            if eps == 0.0:
+                raise np.linalg.LinAlgError("forced")
+            return real_jacobian(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", jacobian)
+
+    def test_singular_check_stage_stops(self, singular_at_zero):
+        rep = solve_variational(check_stage_problem((2.2, 2.6, 3.0), 0.1),
+                                tol=1e-10)
+        assert not rep.converged
+        assert rep.stop_reason == "singular"
+        assert rep.eps_schedule == [0.1, 0.0]
+        assert rep.residual_history[-1] > 1e-10
+
+    def test_convection_stops_on_singular_check_stage(self, singular_at_zero,
+                                                      triple_phase, square8):
+        prob = self.make_problem(square8, FluxParams(triple_phase, eps=0.1))
+        rep = solve_convection(prob, tol=1e-10)
+        assert not rep.converged
+        assert rep.stop_reason == "singular"
+        assert rep.iterations == 1
+
+
 class TestPoissonStart:
     """Without an initial state Newton starts on the ray from the Dirichlet
     lift along its Poisson correction, at a merit never above the lift's;
