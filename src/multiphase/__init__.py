@@ -23,10 +23,7 @@ from .mesh import (
     FeFunction,
     QuadratureMeasure,
     TriMesh,
-    ball_average,
     ball_quadrature,
-    gradient_on,
-    integrate,
     interpolate,
     refine,
     structured_mesh,
@@ -47,14 +44,11 @@ from .modular import (
     weighted_seminorm,
 )
 from .operator import (
-    AssembledSystem,
     FluxParams,
-    assemble,
     check_coercive,
     check_gateaux,
     check_monotone,
     energy,
-    flux,
 )
 from .solver import (
     PhaseProblem,

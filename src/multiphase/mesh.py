@@ -1,4 +1,4 @@
-"""Triangle meshes, P1 finite-element functions, quadrature, and ball averages."""
+"""Triangle meshes, P1 finite-element functions, and quadrature on meshes and balls."""
 
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ class FreePattern:
 
 # (point, triangle) pairs screened at once by TriMesh.locate
 _LOCATE_PAIRS = 1 << 18
-_RING_SLACK = 0.05     # barycentric slack of ball_quadrature's ring check
+_RING_SLACK = 0.05     # share of a boundary edge's length a ball may cross
 
 
 class TriMesh:
@@ -123,8 +123,9 @@ class TriMesh:
         if np.any(counts > 2):
             raise ValueError("non-conforming mesh: edge shared by >2 triangles")
         uniq = np.column_stack(np.divmod(keys, len(self.vertices)))
+        self._boundary_edges = uniq[counts == 1]
         flags = np.zeros(len(self.vertices), dtype=bool)
-        flags[uniq[counts == 1].ravel()] = True
+        flags[self._boundary_edges.ravel()] = True
         self.boundary_flags = flags
         lengths = np.hypot(*(self.vertices[uniq[:, 0]] - self.vertices[uniq[:, 1]]).T)
         self.h_max = float(lengths.max())
@@ -387,13 +388,6 @@ class FeFunction:
         """|grad u| at the quadrature points, from their triangles."""
         return np.linalg.norm(self.gradients(), axis=1)[quad.tri_index]
 
-    def __call__(self, points):
-        tri_of, bary = self.mesh.locate(points)
-        if np.any(tri_of < 0):
-            raise ValueError("point outside mesh")
-        return np.einsum("mj,mj->m",
-                         self.nodal_values[self.mesh.triangles[tri_of]], bary)
-
 
 def _barycentric(points, tri_verts):
     v0 = tri_verts[:, 0]
@@ -406,12 +400,6 @@ def _barycentric(points, tri_verts):
     return np.column_stack([1.0 - l1 - l2, l1, l2])
 
 
-def gradient_on(tri_index, u):
-    """Constant gradient of the P1 interpolant on one triangle."""
-    t = range(u.mesh.n_triangles)[tri_index]     # a negative index counts back
-    return u.mesh.grad_operator[2 * t:2 * t + 2] @ u.nodal_values
-
-
 def interpolate(fn, mesh):
     """Nodal interpolation of a callable (x1, x2) -> value."""
     vals = np.asarray(fn(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
@@ -419,16 +407,6 @@ def interpolate(fn, mesh):
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite vertex value in interpolation")
     return FeFunction(mesh, vals)
-
-
-def integrate(fn, mesh, rule_degree=5):
-    """Quadrature integral of a pointwise integrand over the mesh."""
-    quad = mesh.quadrature(rule_degree)
-    vals = np.asarray(fn(quad.points[:, 0], quad.points[:, 1]), dtype=float)
-    vals = np.broadcast_to(vals, quad.weights.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand")
-    return float(np.dot(quad.weights, vals))
 
 
 @dataclass(frozen=True)
@@ -453,16 +431,13 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
     Triangles crossing the circle are subdivided `depth` times; at the
     finest level quadrature points outside the ball are dropped.  Returns
     a QuadratureMeasure whose tri_index refers to the *parent* triangles,
-    so P1 data can still be evaluated per parent.  A ball is rejected when a
-    point of its circle lies outside the mesh by more than 5 % of a
-    triangle's size, a fixed barycentric slack below the P1 resolution.
+    so P1 data can still be evaluated per parent.  A ball that escapes the
+    mesh by more than a slack below the P1 resolution is rejected
+    (`_check_in_mesh`).
     """
+    _check_in_mesh(mesh, ball)
     c = np.asarray(ball.center)
     R = ball.radius
-    ring = c + (R * np.column_stack([np.cos(t := np.linspace(0, 2 * np.pi, 17)[:-1]),
-                                     np.sin(t)]))
-    if not np.all(mesh.contains(ring, tol=_RING_SLACK)):
-        raise ValueError("ball escapes the meshed domain")
     # only triangles whose bounding circle meets the ball can contribute
     near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
                           <= R + mesh.radii)
@@ -503,6 +478,21 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
                              np.concatenate(rule_list), table)
 
 
+def _check_in_mesh(mesh, ball):
+    """Raise unless the ball's centre lies in the mesh and the ball reaches
+    across no boundary edge by more than _RING_SLACK of that edge's length
+    (on criss-cross grids, 5 % of a boundary triangle's height)."""
+    c = np.asarray(ball.center)
+    a, b = mesh.vertices[mesh._boundary_edges].transpose(1, 0, 2)
+    d = b - a
+    length2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
+    gap = np.hypot(*(a + t[:, None] * d - c).T)      # centre to edge
+    if (np.any(ball.radius - gap > _RING_SLACK * np.sqrt(length2))
+            or not mesh.contains(c)[0]):
+        raise ValueError("ball escapes the meshed domain")
+
+
 @lru_cache(maxsize=None)
 def _ball_rule(depth, degree):
     """The degree rule's barycentric points followed by the same rule on
@@ -530,13 +520,6 @@ def _split4(tv):
         np.stack([m20, m12, tv[:, 2]], axis=1),
         np.stack([m01, m12, m20], axis=1),
     ])
-
-
-def ball_average(u, ball):
-    """Mean of a P1 function over a ball, normalized by pi R^2."""
-    quad = ball_quadrature(u.mesh, ball)
-    vals = u.at_quad(quad)
-    return float(np.dot(quad.weights, vals) / ball.area)
 
 
 _VTK_ROWS = 8192      # rows formatted per write

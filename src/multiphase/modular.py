@@ -50,10 +50,11 @@ class SampledPhase:
     """The phase function sampled once at a point set: a quadrature measure,
     or bare (M, 2) points for the pointwise checks.
 
-    This is the one place where the N-function is written out.  When p, q,
-    r, mu1 and mu2 are all constant fields they are kept as scalars and no
-    point is sampled; the modular of u/alpha then splits into alpha^-e times
-    power sums of |u| (`scaled_modular`).
+    The N-function is written out here and, fused with the flux
+    coefficient, in PhaseDiscretization._reduced.  When p, q, r, mu1 and
+    mu2 are all constant fields they are kept as scalars and no point is
+    sampled; the modular of u/alpha then splits into alpha^-e times power
+    sums of |u| (`scaled_modular`).
     """
 
     def __init__(self, tf, where):
@@ -75,11 +76,6 @@ class SampledPhase:
     def phi(self, t):
         """Pointwise N-function values for |u| samples t (t >= 0)."""
         return t ** self.p + self.m1 * t ** self.q + self.m2 * t ** self.r
-
-    def flux_coef(self, s):
-        """The flux coefficient s^(p-2) + mu1 s^(q-2) + mu2 s^(r-2)."""
-        return (s ** (self.p - 2) + self.m1 * s ** (self.q - 2)
-                + self.m2 * s ** (self.r - 2))
 
     def modular(self, u_abs):
         vals = self.phi(u_abs)
@@ -108,8 +104,6 @@ class SampledPhase:
 def _as_values(u, quad):
     if hasattr(u, "at_quad"):
         return np.asarray(u.at_quad(quad), dtype=float)
-    if callable(u):
-        return np.asarray(u(quad.points[:, 0], quad.points[:, 1]), dtype=float)
     vals = np.asarray(u, dtype=float)
     if vals.shape != quad.weights.shape:
         raise ValueError("sampled values must align with quadrature points")

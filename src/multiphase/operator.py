@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .modular import SampledPhase, luxemburg_norm
 
@@ -32,25 +31,9 @@ class FluxParams:
         return 0.0 if self.tf.exp.p_minus >= 2 else self.eps
 
 
-@dataclass
-class AssembledSystem:
-    residual: np.ndarray       # over free nodes
-    jacobian: sp.csr_matrix    # free x free
-    energy: float
-
-
 def _column_sums(C, Y):
     """Per-column sums of C * Y for (n, T) C and Y of shape (n, 1) or (n, T)."""
     return Y[:, 0] @ C if Y.shape[1] == 1 else np.einsum("ij,ij->j", C, Y)
-
-
-def flux(fp, x, g):
-    """Pointwise flux (s^{p-2} + mu1 s^{q-2} + mu2 s^{r-2}) g."""
-    g = np.asarray(g, dtype=float)
-    s = np.sqrt(g @ g + fp.eps ** 2)
-    if s == 0.0:
-        return np.zeros(2)
-    return np.asarray(SampledPhase(fp.tf, [x]).flux_coef(s)).item() * g
 
 
 class PhaseDiscretization:
@@ -210,18 +193,9 @@ class PhaseDiscretization:
         return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)
 
-    def assemble(self, u_vals, load=None, eps=None):
-        return AssembledSystem(self.residual(u_vals, load, eps),
-                               self.jacobian(u_vals, eps),
-                               self.energy(u_vals))
-
 
 def energy(fp, u):
     return PhaseDiscretization(fp, u.mesh).energy(u.nodal_values)
-
-
-def assemble(fp, u, load=None):
-    return PhaseDiscretization(fp, u.mesh).assemble(u.nodal_values, load)
 
 
 def check_gateaux(fp, u, h, delta):

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from multiphase import cli
+from multiphase import (UNIT_SQUARE, check_h2, check_h3, cli, first_eigenvalue,
+                        structured_mesh)
 from multiphase.cli import (ConfigError, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                             build_domain, build_phase, build_source,
                             load_config, main, _ball_family)
@@ -18,6 +19,19 @@ def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def readme_block(title, lang):
+    """The first fenced `lang` block after the README line `title:`."""
+    after = README.read_text(encoding="utf-8").split(f"\n{title}:\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", after, re.S).group(1)
+
+
+def read_csv(path):
+    """The rows of a CSV artifact as dicts, below its hash and header lines."""
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
 
 
 BASE_CFG = {
@@ -77,6 +91,18 @@ class TestConfigLoading:
         accepted = ((cli._TOP_KEYS - set(subs))
                     | {f"{sub}.{k}" for sub, keys in subs.items() for k in keys})
         assert listed == accepted
+
+    def test_readme_quick_example_runs(self, capsys):
+        code = compile(readme_block("Quick example", "python"), "README.md", "exec")
+        exec(code, {})
+        converged, iterations = capsys.readouterr().out.split()
+        assert converged == "True" and int(iterations) > 0
+
+    def test_readme_minimal_config_solves(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(readme_block("Minimal config", "json"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"),
+                     "solve"]) == EXIT_OK
 
 
 class TestBuilders:
@@ -190,6 +216,59 @@ class TestMain:
         assert code == EXIT_OK
         text = (out / "probe_poincare-w0.csv").read_text()
         assert len(text.splitlines()) == 22  # hash + header + 20 samples
+
+    def test_probe_sobolev_poincare(self, tmp_path):
+        cfg = {"p": {"const": 2.0}, "q": {"const": 3.0}, "r": {"const": 3.0},
+               "mu1": {"const": 1.0}, "mu2": {"const": 0.0}, "mesh_n": 32,
+               "solver": {"eps": 0.0}, "probe": {"delta": 0.5},
+               "dirichlet": {"expr": "sin(3.14159*x1)*x2"}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out),
+                     "probe", "sobolev-poincare"]) == EXIT_OK
+        rows = read_csv(out / "probe_sobolev-poincare.csv")
+        assert len(rows) == 20
+        ratios = np.array([float(row["ratio"]) for row in rows])
+        assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
+        assert all(float(row["param"]) == 0.5 for row in rows)
+
+    def test_check_hypotheses_growth_constants(self, tmp_path):
+        """With k3 ... k6 the H2 and H3 margins join the manifest, from the
+        first eigenvalues for m = p- and m = 2 on the mesh_n mesh."""
+        cfg = {**BASE_CFG, "p": {"const": 1.5}, "q": {"const": 1.8},
+               "r": {"const": 2.2},
+               "source": {**BASE_CFG["source"],
+                          "k3": 0.1, "k4": 0.1, "k5": 0.1, "k6": 0.1}}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out),
+                     "check-hypotheses"]) == EXIT_OK
+        rows = {h["name"]: h for h in
+                json.loads((out / "manifest.json").read_text())["hypotheses"]}
+        mesh = structured_mesh(UNIT_SQUARE, BASE_CFG["mesh_n"])
+        src = build_source(cfg)
+        h2 = check_h2(src, first_eigenvalue(mesh, 1.5)[0])
+        h3 = check_h3(src, first_eigenvalue(mesh, 2.0)[0])
+        for rep in (h2, h3):
+            assert rows[rep.name]["margin"] == rep.margin
+            assert rows[rep.name]["passed"] == bool(rep.passed)
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        runs = []
+
+        def ratios(cfg, *flags):
+            path = write_cfg(tmp_path, cfg)
+            out = tmp_path / f"out{len(runs)}"
+            assert main(["--config", path, "--out", str(out), *flags,
+                         "probe", "poincare-w0"]) == EXIT_OK
+            runs.append([row["ratio"]
+                         for row in read_csv(out / "probe_poincare-w0.csv")])
+            return runs[-1]
+
+        seed0 = ratios({**BASE_CFG, "seed": 0})
+        seed5 = ratios({**BASE_CFG, "seed": 0}, "--seed", "5")
+        assert seed5 != seed0
+        assert seed5 == ratios({**BASE_CFG, "seed": 5})
 
     def test_probe_d_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"d": 0.5}})

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from multiphase import mesh as mesh_mod
 
-from multiphase import (Ball, Domain2D, FeFunction, UNIT_SQUARE, ball_average,
-                        ball_quadrature, gradient_on, integrate, interpolate,
-                        refine, structured_mesh, write_vtk)
+from multiphase import (Ball, Domain2D, UNIT_SQUARE, ball_quadrature,
+                        interpolate, refine, structured_mesh, write_vtk)
 
 
 class TestStructuredMesh:
@@ -114,12 +113,11 @@ class TestRefineProperties:
 class TestGradient:
     def test_coordinate_function(self, square8):
         u = interpolate(lambda x, y: x, square8)
-        for t in range(square8.n_triangles):
-            assert gradient_on(t, u) == pytest.approx([1.0, 0.0], abs=1e-13)
+        assert np.allclose(u.gradients(), [1.0, 0.0], rtol=0, atol=1e-13)
 
     def test_constant(self, square8):
         u = interpolate(lambda x, y: 5 * np.ones(np.shape(x)), square8)
-        assert gradient_on(0, u) == pytest.approx([0.0, 0.0], abs=1e-13)
+        assert np.allclose(u.gradients(), 0.0, rtol=0, atol=1e-13)
 
     def test_affine_exact(self, square8):
         u = interpolate(lambda x, y: 3 * x + 4 * y - 1, square8)
@@ -128,26 +126,20 @@ class TestGradient:
 
 
 class TestIntegrate:
+    """Integrals over the mesh by its degree-5 quadrature."""
+
     def test_constant(self, square8):
-        assert integrate(lambda x, y: np.ones(np.shape(x)), square8) == pytest.approx(1.0)
+        q = square8.quadrature()
+        assert q.weights @ np.ones(len(q.weights)) == pytest.approx(1.0)
 
     def test_linear(self, square8):
-        assert integrate(lambda x, y: x, square8) == pytest.approx(0.5)
+        q = square8.quadrature()
+        assert q.weights @ q.points[:, 0] == pytest.approx(0.5)
 
     def test_degree5_polynomial(self, square8):
-        val = integrate(lambda x, y: x ** 2 * y ** 2, square8, rule_degree=5)
-        assert val == pytest.approx(1 / 9, abs=1e-12)
-
-    def test_linearity(self, square8):
-        f = lambda x, y: np.sin(x) * y
-        g = lambda x, y: np.cos(y) + x
-        lhs = integrate(lambda x, y: 2 * f(x, y) + 3 * g(x, y), square8)
-        rhs = 2 * integrate(f, square8) + 3 * integrate(g, square8)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
-
-    def test_nonfinite_rejected(self, square8):
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate(lambda x, y: np.full(np.shape(x), np.inf), square8)
+        q = square8.quadrature()
+        x, y = q.points.T
+        assert q.weights @ (x ** 2 * y ** 2) == pytest.approx(1 / 9, abs=1e-12)
 
 
 class TestInterpolate:
@@ -170,23 +162,28 @@ class TestInterpolate:
             interpolate(lambda x, y: np.where(x > 0.5, np.inf, 1.0), square8)
 
 
+def ball_integral(u, ball):
+    """Integral of a P1 function over a ball by its ball quadrature."""
+    q = ball_quadrature(u.mesh, ball)
+    return q.weights @ u.at_quad(q)
+
+
 class TestBallAverage:
-    def test_constant(self, square32):
-        u = FeFunction(square32, np.full(square32.n_vertices, 2.5))
-        b = Ball((0.5, 0.5), 0.25)
-        # pi R^2 normalization leaves a small clipping bias
-        assert ball_average(u, b) == pytest.approx(2.5, rel=1e-2)
+    """Ball-quadrature integrals of P1 functions against exact disk
+    integrals, the numerators of the probes' ball means, and a ball that
+    escapes across a corner of the square."""
 
     def test_linear_symmetry(self, square32):
         u = interpolate(lambda x, y: x, square32)
-        assert ball_average(u, Ball((0.5, 0.5), 0.25)) == pytest.approx(0.5, abs=1e-3)
+        exact = 0.5 * np.pi * 0.25 ** 2
+        assert ball_integral(u, Ball((0.5, 0.5), 0.25)) == pytest.approx(exact, rel=2e-3)
 
     def test_quadratic_polar_value(self):
         dom = Domain2D(((-1.2, -1.2), (1.2, -1.2), (1.2, 1.2), (-1.2, 1.2)))
         m = structured_mesh(dom, 48)
         u = interpolate(lambda x, y: x * x + y * y, m)
-        # oracle: (1/(pi R^2)) int_0^R rho^2 2 pi rho drho = R^2/2
-        assert ball_average(u, Ball((0.0, 0.0), 1.0)) == pytest.approx(0.5, rel=3e-3)
+        # oracle: int_0^R rho^2 2 pi rho drho = pi R^4 / 2
+        assert ball_integral(u, Ball((0.0, 0.0), 1.0)) == pytest.approx(np.pi / 2, rel=3e-3)
 
     def test_affine_center_value_converges(self):
         b = Ball((0.47, 0.53), 0.2)
@@ -194,13 +191,13 @@ class TestBallAverage:
         for n in (16, 32, 64):
             m = structured_mesh(UNIT_SQUARE, n)
             u = interpolate(lambda x, y: 1 + 2 * x - y, m)
-            errs.append(abs(ball_average(u, b) - (1 + 2 * 0.47 - 0.53)))
+            # an affine function integrates to its centre value times pi R^2
+            errs.append(abs(ball_integral(u, b) - (1 + 2 * 0.47 - 0.53) * np.pi * 0.04))
         assert errs[2] < errs[0]
 
     def test_escaping_ball_rejected(self, square16):
-        u = interpolate(lambda x, y: x, square16)
         with pytest.raises(ValueError, match="escapes"):
-            ball_average(u, Ball((0.1, 0.1), 0.5))
+            ball_quadrature(square16, Ball((0.1, 0.1), 0.5))
 
 
 class TestBallQuadrature:

@@ -5,9 +5,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from multiphase import (ExponentTriple, FeFunction, FluxParams, ScalarField,
-                        UNIT_SQUARE, WeightPair, assemble, check_coercive,
-                        check_gateaux, check_monotone, energy, flux,
-                        interpolate, structured_mesh)
+                        UNIT_SQUARE, WeightPair, check_coercive,
+                        check_gateaux, check_monotone, energy, interpolate,
+                        structured_mesh)
 from multiphase.modular import PhaseFunction
 from multiphase.operator import PhaseDiscretization
 from multiphase.solver import PhaseProblem, SourceTerm, solve_variational
@@ -50,25 +50,6 @@ class TestFluxParams:
         check_gateaux(fp, u, u, 1e-5)
         check_coercive(fp, u, [1.0, 2.0])
         assert seen == [fp.check_eps] * 3
-
-
-class TestPointwiseFlux:
-    def test_laplace_identity(self, laplace_flux):
-        g = np.array([0.3, -0.4])
-        assert flux(laplace_flux, (0.5, 0.5), g) == pytest.approx(g)
-
-    def test_zero_gradient(self, triple_flux):
-        assert flux(triple_flux, (0.2, 0.7), (0.0, 0.0)) == pytest.approx([0, 0])
-
-    def test_triple_value(self, triple_flux):
-        # |g| = 2: coefficient 2^0 + 2^1 + 2^2 = 7
-        out = flux(triple_flux, (0.5, 0.5), (2.0, 0.0))
-        assert out == pytest.approx([14.0, 0.0])
-
-    def test_radial_alignment(self, triple_flux):
-        g = np.array([1.0, 2.0])
-        out = flux(triple_flux, (0.1, 0.9), g)
-        assert out[0] * g[1] - out[1] * g[0] == pytest.approx(0.0, abs=1e-14)
 
 
 class TestEnergy:
@@ -143,13 +124,6 @@ class TestResidualJacobian:
         load = disc.load_vector(f)
         # load sums to int_Omega 1 dx = 1 by partition of unity
         assert load.sum() == pytest.approx(1.0, rel=1e-13)
-
-    def test_assemble_bundles(self, triple_flux, square8):
-        rng = np.random.default_rng(25)
-        u = random_fe(square8, rng)
-        sys = assemble(triple_flux, u)
-        assert sys.jacobian.shape[0] == len(sys.residual)
-        assert sys.energy == pytest.approx(energy(triple_flux, u), rel=1e-13)
 
 
 class TestGateaux:

@@ -8,7 +8,7 @@ import pytest
 
 from multiphase import (Domain2D, ExponentTriple, FeFunction, FluxParams,
                         PhaseProblem, SourceTerm, TriMesh, UNIT_SQUARE,
-                        WeightPair, first_eigenvalue, gradient_on, refine,
+                        WeightPair, first_eigenvalue, refine,
                         structured_mesh, weak_residual_sup)
 from multiphase import solver
 from multiphase.mesh import quad_rule
@@ -136,8 +136,6 @@ class TestAgainstOldFormulas:
                     PhaseDiscretization(fp, mesh)._gradients(u)):
             assert got.shape == ref.shape
             assert _rel_err(got, ref) <= 1e-14
-        for t in (0, mesh.n_triangles // 2, -1):
-            assert _rel_err(gradient_on(t, FeFunction(mesh, u)), ref[t]) <= 1e-14
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_residual(self, mesh, fp, eps):

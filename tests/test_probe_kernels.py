@@ -11,7 +11,7 @@ from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
                         UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
                         refine, structured_mesh)
 from multiphase.cli import _ball_family
-from multiphase.mesh import _RING_SLACK, _ball_rule, quad_rule
+from multiphase.mesh import _ball_rule, _check_in_mesh, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
 
 
@@ -54,12 +54,9 @@ def _split4_parents(tv, parents):
 
 def split_ball_quadrature(mesh, ball, depth=3, degree=5):
     """All triangles classified, crossing ones split `depth` times."""
+    _check_in_mesh(mesh, ball)
     c = np.asarray(ball.center)
     R = ball.radius
-    t = np.linspace(0, 2 * np.pi, 17)[:-1]
-    ring = c + R * np.column_stack([np.cos(t), np.sin(t)])
-    if np.any(loop_locate(mesh, ring, tol=_RING_SLACK)[0] < 0):
-        raise ValueError("ball escapes the meshed domain")
     bary, w = quad_rule(degree)
     verts = mesh.vertices[mesh.triangles]
     all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
@@ -89,13 +86,10 @@ def split_ball_quadrature(mesh, ball, depth=3, degree=5):
 def dense_ball_quadrature(mesh, ball, depth=3, degree=5):
     """ball_quadrature as it was built before: the weight, triangle and
     rule index of every subdivided point of every crossing triangle, cut to
-    the points in the ball afterwards, and a ring check by the point loop."""
+    the points in the ball afterwards."""
+    _check_in_mesh(mesh, ball)
     c = np.asarray(ball.center)
     R = ball.radius
-    t = np.linspace(0, 2 * np.pi, 17)[:-1]
-    ring = c + (R * np.column_stack([np.cos(t), np.sin(t)]))
-    if np.any(loop_locate(mesh, ring, tol=_RING_SLACK)[0] < 0):
-        raise ValueError("ball escapes the meshed domain")
     near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
                           <= R + mesh.radii)
     verts = mesh.tri_vertices[near]
@@ -224,8 +218,8 @@ class TestBallQuadratureMatchesSplitting:
 
 
 class TestBallQuadratureMatchesDense:
-    """Weights and indices formed only at the kept points, and a ring check
-    that screens triangles by box: every array bit-identical."""
+    """Weights and indices formed only at the kept points: every array
+    bit-identical."""
 
     @staticmethod
     def assert_same(mesh, ball):
@@ -265,6 +259,40 @@ class TestBallContainment:
             ball_quadrature(mesh, Ball((0.3, 0.5), 0.35))
         q = ball_quadrature(mesh, Ball((0.5, 0.5), 0.3))
         assert q.total_mass == pytest.approx(np.pi * 0.09, rel=1e-2)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_crossing_between_ring_points(self, n):
+        """On a square of apothem cos(pi/4) rotated by 11.25 degrees, a
+        centred ball of radius 0.72 crosses all four edges by 0.013, in
+        between the points of a 16-point ring on its circle."""
+        th = np.deg2rad(45 + 11.25) + np.arange(4) * np.pi / 2
+        mesh = structured_mesh(Domain2D(tuple(zip(np.cos(th), np.sin(th)))), n)
+        with pytest.raises(ValueError, match="escapes"):
+            ball_quadrature(mesh, Ball((0.0, 0.0), 0.72))
+        ball_quadrature(mesh, Ball((0.0, 0.0), 0.70))
+
+    def test_slack_is_a_share_of_the_edge(self):
+        """On the 4 x 4 square a boundary edge is 0.25 long: a ball may
+        cross it by 0.05 * 0.25 = 0.0125."""
+        mesh = structured_mesh(UNIT_SQUARE, 4)
+        ball_quadrature(mesh, Ball((0.5, 0.5), 0.51))
+        with pytest.raises(ValueError, match="escapes"):
+            ball_quadrature(mesh, Ball((0.5, 0.5), 0.515))
+
+    def test_centre_outside_rejected(self, square8):
+        """A small ball beside the square crosses no edge; its centre
+        rejects it."""
+        with pytest.raises(ValueError, match="escapes"):
+            ball_quadrature(square8, Ball((1.02, 0.5), 0.01))
+
+    def test_reflex_corner(self):
+        """A ball inside an L-shape that reaches around its reflex corner
+        is rejected; one that stays clear of the corner is accepted."""
+        mesh = structured_mesh(Domain2D(((0, 0), (2, 0), (2, 1), (1, 1),
+                                         (1, 2), (0, 2))), 16)
+        with pytest.raises(ValueError, match="escapes"):
+            ball_quadrature(mesh, Ball((0.8, 0.8), 0.4))
+        ball_quadrature(mesh, Ball((0.6, 0.6), 0.4))
 
 
 class TestLocateMatchesLoop:

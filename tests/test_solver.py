@@ -822,9 +822,77 @@ class TestContinuationOnDemand:
         assert rep.eps_schedule == [1e-8] + solver._eps_schedule(prob.fp)
 
 
+class TestFailedSolves:
+    """The failure branches of _newton's step, reached through its
+    _linear_solve hook."""
+
+    def test_failed_chord_solve_refactors(self, triple_flux, square16,
+                                          monkeypatch):
+        """The first solve with a held factor raises: the step is redone
+        with a fresh factor, counted, and the solve converges to the same
+        state."""
+        prob = PhaseProblem(square16, triple_flux, sine_load(),
+                            dirichlet_zero(square16))
+        plain = solve_variational(prob, tol=1e-10)
+        real_solve = solver._linear_solve
+        last, solves = [None], []
+
+        def failing_first_reuse(solve, rhs):
+            reuse = solve is last[0]
+            if reuse and "failed" not in solves:
+                solves.append("failed")
+                raise np.linalg.LinAlgError("forced")
+            solves.append("chord" if reuse else "fresh")
+            last[0] = solve
+            return real_solve(solve, rhs)
+
+        monkeypatch.setattr(solver, "_linear_solve", failing_first_reuse)
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        after = solves.index("failed") + 1
+        assert solves[after] == "fresh"
+        # the Poisson start is one factorisation, each fresh step another
+        assert rep.factorizations == 1 + solves.count("fresh")
+        assert np.max(np.abs(rep.solution.nodal_values
+                             - plain.solution.nodal_values)) <= 1e-10
+
+    def test_non_finite_step_climbs(self, variable_phase, square8,
+                                    monkeypatch):
+        """A NaN first step struggles like a singular one."""
+        calls = [0]
+        real_solve = solver._linear_solve
+
+        def nan_first(J, rhs):
+            calls[0] += 1
+            if calls[0] == 1:
+                return np.full(len(rhs), np.nan)
+            return real_solve(J, rhs)
+
+        monkeypatch.setattr(solver, "_linear_solve", nan_first)
+        prob = PhaseProblem(square8, FluxParams(variable_phase, eps=1e-8),
+                            unit_sine_load(), dirichlet_zero(square8))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [1e-8] + solver._eps_schedule(prob.fp)
+
+    def test_sixth_eps_retry_raises(self, triple_flux, square8, monkeypatch):
+        """On the one-rung ladder of eps = 0 every failed solve raises eps,
+        and the sixth failure ends the solve."""
+        def always_fails(J, rhs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(solver, "_linear_solve", always_fails)
+        assert triple_flux.eps == 0.0
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        with pytest.raises(RuntimeError, match="5 eps retries"):
+            solve_variational(prob)
+
+
 class TestEpsZeroPolish:
-    """For p- >= 2 a solve at a user eps > 0 is judged at check_eps = 0;
-    the closing Newton polish must use the Jacobian of that residual."""
+    """For p- >= 2 a solve at a user eps > 0 is judged at check_eps = 0; the
+    check stage at check_eps closes the gap to tol with Newton steps on the
+    Jacobian of that residual."""
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_user_eps_converges_at_zero(self, n):
@@ -838,9 +906,10 @@ class TestEpsZeroPolish:
         assert rep.factorizations <= 5
 
 
-# Factorisations of these solves (32 x 32 square, unit sine load) when an
-# eps = 0 Newton polish of undamped steps, each with a fresh factor, closed
-# the gap to check_eps in place of the check stage
+# Factorisations of these solves (32 x 32 square, unit sine load) measured
+# before the check stage, when a former eps = 0 Newton polish of undamped
+# steps, each with a fresh factor, closed the gap to check_eps; the check
+# stage takes no more
 POLISH_FACTORIZATIONS = {((2.2, 2.6, 3.0), 0.1): 5, ((2.2, 2.6, 3.0), 0.03): 6,
                          ((2.0, 2.5, 3.0), 0.1): 6, ((2.0, 2.5, 3.0), 0.03): 5,
                          ((3, 3, 4), 0.1): 7, ((3, 3, 4), 0.03): 8}
