@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
+from .expressions import ExpressionError
 from .fields import (Domain2D, ExponentTriple, ScalarField, UNIT_SQUARE,
                      WeightPair, check_h1, check_hprime)
 from .mesh import Ball, FeFunction, refine, structured_mesh, write_vtk
@@ -105,14 +106,15 @@ def build_source(cfg):
     if src is None:
         return SourceTerm.zero()
     constants = {k: float(src[k]) for k in _SOURCE_CONSTANTS if k in src}
-    base = None
-    for kind in ("expr", "const", "affine"):
-        if kind in src:
-            base = ScalarField.from_spec({kind: src[kind]})
-            break
-    if base is None:
-        base = ScalarField.constant(0.0)
-    gc = [float(c) for c in src.get("grad_coeff", (0.0, 0.0))]
+    kinds = [k for k in ("expr", "const", "affine") if k in src]
+    if len(kinds) > 1:
+        raise ConfigError(f"source takes one of expr, const and affine, got {kinds}")
+    base = (ScalarField.from_spec({kinds[0]: src[kinds[0]]}) if kinds
+            else ScalarField.constant(0.0))
+    gc = src.get("grad_coeff", [0.0, 0.0])
+    if not isinstance(gc, list) or len(gc) != 2:
+        raise ConfigError(f"source.grad_coeff must be a pair, got {gc!r}")
+    gc = [float(c) for c in gc]
     sc = float(src.get("state_coeff", 0.0))
     grad_dependent = any(c != 0.0 for c in gc)
 
@@ -415,7 +417,7 @@ def main(argv=None):
     # stages timed before it
     try:
         code = handlers[args.command](cfg, args, manifest)
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         manifest.error, code = f"config error: {exc}", EXIT_USAGE
         print(manifest.error, file=sys.stderr)
     except Exception as exc:

@@ -37,7 +37,7 @@ def _compile(node):
     if isinstance(node, ast.Expression):
         return _compile(node.body)
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric constant {node.value!r}")
         value = float(node.value)
         return lambda x1, x2: value

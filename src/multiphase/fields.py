@@ -65,11 +65,14 @@ class Domain2D:
         return v.min(axis=0), v.max(axis=0)
 
     def contains(self, points, tol=1e-12):
-        """Even-odd point-in-polygon test, vectorized over points."""
+        """Even-odd point-in-polygon test, vectorized over points; points on
+        an edge count as inside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = np.asarray(self.vertices)
         x, y = pts[:, 0], pts[:, 1]
         inside = np.zeros(len(pts), dtype=bool)
+        # kept apart: a later edge's crossing must not toggle it back out
+        on_edge = np.zeros(len(pts), dtype=bool)
         n = len(v)
         for i in range(n):
             x1, y1 = v[i]
@@ -78,13 +81,11 @@ class Domain2D:
             with np.errstate(divide="ignore", invalid="ignore"):
                 xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
             inside ^= cross & (x < np.where(cross, xs, np.inf))
-            # points on the edge count as inside
             d = np.abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1))
             seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
             t = ((x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)) / seg2
-            on_edge = (d <= tol * np.sqrt(seg2)) & (t >= -tol) & (t <= 1 + tol)
-            inside |= on_edge
-        return inside
+            on_edge |= (d <= tol * np.sqrt(seg2)) & (t >= -tol) & (t <= 1 + tol)
+        return inside | on_edge
 
     def sample_grid(self, n=128):
         """Uniform n-by-n grid over the bbox restricted to the polygon,

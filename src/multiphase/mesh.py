@@ -89,9 +89,7 @@ class FreePattern:
                              shape=(n, n))
 
 
-# (point, triangle) pairs screened at once by TriMesh.locate
-_LOCATE_PAIRS = 1 << 18
-_RING_SLACK = 0.05     # share of a boundary edge's length a ball may cross
+_EDGE_SLACK = 0.05     # share of a boundary edge's length a ball may cross
 
 
 class TriMesh:
@@ -207,48 +205,6 @@ class TriMesh:
         """Largest centroid-to-vertex distance of each triangle."""
         return np.max(np.linalg.norm(
             self.tri_vertices - self.centroids[:, None, :], axis=2), axis=1)
-
-    def locate(self, points, tol=1e-12):
-        """Triangle index and barycentric coordinates for each point.
-
-        Index -1 marks points outside the mesh; a point on several
-        triangles gets the lowest index.  Barycentric coordinates all
-        >= -tol put a point within (1 + 3 tol) radii of the centroid, so
-        only the (point, triangle) pairs inside that bound get the exact
-        test, and only triangles whose centroid lies in a chunk's bounding
-        box, padded by the largest such reach, are measured against it.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        tri_of = np.full(len(pts), -1, dtype=np.int64)
-        bary_of = np.zeros((len(pts), 3))
-        cx, cy = self.centroids.T
-        # the slack covers rounding in the barycentric test itself
-        reach = ((1.0 + 3.0 * tol + 1e-9) * self.radii) ** 2
-        # 1 % over the largest reach: no pair the distance test accepts is
-        # lost to rounding in the box test
-        pad = 1.01 * np.sqrt(reach.max())
-        chunk = max(1, _LOCATE_PAIRS // self.n_triangles)
-        for start in range(0, len(pts), chunk):
-            p = pts[start:start + chunk]
-            lo, hi = p.min(axis=0) - pad, p.max(axis=0) + pad
-            cand = np.flatnonzero((cx >= lo[0]) & (cx <= hi[0])
-                                  & (cy >= lo[1]) & (cy <= hi[1]))
-            near = ((p[:, 0, None] - cx[cand]) ** 2
-                    + (p[:, 1, None] - cy[cand]) ** 2) <= reach[cand]
-            pi, ti = np.nonzero(near)
-            ti = cand[ti]
-            lam = _barycentric(p[pi], self.tri_vertices[ti])
-            ok = np.flatnonzero(np.all(lam >= -tol, axis=1))
-            # pairs come ordered by point, then triangle: keep the first hit
-            found, first = np.unique(pi[ok], return_index=True)
-            hit = ok[first]
-            tri_of[start + found] = ti[hit]
-            bary_of[start + found] = lam[hit]
-        return tri_of, bary_of
-
-    def contains(self, points, tol=1e-12):
-        tri_of, _ = self.locate(points, tol=tol)
-        return tri_of >= 0
 
 
 def structured_mesh(domain, n):
@@ -420,10 +376,6 @@ class Ball:
         object.__setattr__(self, "center",
                            (float(self.center[0]), float(self.center[1])))
 
-    @property
-    def area(self):
-        return np.pi * self.radius ** 2
-
 
 def ball_quadrature(mesh, ball, depth=3, degree=5):
     """Quadrature over the intersection of the mesh with a ball.
@@ -479,17 +431,23 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
 
 
 def _check_in_mesh(mesh, ball):
-    """Raise unless the ball's centre lies in the mesh and the ball reaches
-    across no boundary edge by more than _RING_SLACK of that edge's length
-    (on criss-cross grids, 5 % of a boundary triangle's height)."""
+    """Raise unless the ball's centre lies in a triangle of the mesh and the
+    ball reaches across no boundary edge by more than _EDGE_SLACK of that
+    edge's length (on criss-cross grids, 5 % of a boundary triangle's
+    height).  A triangle holds the centre only if its centroid lies within
+    its radius of the centre in each coordinate, so only those triangles
+    get the barycentric test; the slacks cover rounding."""
     c = np.asarray(ball.center)
     a, b = mesh.vertices[mesh._boundary_edges].transpose(1, 0, 2)
     d = b - a
     length2 = np.einsum("ij,ij->i", d, d)
     t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
     gap = np.hypot(*(a + t[:, None] * d - c).T)      # centre to edge
-    if (np.any(ball.radius - gap > _RING_SLACK * np.sqrt(length2))
-            or not mesh.contains(c)[0]):
+    (cx, cy), reach = mesh.centroids.T, (1.0 + 1e-9) * mesh.radii
+    near = np.flatnonzero((np.abs(cx - c[0]) <= reach) & (np.abs(cy - c[1]) <= reach))
+    lam = _barycentric(c[None], mesh.tri_vertices[near])
+    if (np.any(ball.radius - gap > _EDGE_SLACK * np.sqrt(length2))
+            or not np.any(np.all(lam >= -1e-12, axis=1))):
         raise ValueError("ball escapes the meshed domain")
 
 

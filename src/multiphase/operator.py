@@ -60,11 +60,10 @@ class PhaseDiscretization:
     (T, 1) columns.
     """
 
-    def __init__(self, fp, mesh, degree=5):
+    def __init__(self, fp, mesh):
         self.fp = fp
         self.mesh = mesh
-        self.degree = degree
-        quad, T = mesh.quadrature(degree), mesh.n_triangles
+        quad, T = mesh.quadrature(), mesh.n_triangles
         self.bary = quad.rule
         self.qpoints = quad.points.reshape(T, -1, 2)       # (T, K, 2)
         self.qweights = quad.weights.reshape(T, -1)        # (T, K)

@@ -351,6 +351,19 @@ class TestConfigKeys:
                      str(tmp_path / "out"), "check-hypotheses"]) == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, error", [
+        ({"grad_coeff": [0.1]}, "grad_coeff must be a pair"),
+        ({"grad_coeff": 0.1}, "grad_coeff must be a pair"),
+        ({"expr": "x1", "const": 1.0}, "one of expr, const and affine"),
+        ({"expr": "x1 + True"}, "non-numeric constant True"),
+    ], ids=["short-grad-coeff", "scalar-grad-coeff", "two-kinds", "bool"])
+    def test_bad_source_exit_usage(self, tmp_path, capsys, source, error):
+        """A malformed source is a config error, whichever command reads it."""
+        cfg = {**BASE_CFG, "source": source}
+        assert main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "solve"]) == EXIT_USAGE
+        assert error in capsys.readouterr().err
+
     def test_linear_solver_key_removed(self, tmp_path, capsys):
         # every solve runs on one sparse LU factor; no key selects another
         cfg = {**BASE_CFG, "solver": {"linear_solver": "direct"}}

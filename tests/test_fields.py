@@ -29,6 +29,26 @@ class TestDomain:
         pts = UNIT_SQUARE.sample_grid(16)
         assert np.all((pts >= -1e-12) & (pts <= 1 + 1e-12))
 
+    @pytest.mark.parametrize("domain", [
+        UNIT_SQUARE,
+        Domain2D(tuple((np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3)),
+    ], ids=["square", "hexagon"])
+    def test_edge_midpoints_inside(self, domain):
+        """A crossing on a later edge does not toggle an edge point out."""
+        v = np.asarray(domain.vertices)
+        assert np.all(domain.contains(0.5 * (v + np.roll(v, -1, axis=0))))
+
+    def test_sample_grid_keeps_the_boundary_rows(self):
+        # 128^2 grid points, every one in the closed square, and 4 vertices
+        assert len(UNIT_SQUARE.sample_grid(128)) == 128 ** 2 + 4
+
+    def test_exponent_below_one_on_the_bottom_edge(self):
+        """p(0.5, 0) = 0.7: only the bottom edge between the corners shows it."""
+        p = ScalarField.expression("1.5 + 200*x2 - 0.8*sin(3.14159*x1)")
+        with pytest.raises(HypothesisError, match="exceed 1"):
+            ExponentTriple.sample(p, ScalarField.constant(250.0),
+                                  ScalarField.constant(300.0))
+
 
 class TestExpressions:
     def test_arithmetic(self):
@@ -49,6 +69,11 @@ class TestExpressions:
             parse_expression("__import__('os')")
         with pytest.raises(ExpressionError):
             parse_expression("y + 1")
+
+    @pytest.mark.parametrize("text", ["x1 + True", "False * x2"])
+    def test_rejects_bool_constants(self, text):
+        with pytest.raises(ExpressionError, match="non-numeric"):
+            parse_expression(text)
 
 
 class TestScalarField:

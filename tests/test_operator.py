@@ -280,7 +280,7 @@ def _seven_point(disc):
     1 / X) rebuilt from them here in the (3 K, T) layout of a space-varying
     phase, so the copy shares none of the per-triangle ones made in
     __init__."""
-    full = PhaseDiscretization(disc.fp, disc.mesh, disc.degree)
+    full = PhaseDiscretization(disc.fp, disc.mesh)
     shape = disc.qweights.shape
     for name in ("p", "q", "r", "m1", "m2"):
         setattr(full, name, np.broadcast_to(getattr(disc, name), shape))
@@ -538,7 +538,7 @@ class TestPhasePowers:
                                    square8)
         disc.jacobian(random_fe(square8, np.random.default_rng(16)).nodal_values)
         T, K = disc.qweights.shape
-        quad = square8.quadrature(disc.degree)
+        quad = square8.quadrature()
 
         def base(a):
             while a.base is not None:

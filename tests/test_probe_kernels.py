@@ -1,7 +1,7 @@
 """The probe kernels against the plain implementations they replaced:
 ball quadrature by subdividing every crossing triangle and by forming every
-subdivided point's weight before the cut, point location by a loop over
-points, and the Luxemburg norm by bisection."""
+subdivided point's weight before the cut, and the Luxemburg norm by
+bisection."""
 
 import numpy as np
 import pytest
@@ -16,28 +16,6 @@ from multiphase.modular import PhaseFunction, SampledPhase
 
 
 # -- reference implementations ----------------------------------------------
-
-def loop_locate(mesh, points, tol=1e-12):
-    """Every triangle tested for every point; the lowest index wins."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tri_of = np.full(len(pts), -1, dtype=np.int64)
-    bary_of = np.zeros((len(pts), 3))
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    d1 = mesh.vertices[mesh.triangles[:, 1]] - v0
-    d2 = mesh.vertices[mesh.triangles[:, 2]] - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    for i, p in enumerate(pts):
-        r = p - v0
-        l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-        l2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-        l0 = 1.0 - l1 - l2
-        hits = np.flatnonzero((l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol))
-        if len(hits):
-            t = hits[0]
-            tri_of[i] = t
-            bary_of[i] = (l0[t], l1[t], l2[t])
-    return tri_of, bary_of
-
 
 def _split4_parents(tv, parents):
     m01 = 0.5 * (tv[:, 0] + tv[:, 1])
@@ -294,33 +272,23 @@ class TestBallContainment:
             ball_quadrature(mesh, Ball((0.8, 0.8), 0.4))
         ball_quadrature(mesh, Ball((0.6, 0.6), 0.4))
 
+    def test_centre_in_a_hole(self):
+        """On the 8 x 8 square without the triangles whose centroid lies in
+        (0.25, 0.75)^2, a ball inside the hole crosses no edge; its centre
+        rejects it.  A ball in the frame is accepted."""
+        square = structured_mesh(UNIT_SQUARE, 8)
+        hole = np.all(np.abs(square.centroids - 0.5) < 0.25, axis=1)
+        frame = TriMesh(square.vertices, square.triangles[~hole])
+        with pytest.raises(ValueError, match="escapes"):
+            _check_in_mesh(frame, Ball((0.5, 0.5), 0.2))
+        _check_in_mesh(frame, Ball((0.125, 0.5), 0.1))
 
-class TestLocateMatchesLoop:
-    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.05])
-    def test_random_vertex_edge_and_outside_points(self, mesh, tol):
-        rng = np.random.default_rng(5)
-        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-        pad = 0.2 * (hi - lo)
-        tri = mesh.triangles[rng.integers(0, mesh.n_triangles, 150)]
-        s = rng.random((150, 1))
-        on_edge = s * mesh.vertices[tri[:, 0]] + (1 - s) * mesh.vertices[tri[:, 1]]
-        points = np.vstack([rng.uniform(lo - pad, hi + pad, (300, 2)),
-                            mesh.vertices, on_edge])
-        tri_of, bary = mesh.locate(points, tol=tol)
-        ref_tri, ref_bary = loop_locate(mesh, points, tol=tol)
-        np.testing.assert_array_equal(tri_of, ref_tri)
-        np.testing.assert_array_equal(bary, ref_bary)
-        assert np.any(tri_of < 0) and np.any(tri_of >= 0)
-
-    def test_chunked_points(self, monkeypatch):
-        import multiphase.mesh as mesh_mod
-        mesh = _jittered(6, 1)
-        monkeypatch.setattr(mesh_mod, "_LOCATE_PAIRS", 3 * mesh.n_triangles)
-        points = np.random.default_rng(2).uniform(-0.1, 1.1, (50, 2))
-        tri_of, bary = mesh.locate(points)
-        ref_tri, ref_bary = loop_locate(mesh, points)
-        np.testing.assert_array_equal(tri_of, ref_tri)
-        np.testing.assert_array_equal(bary, ref_bary)
+    @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.5, 0.0)],
+                             ids=["corner", "edge"])
+    def test_centre_on_the_boundary(self, square8, centre):
+        """A small ball centred on a boundary vertex is accepted: the centre
+        lies on the triangles around it."""
+        _check_in_mesh(square8, Ball(centre, 0.005))
 
 
 class TestLuxemburgRegulaFalsi:
