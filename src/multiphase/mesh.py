@@ -206,6 +206,14 @@ class TriMesh:
         return np.max(np.linalg.norm(
             self.tri_vertices - self.centroids[:, None, :], axis=2), axis=1)
 
+    @cached_property
+    def boundary_segments(self):
+        """Start point a, direction d and squared length |d|^2 of every
+        boundary edge, for the containment test of balls."""
+        a, b = self.vertices[self._boundary_edges].transpose(1, 0, 2)
+        d = b - a
+        return a, d, np.einsum("ij,ij->i", d, d)
+
 
 def structured_mesh(domain, n):
     """Triangulate a polygon.
@@ -332,17 +340,22 @@ class FeFunction:
     def at_quad(self, quad, bary=None):
         """Values at quadrature points using the recorded triangle indices
         and, where the quadrature records them, the rule points."""
-        tris = self.mesh.triangles[quad.tri_index]
+        tris = np.take(self.mesh.triangles, quad.tri_index, axis=0)
         if bary is None:
             if quad.rule_index is not None:
-                bary = quad.rule[quad.rule_index]
+                bary = np.take(quad.rule, quad.rule_index, axis=0)
             else:
-                bary = _barycentric(quad.points, self.mesh.vertices[tris])
-        return np.einsum("mj,mj->m", self.nodal_values[tris], bary)
+                bary = _barycentric(quad.points,
+                                    np.take(self.mesh.vertices, tris, axis=0))
+        return np.einsum("mj,mj->m", np.take(self.nodal_values, tris), bary)
+
+    def grad_norms(self):
+        """|grad u| on each triangle, shape (n_triangles,)."""
+        return np.linalg.norm(self.gradients(), axis=1)
 
     def grad_norm_at(self, quad):
         """|grad u| at the quadrature points, from their triangles."""
-        return np.linalg.norm(self.gradients(), axis=1)[quad.tri_index]
+        return np.take(self.grad_norms(), quad.tri_index)
 
 
 def _barycentric(points, tri_verts):
@@ -386,48 +399,61 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
     so P1 data can still be evaluated per parent.  A ball that escapes the
     mesh by more than a slack below the P1 resolution is rejected
     (`_check_in_mesh`).
+
+    Rows are gathered with np.take and np.compress, which give what fancy
+    indexing gives several times faster, and written straight into the
+    output arrays.
     """
     _check_in_mesh(mesh, ball)
-    c = np.asarray(ball.center)
-    R = ball.radius
+    c, R = ball.center, ball.radius
     # only triangles whose bounding circle meets the ball can contribute
-    near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
-                          <= R + mesh.radii)
-    verts = mesh.tri_vertices[near]
-    all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
+    near = np.flatnonzero(np.sqrt(_dist2(mesh.centroids, c)) <= R + mesh.radii)
+    verts = np.take(mesh.tri_vertices, near, axis=0)
+    all_in = np.all(_dist2(verts, c) <= R * R, axis=1)
+    inside, crossing = np.compress(all_in, near), np.compress(~all_in, near)
 
     # rows [0, K) of the rule table are the plain rule, rows K on the
     # subdivided one
     table, sub_w = _ball_rule(depth, degree)
     bary, w = quad_rule(degree)
-    K = len(w)
-    pts_list, w_list, tri_list, rule_list = [], [], [], []
-    if np.any(all_in):
-        idx = near[all_in]
-        pts_list.append((bary @ verts[all_in]).reshape(-1, 2))
-        w_list.append((mesh.areas[idx, None] * w).ravel())
-        tri_list.append(np.repeat(idx, K))
-        rule_list.append(np.tile(np.arange(K), len(idx)))
+    K, S = len(w), len(sub_w)
+    centers = (table[K:] @ np.compress(~all_in, verts, axis=0)).reshape(-1, 2)
+    keep = np.flatnonzero(_dist2(centers, c) <= R * R)
 
-    if not np.all(all_in):
-        idx = near[~all_in]
-        centers = (table[K:] @ verts[~all_in]).reshape(-1, 2)
-        keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
-                              + (centers[:, 1] - c[1]) ** 2 <= R * R)
-        parent, row = np.divmod(keep, len(sub_w))
-        pts_list.append(centers[keep])
-        tri_list.append(idx[parent])
-        w_list.append(mesh.areas[tri_list[-1]] * sub_w[row])
-        rule_list.append(K + row)
-        # not held through the concatenation, which copies the kept points
-        del centers, keep, parent, row
-
-    if not pts_list:
+    n_in = K * len(inside)
+    M = n_in + len(keep)
+    if M == 0:
         raise ValueError("ball does not intersect the mesh")
-    return QuadratureMeasure(np.concatenate(pts_list),
-                             np.concatenate(w_list),
-                             np.concatenate(tri_list),
-                             np.concatenate(rule_list), table)
+    points = np.empty((M, 2))
+    points[:n_in] = (bary @ np.compress(all_in, verts, axis=0)).reshape(-1, 2)
+    # the indices are in range: mode="clip" skips the buffer that `out`
+    # takes under the default mode
+    np.take(centers, keep, axis=0, out=points[n_in:], mode="clip")
+    del centers     # not held while the other outputs are filled
+    parent = keep // S              # faster than np.divmod
+    row = keep - parent * S
+    weights, tri_index, rule_index = np.empty(M), np.empty(M, np.int64), np.empty(M, np.int64)
+    np.multiply(np.take(mesh.areas, inside)[:, None], w,
+                out=weights[:n_in].reshape(-1, K))
+    tri_index[:n_in] = np.repeat(inside, K)
+    rule_index[:n_in] = np.tile(np.arange(K), len(inside))
+    np.take(crossing, parent, out=tri_index[n_in:], mode="clip")
+    np.multiply(np.take(mesh.areas, tri_index[n_in:]), np.take(sub_w, row),
+                out=weights[n_in:])
+    np.add(row, K, out=rule_index[n_in:])
+    return QuadratureMeasure(points, weights, tri_index, rule_index, table)
+
+
+def _dist2(pts, c):
+    """(x - c0)**2 + (y - c1)**2 for (..., 2) points, formed one coordinate
+    at a time: numpy broadcasts and reduces over rows of two several times
+    slower, with the same values."""
+    x = pts[..., 0] - c[0]
+    x *= x
+    y = pts[..., 1] - c[1]
+    y *= y
+    x += y
+    return x
 
 
 def _check_in_mesh(mesh, ball):
@@ -438,14 +464,12 @@ def _check_in_mesh(mesh, ball):
     its radius of the centre in each coordinate, so only those triangles
     get the barycentric test; the slacks cover rounding."""
     c = np.asarray(ball.center)
-    a, b = mesh.vertices[mesh._boundary_edges].transpose(1, 0, 2)
-    d = b - a
-    length2 = np.einsum("ij,ij->i", d, d)
+    a, d, length2 = mesh.boundary_segments
     t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
     gap = np.hypot(*(a + t[:, None] * d - c).T)      # centre to edge
     (cx, cy), reach = mesh.centroids.T, (1.0 + 1e-9) * mesh.radii
     near = np.flatnonzero((np.abs(cx - c[0]) <= reach) & (np.abs(cy - c[1]) <= reach))
-    lam = _barycentric(c[None], mesh.tri_vertices[near])
+    lam = _barycentric(c[None], np.take(mesh.tri_vertices, near, axis=0))
     if (np.any(ball.radius - gap > _EDGE_SLACK * np.sqrt(length2))
             or not np.any(np.all(lam >= -1e-12, axis=1))):
         raise ValueError("ball escapes the meshed domain")

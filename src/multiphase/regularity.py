@@ -64,7 +64,13 @@ def _ratio(lhs, rhs):
 
 class _BallKernel:
     """One ball's quadrature and its phase sample, built once: integrals and
-    means of values at the ball's points, and phi(|grad u|) there."""
+    means of values at the ball's points, and phi(|grad u|) there.
+
+    On a constant phase phi(|grad u|) is constant on each triangle, as the
+    P1 gradient is, so it and any elementwise function of it are evaluated
+    once per mesh triangle and then gathered to the points: the same values
+    as at the points.  A variable phase keeps them per point, where its
+    exponents and weights vary within a triangle."""
 
     def __init__(self, tf, mesh, ball):
         self.quad = ball_quadrature(mesh, ball)
@@ -78,8 +84,23 @@ class _BallKernel:
         # fields are reproduced exactly despite the geometric clipping
         return self.integral(vals) / self.quad.total_mass
 
-    def phi_grad(self, u):
+    def phi_grad_samples(self, u):
+        """phi(|grad u|) per mesh triangle on a constant phase, else at the
+        ball's points; `at_points` takes these to the points."""
+        if self.phase.constant:
+            return self.phase.phi(u.grad_norms())
         return self.phase.phi(u.grad_norm_at(self.quad))
+
+    def at_points(self, samples):
+        """Values at the ball's points of phi_grad_samples, or of an
+        elementwise function of them."""
+        if self.phase.constant:
+            return np.take(samples, self.quad.tri_index)
+        return samples
+
+    def phi_grad(self, u):
+        """phi(|grad u|) at the ball's points."""
+        return self.at_points(self.phi_grad_samples(u))
 
 
 def _check_m_grid(m_grid):
@@ -131,7 +152,7 @@ def sobolev_poincare_ratio(fp, u, ball, delta):
     uq = u.at_quad(k.quad)
     osc = np.abs(uq - k.mean(uq)) / ball.radius
     lhs = k.mean(k.phase.phi(osc))
-    avg_pow = k.mean(k.phi_grad(u) ** delta)
+    avg_pow = k.mean(k.at_points(k.phi_grad_samples(u) ** delta))
     return lhs / (1.0 + avg_pow ** (1.0 / delta))
 
 
@@ -153,7 +174,7 @@ def sobolev_poincare_zero_set(fp, u, ball, E_indicator, delta, gamma):
     if np.any(np.abs(u.nodal_values[node_in & inside]) > 1e-12):
         raise ValueError("u does not vanish on E")
     lhs = k.mean(k.phase.phi(np.abs(u.at_quad(q)) / ball.radius))
-    rhs = k.mean(k.phi_grad(u) ** delta) ** (1.0 / delta)
+    rhs = k.mean(k.at_points(k.phi_grad_samples(u) ** delta)) ** (1.0 / delta)
     return _ratio(lhs, rhs)
 
 
@@ -181,10 +202,10 @@ def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
     for i, j in family.pairing:
         ki, ko, _ = _pair_kernels(fp.tf, u.mesh,
                                   (family.balls[i], family.balls[j]))
-        gi = ki.phi_grad(u)
+        gi = ki.phi_grad_samples(u)
         avg_o = ko.mean(ko.phi_grad(u))
         for m in m_grid:
-            lhs = ki.mean(gi ** (1.0 + m)) ** (1.0 / (1.0 + m))
+            lhs = ki.mean(ki.at_points(gi ** (1.0 + m))) ** (1.0 / (1.0 + m))
             rows.append(((i, j), m, lhs / (1.0 + avg_o)))
     per_m = {m: max(r for _, mm, r in rows if mm == m) for m in m_grid}
     stable = [m for m in m_grid if per_m[m] < stability_factor]
@@ -203,12 +224,13 @@ def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,)):
     rows = []
     for inner, outer in ball_pairs:
         ki, ko, _ = _pair_kernels(fp.tf, v.mesh, (inner, outer))
-        gv_i = ki.phi_grad(v)
+        gv_i = ki.phi_grad_samples(v)
         gv_o = ko.phi_grad(v)
-        gw_o = ko.phi_grad(w)
+        gw_o = ko.phi_grad_samples(w)
         for m in m_grid:
-            lhs = ki.mean(gv_i ** (1.0 + m))
-            rhs = ko.mean(gv_o) ** (1.0 + m) + ko.mean(gw_o ** (1.0 + m)) + 1.0
+            lhs = ki.mean(ki.at_points(gv_i ** (1.0 + m)))
+            rhs = (ko.mean(gv_o) ** (1.0 + m)
+                   + ko.mean(ko.at_points(gw_o ** (1.0 + m))) + 1.0)
             rows.append(((inner.radius, outer.radius), m, _ratio(lhs, rhs)))
     return ProbeReport("boundary_higher_integrability", rows,
                        max(r for _, _, r in rows),

@@ -11,8 +11,9 @@ from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
                         UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
                         refine, structured_mesh)
 from multiphase.cli import _ball_family
-from multiphase.mesh import _ball_rule, _check_in_mesh, quad_rule
+from multiphase.mesh import _ball_rule, _barycentric, _check_in_mesh, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
+from multiphase.regularity import _BallKernel
 
 
 # -- reference implementations ----------------------------------------------
@@ -91,6 +92,51 @@ def dense_ball_quadrature(mesh, ball, depth=3, degree=5):
         wts.append((mesh.areas[idx, None] * sub_w).ravel()[keep])
         tris.append(idx[keep // len(sub_w)])
         rows.append(K + keep % len(sub_w))
+    return tuple(map(np.concatenate, (pts, wts, tris, rows)))
+
+
+def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
+    """ball_quadrature with fancy-index and boolean-mask gathers, the
+    containment test forming each boundary edge per ball, and the arrays
+    concatenated at the end."""
+    c = np.asarray(ball.center)
+    R = ball.radius
+    a, b = mesh.vertices[mesh._boundary_edges].transpose(1, 0, 2)
+    d = b - a
+    length2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
+    gap = np.hypot(*(a + t[:, None] * d - c).T)
+    (cx, cy), reach = mesh.centroids.T, (1.0 + 1e-9) * mesh.radii
+    around = np.flatnonzero((np.abs(cx - c[0]) <= reach)
+                            & (np.abs(cy - c[1]) <= reach))
+    lam = _barycentric(c[None], mesh.tri_vertices[around])
+    if (np.any(R - gap > 0.05 * np.sqrt(length2))
+            or not np.any(np.all(lam >= -1e-12, axis=1))):
+        raise ValueError("ball escapes the meshed domain")
+    near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
+                          <= R + mesh.radii)
+    verts = mesh.tri_vertices[near]
+    all_in = np.all(np.sum((verts - c) ** 2, axis=2) <= R * R, axis=1)
+    table, sub_w = _ball_rule(depth, degree)
+    bary, w = quad_rule(degree)
+    K = len(w)
+    pts, wts, tris, rows = [], [], [], []
+    if np.any(all_in):
+        idx = near[all_in]
+        pts.append((bary @ verts[all_in]).reshape(-1, 2))
+        wts.append((mesh.areas[idx, None] * w).ravel())
+        tris.append(np.repeat(idx, K))
+        rows.append(np.tile(np.arange(K), len(idx)))
+    if not np.all(all_in):
+        idx = near[~all_in]
+        centers = (table[K:] @ verts[~all_in]).reshape(-1, 2)
+        keep = np.flatnonzero((centers[:, 0] - c[0]) ** 2
+                              + (centers[:, 1] - c[1]) ** 2 <= R * R)
+        parent, row = np.divmod(keep, len(sub_w))
+        pts.append(centers[keep])
+        tris.append(idx[parent])
+        wts.append(mesh.areas[tris[-1]] * sub_w[row])
+        rows.append(K + row)
     return tuple(map(np.concatenate, (pts, wts, tris, rows)))
 
 
@@ -225,6 +271,86 @@ class TestBallQuadratureMatchesDense:
         balls = _ball_family({}).balls
         assert len(balls) == 40
         assert all(self.assert_same(mesh, ball) for ball in balls)
+
+
+L_SHAPE = Domain2D(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+HEXAGON = Domain2D(tuple((np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3))
+# (domain, ball): centred, touching the boundary from inside, in both arms
+# of an L-shape and off-centre in a hexagon
+FANCY_CASES = {
+    "centred": (UNIT_SQUARE, Ball((0.5, 0.5), 0.3)),
+    "touching": (UNIT_SQUARE, Ball((0.25, 0.6), 0.25)),
+    "l_shape": (L_SHAPE, Ball((0.6, 0.6), 0.4)),
+    "l_shape_arm": (L_SHAPE, Ball((1.55, 0.45), 0.45)),
+    "hexagon": (HEXAGON, Ball((0.1, -0.15), 0.6)),
+}
+
+
+class TestBallQuadratureMatchesFancy:
+    """take/compress gathers and the cached boundary edges give the arrays
+    of fancy indexing bit for bit."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("case", sorted(FANCY_CASES))
+    def test_same_arrays(self, case, n):
+        domain, ball = FANCY_CASES[case]
+        mesh = structured_mesh(domain, n)
+        q = ball_quadrature(mesh, ball)
+        for got, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
+                             fancy_ball_quadrature(mesh, ball)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        u = FeFunction(mesh, np.sin(3 * mesh.vertices[:, 0]) * mesh.vertices[:, 1])
+        tris = mesh.triangles[q.tri_index]
+        assert np.array_equal(u.at_quad(q), np.einsum(
+            "mj,mj->m", u.nodal_values[tris], q.rule[q.rule_index]))
+        assert np.array_equal(u.grad_norm_at(q),
+                              np.linalg.norm(u.gradients(), axis=1)[q.tri_index])
+
+    def test_rejects_as_before(self):
+        mesh = structured_mesh(L_SHAPE, 16)
+        for ball in (Ball((0.8, 0.8), 0.4), Ball((1.5, 1.5), 0.1)):
+            with pytest.raises(ValueError, match="escapes"):
+                fancy_ball_quadrature(mesh, ball)
+            with pytest.raises(ValueError, match="escapes"):
+                ball_quadrature(mesh, ball)
+
+
+class TestPhiPerTriangle:
+    @staticmethod
+    def state(mesh):
+        x, y = mesh.vertices.T
+        return FeFunction(mesh, np.sin(np.pi * x) * y + 0.3 * x * x)
+
+    @pytest.mark.parametrize("exps, mu", [((2, 3, 3), (1.0, 0.0)),
+                                          ((1.5, 2.5, 3.7), (0.3, 2.0))])
+    def test_constant_phase_bit_identical(self, exps, mu):
+        """On a constant phase phi(|grad u|) and its powers, evaluated once
+        per triangle and gathered, equal their values at the points."""
+        tf = PhaseFunction(ExponentTriple.constants(*exps), WeightPair.constants(*mu))
+        mesh = structured_mesh(UNIT_SQUARE, 32)
+        u = self.state(mesh)
+        for ball in (Ball((0.5, 0.5), 0.2), Ball((0.3, 0.7), 0.05)):
+            k = _BallKernel(tf, mesh, ball)
+            assert k.phase.constant
+            per_point = k.phase.phi(u.grad_norm_at(k.quad))
+            samples = k.phi_grad_samples(u)
+            assert samples.shape == (mesh.n_triangles,)
+            assert np.array_equal(k.phi_grad(u), per_point)
+            for m in (0.05, 0.2):
+                assert np.array_equal(k.at_points(samples ** (1.0 + m)),
+                                      per_point ** (1.0 + m))
+
+    def test_variable_phase_per_point(self, variable_phase):
+        """A variable phase samples phi at the ball's points."""
+        mesh = structured_mesh(UNIT_SQUARE, 32)
+        u = self.state(mesh)
+        k = _BallKernel(variable_phase, mesh, Ball((0.5, 0.5), 0.2))
+        assert not k.phase.constant
+        samples = k.phi_grad_samples(u)
+        assert samples.shape == k.quad.weights.shape
+        assert k.at_points(samples) is samples
+        assert np.array_equal(samples, k.phase.phi(u.grad_norm_at(k.quad)))
 
 
 class TestBallContainment:
