@@ -50,6 +50,10 @@ class SampledPhase:
     """The phase function sampled once at a point set: a quadrature measure,
     or bare (M, 2) points for the pointwise checks.
 
+    Quadrature sums are np.einsum contractions, not BLAS dots, whose
+    split of a long sum follows the BLAS thread count: the same inputs give
+    the same bits under any number of threads.
+
     The N-function is written out here and, fused with the flux
     coefficient, in PhaseDiscretization._reduced.  When p, q, r, mu1 and
     mu2 are all constant fields they are kept as scalars and no point is
@@ -81,7 +85,7 @@ class SampledPhase:
         vals = self.phi(u_abs)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand in modular")
-        return float(np.dot(self.weights, vals))
+        return float(np.einsum("i,i->", self.weights, vals))
 
     def scaled_modular(self, u_abs):
         """alpha -> modular of u/alpha.  On a constant phase it is
@@ -90,8 +94,12 @@ class SampledPhase:
         so its ValueError still fires."""
         if not self.constant:
             return lambda alpha: self.modular(u_abs / alpha)
-        e = np.array([self.p, self.q, self.r])
-        sums = np.array([1.0, self.m1, self.m2]) * (self.weights @ u_abs[:, None] ** e)
+        # each power over the contiguous |u| as phi takes it, several times
+        # faster than one (M, 3) power or contraction
+        e = (self.p, self.q, self.r)
+        sums = np.array([c * np.einsum("i,i->", self.weights, u_abs ** x)
+                         for c, x in zip((1.0, self.m1, self.m2), e)])
+        e = np.array(e)
 
         def rho(alpha):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -206,7 +214,7 @@ def weighted_seminorm(exponent, weight, u, quad, rel_tol=DEFAULT_REL_TOL):
     vals = np.abs(_as_values(u, quad))
 
     def rho(alpha):
-        return float(np.dot(quad.weights, wv * (vals / alpha) ** e))
+        return float(np.einsum("i,i->", quad.weights, wv * (vals / alpha) ** e))
 
     R = rho(1.0)
     if R == 0.0:

@@ -77,7 +77,8 @@ class _BallKernel:
         self.phase = SampledPhase(tf, self.quad)
 
     def integral(self, vals):
-        return float(self.quad.weights @ vals)
+        # an einsum, not a BLAS dot: the sum does not follow the thread count
+        return float(np.einsum("i,i->", self.quad.weights, vals))
 
     def mean(self, vals):
         # normalized by the clipped quadrature mass, not pi R^2, so constant

@@ -5,7 +5,9 @@ The state is the n = 32 minimiser of the trace sin(pi x) y, for a
 space-varying phase and for the constant (2, 3, 3) phase with mu = (1, 0).
 A refactor of the probes that keeps every sum in its order keeps these
 values to the last bit; a change to the minimiser or to the quadrature
-moves them and has to pin them again.
+moves them and has to pin them again.  The quadrature sums are einsum
+contractions, not BLAS dots, so the values hold under any BLAS thread
+count.
 
 Regenerate the table by running this file as a script:
     PYTHONPATH=src python tests/test_probe_pins.py
@@ -89,43 +91,44 @@ def probe_values(tf):
 
 
 PINNED = {
-    "variable": {'caccioppoli': [0.2292476512413112, 0.19360140057003983],
-                 'truncation': [0.25110358978320524, 0.18494797187604675],
-                 'sobolev_poincare': [0.08919078519538719, 0.1560287184003245],
-                 'zero_set': 0.23915459891182494,
-                 'higher': [0.37694164959872883,
+    "variable": {'caccioppoli': [0.22924765124131094, 0.19360140057003936],
+                 'truncation': [0.25110358978320546, 0.18494797187604678],
+                 'sobolev_poincare': [0.08919078519538734,
+                                      0.15602871840032395],
+                 'zero_set': 0.2391545989118247,
+                 'higher': [0.37694164959872833,
                             0.37932869102358086,
-                            0.6307919319920269,
-                            0.6355712136542461,
-                            0.6355712136542461],
+                            0.6307919319920252,
+                            0.6355712136542432,
+                            0.6355712136542432],
                  'largest_stable_m': 0.2,
-                 'boundary': [0.19831949291167844,
-                              0.18397300453096788,
-                              0.32252179128021297,
-                              0.31369686913655764,
-                              0.32252179128021297],
+                 'boundary': [0.1983194929116785,
+                              0.18397300453096807,
+                              0.32252179128021274,
+                              0.3136968691365581,
+                              0.32252179128021274],
                  'poincare_w0': 0.21646299751390488,
-                 'coercive': [(0.5, 0.3190818692308811, 0.15922195002905948),
-                              (1.0, 0.7507129750625274, 0.636887800116203),
+                 'coercive': [(0.5, 0.31908186923088117, 0.15922195002905942),
+                              (1.0, 0.7507129750625275, 0.6368878001162028),
                               (2.0, 1.839741978256426, 1.5961050092223956)]},
-    "constant": {'caccioppoli': [0.2131485925658, 0.19182947685244073],
-                 'truncation': [0.19844732165057316, 0.2350122700268853],
-                 'sobolev_poincare': [0.109060376964963, 0.1599075771268284],
-                 'zero_set': 0.2231027613774128,
-                 'higher': [0.49641677067632745,
-                            0.4992469342981306,
-                            0.709364155497955,
-                            0.7154573009632366,
-                            0.7154573009632366],
+    "constant": {'caccioppoli': [0.2131485925657935, 0.19182947685243962],
+                 'truncation': [0.1984473216505689, 0.2350122700268837],
+                 'sobolev_poincare': [0.10906037696496398, 0.159907577126826],
+                 'zero_set': 0.22310276137740895,
+                 'higher': [0.49641677067631756,
+                            0.4992469342981232,
+                            0.7093641554979385,
+                            0.7154573009632144,
+                            0.7154573009632144],
                  'largest_stable_m': 0.2,
-                 'boundary': [0.23996052471474014,
-                              0.2273187783824062,
-                              0.3367901710931056,
-                              0.32400937641117766,
-                              0.3367901710931056],
-                 'poincare_w0': 0.2248227434100559,
-                 'coercive': [(0.5, 0.290640669874978, 0.16323295804182147),
-                              (1.0, 0.7350049666157555, 0.6529318321560593),
+                 'boundary': [0.23996052471473928,
+                              0.22731877838240325,
+                              0.33679017109310666,
+                              0.32400937641117894,
+                              0.33679017109310666],
+                 'poincare_w0': 0.22482274341005587,
+                 'coercive': [(0.5, 0.29064066987497805, 0.16323295804182142),
+                              (1.0, 0.7350049666157555, 0.6529318321560591),
                               (2.0, 2.084904440674378, 1.616083948507964)]},
 }
 
