@@ -62,6 +62,25 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
 
 
+def _number(value, what, kind=float):
+    """kind(value) for a number read from the config; a value that is not
+    one is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+
+
+def _field(spec, what):
+    """ScalarField.from_spec for a field read from the config; a malformed
+    spec is a ConfigError."""
+    try:
+        return ScalarField.from_spec(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -90,13 +109,11 @@ def build_domain(cfg):
 
 
 def build_phase(cfg, domain):
-    n = int(cfg.get("sample_grid", 128))
-    exp = ExponentTriple.sample(ScalarField.from_spec(cfg.get("p", {"const": 2.0})),
-                                ScalarField.from_spec(cfg.get("q", {"const": 2.0})),
-                                ScalarField.from_spec(cfg.get("r", {"const": 2.0})),
-                                domain, n=n)
-    w = WeightPair.sample(ScalarField.from_spec(cfg.get("mu1", {"const": 0.0})),
-                          ScalarField.from_spec(cfg.get("mu2", {"const": 0.0})),
+    n = _number(cfg.get("sample_grid", 128), "sample_grid", int)
+    p, q, r = (_field(cfg.get(k, {"const": 2.0}), k) for k in ("p", "q", "r"))
+    exp = ExponentTriple.sample(p, q, r, domain, n=n)
+    w = WeightPair.sample(_field(cfg.get("mu1", {"const": 0.0}), "mu1"),
+                          _field(cfg.get("mu2", {"const": 0.0}), "mu2"),
                           domain, n=n)
     return PhaseFunction(exp, w)
 
@@ -105,17 +122,18 @@ def build_source(cfg):
     src = cfg.get("source")
     if src is None:
         return SourceTerm.zero()
-    constants = {k: float(src[k]) for k in _SOURCE_CONSTANTS if k in src}
+    constants = {k: _number(src[k], f"source.{k}")
+                 for k in _SOURCE_CONSTANTS if k in src}
     kinds = [k for k in ("expr", "const", "affine") if k in src]
     if len(kinds) > 1:
         raise ConfigError(f"source takes one of expr, const and affine, got {kinds}")
-    base = (ScalarField.from_spec({kinds[0]: src[kinds[0]]}) if kinds
+    base = (_field({kinds[0]: src[kinds[0]]}, "source") if kinds
             else ScalarField.constant(0.0))
     gc = src.get("grad_coeff", [0.0, 0.0])
     if not isinstance(gc, list) or len(gc) != 2:
         raise ConfigError(f"source.grad_coeff must be a pair, got {gc!r}")
-    gc = [float(c) for c in gc]
-    sc = float(src.get("state_coeff", 0.0))
+    gc = [_number(c, "source.grad_coeff") for c in gc]
+    sc = _number(src.get("state_coeff", 0.0), "source.state_coeff")
     grad_dependent = any(c != 0.0 for c in gc)
 
     def evaluate(x1, x2, t, z1, z2):
@@ -125,17 +143,21 @@ def build_source(cfg):
                       constants=constants)
 
 
+def _mesh_n(cfg):
+    return _number(cfg.get("mesh_n", 16), "mesh_n", int)
+
+
 def build_problem(cfg):
     domain = build_domain(cfg)
     tf = build_phase(cfg, domain)
     solver_cfg = cfg.get("solver", {})
-    eps = float(solver_cfg.get("eps", 1e-8))
+    eps = _number(solver_cfg.get("eps", 1e-8), "solver.eps")
     fp = FluxParams(tf, eps=eps)
-    mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
+    mesh = structured_mesh(domain, _mesh_n(cfg))
     source = build_source(cfg)
     dirichlet = np.zeros(mesh.n_vertices)
     if "dirichlet" in cfg:
-        bc = ScalarField.from_spec(cfg["dirichlet"])
+        bc = _field(cfg["dirichlet"], "dirichlet")
         dirichlet = bc(mesh.vertices[:, 0], mesh.vertices[:, 1])
     return PhaseProblem(mesh, fp, source, dirichlet)
 
@@ -204,11 +226,11 @@ def cmd_check_hypotheses(cfg, args, manifest):
     reports = []
     with manifest.stage("check_hypotheses"):
         reports.append(check_h1(tf.exp, tf.w, domain.dim, samples))
-        sigma = float(cfg.get("probe", {}).get("sigma", 1.0))
+        sigma = _number(cfg.get("probe", {}).get("sigma", 1.0), "probe.sigma")
         reports.append(check_hprime(tf.exp, sigma, domain.dim, samples))
         src = build_source(cfg)
         if src.constants:
-            mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
+            mesh = structured_mesh(domain, _mesh_n(cfg))
             lam_p, _ = first_eigenvalue(mesh, tf.exp.p_minus)
             lam_2, _ = first_eigenvalue(mesh, 2.0)
             reports.append(check_h2(src, lam_p))
@@ -226,8 +248,8 @@ def cmd_check_hypotheses(cfg, args, manifest):
 def cmd_solve(cfg, args, manifest):
     prob = build_problem(cfg)
     solver_cfg = cfg.get("solver", {})
-    tol = float(solver_cfg.get("tol", 1e-10))
-    max_iter = int(solver_cfg.get("max_iter", 100))
+    tol = _number(solver_cfg.get("tol", 1e-10), "solver.tol")
+    max_iter = _number(solver_cfg.get("max_iter", 100), "solver.max_iter", int)
     with manifest.stage("solve"):
         if prob.source.grad_dependent:
             rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter)
@@ -252,12 +274,12 @@ def cmd_solve(cfg, args, manifest):
 
 
 def cmd_eigen(cfg, args, manifest):
-    m = float(cfg.get("eigen_m", 2.0))
+    m = _number(cfg.get("eigen_m", 2.0), "eigen_m")
     if m <= 1:
         raise ConfigError("eigen_m must exceed 1")
     domain = build_domain(cfg)
-    mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
-    k = int(cfg.get("refinements", 0))
+    mesh = structured_mesh(domain, _mesh_n(cfg))
+    k = _number(cfg.get("refinements", 0), "refinements", int)
     rows = []
     with manifest.stage("eigen"):
         lam, ef = first_eigenvalue(mesh, m)
@@ -281,9 +303,9 @@ def cmd_eigen(cfg, args, manifest):
 def cmd_verify_modular(cfg, args, manifest):
     domain = build_domain(cfg)
     tf = build_phase(cfg, domain)
-    mesh = structured_mesh(domain, int(cfg.get("mesh_n", 16)))
-    quad = mesh.quadrature(int(cfg.get("quad_degree", 5)))
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    mesh = structured_mesh(domain, _mesh_n(cfg))
+    quad = mesh.quadrature(_number(cfg.get("quad_degree", 5), "quad_degree", int))
+    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
     with manifest.stage("verify_modular"):
         pts = domain.sample_grid(32)
         idx = rng.integers(0, len(pts), size=10000)
@@ -339,25 +361,25 @@ def cmd_probe(cfg, args, manifest):
                 rows.append(("caccioppoli", b1.center[0], b1.center[1],
                              b1.radius, b2.radius, 0.0, r))
         elif which == "sobolev-poincare":
-            delta = float(probe_cfg.get("delta", 0.75))
+            delta = _number(probe_cfg.get("delta", 0.75), "probe.delta")
             for i, _j in fam.pairing:
                 b = fam.balls[i]
                 r = sobolev_poincare_ratio(fp, u, b, delta)
                 rows.append(("sobolev_poincare", b.center[0], b.center[1],
                              b.radius, b.radius, delta, r))
         elif which == "higher-integrability":
-            m_grid = [float(v)
+            m_grid = [_number(v, "probe.m_grid")
                       for v in probe_cfg.get("m_grid", (0.05, 0.1, 0.2, 0.4))]
             rep = higher_integrability_probe(
-                fp, u, fam, m_grid,
-                stability_factor=float(probe_cfg.get("stability_factor", 10.0)))
+                fp, u, fam, m_grid, stability_factor=_number(
+                    probe_cfg.get("stability_factor", 10.0), "probe.stability_factor"))
             print(f"largest_stable_m={rep.parameters['largest_stable_m']}")
             for (i, j), m, r in rep.per_ball:
                 b1, b2 = fam.balls[i], fam.balls[j]
                 rows.append(("higher_integrability", b1.center[0], b1.center[1],
                              b1.radius, b2.radius, m, r))
         elif which == "poincare-w0":
-            rng = np.random.default_rng(int(cfg.get("seed", 0)))
+            rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
             for k in range(POINCARE_TESTS):
                 vals = np.where(mesh.boundary_flags, 0.0,
                                 rng.uniform(-1, 1, mesh.n_vertices))

@@ -364,6 +364,23 @@ class TestConfigKeys:
                      str(tmp_path / "out"), "solve"]) == EXIT_USAGE
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, error", [
+        ({**BASE_CFG, "source": {"affine": [1.0, 2.0]}},
+         "source: affine spec needs [a0, a1, a2]"),
+        ({**BASE_CFG, "source": {"state_coeff": "abc"}},
+         "source.state_coeff must be a number, got 'abc'"),
+        ({**BASE_CFG, "mesh_n": "eight"},
+         "mesh_n must be an integer, got 'eight'"),
+        ({**BASE_CFG, "p": {"affine": 1.8}},
+         "p: object of type 'float' has no len()"),
+    ], ids=["short-affine", "text-state-coeff", "text-mesh-n", "scalar-affine"])
+    def test_malformed_value_exit_usage(self, tmp_path, capsys, cfg, error):
+        """A value that is present but malformed is a config error, not a
+        failed run."""
+        assert main(["--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "out"), "solve"]) == EXIT_USAGE
+        assert f"config error: {error}" in capsys.readouterr().err
+
     def test_linear_solver_key_removed(self, tmp_path, capsys):
         # every solve runs on one sparse LU factor; no key selects another
         cfg = {**BASE_CFG, "solver": {"linear_solver": "direct"}}
