@@ -340,18 +340,21 @@ class FeFunction:
     def at_quad(self, quad, bary=None):
         """Values at quadrature points using the recorded triangle indices
         and, where the quadrature records them, the rule points."""
-        tris = np.take(self.mesh.triangles, quad.tri_index, axis=0)
-        if bary is None:
-            if quad.rule_index is not None:
-                bary = np.take(quad.rule, quad.rule_index, axis=0)
-            else:
-                bary = _barycentric(quad.points,
-                                    np.take(self.mesh.vertices, tris, axis=0))
-        return np.einsum("mj,mj->m", np.take(self.nodal_values, tris), bary)
+        if bary is None and quad.rule_index is not None:
+            bary = np.take(quad.rule, quad.rule_index, axis=0)
+        elif bary is None:
+            tris = np.take(self.mesh.triangles, quad.tri_index, axis=0)
+            bary = _barycentric(quad.points, np.take(self.mesh.vertices, tris, axis=0))
+        # each triangle's nodal values, gathered as rows to its points
+        vals = np.take(np.take(self.nodal_values, self.mesh.triangles),
+                       quad.tri_index, axis=0)
+        return np.einsum("mj,mj->m", vals, bary)
 
     def grad_norms(self):
-        """|grad u| on each triangle, shape (n_triangles,)."""
-        return np.linalg.norm(self.gradients(), axis=1)
+        """|grad u| on each triangle, shape (n_triangles,): the values of
+        np.linalg.norm(axis=1), formed one component at a time."""
+        gx, gy = self.gradients().T
+        return np.sqrt(gx * gx + gy * gy)
 
     def grad_norm_at(self, quad):
         """|grad u| at the quadrature points, from their triangles."""
