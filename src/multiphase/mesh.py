@@ -411,6 +411,8 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
     c, R = ball.center, ball.radius
     # only triangles whose bounding circle meets the ball can contribute
     near = np.flatnonzero(np.sqrt(_dist2(mesh.centroids, c)) <= R + mesh.radii)
+    if len(near) == 0:
+        raise ValueError("ball does not intersect the mesh")
     verts = np.take(mesh.tri_vertices, near, axis=0)
     all_in = np.all(_dist2(verts, c) <= R * R, axis=1)
     inside, crossing = np.compress(all_in, near), np.compress(~all_in, near)
@@ -425,8 +427,6 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
 
     n_in = K * len(inside)
     M = n_in + len(keep)
-    if M == 0:
-        raise ValueError("ball does not intersect the mesh")
     points = np.empty((M, 2))
     points[:n_in] = (bary @ np.compress(all_in, verts, axis=0)).reshape(-1, 2)
     # the indices are in range: mode="clip" skips the buffer that `out`
@@ -435,7 +435,8 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
     del centers     # not held while the other outputs are filled
     parent = keep // S              # faster than np.divmod
     row = keep - parent * S
-    weights, tri_index, rule_index = np.empty(M), np.empty(M, np.int64), np.empty(M, np.int64)
+    weights = np.empty(M)
+    tri_index, rule_index = np.empty(M, np.int64), np.empty(M, np.int64)
     np.multiply(np.take(mesh.areas, inside)[:, None], w,
                 out=weights[:n_in].reshape(-1, K))
     tri_index[:n_in] = np.repeat(inside, K)

@@ -276,13 +276,15 @@ class TestBallQuadratureMatchesDense:
 L_SHAPE = Domain2D(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
 HEXAGON = Domain2D(tuple((np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3))
 # (domain, ball): centred, touching the boundary from inside, in both arms
-# of an L-shape and off-centre in a hexagon
+# of an L-shape, off-centre in a hexagon, and too small to hold a point
 FANCY_CASES = {
     "centred": (UNIT_SQUARE, Ball((0.5, 0.5), 0.3)),
     "touching": (UNIT_SQUARE, Ball((0.25, 0.6), 0.25)),
     "l_shape": (L_SHAPE, Ball((0.6, 0.6), 0.4)),
     "l_shape_arm": (L_SHAPE, Ball((1.55, 0.45), 0.45)),
     "hexagon": (HEXAGON, Ball((0.1, -0.15), 0.6)),
+    # crosses its triangle's subdivision between points: no point at all
+    "tiny": (UNIT_SQUARE, Ball((0.51, 0.52), 1e-6)),
 }
 
 
