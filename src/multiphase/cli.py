@@ -67,9 +67,9 @@ def _number(value, what, kind=float):
     one is a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
 
 
 def _field(spec, what):
@@ -78,7 +78,7 @@ def _field(spec, what):
     try:
         return ScalarField.from_spec(spec)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def load_config(path):

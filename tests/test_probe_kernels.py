@@ -1,7 +1,7 @@
 """The probe kernels against the plain implementations they replaced:
-ball quadrature by subdividing every crossing triangle and by forming every
-subdivided point's weight before the cut, and the Luxemburg norm by
-bisection."""
+ball quadrature by subdividing every crossing triangle, by forming every
+subdivided point's weight before the cut and by fancy-index gathers,
+phi(|grad u|) at every point, and the Luxemburg norm by bisection."""
 
 import numpy as np
 import pytest
@@ -283,7 +283,7 @@ FANCY_CASES = {
     "l_shape": (L_SHAPE, Ball((0.6, 0.6), 0.4)),
     "l_shape_arm": (L_SHAPE, Ball((1.55, 0.45), 0.45)),
     "hexagon": (HEXAGON, Ball((0.1, -0.15), 0.6)),
-    # crosses its triangle's subdivision between points: no point at all
+    # lies between the subdivided points of its triangle: no point at all
     "tiny": (UNIT_SQUARE, Ball((0.51, 0.52), 1e-6)),
 }
 
