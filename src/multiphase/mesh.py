@@ -73,7 +73,8 @@ class FreePattern:
     """int32 CSR pattern of the free x free (off-boundary) matrices summed
     from per-triangle 3 x 3 blocks, the int32 CSR slot of each of the 9 T
     block entries (boundary rows and columns share one spare slot past the
-    end), and the basis-gradient dots: the stiffness blocks per unit area."""
+    end), and the basis-gradient dots: the stiffness blocks per unit area.
+    Its band layout is computed on first use and kept with it."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -81,12 +82,73 @@ class FreePattern:
     dots: np.ndarray
 
     def assemble(self, blocks):
-        """The free x free CSR matrix of the (T, 3, 3) blocks."""
+        """The free x free CSR matrix of the (T, 3, 3) blocks.  It carries
+        this pattern as its `pattern` attribute, so a factorisation can
+        take the pattern's band layout."""
         nnz, n = len(self.indices), len(self.indptr) - 1
         data = np.bincount(self.slot, weights=blocks.ravel(), minlength=nnz + 1)
         # fresh index arrays: edits of the matrix must not reach the pattern
-        return sp.csr_matrix((data[:nnz], self.indices.copy(), self.indptr.copy()),
-                             shape=(n, n))
+        A = sp.csr_matrix((data[:nnz], self.indices.copy(), self.indptr.copy()),
+                          shape=(n, n))
+        A.pattern = self
+        return A
+
+    @cached_property
+    def band_layout(self):
+        """The BandLayout of this pattern, computed on first use and kept."""
+        return BandLayout.of(self.indptr, self.indices)
+
+
+# solver._factor takes LAPACK banded Cholesky up to this half-bandwidth of
+# the RCM-relabelled matrix, and SuperLU above it
+BAND_MAX = 128
+
+
+@dataclass(frozen=True)
+class BandLayout:
+    """Where the entries of a symmetric CSR structure go in a banded factor;
+    it depends on the structure only, not on the stored values.
+
+    perm is the reverse Cuthill-McKee (RCM) order, which keeps the nonzeros
+    near the diagonal; at is its inverse, the position of each node in
+    perm, and band the half-bandwidth b of the relabelled matrix.  While b
+    is at most BAND_MAX, sel lists the stored entries on or below the relabelled
+    diagonal and pos their flat positions in the Fortran-order (b + 1) x N
+    lower band; above BAND_MAX both are None.  All arrays are int32 (pos
+    int64 past 2**31 band entries) and read-only."""
+
+    perm: np.ndarray
+    at: np.ndarray
+    band: int
+    sel: np.ndarray | None
+    pos: np.ndarray | None
+
+    @staticmethod
+    def of(indptr, indices):
+        """The layout of the n x n CSR structure (indptr, indices), which
+        must hold no duplicate entries."""
+        # csgraph is imported here to keep `import multiphase` light
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n = len(indptr) - 1
+        graph = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                              shape=(n, n))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(
+            np.int32, copy=False)
+        at = np.empty(n, dtype=np.int32)
+        at[perm] = np.arange(n, dtype=np.int32)
+        pj = at[indices]
+        below = at[np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))] - pj
+        band = int(below.max(initial=0))
+        sel = pos = None
+        if band <= BAND_MAX:
+            sel = np.flatnonzero(below >= 0).astype(np.int32)
+            idx = np.int32 if (band + 1) * n < 2 ** 31 else np.int64
+            pos = below[sel] + pj[sel].astype(idx) * (band + 1)
+        for a in (perm, at, sel, pos):
+            if a is not None:
+                a.setflags(write=False)
+        return BandLayout(perm, at, band, sel, pos)
 
 
 _EDGE_SLACK = 0.05     # share of a boundary edge's length a ball may cross
@@ -129,6 +191,9 @@ class TriMesh:
         self.h_max = float(lengths.max())
         self._edges = uniq
         self._quadratures = {}
+        # the one PhaseDiscretization held for this mesh, see
+        # PhaseDiscretization.shared
+        self._discretization = None
 
     @property
     def n_vertices(self):
@@ -512,15 +577,16 @@ _VTK_ROWS = 8192      # rows formatted per write
 
 
 def _write_rows(fh, fmt, rows):
-    """Write fmt.format(*row) for each row of a 2-D array, fmt.format(value)
-    for each value of a 1-D one.  Each block of rows is one format call on
-    the repeated fmt over its values as Python numbers: formatting those is
-    several times faster than formatting numpy scalars, gives the same
-    text, and no copy of the whole file is held."""
+    """Write fmt % tuple(row) for each row of a 2-D array, fmt % value for
+    each value of a 1-D one.  Each block of rows is one %-formatting of the
+    repeated fmt over its values as Python numbers: formatting those is
+    several times faster than formatting numpy scalars, "%.17g" and "%d"
+    give the text of "{:.17g}" and "{}" a quarter faster than str.format,
+    and no copy of the whole file is held."""
     rows = np.asarray(rows)
     for i in range(0, len(rows), _VTK_ROWS):
         block = rows[i:i + _VTK_ROWS]
-        fh.write((fmt * len(block)).format(*block.ravel().tolist()))
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_vtk(path, mesh, point_data=None, cell_data=None, comment="multiphase"):
@@ -532,22 +598,22 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, comment="multiphase")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vtk DataFile Version 3.0\n{comment}\nASCII\n"
                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_vertices} double\n")
-        _write_rows(fh, "{:.17g} {:.17g} 0\n", mesh.vertices)
+        _write_rows(fh, "%.17g %.17g 0\n", mesh.vertices)
         fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-        _write_rows(fh, "3 {} {} {}\n", mesh.triangles)
+        _write_rows(fh, "3 %d %d %d\n", mesh.triangles)
         fh.write(f"CELL_TYPES {mesh.n_triangles}\n" + "5\n" * mesh.n_triangles)
         if point_data:
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
             for name, vals in point_data.items():
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                _write_rows(fh, "{:.17g}\n", vals)
+                _write_rows(fh, "%.17g\n", vals)
         if cell_data:
             fh.write(f"CELL_DATA {mesh.n_triangles}\n")
             for name, vals in cell_data.items():
                 vals = np.asarray(vals)
                 if vals.ndim == 2:
                     fh.write(f"VECTORS {name} double\n")
-                    _write_rows(fh, "{:.17g} {:.17g} 0\n", vals)
+                    _write_rows(fh, "%.17g %.17g 0\n", vals)
                 else:
                     fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    _write_rows(fh, "{:.17g}\n", vals)
+                    _write_rows(fh, "%.17g\n", vals)

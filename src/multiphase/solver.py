@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .fields import ExponentTriple, HypothesisReport, WeightPair
-from .mesh import FeFunction
+from .mesh import BAND_MAX, BandLayout, FeFunction
 from .modular import PhaseFunction
 from .operator import FluxParams, PhaseDiscretization
 
@@ -20,9 +20,6 @@ CHORD_CONTRACTION = 0.1
 # A fresh Newton step whose Armijo search needs a step length below T_MIN
 # struggles, and sends the solve up the eps ladder while a rung is left.
 T_MIN = 1.0 / 128
-# _factor takes LAPACK banded Cholesky up to this half-bandwidth of the
-# RCM-relabelled matrix, and SuperLU above it
-BAND_MAX = 128
 
 
 @dataclass
@@ -95,35 +92,32 @@ def _factor(J):
     J is relabelled by reverse Cuthill-McKee (RCM), which keeps its nonzeros
     near the diagonal.  While the half-bandwidth b of the relabelled matrix
     is at most BAND_MAX, J is factored by LAPACK banded Cholesky (dpbtrf),
-    whose (b + 1) x N band is built straight from J's CSR arrays.  A wider
-    band takes more memory than the fill of a sparse LU, and its time gain
-    shrinks, so above BAND_MAX the relabelled matrix goes to symmetric-mode
-    SuperLU with a minimum-degree ordering on A^T + A.  A matrix that is
-    not positive definite (banded path) or exactly singular (SuperLU) raises
-    np.linalg.LinAlgError."""
-    # SuperLU's minimum degree can take seconds on some vertex numberings
-    # (the refined centroid fan of a disk), so it also runs on the RCM
-    # relabelling; csgraph and LAPACK are imported here to keep
-    # `import multiphase` light.
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
+    whose (b + 1) x N band is filled from J's CSR data by one flat put.  A
+    wider band takes more memory than the fill of a sparse LU, and its time
+    gain shrinks, so above BAND_MAX the relabelled matrix goes to
+    symmetric-mode SuperLU with a minimum-degree ordering on A^T + A.  The
+    RCM order, b and the band positions are the BandLayout of J's structure:
+    a matrix assembled by a FreePattern, whose structure it still has, takes
+    the pattern's, computed once per pattern; any other matrix gets its own.
+    A matrix that is not positive definite (banded path) or exactly singular
+    (SuperLU) raises np.linalg.LinAlgError."""
     J = J.tocsr()
-    if not J.has_canonical_format:          # duplicates would overwrite
-        J = J.copy()                        # each other in the band
-        J.sum_duplicates()
-    perm = reverse_cuthill_mckee(J, symmetric_mode=True)
-    n = len(perm)
-    at = np.empty(n, dtype=perm.dtype)      # position of each node in perm
-    at[perm] = np.arange(n, dtype=perm.dtype)
-    pj = at[J.indices]
-    below = at[np.repeat(np.arange(n, dtype=perm.dtype), np.diff(J.indptr))] - pj
-    band = int(below.max(initial=0))        # the half-bandwidth b
-    if band <= BAND_MAX:
+    pattern = getattr(J, "pattern", None)
+    if (pattern is not None and np.array_equal(J.indptr, pattern.indptr)
+            and np.array_equal(J.indices, pattern.indices)):
+        layout = pattern.band_layout
+    else:
+        if not J.has_canonical_format:      # duplicates would overwrite
+            J = J.copy()                    # each other in the band
+            J.sum_duplicates()
+        layout = BandLayout.of(J.indptr, J.indices)
+    perm, at, n = layout.perm, layout.at, len(layout.perm)
+    if layout.band <= BAND_MAX:
+        # LAPACK is imported here to keep `import multiphase` light
         from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-        keep = below >= 0
-        ab = np.zeros((band + 1, n), order="F")
-        ab[below[keep], pj[keep]] = J.data[keep]
+        ab = np.zeros((layout.band + 1, n), order="F")
+        ab.ravel(order="F")[layout.pos] = J.data[layout.sel]
         chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(
@@ -132,12 +126,11 @@ def _factor(J):
             raise ValueError(f"dpbtrf: illegal argument {-info}")
 
         def solve(rhs):
-            x = np.empty(len(rhs))
-            x[perm] = dpbtrs(chol, rhs[perm], lower=1)[0]
-            return x
+            return dpbtrs(chol, rhs[perm], lower=1)[0][at]
         return solve
     # diagonal pivots and a minimum-degree ordering on A^T + A fill far less
-    # than COLAMD
+    # than COLAMD; the ordering runs on the RCM relabelling because on some
+    # vertex numberings (the refined centroid fan of a disk) it takes seconds
     try:
         lu = spla.splu(J[perm][:, perm].tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -145,9 +138,7 @@ def _factor(J):
         raise np.linalg.LinAlgError(str(exc)) from exc
 
     def solve(rhs):
-        x = np.empty(len(rhs))
-        x[perm] = lu.solve(rhs[perm])
-        return x
+        return lu.solve(rhs[perm])[at]
     return solve
 
 
@@ -211,7 +202,7 @@ def solve_variational(prob, tol=1e-10, max_iter=100, initial=None):
         raise ValueError("solve_variational needs a gradient-independent source")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    disc = PhaseDiscretization(prob.fp, prob.mesh)
+    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
     return _newton(disc, prob, load, tol, max_iter, initial)
 
@@ -431,7 +422,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     initial state); stop_reason is "tolerance", "max_iter_outer",
     "growth" (the outer distance grew five times in a row), "line_search"
     or "singular" (the stop of an inner solve)."""
-    disc = PhaseDiscretization(prob.fp, prob.mesh)
+    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet,
                  0.0 if initial is None else np.asarray(initial, dtype=float))
@@ -478,7 +469,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
 
 def weak_residual_sup(prob, u):
     """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
-    disc = PhaseDiscretization(prob.fp, prob.mesh)
+    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, u.nodal_values)
     return _sup_norm(disc.residual(u.nodal_values, load, eps=prob.fp.check_eps))
 
@@ -515,12 +506,13 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     vals[free] = x
     if abs(m - 2.0) < 1e-14:
         return lam, FeFunction(mesh, vals)
+    del solve, K, M         # never two factors alive: _newton factors below
     # -Delta_m is the operator of the m-phase with mu1 = mu2 = 0; below
     # m = 2 its Jacobian needs eps > 0
     fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
                                   WeightPair.constants(0.0, 0.0)),
                     eps=0.0 if m >= 2 else 1e-10)
-    disc = PhaseDiscretization(fp, mesh)
+    disc = PhaseDiscretization.shared(fp, mesh)
     prob = PhaseProblem(mesh, fp, SourceTerm.zero(), np.zeros(mesh.n_vertices))
     held = _HeldFactor()
     u, lam = np.abs(vals), np.inf

@@ -1,6 +1,6 @@
 """solver._factor's two paths: LAPACK banded Cholesky while the reverse
 Cuthill-McKee half-bandwidth is at most BAND_MAX, symmetric-mode SuperLU
-above it."""
+above it, and the band layout a FreePattern computes once for both."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from multiphase import (Domain2D, ExponentTriple, FluxParams, UNIT_SQUARE,
-                        WeightPair, refine, structured_mesh)
+from multiphase import (Domain2D, ExponentTriple, FluxParams, PhaseProblem,
+                        SourceTerm, UNIT_SQUARE, WeightPair, refine,
+                        structured_mesh)
 from multiphase import solver
+from multiphase.mesh import BandLayout
 from multiphase.modular import PhaseFunction
 from multiphase.operator import PhaseDiscretization
 from multiphase.solver import BAND_MAX, _factor
@@ -161,3 +163,75 @@ def test_singular_above_band_max_raises(spies):
     with pytest.raises(np.linalg.LinAlgError):
         _factor(A)
     assert spies["splu"] == 1
+
+
+def test_rcm_once_per_mesh(monkeypatch):
+    """A whole solve, the Poisson start's stiffness and every Jacobian,
+    takes one RCM order: its pattern's."""
+    import scipy.sparse.csgraph as csgraph
+
+    real_rcm, calls = csgraph.reverse_cuthill_mckee, []
+
+    def counting_rcm(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_rcm(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", counting_rcm)
+    mesh = structured_mesh(UNIT_SQUARE, 16)
+    prob = PhaseProblem(
+        mesh, FluxParams(PHASES["constant"](), eps=1e-8),
+        SourceTerm.of_x(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)),
+        np.zeros(mesh.n_vertices))
+    rep = solver.solve_variational(prob, tol=1e-10)
+    assert rep.converged and rep.factorizations >= 2
+    assert len(calls) == 1
+
+
+def _layout_fields(layout):
+    return (layout.perm, layout.at, layout.band, layout.sel, layout.pos)
+
+
+def _unpatterned(J):
+    """J's arrays in a matrix that carries no pattern."""
+    return sp.csr_matrix((J.data, J.indices, J.indptr), shape=J.shape)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_pattern_layout_solves_as_own(request, spies, mesh_name):
+    """On the band path the pattern's layout is the one computed from J,
+    and both give the same solve, bit for bit."""
+    mesh = MESHES[mesh_name]()
+    disc = PhaseDiscretization(FluxParams(request.getfixturevalue(
+        "variable_phase"), eps=1e-8), mesh)
+    rng = np.random.default_rng(6)
+    J = disc.jacobian(rng.uniform(-1, 1, mesh.n_vertices))
+    assert J.pattern is mesh.free_pattern
+    rhs = rng.uniform(-1, 1, J.shape[0])
+    own = BandLayout.of(J.indptr, J.indices)
+    for a, b in zip(_layout_fields(mesh.free_pattern.band_layout),
+                    _layout_fields(own)):
+        assert np.array_equal(a, b)
+    assert own.band <= BAND_MAX and own.perm.dtype == np.int32
+    assert np.array_equal(_factor(J)(rhs), _factor(_unpatterned(J))(rhs))
+    assert spies == {"dpbtrf": 2, "splu": 0}
+
+
+def test_edited_structure_gets_own_layout():
+    """A pattern's matrix whose structure was edited after assembly (its
+    stored zeros dropped) is not factored with the pattern's layout."""
+    K = solver._stiffness(structured_mesh(UNIT_SQUARE, 8))
+    K.eliminate_zeros()
+    assert K.nnz < len(K.pattern.indices)
+    rhs = np.random.default_rng(7).uniform(-1, 1, K.shape[0])
+    assert np.array_equal(_factor(K)(rhs), _factor(_unpatterned(K))(rhs))
+
+
+def test_pattern_above_band_max_solves_as_superlu(spies):
+    """A pattern's matrix above BAND_MAX takes the SuperLU path with the
+    pattern's RCM order, bit for bit the solve written out."""
+    K = solver._stiffness(structured_mesh(UNIT_SQUARE, BAND_MAX + 3))
+    layout = K.pattern.band_layout
+    assert layout.band > BAND_MAX and layout.pos is None
+    rhs = np.random.default_rng(8).uniform(-1, 1, K.shape[0])
+    assert np.array_equal(_factor(K)(rhs), _superlu_solve(K, rhs))
+    assert spies == {"dpbtrf": 0, "splu": 2}

@@ -275,6 +275,26 @@ class TestEigenvalue:
         res = disc.residual(ef.nodal_values, load)
         assert np.max(np.abs(res)) <= 1e-4 * np.max(np.abs(load[disc.free]))
 
+    # lambda of first_eigenvalue(square16, 3.0) when its m = 2 factor
+    # was first released before the inverse power steps
+    M3_N16 = 63.95691464785446
+
+    def test_one_factor_alive(self, square16, monkeypatch):
+        """The m = 2 stiffness factor is released before the inverse power
+        steps factor their Jacobians: no factor is alive when the next one
+        is made, and lambda is unchanged."""
+        refs, alive = [], []
+
+        def record_alive(solve):
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(solve))
+            return solve
+
+        count_factors(monkeypatch, record_alive)
+        lam, _ = first_eigenvalue(square16, 3.0)
+        assert len(alive) >= 2 and max(alive) == 0
+        assert lam == self.M3_N16
+
     def test_m_near_one_raises(self, square16):
         """At m = 1.05 the step's Newton solve stalls above sqrt(tol) of
         its load: no lambda rather than an unsettled one.  A solver that
@@ -1234,3 +1254,56 @@ def test_poisson_start_not_above_lift(square8, p, slope):
     # of each other; at p = 3.5 that reaches 1.04e-10 on this mesh
     assert np.max(np.abs(rep.solution.nodal_values
                          - zero.solution.nodal_values)) <= 1e-9
+
+
+def count_builds(monkeypatch):
+    """Count the PhaseDiscretization builds, made through the real
+    constructor."""
+    real_init = PhaseDiscretization.__init__
+    builds = []
+
+    def counting_init(self, fp, mesh):
+        builds.append(fp)
+        real_init(self, fp, mesh)
+
+    monkeypatch.setattr(PhaseDiscretization, "__init__", counting_init)
+    return builds
+
+
+class TestSharedDiscretization:
+    """The mesh holds one PhaseDiscretization, for the FluxParams object it
+    was built for, and every solver entry point shares it."""
+
+    def test_solve_and_check_build_once(self, variable_phase, monkeypatch):
+        mesh = structured_mesh(UNIT_SQUARE, 8)
+        prob = PhaseProblem(mesh, FluxParams(variable_phase, eps=1e-8),
+                            sine_load(), dirichlet_zero(mesh))
+        builds = count_builds(monkeypatch)
+        rep = solve_variational(prob, tol=1e-10)
+        wres = weak_residual_sup(prob, rep.solution)
+        assert rep.converged and wres <= 1e-8
+        assert builds == [prob.fp]
+
+    def test_switching_flux_matches_fresh(self, variable_phase, triple_phase,
+                                          monkeypatch):
+        """fp1, fp2, fp1 on one mesh: each switch builds anew, an equal but
+        distinct FluxParams too, and energies and residuals are those of
+        freshly built discretizations."""
+        from multiphase.operator import energy
+
+        mesh = structured_mesh(UNIT_SQUARE, 8)
+        fp1 = FluxParams(variable_phase, eps=1e-8)
+        fp2 = FluxParams(triple_phase, eps=0.0)
+        u = random_fe(mesh, np.random.default_rng(5))
+        got, builds = [], count_builds(monkeypatch)
+        for fp in (fp1, fp2, fp1, FluxParams(variable_phase, eps=1e-8)):
+            prob = PhaseProblem(mesh, fp, sine_load(), dirichlet_zero(mesh))
+            got.append((energy(fp, u), weak_residual_sup(prob, u)))
+        assert len(builds) == 4
+        monkeypatch.undo()
+        for fp, (e, wres) in zip((fp1, fp2, fp1, fp1), got):
+            fresh = PhaseDiscretization(fp, mesh)
+            load = solver._source_load(fresh, sine_load(), u.nodal_values)
+            assert e == fresh.energy(u.nodal_values)
+            assert wres == solver._sup_norm(
+                fresh.residual(u.nodal_values, load, eps=fp.check_eps))
