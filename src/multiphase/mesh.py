@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -82,16 +82,12 @@ class FreePattern:
     dots: np.ndarray
 
     def assemble(self, blocks):
-        """The free x free CSR matrix of the (T, 3, 3) blocks.  It carries
-        this pattern as its `pattern` attribute, so a factorisation can
-        take the pattern's band layout."""
+        """The free x free CSR matrix of the (T, 3, 3) blocks."""
         nnz, n = len(self.indices), len(self.indptr) - 1
         data = np.bincount(self.slot, weights=blocks.ravel(), minlength=nnz + 1)
         # fresh index arrays: edits of the matrix must not reach the pattern
-        A = sp.csr_matrix((data[:nnz], self.indices.copy(), self.indptr.copy()),
-                          shape=(n, n))
-        A.pattern = self
-        return A
+        return sp.csr_matrix((data[:nnz], self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
 
     @cached_property
     def band_layout(self):
@@ -112,10 +108,10 @@ class BandLayout:
     perm is the reverse Cuthill-McKee (RCM) order, which keeps the nonzeros
     near the diagonal; at is its inverse, the position of each node in
     perm, and band the half-bandwidth b of the relabelled matrix.  While b
-    is at most BAND_MAX, sel lists the stored entries on or below the relabelled
-    diagonal and pos their flat positions in the Fortran-order (b + 1) x N
-    lower band; above BAND_MAX both are None.  All arrays are int32 (pos
-    int64 past 2**31 band entries) and read-only."""
+    is at most BAND_MAX, sel lists the stored entries on or below the
+    relabelled diagonal and pos their flat positions in the Fortran-order
+    (b + 1) x N lower band; above BAND_MAX both are None.  All arrays are
+    int32 and read-only."""
 
     perm: np.ndarray
     at: np.ndarray
@@ -143,8 +139,7 @@ class BandLayout:
         sel = pos = None
         if band <= BAND_MAX:
             sel = np.flatnonzero(below >= 0).astype(np.int32)
-            idx = np.int32 if (band + 1) * n < 2 ** 31 else np.int64
-            pos = below[sel] + pj[sel].astype(idx) * (band + 1)
+            pos = below[sel] + pj[sel] * np.int32(band + 1)
         for a in (perm, at, sel, pos):
             if a is not None:
                 a.setflags(write=False)
@@ -191,9 +186,6 @@ class TriMesh:
         self.h_max = float(lengths.max())
         self._edges = uniq
         self._quadratures = {}
-        # the one PhaseDiscretization held for this mesh, see
-        # PhaseDiscretization.shared
-        self._discretization = None
 
     @property
     def n_vertices(self):
@@ -388,10 +380,16 @@ def refine(mesh):
 
 @dataclass
 class FeFunction:
-    """Continuous piecewise-linear scalar field given by nodal values."""
+    """Continuous piecewise-linear scalar field given by nodal values.
+
+    The answer of solver.solve_variational carries the PhaseDiscretization
+    it was solved on until the residual check of that answer
+    (solver.weak_residual_sup) takes it and reuses its field samples; any
+    other FeFunction carries None."""
 
     mesh: TriMesh
     nodal_values: np.ndarray
+    discretization: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodal_values = np.asarray(self.nodal_values, dtype=float)

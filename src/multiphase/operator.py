@@ -92,20 +92,6 @@ class PhaseDiscretization:
         self.free = np.flatnonzero(~mesh.boundary_flags)
         self._memo = None        # (eps, private copy of u_vals, reductions)
 
-    @classmethod
-    def shared(cls, fp, mesh):
-        """The discretization of fp on mesh that the mesh holds.  A mesh
-        holds one, for the FluxParams object it was built for, compared by
-        identity: another fp, even an equal one, replaces it.  A solve and
-        the residual check of its answer thus share the field samples and
-        the memo of the last state."""
-        disc = mesh._discretization
-        if disc is None or disc.fp is not fp:
-            mesh._discretization = None     # the old one is not held while
-            disc = cls(fp, mesh)            # the new one is built
-            mesh._discretization = disc
-        return disc
-
     # -- low-level pieces ------------------------------------------------
 
     def _gradients(self, u_vals):
@@ -208,7 +194,7 @@ class PhaseDiscretization:
 
 
 def energy(fp, u):
-    return PhaseDiscretization.shared(fp, u.mesh).energy(u.nodal_values)
+    return PhaseDiscretization(fp, u.mesh).energy(u.nodal_values)
 
 
 def check_gateaux(fp, u, h, delta):
@@ -216,7 +202,7 @@ def check_gateaux(fp, u, h, delta):
     assembled residual, paired against the direction h."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    disc = PhaseDiscretization.shared(fp, u.mesh)
+    disc = PhaseDiscretization(fp, u.mesh)
     hv = h.nodal_values
     if np.any(hv[u.mesh.boundary_flags] != 0):
         raise ValueError("direction must vanish on boundary nodes")
@@ -229,7 +215,7 @@ def check_gateaux(fp, u, h, delta):
 
 def check_monotone(fp, u, v):
     """<A(u) - A(v), u - v> over free nodes."""
-    disc = PhaseDiscretization.shared(fp, u.mesh)
+    disc = PhaseDiscretization(fp, u.mesh)
     bnd = u.mesh.boundary_flags
     if not np.allclose(u.nodal_values[bnd], v.nodal_values[bnd]):
         raise ValueError("u and v must share boundary values")
@@ -242,7 +228,7 @@ def check_monotone(fp, u, v):
 def check_coercive(fp, u, scales):
     """Rayleigh-type coercivity ratios <A(cu), cu> / ||grad(cu)||_T along
     increasing scales, with the norm-power lower bound per scale."""
-    disc = PhaseDiscretization.shared(fp, u.mesh)
+    disc = PhaseDiscretization(fp, u.mesh)
     if np.any(u.nodal_values[u.mesh.boundary_flags] != 0):
         raise ValueError("u must vanish on the boundary")
     if not np.any(u.nodal_values != 0):

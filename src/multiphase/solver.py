@@ -85,7 +85,7 @@ class SolveReport:
     check_eps: float = 0.0           # eps of `converged` and the last residual
 
 
-def _factor(J):
+def _factor(J, layout=None):
     """A solve function for the symmetric positive definite matrix J, with
     a factor that every right-hand side reuses.
 
@@ -97,16 +97,12 @@ def _factor(J):
     gain shrinks, so above BAND_MAX the relabelled matrix goes to
     symmetric-mode SuperLU with a minimum-degree ordering on A^T + A.  The
     RCM order, b and the band positions are the BandLayout of J's structure:
-    a matrix assembled by a FreePattern, whose structure it still has, takes
-    the pattern's, computed once per pattern; any other matrix gets its own.
-    A matrix that is not positive definite (banded path) or exactly singular
-    (SuperLU) raises np.linalg.LinAlgError."""
+    a caller that assembled J by a FreePattern passes the pattern's
+    band_layout, computed once per pattern; without one, J's own layout is
+    computed here.  A matrix that is not positive definite (banded path) or
+    exactly singular (SuperLU) raises np.linalg.LinAlgError."""
     J = J.tocsr()
-    pattern = getattr(J, "pattern", None)
-    if (pattern is not None and np.array_equal(J.indptr, pattern.indptr)
-            and np.array_equal(J.indices, pattern.indices)):
-        layout = pattern.band_layout
-    else:
+    if layout is None:
         if not J.has_canonical_format:      # duplicates would overwrite
             J = J.copy()                    # each other in the band
             J.sum_duplicates()
@@ -202,7 +198,7 @@ def solve_variational(prob, tol=1e-10, max_iter=100, initial=None):
         raise ValueError("solve_variational needs a gradient-independent source")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
+    disc = PhaseDiscretization(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
     return _newton(disc, prob, load, tol, max_iter, initial)
 
@@ -216,7 +212,8 @@ def _ray_start(mesh, free, load, lift, merit):
     it falls, within [T_MIN, 1 / T_MIN]; g itself is kept unless beaten."""
     G = mesh.grad_operator
     kg = G.T @ (np.repeat(mesh.areas, 2) * (G @ lift))
-    w = _factor(_stiffness(mesh))(load[free] - kg[free])
+    w = _factor(_stiffness(mesh), mesh.free_pattern.band_layout)(
+        load[free] - kg[free])
 
     def point(t):
         v = lift.copy()
@@ -345,7 +342,8 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 if not chord:
                     held.release()          # never two factors alive
                     factorizations += 1
-                    held.solve = _factor(disc.jacobian(u, eps=eps))
+                    held.solve = _factor(disc.jacobian(u, eps=eps),
+                                         mesh.free_pattern.band_layout)
                     held.eps = eps
                 step = _linear_solve(held.solve, -res)
                 if not np.all(np.isfinite(step)):
@@ -409,7 +407,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     converged = rnorm <= tol and stop_reason is None
     if not converged and stop_reason is None:
         stop_reason = "max_iter"
-    return SolveReport(FeFunction(prob.mesh, u), iters, res_hist,
+    return SolveReport(FeFunction(prob.mesh, u, disc), iters, res_hist,
                        energy_hist, converged, eps_used, start, stop_reason,
                        factorizations, check_eps)
 
@@ -422,7 +420,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     initial state); stop_reason is "tolerance", "max_iter_outer",
     "growth" (the outer distance grew five times in a row), "line_search"
     or "singular" (the stop of an inner solve)."""
-    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
+    disc = PhaseDiscretization(prob.fp, prob.mesh)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet,
                  0.0 if initial is None else np.asarray(initial, dtype=float))
@@ -468,8 +466,17 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
 
 
 def weak_residual_sup(prob, u):
-    """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2."""
-    disc = PhaseDiscretization.shared(prob.fp, prob.mesh)
+    """A-posteriori weak-form residual of a state, eps = 0 when p- >= 2.
+
+    The answer of solve_variational carries the discretization it was
+    solved on; when that is of prob's FluxParams object (compared by
+    identity) and mesh, the check reuses its field samples, and the memo of
+    its last state serves the residual.  The check takes it from u, which
+    then carries None, so its memory is freed once the check is done.  Any
+    other state gets a discretization built here."""
+    disc, u.discretization = u.discretization, None
+    if disc is None or disc.fp is not prob.fp or disc.mesh is not prob.mesh:
+        disc = PhaseDiscretization(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, u.nodal_values)
     return _sup_norm(disc.residual(u.nodal_values, load, eps=prob.fp.check_eps))
 
@@ -494,7 +501,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     free = np.flatnonzero(~mesh.boundary_flags)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=len(free))
-    solve = _factor(K)
+    solve = _factor(K, mesh.free_pattern.band_layout)
     lam = np.inf
     for _ in range(max_iter):
         y = solve(M @ x)
@@ -512,7 +519,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
                                   WeightPair.constants(0.0, 0.0)),
                     eps=0.0 if m >= 2 else 1e-10)
-    disc = PhaseDiscretization.shared(fp, mesh)
+    disc = PhaseDiscretization(fp, mesh)
     prob = PhaseProblem(mesh, fp, SourceTerm.zero(), np.zeros(mesh.n_vertices))
     held = _HeldFactor()
     u, lam = np.abs(vals), np.inf

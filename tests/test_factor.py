@@ -191,11 +191,6 @@ def _layout_fields(layout):
     return (layout.perm, layout.at, layout.band, layout.sel, layout.pos)
 
 
-def _unpatterned(J):
-    """J's arrays in a matrix that carries no pattern."""
-    return sp.csr_matrix((J.data, J.indices, J.indptr), shape=J.shape)
-
-
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
 def test_pattern_layout_solves_as_own(request, spies, mesh_name):
     """On the band path the pattern's layout is the one computed from J,
@@ -205,33 +200,24 @@ def test_pattern_layout_solves_as_own(request, spies, mesh_name):
         "variable_phase"), eps=1e-8), mesh)
     rng = np.random.default_rng(6)
     J = disc.jacobian(rng.uniform(-1, 1, mesh.n_vertices))
-    assert J.pattern is mesh.free_pattern
     rhs = rng.uniform(-1, 1, J.shape[0])
+    layout = mesh.free_pattern.band_layout
     own = BandLayout.of(J.indptr, J.indices)
-    for a, b in zip(_layout_fields(mesh.free_pattern.band_layout),
-                    _layout_fields(own)):
+    for a, b in zip(_layout_fields(layout), _layout_fields(own)):
         assert np.array_equal(a, b)
     assert own.band <= BAND_MAX and own.perm.dtype == np.int32
-    assert np.array_equal(_factor(J)(rhs), _factor(_unpatterned(J))(rhs))
+    assert own.pos.dtype == np.int32
+    assert np.array_equal(_factor(J, layout)(rhs), _factor(J)(rhs))
     assert spies == {"dpbtrf": 2, "splu": 0}
-
-
-def test_edited_structure_gets_own_layout():
-    """A pattern's matrix whose structure was edited after assembly (its
-    stored zeros dropped) is not factored with the pattern's layout."""
-    K = solver._stiffness(structured_mesh(UNIT_SQUARE, 8))
-    K.eliminate_zeros()
-    assert K.nnz < len(K.pattern.indices)
-    rhs = np.random.default_rng(7).uniform(-1, 1, K.shape[0])
-    assert np.array_equal(_factor(K)(rhs), _factor(_unpatterned(K))(rhs))
 
 
 def test_pattern_above_band_max_solves_as_superlu(spies):
     """A pattern's matrix above BAND_MAX takes the SuperLU path with the
     pattern's RCM order, bit for bit the solve written out."""
-    K = solver._stiffness(structured_mesh(UNIT_SQUARE, BAND_MAX + 3))
-    layout = K.pattern.band_layout
+    mesh = structured_mesh(UNIT_SQUARE, BAND_MAX + 3)
+    K = solver._stiffness(mesh)
+    layout = mesh.free_pattern.band_layout
     assert layout.band > BAND_MAX and layout.pos is None
     rhs = np.random.default_rng(8).uniform(-1, 1, K.shape[0])
-    assert np.array_equal(_factor(K)(rhs), _superlu_solve(K, rhs))
+    assert np.array_equal(_factor(K, layout)(rhs), _superlu_solve(K, rhs))
     assert spies == {"dpbtrf": 0, "splu": 2}

@@ -13,6 +13,7 @@ from multiphase import (Domain2D, ExponentTriple, FluxParams, PhaseProblem,
                         solve_convection,
                         solve_variational, structured_mesh,
                         verify_uniqueness_empirical, weak_residual_sup)
+from multiphase.mesh import FeFunction
 from multiphase.modular import PhaseFunction
 from multiphase.operator import PhaseDiscretization
 from multiphase.solver import _linear_solve
@@ -582,9 +583,9 @@ def count_factors(monkeypatch, wrap=None):
     real_factor = solver._factor
     made = []
 
-    def counting_factor(J):
+    def counting_factor(J, *args):
         made.append(J.shape)
-        solve = real_factor(J)
+        solve = real_factor(J, *args)
         return solve if wrap is None else wrap(solve)
 
     monkeypatch.setattr(solver, "_factor", counting_factor)
@@ -1270,40 +1271,70 @@ def count_builds(monkeypatch):
     return builds
 
 
-class TestSharedDiscretization:
-    """The mesh holds one PhaseDiscretization, for the FluxParams object it
-    was built for, and every solver entry point shares it."""
+class TestSolveCarriesDiscretization:
+    """The answer of solve_variational carries the PhaseDiscretization it
+    was solved on, and the residual check of that answer reuses it; nothing
+    is held on the mesh or carried from one solve to the next."""
 
     def test_solve_and_check_build_once(self, variable_phase, monkeypatch):
         mesh = structured_mesh(UNIT_SQUARE, 8)
         prob = PhaseProblem(mesh, FluxParams(variable_phase, eps=1e-8),
                             sine_load(), dirichlet_zero(mesh))
         builds = count_builds(monkeypatch)
-        rep = solve_variational(prob, tol=1e-10)
-        wres = weak_residual_sup(prob, rep.solution)
-        assert rep.converged and wres <= 1e-8
-        assert builds == [prob.fp]
+        for k in (1, 2):
+            rep = solve_variational(prob, tol=1e-10)
+            wres = weak_residual_sup(prob, rep.solution)
+            assert rep.converged and wres <= 1e-8
+            assert builds == [prob.fp] * k
+            assert rep.solution.discretization is None
+        monkeypatch.undo()
+        fresh = PhaseDiscretization(prob.fp, mesh)
+        u = rep.solution.nodal_values
+        load = solver._source_load(fresh, prob.source, u)
+        assert wres == solver._sup_norm(
+            fresh.residual(u, load, eps=prob.fp.check_eps))
 
-    def test_switching_flux_matches_fresh(self, variable_phase, triple_phase,
-                                          monkeypatch):
-        """fp1, fp2, fp1 on one mesh: each switch builds anew, an equal but
-        distinct FluxParams too, and energies and residuals are those of
-        freshly built discretizations."""
-        from multiphase.operator import energy
-
+    def test_other_flux_builds_anew(self, variable_phase, triple_phase,
+                                    monkeypatch):
+        """A check with another FluxParams, even an equal one, or of a
+        state that carries no discretization builds its own, and reads
+        what a freshly built discretization reads."""
         mesh = structured_mesh(UNIT_SQUARE, 8)
         fp1 = FluxParams(variable_phase, eps=1e-8)
-        fp2 = FluxParams(triple_phase, eps=0.0)
-        u = random_fe(mesh, np.random.default_rng(5))
+        rep = solve_variational(PhaseProblem(mesh, fp1, sine_load(),
+                                             dirichlet_zero(mesh)), tol=1e-10)
+        u = rep.solution
+        assert u.discretization.fp is fp1
+        plain = FeFunction(mesh, u.nodal_values)
+        assert plain.discretization is None
+        cases = [(fp1, plain), (FluxParams(variable_phase, eps=1e-8), u),
+                 (FluxParams(triple_phase, eps=0.0), u)]
         got, builds = [], count_builds(monkeypatch)
-        for fp in (fp1, fp2, fp1, FluxParams(variable_phase, eps=1e-8)):
+        for fp, v in cases:
             prob = PhaseProblem(mesh, fp, sine_load(), dirichlet_zero(mesh))
-            got.append((energy(fp, u), weak_residual_sup(prob, u)))
-        assert len(builds) == 4
+            got.append(weak_residual_sup(prob, v))
+        assert builds == [fp for fp, _ in cases]
         monkeypatch.undo()
-        for fp, (e, wres) in zip((fp1, fp2, fp1, fp1), got):
+        for (fp, v), wres in zip(cases, got):
             fresh = PhaseDiscretization(fp, mesh)
-            load = solver._source_load(fresh, sine_load(), u.nodal_values)
-            assert e == fresh.energy(u.nodal_values)
+            load = solver._source_load(fresh, sine_load(), v.nodal_values)
             assert wres == solver._sup_norm(
-                fresh.residual(u.nodal_values, load, eps=fp.check_eps))
+                fresh.residual(v.nodal_values, load, eps=fp.check_eps))
+
+    def test_mesh_freed_on_del(self, variable_phase):
+        """With the cyclic collector off, a solved mesh and its answer are
+        freed as soon as the last reference goes."""
+        import gc
+
+        mesh = structured_mesh(UNIT_SQUARE, 8)
+        prob = PhaseProblem(mesh, FluxParams(variable_phase, eps=1e-8),
+                            sine_load(), dirichlet_zero(mesh))
+        rep = solve_variational(prob, tol=1e-10)
+        assert weak_residual_sup(prob, rep.solution) <= 1e-8
+        ref = weakref.ref(mesh)
+        gc.disable()
+        try:
+            del mesh, prob, rep
+            assert ref() is None
+        finally:
+            gc.enable()
