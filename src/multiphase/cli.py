@@ -264,7 +264,10 @@ def cmd_solve(cfg, args, manifest):
               comment=f"config_hash={manifest.config_hash}")
     manifest.add_output(vtk)
     csv = os.path.join(manifest.out_dir, "convergence.csv")
-    write_csv(csv, ["iteration", "residual_sup"],
+    # a convection report's history holds its outer distances
+    column = ("outer_distance_sup" if prob.source.grad_dependent
+              else "residual_sup")
+    write_csv(csv, ["iteration", column],
               list(enumerate(rep.residual_history)), manifest.config_hash)
     manifest.add_output(csv)
     wres = weak_residual_sup(prob, rep.solution)

@@ -17,6 +17,10 @@ UNIQUENESS_SEED = 0xC0FFEE
 # A held factor serves the next step only while each step cuts the residual
 # sup-norm by at least this factor (Kelley 2003, the chord method).
 CHORD_CONTRACTION = 0.1
+# An inner solve of the convection fixed point stops once its residual
+# sup-norm is at most this fraction of its starting one, or tol (the forcing
+# term of Eisenstat-Walker 1996): the next outer load resets it anyway.
+INNER_FORCING = 1e-2
 # A fresh Newton step whose Armijo search needs a step length below T_MIN
 # struggles, and sends the solve up the eps ladder while a rung is left.
 T_MIN = 1.0 / 128
@@ -64,7 +68,11 @@ class PhaseProblem:
 class SolveReport:
     solution: FeFunction
     iterations: int
-    residual_history: list
+    residual_history: list           # residual sup-norms at the final eps,
+                                     # then at check_eps in the check stage;
+                                     # the last entry is at check_eps.
+                                     # solve_convection: the outer distances
+                                     # sup |u_k - u_(k-1)|
     energy_history: list             # merits at the final eps, then at
                                      # check_eps in the check stage, one per
                                      # residual there; the last entry is the
@@ -232,7 +240,7 @@ def _ray_start(mesh, free, load, lift, merit):
 
 
 def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
-            choose_start=True):
+            choose_start=True, forcing=0.0):
     """Damped Newton, at the final eps unless a step struggles.
 
     The solve starts at the last rung of _eps_schedule, the ladder.  With
@@ -265,7 +273,12 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     sup-norm by CHORD_CONTRACTION.  Any other step assembles and factors the
     Jacobian anew, after releasing the held factor, and so does a chord step
     that finds no descent above T_MIN or whose solve fails.  A caller that
-    passes `held` gets the last factor back for its next solve.
+    passes `held` gets the last factor back for its next solve, unless the
+    last accepted step was damped.
+
+    With forcing > 0 the solve aims at max(tol, forcing * r0) in place of
+    tol, r0 its first residual sup-norm (at the start state and the final
+    eps), and `converged` means that relaxed target was met.
 
     Each residual at the final eps, and in the check stage at check_eps,
     adds the merit at that eps to energy_history; its last entry is the
@@ -277,6 +290,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     final_eps = ladder[-1]
     check_eps = prob.fp.check_eps
     res_hist, energy_hist, eps_used = [], [], []
+    target = tol                    # max(tol, forcing * r0) once r0 is known
 
     def merit(vals, eps=0.0):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
@@ -310,7 +324,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
         eps = stages.pop(0)
         eps_used.append(eps)
         retries = 0
-        stage_tol = tol if eps in (final_eps, check_eps) else max(tol, 1e-8)
+        stage_tol = target if eps in (final_eps, check_eps) else max(tol, 1e-8)
         stage_iters = 0
         # merit of u at eps, carried from the start choice or the line search
         m0, m_start = m_start, None
@@ -326,13 +340,15 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 if eps in (final_eps, check_eps):
                     if m0 is None:
                         m0 = merit(u, eps)
+                    if not res_hist and np.isfinite(rnorm):
+                        target = stage_tol = max(tol, forcing * rnorm)
                     res_hist.append(rnorm)
                     energy_hist.append(m0)
                 if rnorm <= stage_tol:
                     # the eps-regularized iteration may stop above the
                     # residual at check_eps; the check stage closes the gap
                     if (not stages and eps != check_eps and _sup_norm(
-                            disc.residual(u, load, eps=check_eps)) > tol):
+                            disc.residual(u, load, eps=check_eps)) > target):
                         stages, climbed, checking = [check_eps], True, True
                     break
             contracting = (prev_rnorm is None
@@ -400,11 +416,13 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             prev_rnorm, res, damped = rnorm, None, t < 1.0
             iters += 1
             stage_iters += 1
+    if damped:                      # the next solve's first step factors
+        held.release()
     rnorm = _sup_norm(disc.residual(u, load, eps=check_eps))
     res_hist.append(rnorm)
     # at eps = 0 the carried merit is the energy of u
     energy_hist.append(m0 if eps == 0.0 and m0 is not None else merit(u))
-    converged = rnorm <= tol and stop_reason is None
+    converged = rnorm <= target and stop_reason is None
     if not converged and stop_reason is None:
         stop_reason = "max_iter"
     return SolveReport(FeFunction(prob.mesh, u, disc), iters, res_hist,
@@ -416,10 +434,18 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     """Outer fixed point freezing f(x, u_k, grad u_k) as a load, inner
     damped Newton on the frozen variational problem, warm-started from u_k.
 
-    The report's start is that of the first inner solve ("lift" without an
-    initial state); stop_reason is "tolerance", "max_iter_outer",
-    "growth" (the outer distance grew five times in a row), "line_search"
-    or "singular" (the stop of an inner solve)."""
+    Each inner solve stops at max(tol, INNER_FORCING * r0), r0 its starting
+    residual sup-norm: the next load resets the residual above that anyway.
+    The fixed point has converged ("tolerance") when the outer distance is
+    at most tol and the last inner solve reached tol itself, so the answer
+    is as accurate as with inner solves to tol throughout.
+
+    The report's residual_history holds the outer distances
+    sup |u_k - u_(k-1)|, not residuals; its start is that of the first
+    inner solve ("lift" without an initial state); stop_reason is
+    "tolerance", "max_iter_outer", "growth" (the outer distance grew five
+    times in a row), "line_search" or "singular" (the stop of an inner
+    solve)."""
     disc = PhaseDiscretization(prob.fp, prob.mesh)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet,
@@ -439,7 +465,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
         # ones start from the last iterate, which always wins
         inner = _newton(disc, prob, load, tol, 100,
                         initial=initial if it == 1 else u, held=held,
-                        choose_start=it == 1)
+                        choose_start=it == 1, forcing=INNER_FORCING)
         if it == 1:
             start = inner.start
         factorizations += inner.factorizations
@@ -448,7 +474,8 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
         u = inner.solution.nodal_values
         hist.append(dist)
         energy_hist.append(inner.energy_history[-1])
-        if dist <= tol and inner.converged:
+        if (dist <= tol and inner.converged
+                and inner.residual_history[-1] <= tol):
             converged = True
             stop_reason = "tolerance"
             break
@@ -549,8 +576,8 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
 
 def _m_power_quantities(disc, m, u_vals):
     """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D."""
-    N = float(np.sum(np.linalg.norm(disc._gradients(u_vals), axis=1) ** m
-                     @ disc.qweights))
+    gx, gy = disc._gradients(u_vals).T
+    N = float(np.sum(np.sqrt(gx * gx + gy * gy) ** m @ disc.qweights))
     tvals = disc.at_quad(u_vals)
     D = float(np.sum(disc.qweights * np.abs(tvals) ** m))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -445,6 +445,16 @@ class TestSolveManifest:
                        "check_eps": 0.0}
         assert 1 <= rec["factorizations"]
 
+    def test_convergence_csv_column(self, tmp_path):
+        """The convection history is one outer distance per iteration, the
+        variational one a residual per Newton step."""
+        for cfg, column in ((BASE_CFG, "residual_sup"),
+                            (self.CONVECTION_CFG, "outer_distance_sup")):
+            code, _ = self.solve(tmp_path, cfg)
+            assert code == EXIT_OK
+            csv = (tmp_path / "out" / "convergence.csv").read_text()
+            assert csv.splitlines()[1] == f"iteration,{column}"
+
     def test_convection_max_iter_outer(self, tmp_path):
         cfg = {**self.CONVECTION_CFG, "solver": {"max_iter": 2}}
         code, rec = self.solve(tmp_path, cfg)

@@ -737,6 +737,47 @@ class TestChordSteps:
         assert "chord" in events
         assert ("chord", "chord") not in set(zip(events, events[1:]))
 
+    def test_damped_step_releases_handed_on_factor(self, triple_flux,
+                                                   square16, monkeypatch):
+        """Two solves share one held factor; every direction is 2.1 times
+        too long, so each step of the first solve is damped (and factors
+        afresh), and the second solve factors before its first step instead
+        of taking a chord step.  A loose tol keeps the full step out of the
+        merit's rounding noise, which would pass it."""
+        events = []
+
+        def overshoot(solve):
+            def long(rhs):
+                events.append("solve")
+                return 2.1 * solve(rhs)
+            return long
+
+        count_factors(monkeypatch, overshoot)
+        real_jacobian = PhaseDiscretization.jacobian
+
+        def recording_jacobian(self, u_vals, eps=None):
+            events.append("fresh")
+            return real_jacobian(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", recording_jacobian)
+        prob = PhaseProblem(square16, triple_flux, sine_load(),
+                            dirichlet_zero(square16))
+        disc = PhaseDiscretization(triple_flux, square16)
+        load = solver._source_load(disc, prob.source,
+                                   np.zeros(square16.n_vertices))
+        held = solver._HeldFactor()
+        first = solver._newton(disc, prob, load, 1e-6, 100,
+                               initial=np.zeros(square16.n_vertices),
+                               held=held, choose_start=False)
+        assert first.converged and first.iterations >= 2
+        assert events == ["fresh", "solve"] * first.iterations
+        events.clear()
+        second = solver._newton(disc, prob, 1.1 * load, 1e-6, 100,
+                                initial=first.solution.nodal_values,
+                                held=held, choose_start=False)
+        assert second.converged
+        assert events[0] == "fresh"
+
     def test_check_eps(self, triple_flux, square8):
         low = FluxParams(PhaseFunction(ExponentTriple.constants(1.8, 1.9, 2.0),
                                        WeightPair.constants(1, 1)), eps=1e-8)
@@ -746,6 +787,63 @@ class TestChordSteps:
             assert solve_variational(prob).check_eps == expected
         rep = solve_convection(self.make_problem(square8, triple_flux))
         assert rep.check_eps == 0.0
+
+
+class TestInnerForcing:
+    """Each inner solve of the fixed point stops at INNER_FORCING times its
+    starting residual; the fixed point ends only after one reaches tol."""
+
+    make_problem = TestConvection.make_problem
+
+    def run(self, prob, monkeypatch, **kwargs):
+        """The report and the inner reports of one solve_convection."""
+        inner = []
+        real_newton = solver._newton
+
+        def recording_newton(*args, **kw):
+            rep = real_newton(*args, **kw)
+            inner.append(rep)
+            return rep
+
+        monkeypatch.setattr(solver, "_newton", recording_newton)
+        rep = solve_convection(prob, **kwargs)
+        monkeypatch.setattr(solver, "_newton", real_newton)
+        return rep, inner
+
+    @pytest.mark.parametrize("seed", [None, 21])
+    def test_relaxed_inner_solves(self, seed, triple_flux, square16,
+                                  monkeypatch):
+        prob = self.make_problem(square16, triple_flux)
+        tol = 1e-10
+        initial = None if seed is None else rough_start(square16, seed,
+                                                        square16.h_max)
+        rep, inner = self.run(prob, monkeypatch, tol=tol, initial=initial)
+        assert rep.converged and rep.stop_reason == "tolerance"
+        targets = [max(tol, solver.INNER_FORCING * r.residual_history[0])
+                   for r in inner]
+        assert any(t > tol for t in targets[:-1])
+        for r, t in zip(inner[:-1], targets):
+            assert r.residual_history[-1] <= t
+        assert inner[-1].residual_history[-1] <= tol
+
+        monkeypatch.setattr(solver, "INNER_FORCING", 0.0)
+        exact, exact_inner = self.run(prob, monkeypatch, tol=tol,
+                                      initial=initial)
+        assert exact.converged
+        assert all(r.residual_history[-1] <= tol for r in exact_inner)
+        assert (sum(r.iterations for r in inner)
+                < sum(r.iterations for r in exact_inner))
+        assert np.max(np.abs(rep.solution.nodal_values
+                             - exact.solution.nodal_values)) <= 1e-9
+
+    def test_max_iter_outer_after_relaxed_solve(self, triple_flux, square16,
+                                                monkeypatch):
+        tol = 1e-10
+        rep, inner = self.run(self.make_problem(square16, triple_flux),
+                              monkeypatch, tol=tol, max_iter_outer=2)
+        assert inner[-1].converged and inner[-1].residual_history[-1] > tol
+        assert not rep.converged
+        assert rep.stop_reason == "max_iter_outer"
 
 
 class TestConvectionStartChoice:
