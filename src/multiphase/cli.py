@@ -168,15 +168,6 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def write_csv(path, header, rows, config_hash):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
-
-
 class Manifest:
     def __init__(self, cfg_path, out_dir):
         with open(cfg_path, "rb") as fh:
@@ -198,8 +189,22 @@ class Manifest:
         finally:
             self.stages[name] = time.perf_counter() - t0
 
-    def add_output(self, path):
-        self.outputs.append(os.path.basename(path))
+    def csv(self, name, header, rows):
+        """Write the rows under the header to the CSV artifact `name`."""
+        with open(os.path.join(self.out_dir, name), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(f"# config_hash={self.config_hash}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
+                                  else str(v) for v in row) + "\n")
+        self.outputs.append(name)
+
+    def vtk(self, name, mesh, point_data, cell_data=None):
+        """Write the mesh and its data to the VTK artifact `name`."""
+        write_vtk(os.path.join(self.out_dir, name), mesh, point_data, cell_data,
+                  comment=f"config_hash={self.config_hash}")
+        self.outputs.append(name)
 
     def write(self):
         path = os.path.join(self.out_dir, "manifest.json")
@@ -225,9 +230,10 @@ def cmd_check_hypotheses(cfg, args, manifest):
     samples = domain.sample_grid(64)
     reports = []
     with manifest.stage("check_hypotheses"):
-        reports.append(check_h1(tf.exp, tf.w, domain.dim, samples))
+        # the domain is planar: N = 2
+        reports.append(check_h1(tf.exp, tf.w, 2, samples))
         sigma = _number(cfg.get("probe", {}).get("sigma", 1.0), "probe.sigma")
-        reports.append(check_hprime(tf.exp, sigma, domain.dim, samples))
+        reports.append(check_hprime(tf.exp, sigma, 2, samples))
         src = build_source(cfg)
         if src.constants:
             mesh = structured_mesh(domain, _mesh_n(cfg))
@@ -258,18 +264,13 @@ def cmd_solve(cfg, args, manifest):
     manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason,
                       "factorizations": rep.factorizations,
                       "check_eps": rep.check_eps}
-    vtk = os.path.join(manifest.out_dir, "solution.vtk")
-    write_vtk(vtk, prob.mesh, {"u": rep.solution.nodal_values},
-              {"grad_u": rep.solution.gradients()},
-              comment=f"config_hash={manifest.config_hash}")
-    manifest.add_output(vtk)
-    csv = os.path.join(manifest.out_dir, "convergence.csv")
+    manifest.vtk("solution.vtk", prob.mesh, {"u": rep.solution.nodal_values},
+                 {"grad_u": rep.solution.gradients()})
     # a convection report's history holds its outer distances
     column = ("outer_distance_sup" if prob.source.grad_dependent
               else "residual_sup")
-    write_csv(csv, ["iteration", column],
-              list(enumerate(rep.residual_history)), manifest.config_hash)
-    manifest.add_output(csv)
+    manifest.csv("convergence.csv", ["iteration", column],
+                 enumerate(rep.residual_history))
     wres = weak_residual_sup(prob, rep.solution)
     print(f"converged={rep.converged} iterations={rep.iterations} "
           f"weak_residual={_fmt(wres)}")
@@ -285,21 +286,14 @@ def cmd_eigen(cfg, args, manifest):
     k = _number(cfg.get("refinements", 0), "refinements", int)
     rows = []
     with manifest.stage("eigen"):
-        lam, ef = first_eigenvalue(mesh, m)
-        rows.append((mesh.h_max, lam))
-        for _ in range(k):
-            mesh = refine(mesh)
+        for level in range(k + 1):
+            mesh = refine(mesh) if level else mesh
             lam, ef = first_eigenvalue(mesh, m)
             rows.append((mesh.h_max, lam))
     for h, l in rows:
         print(f"h_max={_fmt(h)} lambda={_fmt(l)}")
-    csv = os.path.join(manifest.out_dir, "eigenvalues.csv")
-    write_csv(csv, ["h_max", "lambda"], rows, manifest.config_hash)
-    manifest.add_output(csv)
-    vtk = os.path.join(manifest.out_dir, "eigenfunction.vtk")
-    write_vtk(vtk, mesh, {"eigenfunction": ef.nodal_values},
-              comment=f"config_hash={manifest.config_hash}")
-    manifest.add_output(vtk)
+    manifest.csv("eigenvalues.csv", ["h_max", "lambda"], rows)
+    manifest.vtk("eigenfunction.vtk", mesh, {"eigenfunction": ef.nodal_values})
     return EXIT_OK
 
 
@@ -325,9 +319,7 @@ def cmd_verify_modular(cfg, args, manifest):
     for c in checks:
         rows.append((c.name, str(bool(c.passed)), c.min_slack))
         ok &= bool(c.passed)
-    csv = os.path.join(manifest.out_dir, "modular_checks.csv")
-    write_csv(csv, ["check", "passed", "min_slack"], rows, manifest.config_hash)
-    manifest.add_output(csv)
+    manifest.csv("modular_checks.csv", ["check", "passed", "min_slack"], rows)
     for name, passed, slack in rows:
         print(f"{name:<24}{passed:<8}{_fmt(slack)}")
     return EXIT_OK if ok else EXIT_FAIL
@@ -390,10 +382,8 @@ def cmd_probe(cfg, args, manifest):
                 rows.append(("poincare_w0", 0.0, 0.0, 0.0, 0.0, float(k), r))
         else:
             raise ConfigError(f"unknown probe {which!r}")
-    csv = os.path.join(manifest.out_dir, f"probe_{which}.csv")
-    write_csv(csv, ["inequality", "center_x", "center_y", "R1", "R2",
-                    "param", "ratio"], rows, manifest.config_hash)
-    manifest.add_output(csv)
+    manifest.csv(f"probe_{which}.csv", ["inequality", "center_x", "center_y",
+                                        "R1", "R2", "param", "ratio"], rows)
     finite = [row[-1] for row in rows if np.isfinite(row[-1])]
     bad = len(rows) - len(finite)
     const = max(finite) if finite else 0.0

@@ -34,7 +34,6 @@ class Domain2D:
     """A simple polygon holding the computational domain."""
 
     vertices: tuple
-    dim: int = 2
 
     def __post_init__(self):
         verts = tuple((float(x), float(y)) for x, y in self.vertices)
@@ -64,9 +63,9 @@ class Domain2D:
         v = np.asarray(self.vertices)
         return v.min(axis=0), v.max(axis=0)
 
-    def contains(self, points, tol=1e-12):
-        """Even-odd point-in-polygon test, vectorized over points; points on
-        an edge count as inside."""
+    def contains(self, points):
+        """Even-odd point-in-polygon test, vectorized over points; points
+        within 1e-12 of an edge, relative to its length, count as inside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = np.asarray(self.vertices)
         x, y = pts[:, 0], pts[:, 1]
@@ -84,7 +83,7 @@ class Domain2D:
             d = np.abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1))
             seg2 = (x2 - x1) ** 2 + (y2 - y1) ** 2
             t = ((x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)) / seg2
-            on_edge |= (d <= tol * np.sqrt(seg2)) & (t >= -tol) & (t <= 1 + tol)
+            on_edge |= (d <= 1e-12 * np.sqrt(seg2)) & (t >= -1e-12) & (t <= 1 + 1e-12)
         return inside | on_edge
 
     def sample_grid(self, n=128):

@@ -147,6 +147,8 @@ class BandLayout:
 
 
 _EDGE_SLACK = 0.05     # share of a boundary edge's length a ball may cross
+# ball_quadrature: 4-splits of a triangle crossing the circle, rule degree
+_BALL_DEPTH, _BALL_DEGREE = 3, 5
 
 
 class TriMesh:
@@ -184,7 +186,6 @@ class TriMesh:
         self.boundary_flags = flags
         lengths = np.hypot(*(self.vertices[uniq[:, 0]] - self.vertices[uniq[:, 1]]).T)
         self.h_max = float(lengths.max())
-        self._edges = uniq
         self._quadratures = {}
 
     @property
@@ -456,11 +457,12 @@ class Ball:
                            (float(self.center[0]), float(self.center[1])))
 
 
-def ball_quadrature(mesh, ball, depth=3, degree=5):
+def ball_quadrature(mesh, ball):
     """Quadrature over the intersection of the mesh with a ball.
 
-    Triangles crossing the circle are subdivided `depth` times; at the
-    finest level quadrature points outside the ball are dropped.  Returns
+    Triangles inside the ball carry the _BALL_DEGREE rule; triangles
+    crossing the circle are subdivided _BALL_DEPTH times, carry it on each
+    piece, and lose the points outside the ball.  Returns
     a QuadratureMeasure whose tri_index refers to the *parent* triangles,
     so P1 data can still be evaluated per parent.  A ball that escapes the
     mesh by more than a slack below the P1 resolution is rejected
@@ -482,8 +484,8 @@ def ball_quadrature(mesh, ball, depth=3, degree=5):
 
     # rows [0, K) of the rule table are the plain rule, rows K on the
     # subdivided one
-    table, sub_w = _ball_rule(depth, degree)
-    bary, w = quad_rule(degree)
+    table, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
+    bary, w = quad_rule(_BALL_DEGREE)
     K, S = len(w), len(sub_w)
     centers = (table[K:] @ np.compress(~all_in, verts, axis=0)).reshape(-1, 2)
     keep = np.flatnonzero(_dist2(centers, c) <= R * R)

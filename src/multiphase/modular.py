@@ -9,12 +9,12 @@ import numpy as np
 
 from .fields import ExponentTriple, WeightPair
 
-DEFAULT_REL_TOL = 1e-10
-_MAX_DOUBLINGS = 200
+# relative tolerance on rho(u / alpha) = 1 of every Luxemburg norm
+REL_TOL = 1e-10
 
 
 class NormBracketError(RuntimeError):
-    """Raised when the Luxemburg bracket cannot be established."""
+    """Raised when the power bounds do not bracket a Luxemburg norm."""
 
 
 @dataclass(frozen=True)
@@ -135,29 +135,21 @@ def _log(x):
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus, rel_tol):
-    """The alpha with rho(u/alpha) = 1, bracketed by the norm-modular power
-    bounds and found by Illinois regula falsi on h(s) = log rho(u e^-s),
-    s = log alpha, which is convex and decreasing."""
+def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus):
+    """The alpha with rho(u/alpha) = 1, found by Illinois regula falsi on
+    h(s) = log rho(u e^-s), s = log alpha, which is convex and decreasing.
+
+    The norm-modular power bounds min/max(R^(1/p-), R^(1/r+)) bracket alpha
+    whenever p- and r+ are the extremes of the exponents at the summed
+    points.  Ends at which rho does not straddle 1 (wrong extremes, or a
+    non-finite rho) raise NormBracketError."""
     lo = min(R ** (1.0 / p_minus), R ** (1.0 / r_plus))
     hi = max(R ** (1.0 / p_minus), R ** (1.0 / r_plus))
     lo, hi = 0.999999 * lo, 1.000001 * hi
-    n = 0
-    rho_lo = rho_of_alpha(lo)
-    while rho_lo < 1.0:
-        lo *= 0.5
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise NormBracketError("norm bracket failure (lower)")
-        rho_lo = rho_of_alpha(lo)
-    rho_hi = rho_of_alpha(hi)
-    while rho_hi > 1.0:
-        hi *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise NormBracketError("norm bracket failure (upper)")
-        rho_hi = rho_of_alpha(hi)
-    bracket = (lo, hi)
+    rho_lo, rho_hi = rho_of_alpha(lo), rho_of_alpha(hi)
+    if not rho_lo >= 1.0 >= rho_hi:
+        raise NormBracketError(f"rho is {rho_lo!r} and {rho_hi!r} at the ends "
+                               f"{lo!r} and {hi!r} of the power-bound bracket")
     # h(a) >= 0 >= h(b); `side` is the end that moved last, and the other
     # end's value is halved when the same end moves twice (Illinois)
     a, ha = math.log(lo), _log(rho_lo)
@@ -172,7 +164,7 @@ def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus, rel_tol):
         alpha = math.exp(s)
         rho = rho_of_alpha(alpha)
         iters += 1
-        if (abs(rho - 1.0) <= rel_tol or b - a <= 4e-16 * max(1.0, abs(s))
+        if (abs(rho - 1.0) <= REL_TOL or b - a <= 4e-16 * max(1.0, abs(s))
                 or iters > 400):
             break
         h = _log(rho)
@@ -186,26 +178,24 @@ def _luxemburg_bisect(rho_of_alpha, R, p_minus, r_plus, rel_tol):
             if side == -1:
                 ha *= 0.5
             side = -1
-    return alpha, bracket, iters
+    return alpha, (lo, hi), iters
 
 
-def luxemburg_norm(tf, u, quad, rel_tol=DEFAULT_REL_TOL, sampled=None):
+def luxemburg_norm(tf, u, quad, sampled=None):
     """Luxemburg norm inf{alpha > 0 : rho(u/alpha) <= 1} with its report.
 
     `sampled` is a SampledPhase of tf on quad to reuse."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     sp = SampledPhase(tf, quad) if sampled is None else sampled
     vals = np.abs(_as_values(u, quad))
     R = sp.modular(vals)
     if R == 0.0:
         return ModularReport(0.0, 0.0, (0.0, 0.0), 0)
     alpha, bracket, iters = _luxemburg_bisect(
-        sp.scaled_modular(vals), R, sp.p_minus, sp.r_plus, rel_tol)
+        sp.scaled_modular(vals), R, sp.p_minus, sp.r_plus)
     return ModularReport(R, alpha, bracket, iters)
 
 
-def weighted_seminorm(exponent, weight, u, quad, rel_tol=DEFAULT_REL_TOL):
+def weighted_seminorm(exponent, weight, u, quad):
     """Luxemburg-style seminorm for the single-term weighted modular."""
     x1, x2 = quad.points[:, 0], quad.points[:, 1]
     e, wv = exponent(x1, x2), weight(x1, x2)
@@ -219,15 +209,15 @@ def weighted_seminorm(exponent, weight, u, quad, rel_tol=DEFAULT_REL_TOL):
     R = rho(1.0)
     if R == 0.0:
         return 0.0
-    alpha, _, _ = _luxemburg_bisect(rho, R, float(e.min()), float(e.max()), rel_tol)
+    alpha, _, _ = _luxemburg_bisect(rho, R, float(e.min()), float(e.max()))
     return alpha
 
 
-def check_norm_modular_relations(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
+def check_norm_modular_relations(tf, u, quad):
     """Unit-ball equivalences and the two-sided power bounds between the
     Luxemburg norm and the modular."""
     sp = SampledPhase(tf, quad)
-    rep = luxemburg_norm(tf, u, quad, rel_tol, sampled=sp)
+    rep = luxemburg_norm(tf, u, quad, sampled=sp)
     rho, nrm = rep.modular_value, rep.luxemburg_norm
     vals = np.abs(_as_values(u, quad))
     pm, rp = sp.p_minus, sp.r_plus
@@ -237,8 +227,8 @@ def check_norm_modular_relations(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
         return PropertyReport("norm_modular", slacks["zero_norm"] >= 0, slacks)
     # unit-sphere identity: rho(u/norm) = 1
     unit = sp.modular(vals / nrm)
-    slacks["unit_sphere"] = rel_tol - abs(unit - 1.0)
-    tol = 2.0 * rel_tol
+    slacks["unit_sphere"] = REL_TOL - abs(unit - 1.0)
+    tol = 2.0 * REL_TOL
     # unit-ball equivalences (both directions, three regimes)
     if nrm < 1.0 - tol:
         slacks["ball_lt"] = 1.0 - rho
@@ -296,11 +286,11 @@ def check_uniform_convexity(tf, eps, xs, ts, ss):
     return PropertyReport("uniform_convexity", eta > 0, {"eta_hat": eta})
 
 
-def check_seminorm_domination(tf, u, quad, rel_tol=DEFAULT_REL_TOL):
+def check_seminorm_domination(tf, u, quad):
     """Weighted single-term seminorms never exceed the full Luxemburg norm."""
-    nrm = luxemburg_norm(tf, u, quad, rel_tol).luxemburg_norm
-    s1 = weighted_seminorm(tf.exp.q, tf.w.mu1, u, quad, rel_tol)
-    s2 = weighted_seminorm(tf.exp.r, tf.w.mu2, u, quad, rel_tol)
+    nrm = luxemburg_norm(tf, u, quad).luxemburg_norm
+    s1 = weighted_seminorm(tf.exp.q, tf.w.mu1, u, quad)
+    s2 = weighted_seminorm(tf.exp.r, tf.w.mu2, u, quad)
     slacks = {"mu1_term": nrm - s1 + 1e-8, "mu2_term": nrm - s2 + 1e-8}
     return PropertyReport("seminorm_domination",
                           all(v >= 0 for v in slacks.values()), slacks)

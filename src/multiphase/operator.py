@@ -214,14 +214,14 @@ def check_gateaux(fp, u, h, delta):
 
 
 def check_monotone(fp, u, v):
-    """<A(u) - A(v), u - v> over free nodes."""
+    """<A(u) - A(v), u - v> over free nodes, A the operator at fp.check_eps."""
     disc = PhaseDiscretization(fp, u.mesh)
     bnd = u.mesh.boundary_flags
     if not np.allclose(u.nodal_values[bnd], v.nodal_values[bnd]):
         raise ValueError("u and v must share boundary values")
     du = (u.nodal_values - v.nodal_values)[disc.free]
-    ru = disc.residual(u.nodal_values)
-    rv = disc.residual(v.nodal_values)
+    ru = disc.residual(u.nodal_values, eps=fp.check_eps)
+    rv = disc.residual(v.nodal_values, eps=fp.check_eps)
     return float((ru - rv) @ du)
 
 

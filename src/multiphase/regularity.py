@@ -45,12 +45,12 @@ class ProbeReport:
     parameters: dict = field(default_factory=dict)
 
 
-def minimize_dirichlet(fp, mesh, boundary_data, tol=1e-10, **kwargs):
+def minimize_dirichlet(fp, mesh, boundary_data):
     """Global minimizer of the phase energy with the given Dirichlet trace."""
     if callable(boundary_data):
         boundary_data = interpolate(boundary_data, mesh).nodal_values
     prob = PhaseProblem(mesh, fp, SourceTerm.zero(), boundary_data)
-    rep = solve_variational(prob, tol=tol, **kwargs)
+    rep = solve_variational(prob)
     if not rep.converged:
         raise RuntimeError("minimization did not converge")
     return rep.solution

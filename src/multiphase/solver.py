@@ -291,6 +291,7 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     check_eps = prob.fp.check_eps
     res_hist, energy_hist, eps_used = [], [], []
     target = tol                    # max(tol, forcing * r0) once r0 is known
+    check_rnorm = None              # residual sup-norm of u at check_eps
 
     def merit(vals, eps=0.0):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
@@ -337,6 +338,8 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             if res is None:
                 res = disc.residual(u, load, eps=eps)
                 rnorm = _sup_norm(res)
+                if eps == check_eps:
+                    check_rnorm = rnorm
                 if eps in (final_eps, check_eps):
                     if m0 is None:
                         m0 = merit(u, eps)
@@ -347,9 +350,11 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 if rnorm <= stage_tol:
                     # the eps-regularized iteration may stop above the
                     # residual at check_eps; the check stage closes the gap
-                    if (not stages and eps != check_eps and _sup_norm(
-                            disc.residual(u, load, eps=check_eps)) > target):
-                        stages, climbed, checking = [check_eps], True, True
+                    if not stages and eps != check_eps:
+                        check_rnorm = _sup_norm(
+                            disc.residual(u, load, eps=check_eps))
+                        if check_rnorm > target:
+                            stages, climbed, checking = [check_eps], True, True
                     break
             contracting = (prev_rnorm is None
                            or rnorm <= CHORD_CONTRACTION * prev_rnorm)
@@ -412,13 +417,14 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 else:
                     climbed, stages = True, list(ladder)
                 break
-            u, m0 = trial, m_trial
+            u, m0, check_rnorm = trial, m_trial, None
             prev_rnorm, res, damped = rnorm, None, t < 1.0
             iters += 1
             stage_iters += 1
     if damped:                      # the next solve's first step factors
         held.release()
-    rnorm = _sup_norm(disc.residual(u, load, eps=check_eps))
+    rnorm = (check_rnorm if check_rnorm is not None
+             else _sup_norm(disc.residual(u, load, eps=check_eps)))
     res_hist.append(rnorm)
     # at eps = 0 the carried merit is the energy of u
     energy_hist.append(m0 if eps == 0.0 and m0 is not None else merit(u))
@@ -508,17 +514,17 @@ def weak_residual_sup(prob, u):
     return _sup_norm(disc.residual(u.nodal_values, load, eps=prob.fp.check_eps))
 
 
-def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
+def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000):
     """First Dirichlet eigenvalue of the m-Laplacian and its eigenfunction.
 
-    m = 2: inverse iteration from a random start drawn with `seed`.  Other
-    m: the inverse power method (Biezuner-Ercole-Martins 2009) from the
-    modulus of the m = 2 eigenfunction, which settles to the same answer
-    from every seed.  Each of its steps solves -Delta_m w = lambda |u|^(m-2) u
-    by _newton and sets u = w / ||w||_m and lambda = N(u) / D(u); it stops
-    when lambda changes by at most tol relative, and raises RuntimeError
-    when max_iter steps do not get there or a step is not solved, as near
-    m = 1 and for large m on fine meshes."""
+    m = 2: inverse iteration from the indicator of the free nodes, which
+    is positive like the first eigenfunction and so not orthogonal to it.
+    Other m: the inverse power method (Biezuner-Ercole-Martins 2009) from
+    the modulus of the m = 2 eigenfunction.  Each of its steps solves
+    -Delta_m w = lambda |u|^(m-2) u by _newton and sets u = w / ||w||_m and
+    lambda = N(u) / D(u); it stops when lambda changes by at most tol
+    relative, and raises RuntimeError when max_iter steps do not get there
+    or a step is not solved, as near m = 1 and for large m on fine meshes."""
     if m <= 1:
         raise ValueError("m must exceed 1")
     # stiffness and consistent mass matrices over the free nodes
@@ -526,8 +532,7 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
     M = mesh.free_pattern.assemble(mesh.areas[:, None, None]
                                    * (np.ones((3, 3)) + np.eye(3)) / 12.0)
     free = np.flatnonzero(~mesh.boundary_flags)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, size=len(free))
+    x = np.ones(len(free))
     solve = _factor(K, mesh.free_pattern.band_layout)
     lam = np.inf
     for _ in range(max_iter):
@@ -575,9 +580,9 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000, seed=7):
 
 
 def _m_power_quantities(disc, m, u_vals):
-    """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D."""
-    gx, gy = disc._gradients(u_vals).T
-    N = float(np.sum(np.sqrt(gx * gx + gy * gy) ** m @ disc.qweights))
+    """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D;
+    disc is of the m-phase, whose energy is N / m."""
+    N = m * disc.energy(u_vals)
     tvals = disc.at_quad(u_vals)
     D = float(np.sum(disc.qweights * np.abs(tvals) ** m))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -606,7 +611,7 @@ def check_h3(src, lambda_2):
     return HypothesisReport("H3", margin > 0, (), margin)
 
 
-def verify_uniqueness_empirical(prob, n_starts, tol=1e-10, **kwargs):
+def verify_uniqueness_empirical(prob, n_starts, tol=1e-10):
     """Max pairwise sup distance among multi-start fixed-point solutions."""
     if n_starts < 2:
         raise ValueError("need at least 2 starts")
@@ -616,7 +621,7 @@ def verify_uniqueness_empirical(prob, n_starts, tol=1e-10, **kwargs):
     for _ in range(n_starts):
         init = np.zeros(prob.mesh.n_vertices)
         init[free] = rng.uniform(-1, 1, size=len(free)) * prob.mesh.h_max
-        rep = solve_convection(prob, tol=tol, initial=init, **kwargs)
+        rep = solve_convection(prob, tol=tol, initial=init)
         if rep.converged:
             sols.append(rep.solution.nodal_values[free])
     if len(sols) < 2:

@@ -82,3 +82,30 @@ def test_no_orphaned_private_names():
     read = set().union(*map(reads, sources))
     defined = set().union(*map(private_definitions, sources))
     assert sorted(defined - read) == []
+
+
+def private_attributes(source):
+    """Private attributes assigned on self: self._x = ..., tuple targets
+    included."""
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            and n.attr.startswith("_") and not n.attr.startswith("__")}
+
+
+def test_scanner_finds_orphaned_private_attributes():
+    source = ("class K:\n    def __init__(self, other):\n"
+              "        self._a, self._b = 1, 2\n        self._c = {}\n"
+              "        self._d = self.__e = self.f = 0\n        other._g = 3\n"
+              "    def get(self):\n        self._c[0] = self._a\n")
+    assert private_attributes(source) == {"_a", "_b", "_c", "_d"}
+    assert sorted(private_attributes(source) - reads(source)) == ["_b", "_d"]
+
+
+def test_no_orphaned_private_attributes():
+    """A private attribute that the package assigns is read in the package,
+    not only by the tests."""
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    read = set().union(*map(reads, sources))
+    assigned = set().union(*map(private_attributes, sources))
+    assert sorted(assigned - read) == []

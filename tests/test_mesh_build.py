@@ -113,7 +113,6 @@ def _assert_mesh_equal(mesh, vertices, triangles):
     np.testing.assert_array_equal(mesh.vertices, vertices)
     np.testing.assert_array_equal(mesh.triangles, triangles)
     edges, flags, h_max = row_unique_edges(mesh.vertices, mesh.triangles)
-    np.testing.assert_array_equal(mesh._edges, edges)
     np.testing.assert_array_equal(mesh.boundary_flags, flags)
     assert mesh.h_max == h_max
 

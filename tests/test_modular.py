@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multiphase import (ExponentTriple, FeFunction, ScalarField, UNIT_SQUARE,
                         WeightPair, check_delta2, check_norm_modular_relations,
                         check_seminorm_domination, check_subadditivity,
                         check_uniform_convexity, interpolate, luxemburg_norm,
                         modular, t_value, weighted_seminorm)
-from multiphase.modular import PhaseFunction
+from multiphase.modular import (NormBracketError, PhaseFunction, SampledPhase,
+                                _luxemburg_bisect)
 
 from conftest import random_fe
 
@@ -78,7 +81,7 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(4)
         for _ in range(5):
             u = random_fe(square16, rng, scale=3.0)
-            rep = luxemburg_norm(variable_phase, u, quad16, rel_tol=1e-10)
+            rep = luxemburg_norm(variable_phase, u, quad16)
             if rep.luxemburg_norm > 0:
                 scaled = u.nodal_values / rep.luxemburg_norm
                 rho = modular(variable_phase, FeFunction(square16, scaled), quad16)
@@ -123,7 +126,7 @@ class TestLuxemburgProperties:
         return scale * rng.uniform(-1.0, 1.0, quad.weights.shape)
 
     def _norm(self, tf, vals, quad):
-        return luxemburg_norm(tf, vals, quad, rel_tol=self.REL_TOL).luxemburg_norm
+        return luxemburg_norm(tf, vals, quad).luxemburg_norm
 
     @settings(max_examples=30, deadline=None)
     @given(phase=st.sampled_from(["triple_phase", "variable_phase"]),
@@ -147,6 +150,43 @@ class TestLuxemburgProperties:
         v = self._samples(quad, seeds[1], scales[1])
         nu, nv = self._norm(tf, u, quad), self._norm(tf, v, quad)
         assert self._norm(tf, u + v, quad) <= (nu + nv) * (1 + 4 * self.REL_TOL)
+
+
+class TestPowerBoundBracket:
+    """The norm-modular power bounds at the extremes of the exponents
+    bracket the Luxemburg norm as they are: rho >= 1 at the lower end and
+    rho <= 1 at the upper one, with nothing to grow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(phase=st.sampled_from(["triple_phase", "variable_phase"]),
+           seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-8.0, 8.0),
+           zero_share=st.sampled_from([0.0, 0.9, 0.99]))
+    def test_ends_straddle_one(self, request, square8, phase, seed, log_scale,
+                               zero_share):
+        tf, quad = request.getfixturevalue(phase), square8.quadrature(5)
+        rng = np.random.default_rng(seed)
+        vals = 10.0 ** log_scale * rng.uniform(-1.0, 1.0, quad.weights.shape)
+        vals[rng.random(len(vals)) < zero_share] = 0.0
+        assume(np.any(vals))
+        rep = luxemburg_norm(tf, vals, quad)
+        lo, hi = rep.bracket
+        rho = SampledPhase(tf, quad).scaled_modular(np.abs(vals))
+        assert rho(lo) >= 1.0 >= rho(hi)
+        assert lo <= rep.luxemburg_norm <= hi
+
+    def test_wrong_extremes_raise(self, triple_phase, square16, quad16):
+        """Exponents 3 and 3 are not the extremes 2 and 4 of the phase: the
+        bracket they give misses the norm, which is an error, not a bracket
+        to grow."""
+        u = random_fe(square16, np.random.default_rng(8), scale=5.0)
+        vals = np.abs(u.at_quad(quad16))
+        sp = SampledPhase(triple_phase, quad16)
+        with pytest.raises(NormBracketError, match="power-bound bracket"):
+            _luxemburg_bisect(sp.scaled_modular(vals), sp.modular(vals), 3.0, 3.0)
+
+    def test_non_finite_rho_raises(self):
+        with pytest.raises(NormBracketError):
+            _luxemburg_bisect(lambda alpha: math.nan, 2.0, 2.0, 4.0)
 
 
 class TestWeightedSeminorm:

@@ -175,6 +175,25 @@ class TestMonotone:
         with pytest.raises(ValueError, match="boundary"):
             check_monotone(triple_flux, u, v)
 
+    def test_pairs_the_operator_at_check_eps(self, square8):
+        """Like check_gateaux and check_coercive, the pairing is of the
+        operator at check_eps, eps = 0 for p- >= 2, not of the operator
+        regularised by the solver's eps."""
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(2.5, 3, 4),
+                                      WeightPair.constants(1, 1)), eps=0.5)
+        rng = np.random.default_rng(30)
+        u, v = random_fe(square8, rng), random_fe(square8, rng)
+        disc = PhaseDiscretization(fp, square8)
+        du = (u.nodal_values - v.nodal_values)[disc.free]
+
+        def pairing(eps):
+            return float((disc.residual(u.nodal_values, eps=eps)
+                          - disc.residual(v.nodal_values, eps=eps)) @ du)
+
+        assert fp.check_eps == 0.0
+        assert check_monotone(fp, u, v) == pairing(0.0)
+        assert abs(pairing(fp.eps) - pairing(0.0)) > 1e-3 * abs(pairing(0.0))
+
 
 class TestCoercive:
     def test_ratios_exceed_bounds(self, triple_flux, square8):

@@ -11,7 +11,7 @@ from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction,
                         QuadratureMeasure, ScalarField, TriMesh, UNIT_SQUARE,
                         WeightPair, ball_quadrature, interpolate, luxemburg_norm,
                         refine, structured_mesh)
-from multiphase import fields as fields_mod
+from multiphase import fields as fields_mod, mesh as mesh_mod
 from multiphase.mesh import _barycentric, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
 
@@ -169,12 +169,16 @@ class TestRecordedRulePoints:
         _assert_record_matches_barycentric(mesh, mesh.quadrature(degree))
 
     @pytest.mark.parametrize("depth, degree", [(3, 5), (1, 2), (0, 5)])
-    def test_ball_quadratures(self, mesh_and_balls, depth, degree):
+    def test_ball_quadratures(self, mesh_and_balls, depth, degree, monkeypatch):
+        """(3, 5) is the kernel's own split depth and rule degree; the others
+        check that nothing in it assumes them."""
+        monkeypatch.setattr(mesh_mod, "_BALL_DEPTH", depth)
+        monkeypatch.setattr(mesh_mod, "_BALL_DEGREE", degree)
         mesh, balls = mesh_and_balls
         K = len(quad_rule(degree)[1])
         plain = split = 0
         for ball in balls:
-            q = ball_quadrature(mesh, ball, depth=depth, degree=degree)
+            q = ball_quadrature(mesh, ball)
             _assert_record_matches_barycentric(mesh, q)
             plain += np.count_nonzero(q.rule_index < K)
             split += np.count_nonzero(q.rule_index >= K)

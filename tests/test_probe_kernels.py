@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
                         UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
                         refine, structured_mesh)
+from multiphase import mesh as mesh_mod
 from multiphase.cli import _ball_family
 from multiphase.mesh import _ball_rule, _barycentric, _check_in_mesh, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
@@ -229,11 +230,15 @@ class TestBallQuadratureMatchesSplitting:
         assert accepted >= 10 and rejected >= 5, (accepted, rejected)
 
     @pytest.mark.parametrize("depth, degree", [(0, 5), (1, 2), (2, 1)])
-    def test_other_depths_and_degrees(self, depth, degree):
+    def test_other_depths_and_degrees(self, depth, degree, monkeypatch):
+        """Split depths and rule degrees other than the kernel's own (3, 5):
+        nothing in the gathers assumes the size of the rule table."""
+        monkeypatch.setattr(mesh_mod, "_BALL_DEPTH", depth)
+        monkeypatch.setattr(mesh_mod, "_BALL_DEGREE", degree)
         mesh = _jittered(10, 5)
         ball = Ball((0.45, 0.55), 0.3)
         pts, wts, tris = split_ball_quadrature(mesh, ball, depth, degree)
-        q = ball_quadrature(mesh, ball, depth=depth, degree=degree)
+        q = ball_quadrature(mesh, ball)
         assert len(q.weights) == len(wts)
         T = mesh.n_triangles
         mass_ref = np.bincount(tris, wts, minlength=T)
@@ -434,7 +439,7 @@ class TestLuxemburgRegulaFalsi:
                        * rng.uniform(-1, 1, square8.n_vertices))
         quad = square8.quadrature()
         rel_tol = 1e-10
-        rep = luxemburg_norm(tf, u, quad, rel_tol=rel_tol)
+        rep = luxemburg_norm(tf, u, quad)
         sp = SampledPhase(tf, quad)
         vals = np.abs(u.at_quad(quad))
         nrm = rep.luxemburg_norm

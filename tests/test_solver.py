@@ -230,10 +230,9 @@ class TestEigenvalue:
     DESCENT_M3_N16 = 63.9569147823
     DESCENT_M15_N16 = 10.1521495410
 
-    def test_m3_seed_free(self, square16):
-        lams = [first_eigenvalue(square16, 3.0, seed=s)[0] for s in range(20)]
-        assert max(lams) <= self.DESCENT_M3_N16 * (1 + 1e-9)
-        assert max(lams) - min(lams) <= 1e-9 * min(lams)
+    def test_m3_not_above_descent(self, square16):
+        lam, _ = first_eigenvalue(square16, 3.0)
+        assert lam <= self.DESCENT_M3_N16 * (1 + 1e-9)
 
     def test_m15_not_above_descent(self, square16):
         lam, _ = first_eigenvalue(square16, 1.5)
@@ -276,9 +275,9 @@ class TestEigenvalue:
         res = disc.residual(ef.nodal_values, load)
         assert np.max(np.abs(res)) <= 1e-4 * np.max(np.abs(load[disc.free]))
 
-    # lambda of first_eigenvalue(square16, 3.0) when its m = 2 factor
-    # was first released before the inverse power steps
-    M3_N16 = 63.95691464785446
+    # lambda of first_eigenvalue(square16, 3.0) since its m = 2 inverse
+    # iteration starts from the indicator of the free nodes
+    M3_N16 = 63.956914647854425
 
     def test_one_factor_alive(self, square16, monkeypatch):
         """The m = 2 stiffness factor is released before the inverse power
@@ -1103,6 +1102,46 @@ class TestCheckStage:
         assert not rep.converged
         assert rep.stop_reason == "singular"
         assert rep.iterations == 1
+
+
+class TestFinalResidual:
+    """The residual at check_eps of the state a solve ends on is evaluated
+    once: a last stage at check_eps, or its closing test at check_eps, has
+    computed it already."""
+
+    make_problem = TestConvection.make_problem
+
+    @staticmethod
+    def record(monkeypatch):
+        """The (eps, state, load) of every residual evaluation, as bytes."""
+        calls = []
+        real_residual = PhaseDiscretization.residual
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            calls.append((eps, u_vals.tobytes(),
+                          None if load is None else load.tobytes()))
+            return real_residual(self, u_vals, load, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        return calls
+
+    @pytest.mark.parametrize("eps, schedule", [(0.0, [0.0]), (1e-8, [1e-8])])
+    def test_variational(self, triple_phase, square16, eps, schedule,
+                         monkeypatch):
+        calls = self.record(monkeypatch)
+        prob = PhaseProblem(square16, FluxParams(triple_phase, eps=eps),
+                            sine_load(), dirichlet_zero(square16))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged and rep.eps_schedule == schedule
+        assert rep.check_eps == 0.0
+        assert len(calls) == len(set(calls))
+
+    def test_convection(self, triple_flux, square16, monkeypatch):
+        calls = self.record(monkeypatch)
+        rep = solve_convection(self.make_problem(square16, triple_flux),
+                               tol=1e-10)
+        assert rep.converged
+        assert len(calls) == len(set(calls))
 
 
 class TestPoissonStart:
