@@ -282,7 +282,8 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
 
     Each residual at the final eps, and in the check stage at check_eps,
     adds the merit at that eps to energy_history; its last entry is the
-    eps = 0 energy of the solution."""
+    eps = 0 energy of the solution.  The residual and the merit of a state
+    at an eps are each evaluated at most once, on first use."""
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
@@ -291,13 +292,21 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     check_eps = prob.fp.check_eps
     res_hist, energy_hist, eps_used = [], [], []
     target = tol                    # max(tol, forcing * r0) once r0 is known
-    check_rnorm = None              # residual sup-norm of u at check_eps
 
-    def merit(vals, eps=0.0):
+    def merit(vals, eps):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
 
     u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
-    start, m_start = "lift", None
+    record = {}                     # ("res" | "merit", eps) -> its value at u
+
+    def at_u(quantity, eps):
+        """The residual or merit of u at eps, evaluated on first use."""
+        if (quantity, eps) not in record:
+            record[quantity, eps] = (disc.residual(u, load, eps=eps)
+                                     if quantity == "res" else merit(u, eps))
+        return record[quantity, eps]
+
+    start = "lift"
     iters = factorizations = 0
     if initial is not None:
         warm = np.where(mesh.boundary_flags, prob.dirichlet,
@@ -305,17 +314,16 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
         if not choose_start:
             u, start = warm, "initial"
         else:
-            m_lift = merit(u, final_eps)
-            m_start = merit(warm, final_eps)    # evaluated last: stays memoised
-            if m_start <= m_lift:
+            m_lift = at_u("merit", final_eps)
+            m_warm = merit(warm, final_eps)   # evaluated last: stays memoised
+            if m_warm <= m_lift:
                 u, start = warm, "initial"
-            else:
-                m_start = m_lift
+                record = {("merit", final_eps): m_warm}
     elif len(free):
         held.release()              # never two factors alive
         factorizations += 1
-        u, m_start = _ray_start(mesh, free, load, u,
-                                lambda vals: merit(vals, final_eps))
+        u, record["merit", final_eps] = _ray_start(
+            mesh, free, load, u, lambda vals: merit(vals, final_eps))
 
     stages = [final_eps]            # the stages still to run
     climbed = len(ladder) == 1      # no rung left to climb to
@@ -327,34 +335,27 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
         retries = 0
         stage_tol = target if eps in (final_eps, check_eps) else max(tol, 1e-8)
         stage_iters = 0
-        # merit of u at eps, carried from the start choice or the line search
-        m0, m_start = m_start, None
-        res = None                  # residual of u at eps, once computed
+        tested = False              # u has had the residual test at eps
         prev_rnorm = None           # residual before the last step of the stage
         damped = False
         while stage_iters < max_iter:
             if held.eps != eps:
                 held.release()
-            if res is None:
-                res = disc.residual(u, load, eps=eps)
-                rnorm = _sup_norm(res)
-                if eps == check_eps:
-                    check_rnorm = rnorm
+            res = at_u("res", eps)
+            rnorm = _sup_norm(res)
+            if not tested:
+                tested = True
                 if eps in (final_eps, check_eps):
-                    if m0 is None:
-                        m0 = merit(u, eps)
                     if not res_hist and np.isfinite(rnorm):
                         target = stage_tol = max(tol, forcing * rnorm)
                     res_hist.append(rnorm)
-                    energy_hist.append(m0)
+                    energy_hist.append(at_u("merit", eps))
                 if rnorm <= stage_tol:
                     # the eps-regularized iteration may stop above the
                     # residual at check_eps; the check stage closes the gap
-                    if not stages and eps != check_eps:
-                        check_rnorm = _sup_norm(
-                            disc.residual(u, load, eps=check_eps))
-                        if check_rnorm > target:
-                            stages, climbed, checking = [check_eps], True, True
+                    if (not stages and eps != check_eps
+                            and _sup_norm(at_u("res", check_eps)) > target):
+                        stages, climbed, checking = [check_eps], True, True
                     break
             contracting = (prev_rnorm is None
                            or rnorm <= CHORD_CONTRACTION * prev_rnorm)
@@ -384,11 +385,9 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                     raise RuntimeError("singular Jacobian after 5 eps retries")
                 eps = max(eps * 10.0, 1e-6) if eps > 0 else 1e-6
                 eps_used.append(eps)
-                m0 = res = prev_rnorm = None
-                damped = False
+                tested, prev_rnorm, damped = False, None, False
                 continue
-            if m0 is None:
-                m0 = merit(u, eps)
+            m0 = at_u("merit", eps)
             slope = float(res @ step)   # negative for a descent direction
             # near convergence the Armijo decrease 1e-4 t slope falls below
             # the rounding error of the merit, which then cannot reject a step
@@ -417,17 +416,15 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                 else:
                     climbed, stages = True, list(ladder)
                 break
-            u, m0, check_rnorm = trial, m_trial, None
-            prev_rnorm, res, damped = rnorm, None, t < 1.0
+            u, record, tested = trial, {("merit", eps): m_trial}, False
+            prev_rnorm, damped = rnorm, t < 1.0
             iters += 1
             stage_iters += 1
     if damped:                      # the next solve's first step factors
         held.release()
-    rnorm = (check_rnorm if check_rnorm is not None
-             else _sup_norm(disc.residual(u, load, eps=check_eps)))
+    rnorm = _sup_norm(at_u("res", check_eps))
     res_hist.append(rnorm)
-    # at eps = 0 the carried merit is the energy of u
-    energy_hist.append(m0 if eps == 0.0 and m0 is not None else merit(u))
+    energy_hist.append(at_u("merit", 0.0))
     converged = rnorm <= target and stop_reason is None
     if not converged and stop_reason is None:
         stop_reason = "max_iter"
@@ -459,7 +456,6 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     hist, eps_used, energy_hist = [], [], []
     grow = 0
     prev_dist = np.inf
-    converged = False
     start = "lift"
     stop_reason = "max_iter_outer"
     held = _HeldFactor()        # one factor, handed from inner solve to the next
@@ -482,7 +478,6 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
         energy_hist.append(inner.energy_history[-1])
         if (dist <= tol and inner.converged
                 and inner.residual_history[-1] <= tol):
-            converged = True
             stop_reason = "tolerance"
             break
         if inner.stop_reason in ("line_search", "singular"):
@@ -494,8 +489,8 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
             stop_reason = "growth"
             break
     return SolveReport(FeFunction(mesh, u), it, hist, energy_hist,
-                       converged, eps_used, start, stop_reason,
-                       factorizations, prob.fp.check_eps)
+                       stop_reason == "tolerance", eps_used, start,
+                       stop_reason, factorizations, prob.fp.check_eps)
 
 
 def weak_residual_sup(prob, u):
@@ -524,14 +519,17 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000):
     -Delta_m w = lambda |u|^(m-2) u by _newton and sets u = w / ||w||_m and
     lambda = N(u) / D(u); it stops when lambda changes by at most tol
     relative, and raises RuntimeError when max_iter steps do not get there
-    or a step is not solved, as near m = 1 and for large m on fine meshes."""
+    or a step is not solved, as near m = 1 and for large m on fine meshes.
+    A mesh without free nodes raises ValueError."""
     if m <= 1:
         raise ValueError("m must exceed 1")
+    free = np.flatnonzero(~mesh.boundary_flags)
+    if not len(free):
+        raise ValueError("the mesh has no free nodes")
     # stiffness and consistent mass matrices over the free nodes
     K = _stiffness(mesh)
     M = mesh.free_pattern.assemble(mesh.areas[:, None, None]
                                    * (np.ones((3, 3)) + np.eye(3)) / 12.0)
-    free = np.flatnonzero(~mesh.boundary_flags)
     x = np.ones(len(free))
     solve = _factor(K, mesh.free_pattern.band_layout)
     lam = np.inf

@@ -1475,3 +1475,41 @@ class TestSolveCarriesDiscretization:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestEachEvaluationOnce:
+    """A solve evaluates the residual and the merit of a state at most once
+    per eps: the check stage starts from the residual that the closing test
+    of the stage before it computed."""
+
+    def test_check_stage_reuses_closing_test(self, square16, monkeypatch):
+        calls = {"residual": [], "energy": []}
+        real_residual = PhaseDiscretization.residual
+        real_energy = PhaseDiscretization.energy
+
+        def recording_residual(self, u_vals, load=None, eps=None):
+            calls["residual"].append((eps, u_vals.tobytes()))
+            return real_residual(self, u_vals, load, eps)
+
+        def recording_energy(self, u_vals, eps=0.0):
+            calls["energy"].append((eps, u_vals.tobytes()))
+            return real_energy(self, u_vals, eps)
+
+        monkeypatch.setattr(PhaseDiscretization, "residual", recording_residual)
+        monkeypatch.setattr(PhaseDiscretization, "energy", recording_energy)
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(2.2, 2.6, 3.0),
+                                      WeightPair.constants(1, 1)), eps=0.1)
+        prob = PhaseProblem(square16, fp, sine_load(),
+                            dirichlet_zero(square16))
+        rep = solve_variational(prob, tol=1e-10)
+        assert rep.converged
+        assert rep.eps_schedule == [0.1, 0.0]
+        for kind, seen in calls.items():
+            assert len(seen) == len(set(seen)), kind
+
+
+def test_eigenvalue_without_free_nodes_raises():
+    mesh = structured_mesh(UNIT_SQUARE, 1)
+    for m in (2.0, 3.0):
+        with pytest.raises(ValueError, match="no free nodes"):
+            first_eigenvalue(mesh, m)
