@@ -58,7 +58,9 @@ class SampledPhase:
     coefficient, in PhaseDiscretization._reduced.  When p, q, r, mu1 and
     mu2 are all constant fields they are kept as scalars and no point is
     sampled; the modular of u/alpha then splits into alpha^-e times power
-    sums of |u| (`scaled_modular`).
+    sums of |u| (`scaled_modular`).  A term whose constant weight is 0 is
+    left out: it adds an exact 0 to every finite value, and an overflow of
+    its power can no longer make the sum non-finite.
     """
 
     def __init__(self, tf, where):
@@ -76,10 +78,16 @@ class SampledPhase:
         # extremes so the power bounds hold exactly for the sums
         self.p_minus = min(float(np.min(self.p)), tf.exp.p_minus)
         self.r_plus = max(float(np.max(self.r)), tf.exp.r_plus)
+        # (weight, exponent) of the q and r terms that are evaluated
+        self.qr_terms = [(c, e) for c, e in ((self.m1, self.q), (self.m2, self.r))
+                         if not (self.constant and c == 0.0)]
 
     def phi(self, t):
         """Pointwise N-function values for |u| samples t (t >= 0)."""
-        return t ** self.p + self.m1 * t ** self.q + self.m2 * t ** self.r
+        v = t ** self.p
+        for c, e in self.qr_terms:
+            v = v + c * t ** e
+        return v
 
     def modular(self, u_abs):
         vals = self.phi(u_abs)
@@ -89,17 +97,17 @@ class SampledPhase:
 
     def scaled_modular(self, u_abs):
         """alpha -> modular of u/alpha.  On a constant phase it is
-        sum_e c_e alpha^-e S_e with the power sums S_e = sum w |u|^e taken
-        once; where that value is not finite the per-point modular decides,
-        so its ValueError still fires."""
+        sum_e c_e alpha^-e S_e with the power sums S_e = sum w |u|^e of the
+        terms phi evaluates, taken once; where that value is not finite the
+        per-point modular decides, so its ValueError still fires."""
         if not self.constant:
             return lambda alpha: self.modular(u_abs / alpha)
         # each power over the contiguous |u| as phi takes it, several times
         # faster than one (M, 3) power or contraction
-        e = (self.p, self.q, self.r)
+        terms = [(1.0, self.p), *self.qr_terms]
         sums = np.array([c * np.einsum("i,i->", self.weights, u_abs ** x)
-                         for c, x in zip((1.0, self.m1, self.m2), e)])
-        e = np.array(e)
+                         for c, x in terms])
+        e = np.array([x for _, x in terms])
 
         def rho(alpha):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -244,13 +252,18 @@ def check_norm_modular_relations(tf, u, quad):
     return PropertyReport("norm_modular", passed, slacks)
 
 
+def _max_ratio(num, denom):
+    """Largest num / denom, a sample with denom 0 (t = 0) counting as 0."""
+    mask = denom > 0
+    return float(np.where(mask, num / np.where(mask, denom, 1.0), 0.0).max())
+
+
 def check_delta2(tf, xs, ts):
     """Doubling bound phi(x, 2t) <= 2^{r+} phi(x, t) at sampled (x, t)."""
     ts = np.asarray(ts, dtype=float)
     sp = SampledPhase(tf, xs)
     c_delta = 2.0 ** sp.r_plus
-    ratio = sp.phi(2.0 * ts) / sp.phi(ts)
-    worst = float(ratio.max())
+    worst = _max_ratio(sp.phi(2.0 * ts), sp.phi(ts))
     return PropertyReport("delta2", worst <= c_delta * (1 + 1e-12),
                           {"c_delta_minus_max_ratio": c_delta - worst})
 
@@ -260,11 +273,7 @@ def check_subadditivity(tf, xs, ts, ss):
     ts, ss = np.asarray(ts, dtype=float), np.asarray(ss, dtype=float)
     sp = SampledPhase(tf, xs)
     c_delta = 2.0 ** sp.r_plus
-    denom = sp.phi(ts) + sp.phi(ss)
-    num = sp.phi(ts + ss)
-    mask = denom > 0
-    ratio = np.where(mask, num / np.where(mask, denom, 1.0), 0.0)
-    worst = float(ratio.max())
+    worst = _max_ratio(sp.phi(ts + ss), sp.phi(ts) + sp.phi(ss))
     return PropertyReport("subadditivity", worst <= c_delta * (1 + 1e-12),
                           {"c_delta_minus_max_ratio": c_delta - worst})
 

@@ -69,8 +69,9 @@ class _BallKernel:
     On a constant phase phi(|grad u|) is constant on each triangle, as the
     P1 gradient is, so it and any elementwise function of it are evaluated
     once per mesh triangle and then gathered to the points: the same values
-    as at the points.  A variable phase keeps them per point, where its
-    exponents and weights vary within a triangle."""
+    as at the points.  `phi_grad_powers` shares those per-triangle values
+    among the balls of one probe call.  A variable phase keeps them per
+    point, where its exponents and weights vary within a triangle."""
 
     def __init__(self, tf, mesh, ball):
         self.quad = ball_quadrature(mesh, ball)
@@ -102,6 +103,22 @@ class _BallKernel:
     def phi_grad(self, u):
         """phi(|grad u|) at the ball's points."""
         return self.at_points(self.phi_grad_samples(u))
+
+    def phi_grad_powers(self, u, exponents, per_tri):
+        """phi(|grad u|)^e at the ball's points for each e of exponents,
+        e = 1 giving phi(|grad u|) itself.
+
+        On a constant phase the per-triangle values are the same for every
+        ball of the mesh: they are formed once per state and exponent and
+        kept in `per_tri`, a dict the caller passes to all kernels for
+        that state.  A variable phase forms them at the ball's points."""
+        values = per_tri if self.phase.constant else {}
+        if 1.0 not in values:
+            values[1.0] = self.phi_grad_samples(u)
+        for e in exponents:
+            if e not in values:
+                values[e] = values[1.0] ** e
+        return [self.at_points(values[e]) for e in exponents]
 
 
 def _check_m_grid(m_grid):
@@ -199,14 +216,14 @@ def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
     _check_m_grid(m_grid)
     if not family.pairing:
         raise ValueError("ball family has no pairs")
-    rows = []
+    rows, per_tri = [], {}
+    exponents = [1.0 + m for m in m_grid]
     for i, j in family.pairing:
         ki, ko, _ = _pair_kernels(fp.tf, u.mesh,
                                   (family.balls[i], family.balls[j]))
-        gi = ki.phi_grad_samples(u)
-        avg_o = ko.mean(ko.phi_grad(u))
-        for m in m_grid:
-            lhs = ki.mean(ki.at_points(gi ** (1.0 + m))) ** (1.0 / (1.0 + m))
+        avg_o = ko.mean(ko.phi_grad_powers(u, [1.0], per_tri)[0])
+        for m, gi in zip(m_grid, ki.phi_grad_powers(u, exponents, per_tri)):
+            lhs = ki.mean(gi) ** (1.0 / (1.0 + m))
             rows.append(((i, j), m, lhs / (1.0 + avg_o)))
     per_m = {m: max(r for _, mm, r in rows if mm == m) for m in m_grid}
     stable = [m for m in m_grid if per_m[m] < stability_factor]
@@ -222,16 +239,16 @@ def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,)):
     _check_m_grid(m_grid)
     if len(ball_pairs) == 0:
         raise ValueError("ball_pairs is empty")
-    rows = []
+    rows, per_tri_v, per_tri_w = [], {}, {}
+    exponents = [1.0 + m for m in m_grid]
     for inner, outer in ball_pairs:
         ki, ko, _ = _pair_kernels(fp.tf, v.mesh, (inner, outer))
-        gv_i = ki.phi_grad_samples(v)
-        gv_o = ko.phi_grad(v)
-        gw_o = ko.phi_grad_samples(w)
-        for m in m_grid:
-            lhs = ki.mean(ki.at_points(gv_i ** (1.0 + m)))
-            rhs = (ko.mean(gv_o) ** (1.0 + m)
-                   + ko.mean(ko.at_points(gw_o ** (1.0 + m))) + 1.0)
+        avg_v = ko.mean(ko.phi_grad_powers(v, [1.0], per_tri_v)[0])
+        for m, gv_i, gw_o in zip(m_grid,
+                                 ki.phi_grad_powers(v, exponents, per_tri_v),
+                                 ko.phi_grad_powers(w, exponents, per_tri_w)):
+            lhs = ki.mean(gv_i)
+            rhs = avg_v ** (1.0 + m) + ko.mean(gw_o) + 1.0
             rows.append(((inner.radius, outer.radius), m, _ratio(lhs, rhs)))
     return ProbeReport("boundary_higher_integrability", rows,
                        max(r for _, _, r in rows),

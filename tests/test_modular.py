@@ -248,6 +248,20 @@ class TestDelta2:
         rep = check_delta2(variable_phase, pts, ts)
         assert rep.passed
 
+    @pytest.mark.parametrize("phase", ["triple_phase", "variable_phase"])
+    def test_zero_t_counts_as_ratio_zero(self, phase, request):
+        """phi(2 * 0) <= 2^{r+} phi(0) holds; the 0/0 ratio is not a NaN."""
+        tf = request.getfixturevalue(phase)
+        pts = [(0.5, 0.5), (0.2, 0.7), (0.9, 0.1)]
+        rep = check_delta2(tf, pts, [0.0, 1.5, 0.0])
+        assert rep.passed
+        without = check_delta2(tf, pts[1:2], [1.5])
+        assert rep.slacks == without.slacks
+        only = check_delta2(tf, pts[:1], [0.0])
+        assert only.passed
+        assert only.slacks["c_delta_minus_max_ratio"] == 2.0 ** SampledPhase(
+            tf, pts[:1]).r_plus
+
 
 class TestSubadditivity:
     def test_equal_args_reduces_to_delta2(self, triple_phase):

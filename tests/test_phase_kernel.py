@@ -1,7 +1,8 @@
 """The sampled phase kernel and the quadratures it runs on: the constant-phase
 shortcut against the sampled path, the closed-form scaled modular against
-the per-point one, recorded rule points against the barycentric solve, and
-the shared mesh quadrature."""
+the per-point one, terms of zero weight against the three-term formula,
+recorded rule points against the barycentric solve, and the shared mesh
+quadrature."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction,
                         QuadratureMeasure, ScalarField, TriMesh, UNIT_SQUARE,
                         WeightPair, ball_quadrature, interpolate, luxemburg_norm,
-                        refine, structured_mesh)
+                        modular, refine, structured_mesh)
 from multiphase import fields as fields_mod, mesh as mesh_mod
 from multiphase.mesh import _barycentric, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
@@ -112,6 +113,53 @@ class TestClosedFormScaledModular:
         vals = np.linspace(0, 2, len(sp.weights))
         assert not sp.constant
         assert sp.scaled_modular(vals)(0.7) == sp.modular(vals / 0.7)
+
+
+class TestZeroWeightTerm:
+    """On a constant phase a term of weight 0 is not evaluated; every finite
+    value keeps the bits of the three-term formula."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ts=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+           exps=st.lists(st.floats(1.1, 12.0), min_size=3, max_size=3),
+           weight=st.floats(0.0, 1e3), zero_mu1=st.booleans(),
+           alphas=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=4))
+    def test_equals_three_term_formula(self, square8, ts, exps, weight, zero_mu1,
+                                       alphas):
+        p, q, r = sorted(exps)
+        mu1, mu2 = (0.0, weight) if zero_mu1 else (weight, 0.0)
+        tf = _constant_phase(p, q, r, mu1, mu2)
+        quad = square8.quadrature()
+        sp = SampledPhase(tf, quad)
+        assert len(sp.qr_terms) == (1 if weight else 0)
+        t = np.resize(np.array(ts), quad.weights.shape)
+        terms = ((1.0, p), (mu1, q), (mu2, r))
+        ref = t ** p + mu1 * t ** q + mu2 * t ** r
+        assert np.array_equal(sp.phi(t), ref)
+        assert modular(tf, t, quad) == float(np.einsum("i,i->", quad.weights, ref))
+        sums = np.array([c * np.einsum("i,i->", quad.weights, t ** x)
+                         for c, x in terms])
+        rho = sp.scaled_modular(t)
+        for alpha in alphas:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(sums @ alpha ** -np.array([p, q, r]))
+            if np.isfinite(value):
+                assert rho(alpha) == value
+
+    def test_absent_term_cannot_overflow(self):
+        """|u| = 1e80 overflows t^4, the power of a term of weight 0: the
+        modular is t^2 + t^3 = 1e240, not a non-finite integrand."""
+        mesh = structured_mesh(UNIT_SQUARE, 2)
+        u = FeFunction(mesh, np.full(mesh.n_vertices, 1e80))
+        value = modular(_constant_phase(2, 3, 4, 1, 0), u, mesh.quadrature())
+        assert value == pytest.approx(1e240, rel=1e-12)
+
+    def test_variable_phase_keeps_every_term(self, square8):
+        sp = SampledPhase(_sampled_twin(2, 3, 4, 1, 0), square8.quadrature())
+        assert not sp.constant and len(sp.qr_terms) == 2
+        with pytest.raises(ValueError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            sp.modular(np.full(len(sp.weights), 1e80))
 
 
 # -- recorded rule points -------------------------------------------------------

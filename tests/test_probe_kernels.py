@@ -1,14 +1,17 @@
 """The probe kernels against the plain implementations they replaced:
 ball quadrature by subdividing every crossing triangle, by forming every
 subdivided point's weight before the cut and by fancy-index gathers,
-phi(|grad u|) at every point, and the Luxemburg norm by bisection."""
+phi(|grad u|) at every point and for every ball pair, P1 values by
+gathering each point's rows, and the Luxemburg norm by bisection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, TriMesh,
-                        UNIT_SQUARE, WeightPair, ball_quadrature, luxemburg_norm,
+from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, FluxParams,
+                        QuadratureMeasure, TriMesh, UNIT_SQUARE, WeightPair,
+                        ball_quadrature, boundary_higher_integrability_probe,
+                        higher_integrability_probe, interpolate, luxemburg_norm,
                         refine, structured_mesh)
 from multiphase import mesh as mesh_mod
 from multiphase.cli import _ball_family
@@ -139,6 +142,49 @@ def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
         wts.append(mesh.areas[tris[-1]] * sub_w[row])
         rows.append(K + row)
     return tuple(map(np.concatenate, (pts, wts, tris, rows)))
+
+
+def gathered_at_quad(u, quad, bary=None):
+    """FeFunction.at_quad with each point's barycentric row and its
+    triangle's nodal values gathered as (M, 3) rows, on every quadrature."""
+    mesh = u.mesh
+    if bary is None and quad.rule_index is not None:
+        bary = np.take(quad.rule, quad.rule_index, axis=0)
+    elif bary is None:
+        tris = np.take(mesh.triangles, quad.tri_index, axis=0)
+        bary = _barycentric(quad.points, np.take(mesh.vertices, tris, axis=0))
+    vals = np.take(np.take(u.nodal_values, mesh.triangles), quad.tri_index, axis=0)
+    return np.einsum("mj,mj->m", vals, bary)
+
+
+def per_pair_higher_integrability(tf, u, family, m_grid):
+    """higher_integrability_probe's rows with phi(|grad u|) and its powers
+    formed again for every ball pair."""
+    rows = []
+    for i, j in family.pairing:
+        ki = _BallKernel(tf, u.mesh, family.balls[i])
+        ko = _BallKernel(tf, u.mesh, family.balls[j])
+        gi = ki.phi_grad_samples(u)
+        avg_o = ko.mean(ko.phi_grad(u))
+        for m in m_grid:
+            lhs = ki.mean(ki.at_points(gi ** (1.0 + m))) ** (1.0 / (1.0 + m))
+            rows.append(((i, j), m, lhs / (1.0 + avg_o)))
+    return rows
+
+
+def per_pair_boundary_higher_integrability(tf, v, w, ball_pairs, m_grid):
+    """boundary_higher_integrability_probe's rows, formed per ball pair."""
+    rows = []
+    for inner, outer in ball_pairs:
+        ki, ko = _BallKernel(tf, v.mesh, inner), _BallKernel(tf, v.mesh, outer)
+        gv_i, gv_o = ki.phi_grad_samples(v), ko.phi_grad(v)
+        gw_o = ko.phi_grad_samples(w)
+        for m in m_grid:
+            lhs = ki.mean(ki.at_points(gv_i ** (1.0 + m)))
+            rhs = (ko.mean(gv_o) ** (1.0 + m)
+                   + ko.mean(ko.at_points(gw_o ** (1.0 + m))) + 1.0)
+            rows.append(((inner.radius, outer.radius), m, lhs / rhs))
+    return rows
 
 
 def bisect_norm(rho_of_alpha, lo, hi, rel_tol):
@@ -358,6 +404,131 @@ class TestPhiPerTriangle:
         assert samples.shape == k.quad.weights.shape
         assert k.at_points(samples) is samples
         assert np.array_equal(samples, k.phase.phi(u.grad_norm_at(k.quad)))
+
+
+class TestPhiGradOncePerCall:
+    """On a constant phase the higher-integrability probes form
+    phi(|grad u|) once per call and state, not for every ball, with the rows
+    of the per-pair evaluation to the last bit."""
+
+    M_GRID = (0.02, 0.05, 0.1, 0.2, 0.4)
+
+    @staticmethod
+    def count_grad_norms(monkeypatch):
+        calls = []
+        original = FeFunction.grad_norms
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(FeFunction, "grad_norms", counted)
+        return calls
+
+    @pytest.mark.parametrize("exps, mu", [((2, 3, 3), (1.0, 0.0)),
+                                          ((1.5, 2.5, 3.7), (0.3, 2.0))])
+    def test_constant_phase(self, square16, exps, mu, monkeypatch):
+        tf = PhaseFunction(ExponentTriple.constants(*exps), WeightPair.constants(*mu))
+        fam = _ball_family({})
+        assert len(fam.pairing) == 20
+        u = TestPhiPerTriangle.state(square16)
+        ref = per_pair_higher_integrability(tf, u, fam, self.M_GRID)
+        calls = self.count_grad_norms(monkeypatch)
+        rep = higher_integrability_probe(FluxParams(tf, eps=1e-8), u, fam,
+                                         list(self.M_GRID))
+        assert len(calls) == 1
+        assert rep.per_ball == ref
+
+    def test_variable_phase_per_pair(self, square16, variable_phase, monkeypatch):
+        fam = _ball_family({})
+        u = TestPhiPerTriangle.state(square16)
+        ref = per_pair_higher_integrability(variable_phase, u, fam, self.M_GRID)
+        calls = self.count_grad_norms(monkeypatch)
+        rep = higher_integrability_probe(FluxParams(variable_phase, eps=1e-8), u,
+                                         fam, list(self.M_GRID))
+        assert len(calls) == 2 * len(fam.pairing)
+        assert rep.per_ball == ref
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_boundary_probe(self, square16, variable_phase, constant, monkeypatch):
+        tf = (PhaseFunction(ExponentTriple.constants(2, 3, 4), WeightPair.constants(1, 1))
+              if constant else variable_phase)
+        v = TestPhiPerTriangle.state(square16)
+        w = interpolate(lambda x, y: x * x - y, square16)
+        fam = _ball_family({})
+        pairs = [(fam.balls[i], fam.balls[j]) for i, j in fam.pairing[:6]]
+        ref = per_pair_boundary_higher_integrability(tf, v, w, pairs, self.M_GRID)
+        calls = self.count_grad_norms(monkeypatch)
+        rep = boundary_higher_integrability_probe(FluxParams(tf, eps=1e-8), v, w,
+                                                  pairs, m_grid=self.M_GRID)
+        assert len(calls) == (2 if constant else 3 * len(pairs))
+        assert rep.per_ball == ref
+
+
+# -- P1 values on the mesh's own quadrature ------------------------------------
+
+def _hexagon():
+    return Domain2D(tuple((np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3))
+
+
+AT_QUAD_MESHES = {
+    **{f"square{n}": (lambda n=n: structured_mesh(UNIT_SQUARE, n))
+       for n in (1, 3, 16, 64, 128)},
+    "hexagon8": lambda: structured_mesh(_hexagon(), 8),
+    "refined_hexagon4": lambda: refine(structured_mesh(_hexagon(), 4)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(AT_QUAD_MESHES))
+def at_quad_mesh(request):
+    return AT_QUAD_MESHES[request.param]()
+
+
+class _EinsumSpy:
+    """Stands in for numpy in multiphase.mesh and records einsum subscripts."""
+
+    def __init__(self):
+        self.subscripts = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        self.subscripts.append(subscripts)
+        return np.einsum(subscripts, *operands, **kwargs)
+
+
+class TestMeshQuadratureContraction:
+    @pytest.mark.parametrize("degree", [1, 2, 5])
+    def test_bit_identical_to_gathered_rows(self, at_quad_mesh, degree):
+        quad = at_quad_mesh.quadrature(degree)
+        rng = np.random.default_rng(degree)
+        for scale in (1e-8, 1.0, 1e8):
+            u = FeFunction(at_quad_mesh,
+                           scale * rng.uniform(-1, 1, at_quad_mesh.n_vertices))
+            got = u.at_quad(quad)
+            assert got.shape == quad.weights.shape
+            assert np.array_equal(got, gathered_at_quad(u, quad))
+
+    def test_other_measures_gather_rows(self, square16, monkeypatch):
+        """A measure built by hand from the mesh quadrature's arrays, a ball
+        quadrature and explicit barycentric rows take the gathered path."""
+        u = TestPhiPerTriangle.state(square16)
+        own = square16.quadrature()
+        by_hand = QuadratureMeasure(own.points, own.weights, own.tri_index,
+                                    own.rule_index, own.rule)
+        ball = ball_quadrature(square16, Ball((0.4, 0.6), 0.23))
+        bary = np.take(own.rule, own.rule_index, axis=0)
+        spy = _EinsumSpy()
+        monkeypatch.setattr(mesh_mod, "np", spy)
+        for quad, kwargs in ((by_hand, {}), (ball, {}), (own, {"bary": bary})):
+            spy.subscripts.clear()
+            got = u.at_quad(quad, **kwargs)
+            assert spy.subscripts == ["mj,mj->m"]
+            assert np.array_equal(got, gathered_at_quad(u, quad, **kwargs))
+        spy.subscripts.clear()
+        assert np.array_equal(u.at_quad(own), u.at_quad(by_hand))
+        assert spy.subscripts == ["tj,kj->tk", "mj,mj->m"]
 
 
 class TestBallContainment:
