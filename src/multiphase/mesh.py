@@ -466,47 +466,94 @@ class Ball:
                            (float(self.center[0]), float(self.center[1])))
 
 
+class _BallCells:
+    """The triangles of a mesh that meet a ball, classified once for both
+    of its integration paths: `ball_quadrature`, for integrands that vary
+    within a triangle, and `weights`, for integrands constant on each.
+
+    A triangle is inside the ball when its three vertices are, and crosses
+    the circle when only its bounding circle meets the ball.  The points of
+    the _BALL_DEGREE rule on each piece of a crossing triangle's
+    _BALL_DEPTH regular 4-splits are its sub-points; `kept` flags those in
+    the ball.  The sub-points themselves are formed again where a point
+    quadrature needs them, not held: most balls need only the weights.  A
+    ball that escapes the mesh by more than a slack below the P1
+    resolution is rejected (`_check_in_mesh`)."""
+
+    def __init__(self, mesh, ball):
+        c, R = ball.center, ball.radius
+        dist = np.sqrt(_dist2(mesh.centroids, c))
+        _check_in_mesh(mesh, ball, dist)
+        # only triangles whose bounding circle meets the ball can contribute
+        near = np.flatnonzero(dist <= R + mesh.radii)
+        if len(near) == 0:
+            raise ValueError("ball does not intersect the mesh")
+        verts = np.take(mesh.tri_vertices, near, axis=0)
+        all_in = np.all(_dist2(verts, c) <= R * R, axis=1)
+        self.mesh = mesh
+        self.inside, self.crossing = np.compress(all_in, near), np.compress(~all_in, near)
+        self.inside_verts = np.compress(all_in, verts, axis=0)
+        self.crossing_verts = np.compress(~all_in, verts, axis=0)
+        self.kept = _dist2(self.sub_points(), c) <= R * R
+
+    def sub_points(self):
+        """The sub-points of the crossing triangles, triangle by triangle."""
+        # rows [0, K) of the rule table are the plain rule, rows K on the
+        # subdivided one
+        table, _ = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
+        K = len(quad_rule(_BALL_DEGREE)[1])
+        return (table[K:] @ self.crossing_verts).reshape(-1, 2)
+
+    def weights(self):
+        """The triangles that carry points in the ball's quadrature, inside
+        ones first, and their weights W: the area of a triangle inside the
+        ball, and for a crossing one its area times the summed unit weights
+        of its kept sub-points.  W_t is the sum of the quadrature's weights
+        on triangle t up to rounding, so an integrand constant on each
+        triangle is integrated against W without forming a point.  A
+        crossing triangle that keeps no sub-point carries no point, and is
+        left out."""
+        _, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
+        # einsum, not a BLAS gemv: the sums do not follow the thread count
+        share = np.einsum("ts,s->t", self.kept.reshape(-1, len(sub_w)), sub_w)
+        held = np.flatnonzero(share > 0.0)
+        crossing, areas = np.take(self.crossing, held), self.mesh.areas
+        return (np.concatenate([self.inside, crossing]),
+                np.concatenate([np.take(areas, self.inside),
+                                np.take(areas, crossing) * np.take(share, held)]))
+
+
 def ball_quadrature(mesh, ball):
     """Quadrature over the intersection of the mesh with a ball.
 
     Triangles inside the ball carry the _BALL_DEGREE rule; triangles
-    crossing the circle are subdivided _BALL_DEPTH times, carry it on each
-    piece, and lose the points outside the ball.  Returns
-    a QuadratureMeasure whose tri_index refers to the *parent* triangles,
-    so P1 data can still be evaluated per parent.  A ball that escapes the
-    mesh by more than a slack below the P1 resolution is rejected
-    (`_check_in_mesh`).
+    crossing the circle carry their kept sub-points (`_BallCells`).
+    Returns a QuadratureMeasure whose tri_index refers to the *parent*
+    triangles, so P1 data can still be evaluated per parent.  `ball` may
+    also be the _BallCells of a ball on this mesh, classified already by a
+    caller that takes its per-triangle weights too: integrands constant on
+    each triangle, such as phi(|grad u|) on a constant phase, are summed
+    against those weights, and only the others need these points.
 
     Rows are gathered with np.take and np.compress, which give what fancy
     indexing gives several times faster, and written straight into the
     output arrays.
     """
-    _check_in_mesh(mesh, ball)
-    c, R = ball.center, ball.radius
-    # only triangles whose bounding circle meets the ball can contribute
-    near = np.flatnonzero(np.sqrt(_dist2(mesh.centroids, c)) <= R + mesh.radii)
-    if len(near) == 0:
-        raise ValueError("ball does not intersect the mesh")
-    verts = np.take(mesh.tri_vertices, near, axis=0)
-    all_in = np.all(_dist2(verts, c) <= R * R, axis=1)
-    inside, crossing = np.compress(all_in, near), np.compress(~all_in, near)
-
-    # rows [0, K) of the rule table are the plain rule, rows K on the
-    # subdivided one
+    cells = ball if isinstance(ball, _BallCells) else _BallCells(mesh, ball)
+    inside, crossing = cells.inside, cells.crossing
     table, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
     bary, w = quad_rule(_BALL_DEGREE)
     K, S = len(w), len(sub_w)
-    centers = (table[K:] @ np.compress(~all_in, verts, axis=0)).reshape(-1, 2)
-    keep = np.flatnonzero(_dist2(centers, c) <= R * R)
+    keep = np.flatnonzero(cells.kept)
 
     n_in = K * len(inside)
     M = n_in + len(keep)
     points = np.empty((M, 2))
-    points[:n_in] = (bary @ np.compress(all_in, verts, axis=0)).reshape(-1, 2)
-    # the indices are in range: mode="clip" skips the buffer that `out`
-    # takes under the default mode
-    np.take(centers, keep, axis=0, out=points[n_in:], mode="clip")
-    del centers     # not held while the other outputs are filled
+    points[:n_in] = (bary @ cells.inside_verts).reshape(-1, 2)
+    # the sub-points are not held while the other outputs are filled; the
+    # indices are in range: mode="clip" skips the buffer that `out` takes
+    # under the default mode
+    np.take(cells.sub_points(), keep, axis=0, out=points[n_in:], mode="clip")
     parent = keep // S              # faster than np.divmod
     row = keep - parent * S
     weights = np.empty(M)
@@ -534,19 +581,19 @@ def _dist2(pts, c):
     return x
 
 
-def _check_in_mesh(mesh, ball):
+def _check_in_mesh(mesh, ball, dist):
     """Raise unless the ball's centre lies in a triangle of the mesh and the
     ball reaches across no boundary edge by more than _EDGE_SLACK of that
     edge's length (on criss-cross grids, 5 % of a boundary triangle's
-    height).  A triangle holds the centre only if its centroid lies within
-    its radius of the centre in each coordinate, so only those triangles
+    height).  dist holds each centroid's distance to the centre.  A
+    triangle lies within its radius of its centroid, so only triangles
+    whose centroid is that close to the centre can hold it, and only those
     get the barycentric test; the slacks cover rounding."""
     c = np.asarray(ball.center)
     a, d, length2 = mesh.boundary_segments
     t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
     gap = np.hypot(*(a + t[:, None] * d - c).T)      # centre to edge
-    (cx, cy), reach = mesh.centroids.T, (1.0 + 1e-9) * mesh.radii
-    near = np.flatnonzero((np.abs(cx - c[0]) <= reach) & (np.abs(cy - c[1]) <= reach))
+    near = np.flatnonzero(dist <= (1.0 + 1e-9) * mesh.radii)
     lam = _barycentric(c[None], np.take(mesh.tri_vertices, near, axis=0))
     if (np.any(ball.radius - gap > _EDGE_SLACK * np.sqrt(length2))
             or not np.any(np.all(lam >= -1e-12, axis=1))):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExponentTriple, WeightPair
+from .mesh import QuadratureMeasure
 
 # relative tolerance on rho(u / alpha) = 1 of every Luxemburg norm
 REL_TOL = 1e-10
@@ -23,6 +24,15 @@ class PhaseFunction:
 
     exp: ExponentTriple
     w: WeightPair
+
+    @property
+    def fields(self):
+        return (self.exp.p, self.exp.q, self.exp.r, self.w.mu1, self.w.mu2)
+
+    @property
+    def constant(self):
+        """Whether p, q, r, mu1 and mu2 are all constant fields."""
+        return all(f.constant_value is not None for f in self.fields)
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,8 @@ class PropertyReport:
 
 class SampledPhase:
     """The phase function sampled once at a point set: a quadrature measure,
-    or bare (M, 2) points for the pointwise checks.
+    or bare (M, 2) points for the pointwise checks; `phi` of a constant
+    phase needs none, and takes where = None.
 
     Quadrature sums are np.einsum contractions, not BLAS dots, whose
     split of a long sum follows the BLAS thread count: the same inputs give
@@ -66,13 +77,13 @@ class SampledPhase:
     def __init__(self, tf, where):
         self.quad = where if hasattr(where, "weights") else None
         self.weights = None if self.quad is None else self.quad.weights
-        fields = (tf.exp.p, tf.exp.q, tf.exp.r, tf.w.mu1, tf.w.mu2)
-        values = [f.constant_value for f in fields]
-        self.constant = None not in values
-        if not self.constant:
+        self.constant = tf.constant
+        if self.constant:
+            values = [f.constant_value for f in tf.fields]
+        else:
             pts = (self.quad.points if self.quad is not None
                    else np.atleast_2d(np.asarray(where, dtype=float)))
-            values = [f(pts[:, 0], pts[:, 1]) for f in fields]
+            values = [f(pts[:, 0], pts[:, 1]) for f in tf.fields]
         self.p, self.q, self.r, self.m1, self.m2 = values
         # extremes over the actual points, merged with the cached sampled
         # extremes so the power bounds hold exactly for the sums
@@ -201,6 +212,21 @@ def luxemburg_norm(tf, u, quad, sampled=None):
     alpha, bracket, iters = _luxemburg_bisect(
         sp.scaled_modular(vals), R, sp.p_minus, sp.r_plus)
     return ModularReport(R, alpha, bracket, iters)
+
+
+def grad_norm_samples(tf, u, sampled):
+    """|grad u| on u's mesh and the SampledPhase to take its modular and
+    Luxemburg norm with, from `sampled`, tf sampled on the mesh's own
+    quadrature.  On a constant phase |grad u| and phi of it are constant on
+    each triangle, as the P1 gradient is, so each triangle is one point
+    weighted by its area; a variable phase, whose exponents and weights
+    vary within a triangle, keeps `sampled` and its points."""
+    if not sampled.constant:
+        return u.grad_norm_at(sampled.quad), sampled
+    mesh = u.mesh
+    cells = QuadratureMeasure(mesh.centroids, mesh.areas,
+                              np.arange(mesh.n_triangles))
+    return u.grad_norms(), SampledPhase(tf, cells)
 
 
 def weighted_seminorm(exponent, weight, u, quad):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import SampledPhase, luxemburg_norm
+from .modular import SampledPhase, grad_norm_samples, luxemburg_norm
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,13 @@ def check_coercive(fp, u, scales):
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
     quad = u.mesh.quadrature()
-    gvals = u.grad_norm_at(quad)
-    sp_ = SampledPhase(fp.tf, quad)
+    gvals, sp_ = grad_norm_samples(fp.tf, u, SampledPhase(fp.tf, quad))
     out = []
     for c in scales:
         cv = c * u.nodal_values
         res = disc.residual(cv, eps=fp.check_eps)
         pairing = float(res @ cv[disc.free])
-        nrm = luxemburg_norm(fp.tf, c * gvals, quad, sampled=sp_).luxemburg_norm
+        nrm = luxemburg_norm(fp.tf, c * gvals, sp_.quad, sampled=sp_).luxemburg_norm
         ratio = pairing / nrm
         bound = min(nrm ** (sp_.p_minus - 1.0), nrm ** (sp_.r_plus - 1.0))
         out.append((float(c), ratio, bound))

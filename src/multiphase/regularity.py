@@ -5,11 +5,12 @@ higher integrability, all measured on computed minimizers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import Ball, ball_quadrature, interpolate
-from .modular import SampledPhase, luxemburg_norm
+from .mesh import Ball, _BallCells, ball_quadrature, interpolate
+from .modular import SampledPhase, grad_norm_samples, luxemburg_norm
 from .solver import PhaseProblem, SourceTerm, solve_variational
 
 
@@ -46,13 +47,17 @@ class ProbeReport:
 
 
 def minimize_dirichlet(fp, mesh, boundary_data):
-    """Global minimizer of the phase energy with the given Dirichlet trace."""
+    """Global minimizer of the phase energy with the given Dirichlet trace.
+
+    The solve's discretization is not carried with it: no probe checks the
+    minimizer's residual, so it is freed with the solve."""
     if callable(boundary_data):
         boundary_data = interpolate(boundary_data, mesh).nodal_values
     prob = PhaseProblem(mesh, fp, SourceTerm.zero(), boundary_data)
     rep = solve_variational(prob)
     if not rep.converged:
         raise RuntimeError("minimization did not converge")
+    rep.solution.discretization = None
     return rep.solution
 
 
@@ -63,22 +68,35 @@ def _ratio(lhs, rhs):
 
 
 class _BallKernel:
-    """One ball's quadrature and its phase sample, built once: integrals and
-    means of values at the ball's points, and phi(|grad u|) there.
+    """One ball classified once (mesh._BallCells), with its two ways to
+    integrate, each built on first use: the ball's point quadrature, for
+    integrands that vary within a triangle (u, its oscillation and
+    truncations, and every integrand of a variable phase, whose exponents
+    and weights vary within a triangle), and its per-triangle weights W.
 
     On a constant phase phi(|grad u|) is constant on each triangle, as the
-    P1 gradient is, so it and any elementwise function of it are evaluated
-    once per mesh triangle and then gathered to the points: the same values
-    as at the points.  `phi_grad_powers` shares those per-triangle values
-    among the balls of one probe call.  A variable phase keeps them per
-    point, where its exponents and weights vary within a triangle."""
+    P1 gradient is, so it and its powers are formed once per mesh triangle
+    and summed against W: no point is formed for them, and the sums are
+    those of the point quadrature up to rounding.  Sums are np.einsum
+    contractions, independent of the BLAS thread count."""
 
     def __init__(self, tf, mesh, ball):
-        self.quad = ball_quadrature(mesh, ball)
-        self.phase = SampledPhase(tf, self.quad)
+        self.mesh = mesh
+        self.cells = _BallCells(mesh, ball)
+        # a constant phase is sampled at no point
+        self.phase = SampledPhase(tf, None if tf.constant else self.quad)
+
+    @cached_property
+    def quad(self):
+        return ball_quadrature(self.mesh, self.cells)
+
+    @cached_property
+    def tri_weights(self):
+        """(triangles, W): mesh._BallCells.weights."""
+        return self.cells.weights()
 
     def integral(self, vals):
-        # an einsum, not a BLAS dot: the sum does not follow the thread count
+        """The integral of values at the ball's points."""
         return float(np.einsum("i,i->", self.quad.weights, vals))
 
     def mean(self, vals):
@@ -86,39 +104,34 @@ class _BallKernel:
         # fields are reproduced exactly despite the geometric clipping
         return self.integral(vals) / self.quad.total_mass
 
-    def phi_grad_samples(self, u):
-        """phi(|grad u|) per mesh triangle on a constant phase, else at the
-        ball's points; `at_points` takes these to the points."""
-        if self.phase.constant:
-            return self.phase.phi(u.grad_norms())
-        return self.phase.phi(u.grad_norm_at(self.quad))
-
-    def at_points(self, samples):
-        """Values at the ball's points of phi_grad_samples, or of an
-        elementwise function of them."""
-        if self.phase.constant:
-            return np.take(samples, self.quad.tri_index)
-        return samples
-
-    def phi_grad(self, u):
-        """phi(|grad u|) at the ball's points."""
-        return self.at_points(self.phi_grad_samples(u))
-
-    def phi_grad_powers(self, u, exponents, per_tri):
-        """phi(|grad u|)^e at the ball's points for each e of exponents,
-        e = 1 giving phi(|grad u|) itself.
+    def phi_grad_integrals(self, u, exponents, per_tri):
+        """The integrals over the ball of phi(|grad u|)^e for each e of
+        exponents, e = 1 giving phi(|grad u|) itself.
 
         On a constant phase the per-triangle values are the same for every
         ball of the mesh: they are formed once per state and exponent and
         kept in `per_tri`, a dict the caller passes to all kernels for
-        that state.  A variable phase forms them at the ball's points."""
+        that state, and summed against W.  A variable phase forms them at
+        the ball's points."""
         values = per_tri if self.phase.constant else {}
         if 1.0 not in values:
-            values[1.0] = self.phi_grad_samples(u)
+            values[1.0] = self.phase.phi(u.grad_norms() if self.phase.constant
+                                         else u.grad_norm_at(self.quad))
         for e in exponents:
             if e not in values:
                 values[e] = values[1.0] ** e
-        return [self.at_points(values[e]) for e in exponents]
+        if not self.phase.constant:
+            return [self.integral(values[e]) for e in exponents]
+        tris, w = self.tri_weights
+        return [float(np.einsum("t,t->", w, np.take(values[e], tris)))
+                for e in exponents]
+
+    def phi_grad_means(self, u, exponents, per_tri):
+        """phi_grad_integrals over the mass of the measure they sum over:
+        the total of W on a constant phase, else the quadrature's."""
+        mass = (float(np.einsum("t->", self.tri_weights[1])) if self.phase.constant
+                else self.quad.total_mass)
+        return [s / mass for s in self.phi_grad_integrals(u, exponents, per_tri)]
 
 
 def _check_m_grid(m_grid):
@@ -142,7 +155,7 @@ def caccioppoli_ratio(fp, u, pair):
     gradient energy on the inner ball against the scaled oscillation
     energy on the outer ball."""
     ki, ko, gap = _pair_kernels(fp.tf, u.mesh, pair)
-    lhs = ki.integral(ki.phi_grad(u))
+    lhs = ki.phi_grad_integrals(u, [1.0], {})[0]
     uo = u.at_quad(ko.quad)
     osc = np.abs(uo - ko.mean(uo)) / gap
     return _ratio(lhs, ko.integral(ko.phase.phi(osc)))
@@ -170,7 +183,7 @@ def sobolev_poincare_ratio(fp, u, ball, delta):
     uq = u.at_quad(k.quad)
     osc = np.abs(uq - k.mean(uq)) / ball.radius
     lhs = k.mean(k.phase.phi(osc))
-    avg_pow = k.mean(k.at_points(k.phi_grad_samples(u) ** delta))
+    avg_pow = k.phi_grad_means(u, [delta], {})[0]
     return lhs / (1.0 + avg_pow ** (1.0 / delta))
 
 
@@ -192,7 +205,7 @@ def sobolev_poincare_zero_set(fp, u, ball, E_indicator, delta, gamma):
     if np.any(np.abs(u.nodal_values[node_in & inside]) > 1e-12):
         raise ValueError("u does not vanish on E")
     lhs = k.mean(k.phase.phi(np.abs(u.at_quad(q)) / ball.radius))
-    rhs = k.mean(k.at_points(k.phi_grad_samples(u) ** delta)) ** (1.0 / delta)
+    rhs = k.phi_grad_means(u, [delta], {})[0] ** (1.0 / delta)
     return _ratio(lhs, rhs)
 
 
@@ -205,8 +218,8 @@ def poincare_w0_ratio(fp, u):
     quad = u.mesh.quadrature()
     sp = SampledPhase(fp.tf, quad)
     num = luxemburg_norm(fp.tf, u, quad, sampled=sp).luxemburg_norm
-    den = luxemburg_norm(fp.tf, u.grad_norm_at(quad), quad,
-                         sampled=sp).luxemburg_norm
+    grads, gsp = grad_norm_samples(fp.tf, u, sp)
+    den = luxemburg_norm(fp.tf, grads, gsp.quad, sampled=gsp).luxemburg_norm
     return num / den
 
 
@@ -221,9 +234,9 @@ def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
     for i, j in family.pairing:
         ki, ko, _ = _pair_kernels(fp.tf, u.mesh,
                                   (family.balls[i], family.balls[j]))
-        avg_o = ko.mean(ko.phi_grad_powers(u, [1.0], per_tri)[0])
-        for m, gi in zip(m_grid, ki.phi_grad_powers(u, exponents, per_tri)):
-            lhs = ki.mean(gi) ** (1.0 / (1.0 + m))
+        avg_o = ko.phi_grad_means(u, [1.0], per_tri)[0]
+        for m, gi in zip(m_grid, ki.phi_grad_means(u, exponents, per_tri)):
+            lhs = gi ** (1.0 / (1.0 + m))
             rows.append(((i, j), m, lhs / (1.0 + avg_o)))
     per_m = {m: max(r for _, mm, r in rows if mm == m) for m in m_grid}
     stable = [m for m in m_grid if per_m[m] < stability_factor]
@@ -243,12 +256,11 @@ def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,)):
     exponents = [1.0 + m for m in m_grid]
     for inner, outer in ball_pairs:
         ki, ko, _ = _pair_kernels(fp.tf, v.mesh, (inner, outer))
-        avg_v = ko.mean(ko.phi_grad_powers(v, [1.0], per_tri_v)[0])
-        for m, gv_i, gw_o in zip(m_grid,
-                                 ki.phi_grad_powers(v, exponents, per_tri_v),
-                                 ko.phi_grad_powers(w, exponents, per_tri_w)):
-            lhs = ki.mean(gv_i)
-            rhs = avg_v ** (1.0 + m) + ko.mean(gw_o) + 1.0
+        avg_v = ko.phi_grad_means(v, [1.0], per_tri_v)[0]
+        for m, lhs, gw_o in zip(m_grid,
+                                ki.phi_grad_means(v, exponents, per_tri_v),
+                                ko.phi_grad_means(w, exponents, per_tri_w)):
+            rhs = avg_v ** (1.0 + m) + gw_o + 1.0
             rows.append(((inner.radius, outer.radius), m, _ratio(lhs, rhs)))
     return ProbeReport("boundary_higher_integrability", rows,
                        max(r for _, _, r in rows),

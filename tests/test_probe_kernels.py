@@ -1,26 +1,55 @@
 """The probe kernels against the plain implementations they replaced:
 ball quadrature by subdividing every crossing triangle, by forming every
-subdivided point's weight before the cut and by fancy-index gathers,
-phi(|grad u|) at every point and for every ball pair, P1 values by
-gathering each point's rows, and the Luxemburg norm by bisection."""
+subdivided point's weight before the cut and by fancy-index gathers, the
+ball containment test by a box scan of every centroid, phi(|grad u|) for
+every ball pair and, on a constant phase, at every point of the ball
+quadrature instead of per triangle, P1 values by gathering each point's
+rows, and the Luxemburg norm by bisection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction, FluxParams,
-                        QuadratureMeasure, TriMesh, UNIT_SQUARE, WeightPair,
-                        ball_quadrature, boundary_higher_integrability_probe,
-                        higher_integrability_probe, interpolate, luxemburg_norm,
-                        refine, structured_mesh)
+from multiphase import (Ball, BallFamily, Domain2D, ExponentTriple, FeFunction,
+                        FluxParams, QuadratureMeasure, TriMesh, UNIT_SQUARE,
+                        WeightPair, ball_quadrature,
+                        boundary_higher_integrability_probe,
+                        caccioppoli_ratio, higher_integrability_probe,
+                        interpolate, luxemburg_norm, poincare_w0_ratio, refine,
+                        sobolev_poincare_ratio, sobolev_poincare_zero_set,
+                        structured_mesh)
 from multiphase import mesh as mesh_mod
+from multiphase import regularity
 from multiphase.cli import _ball_family
-from multiphase.mesh import _ball_rule, _barycentric, _check_in_mesh, quad_rule
+from multiphase.mesh import (_BallCells, _ball_rule, _barycentric,
+                             _check_in_mesh, _dist2, quad_rule)
 from multiphase.modular import PhaseFunction, SampledPhase
+from multiphase.operator import PhaseDiscretization, check_coercive
 from multiphase.regularity import _BallKernel
 
 
 # -- reference implementations ----------------------------------------------
+
+def box_check_in_mesh(mesh, ball):
+    """_check_in_mesh as it was: the triangles whose centroid lies within
+    their radius of the centre in each coordinate, found by a scan of every
+    centroid, get the barycentric test."""
+    c = np.asarray(ball.center)
+    a, d, length2 = mesh.boundary_segments
+    t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
+    gap = np.hypot(*(a + t[:, None] * d - c).T)      # centre to edge
+    (cx, cy), reach = mesh.centroids.T, (1.0 + 1e-9) * mesh.radii
+    near = np.flatnonzero((np.abs(cx - c[0]) <= reach) & (np.abs(cy - c[1]) <= reach))
+    lam = _barycentric(c[None], np.take(mesh.tri_vertices, near, axis=0))
+    if (np.any(ball.radius - gap > 0.05 * np.sqrt(length2))
+            or not np.any(np.all(lam >= -1e-12, axis=1))):
+        raise ValueError("ball escapes the meshed domain")
+
+
+def check_in_mesh(mesh, ball):
+    """_check_in_mesh with the centroid distances it is given by _BallCells."""
+    _check_in_mesh(mesh, ball, np.sqrt(_dist2(mesh.centroids, ball.center)))
+
 
 def _split4_parents(tv, parents):
     m01 = 0.5 * (tv[:, 0] + tv[:, 1])
@@ -37,7 +66,7 @@ def _split4_parents(tv, parents):
 
 def split_ball_quadrature(mesh, ball, depth=3, degree=5):
     """All triangles classified, crossing ones split `depth` times."""
-    _check_in_mesh(mesh, ball)
+    box_check_in_mesh(mesh, ball)
     c = np.asarray(ball.center)
     R = ball.radius
     bary, w = quad_rule(degree)
@@ -70,7 +99,7 @@ def dense_ball_quadrature(mesh, ball, depth=3, degree=5):
     """ball_quadrature as it was built before: the weight, triangle and
     rule index of every subdivided point of every crossing triangle, cut to
     the points in the ball afterwards."""
-    _check_in_mesh(mesh, ball)
+    box_check_in_mesh(mesh, ball)
     c = np.asarray(ball.center)
     R = ball.radius
     near = np.flatnonzero(np.linalg.norm(mesh.centroids - c, axis=1)
@@ -157,6 +186,24 @@ def gathered_at_quad(u, quad, bary=None):
     return np.einsum("mj,mj->m", vals, bary)
 
 
+def phi_grad(k, u):
+    """phi(|grad u|) on each mesh triangle on a constant phase, else at the
+    ball's points."""
+    if k.phase.constant:
+        return k.phase.phi(u.grad_norms())
+    return k.phase.phi(u.grad_norm_at(k.quad))
+
+
+def grad_mean(k, vals):
+    """The ball mean of phi_grad values or of a power of them: against the
+    ball's per-triangle weights on a constant phase, else at its points."""
+    if k.phase.constant:
+        tris, w = k.cells.weights()
+        return (float(np.einsum("t,t->", w, np.take(vals, tris)))
+                / float(np.einsum("t->", w)))
+    return k.mean(vals)
+
+
 def per_pair_higher_integrability(tf, u, family, m_grid):
     """higher_integrability_probe's rows with phi(|grad u|) and its powers
     formed again for every ball pair."""
@@ -164,10 +211,10 @@ def per_pair_higher_integrability(tf, u, family, m_grid):
     for i, j in family.pairing:
         ki = _BallKernel(tf, u.mesh, family.balls[i])
         ko = _BallKernel(tf, u.mesh, family.balls[j])
-        gi = ki.phi_grad_samples(u)
-        avg_o = ko.mean(ko.phi_grad(u))
+        gi = phi_grad(ki, u)
+        avg_o = grad_mean(ko, phi_grad(ko, u))
         for m in m_grid:
-            lhs = ki.mean(ki.at_points(gi ** (1.0 + m))) ** (1.0 / (1.0 + m))
+            lhs = grad_mean(ki, gi ** (1.0 + m)) ** (1.0 / (1.0 + m))
             rows.append(((i, j), m, lhs / (1.0 + avg_o)))
     return rows
 
@@ -177,14 +224,87 @@ def per_pair_boundary_higher_integrability(tf, v, w, ball_pairs, m_grid):
     rows = []
     for inner, outer in ball_pairs:
         ki, ko = _BallKernel(tf, v.mesh, inner), _BallKernel(tf, v.mesh, outer)
-        gv_i, gv_o = ki.phi_grad_samples(v), ko.phi_grad(v)
-        gw_o = ko.phi_grad_samples(w)
+        gv_i, gv_o, gw_o = phi_grad(ki, v), phi_grad(ko, v), phi_grad(ko, w)
         for m in m_grid:
-            lhs = ki.mean(ki.at_points(gv_i ** (1.0 + m)))
-            rhs = (ko.mean(gv_o) ** (1.0 + m)
-                   + ko.mean(ko.at_points(gw_o ** (1.0 + m))) + 1.0)
+            lhs = grad_mean(ki, gv_i ** (1.0 + m))
+            rhs = (grad_mean(ko, gv_o) ** (1.0 + m)
+                   + grad_mean(ko, gw_o ** (1.0 + m)) + 1.0)
             rows.append(((inner.radius, outer.radius), m, lhs / rhs))
     return rows
+
+
+class PointProbes:
+    """The constant-phase probes as they were: every integrand, phi(|grad
+    u|) included, summed at the points of the ball quadrature, and the
+    gradient norms of the zero-trace Poincare ratio and the coercivity check
+    at the points of the mesh's degree-5 quadrature."""
+
+    def __init__(self, fp):
+        self.fp = fp
+        self.phase = SampledPhase(fp.tf, None)
+
+    @staticmethod
+    def integral(q, vals):
+        return float(np.einsum("i,i->", q.weights, vals))
+
+    def mean(self, q, vals):
+        return self.integral(q, vals) / q.total_mass
+
+    def phi_grad(self, u, q):
+        return self.phase.phi(u.grad_norm_at(q))
+
+    def caccioppoli(self, u, inner, outer):
+        qi, qo = ball_quadrature(u.mesh, inner), ball_quadrature(u.mesh, outer)
+        uo = u.at_quad(qo)
+        osc = np.abs(uo - self.mean(qo, uo)) / (outer.radius - inner.radius)
+        return (self.integral(qi, self.phi_grad(u, qi))
+                / self.integral(qo, self.phase.phi(osc)))
+
+    def higher(self, u, pairs, m_grid):
+        rows = []
+        for inner, outer in pairs:
+            qi, qo = ball_quadrature(u.mesh, inner), ball_quadrature(u.mesh, outer)
+            avg_o = self.mean(qo, self.phi_grad(u, qo))
+            for m in m_grid:
+                lhs = self.mean(qi, self.phi_grad(u, qi) ** (1 + m)) ** (1 / (1 + m))
+                rows.append(lhs / (1.0 + avg_o))
+        return rows
+
+    def boundary(self, v, w, pairs, m_grid):
+        rows = []
+        for inner, outer in pairs:
+            qi, qo = ball_quadrature(v.mesh, inner), ball_quadrature(v.mesh, outer)
+            for m in m_grid:
+                lhs = self.mean(qi, self.phi_grad(v, qi) ** (1 + m))
+                rhs = (self.mean(qo, self.phi_grad(v, qo)) ** (1 + m)
+                       + self.mean(qo, self.phi_grad(w, qo) ** (1 + m)) + 1.0)
+                rows.append(lhs / rhs)
+        return rows
+
+    def sobolev_poincare(self, u, ball, delta):
+        q = ball_quadrature(u.mesh, ball)
+        uq = u.at_quad(q)
+        lhs = self.mean(q, self.phase.phi(np.abs(uq - self.mean(q, uq)) / ball.radius))
+        avg_pow = self.mean(q, self.phi_grad(u, q) ** delta)
+        return lhs / (1.0 + avg_pow ** (1.0 / delta))
+
+    def zero_set(self, u, ball, delta):
+        q = ball_quadrature(u.mesh, ball)
+        lhs = self.mean(q, self.phase.phi(np.abs(u.at_quad(q)) / ball.radius))
+        return lhs / self.mean(q, self.phi_grad(u, q) ** delta) ** (1.0 / delta)
+
+    def poincare_w0(self, u):
+        quad = u.mesh.quadrature()
+        sp = SampledPhase(self.fp.tf, quad)
+        return (luxemburg_norm(self.fp.tf, u, quad, sampled=sp).luxemburg_norm
+                / luxemburg_norm(self.fp.tf, u.grad_norm_at(quad), quad,
+                                 sampled=sp).luxemburg_norm)
+
+    def coercive_norms(self, u, scales):
+        quad = u.mesh.quadrature()
+        sp = SampledPhase(self.fp.tf, quad)
+        return [luxemburg_norm(self.fp.tf, c * u.grad_norm_at(quad), quad,
+                               sampled=sp).luxemburg_norm for c in scales]
 
 
 def bisect_norm(rho_of_alpha, lo, hi, rel_tol):
@@ -377,33 +497,38 @@ class TestPhiPerTriangle:
 
     @pytest.mark.parametrize("exps, mu", [((2, 3, 3), (1.0, 0.0)),
                                           ((1.5, 2.5, 3.7), (0.3, 2.0))])
-    def test_constant_phase_bit_identical(self, exps, mu):
-        """On a constant phase phi(|grad u|) and its powers, evaluated once
-        per triangle and gathered, equal their values at the points."""
+    def test_constant_phase_per_triangle(self, exps, mu):
+        """On a constant phase phi(|grad u|) and its powers are formed once
+        per triangle and summed against the ball's weights: the kernel
+        forms no point for them, and its means are those of the points of
+        the ball quadrature up to rounding."""
         tf = PhaseFunction(ExponentTriple.constants(*exps), WeightPair.constants(*mu))
         mesh = structured_mesh(UNIT_SQUARE, 32)
         u = self.state(mesh)
+        exponents = [1.0, 1.05, 1.2]
         for ball in (Ball((0.5, 0.5), 0.2), Ball((0.3, 0.7), 0.05)):
             k = _BallKernel(tf, mesh, ball)
             assert k.phase.constant
-            per_point = k.phase.phi(u.grad_norm_at(k.quad))
-            samples = k.phi_grad_samples(u)
-            assert samples.shape == (mesh.n_triangles,)
-            assert np.array_equal(k.phi_grad(u), per_point)
-            for m in (0.05, 0.2):
-                assert np.array_equal(k.at_points(samples ** (1.0 + m)),
-                                      per_point ** (1.0 + m))
+            got = k.phi_grad_means(u, exponents, {})
+            assert "quad" not in vars(k)
+            q = ball_quadrature(mesh, ball)
+            per_point = k.phase.phi(u.grad_norm_at(q))
+            for e, mean in zip(exponents, got):
+                want = np.einsum("i,i->", q.weights, per_point ** e) / q.total_mass
+                assert mean == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_variable_phase_per_point(self, variable_phase):
-        """A variable phase samples phi at the ball's points."""
+        """A variable phase samples phi at the ball's points and forms no
+        per-triangle weights."""
         mesh = structured_mesh(UNIT_SQUARE, 32)
         u = self.state(mesh)
         k = _BallKernel(variable_phase, mesh, Ball((0.5, 0.5), 0.2))
         assert not k.phase.constant
-        samples = k.phi_grad_samples(u)
-        assert samples.shape == k.quad.weights.shape
-        assert k.at_points(samples) is samples
-        assert np.array_equal(samples, k.phase.phi(u.grad_norm_at(k.quad)))
+        g = k.phase.phi(u.grad_norm_at(k.quad))
+        assert k.phi_grad_integrals(u, [1.0, 1.2], {}) == [k.integral(g),
+                                                           k.integral(g ** 1.2)]
+        assert k.phi_grad_means(u, [1.2], {}) == [k.mean(g ** 1.2)]
+        assert "tri_weights" not in vars(k)
 
 
 class TestPhiGradOncePerCall:
@@ -584,15 +709,249 @@ class TestBallContainment:
         hole = np.all(np.abs(square.centroids - 0.5) < 0.25, axis=1)
         frame = TriMesh(square.vertices, square.triangles[~hole])
         with pytest.raises(ValueError, match="escapes"):
-            _check_in_mesh(frame, Ball((0.5, 0.5), 0.2))
-        _check_in_mesh(frame, Ball((0.125, 0.5), 0.1))
+            check_in_mesh(frame, Ball((0.5, 0.5), 0.2))
+        check_in_mesh(frame, Ball((0.125, 0.5), 0.1))
 
     @pytest.mark.parametrize("centre", [(0.0, 0.0), (0.5, 0.0)],
                              ids=["corner", "edge"])
     def test_centre_on_the_boundary(self, square8, centre):
         """A small ball centred on a boundary vertex is accepted: the centre
         lies on the triangles around it."""
-        _check_in_mesh(square8, Ball(centre, 0.005))
+        check_in_mesh(square8, Ball(centre, 0.005))
+
+
+class TestCheckInMeshMatchesBox:
+    """The containment test takes its centre candidates from the centroid
+    distances of the classification, not from a second box scan of every
+    centroid: it accepts and rejects the balls the box scan does."""
+
+    @staticmethod
+    def same_verdict(mesh, ball):
+        try:
+            box_check_in_mesh(mesh, ball)
+        except ValueError:
+            with pytest.raises(ValueError, match="escapes"):
+                check_in_mesh(mesh, ball)
+            return False
+        check_in_mesh(mesh, ball)
+        return True
+
+    def test_fixed_balls(self, square8):
+        """The balls the containment tests above accept and reject."""
+        cases = [(structured_mesh(UNIT_SQUARE, n), b) for n in (4, 16, 64)
+                 for b in (Ball((0.3, 0.5), 0.35), Ball((0.5, 0.5), 0.3))]
+        cases += [(structured_mesh(UNIT_SQUARE, 4), Ball((0.5, 0.5), r))
+                  for r in (0.51, 0.515)]
+        th = np.deg2rad(45 + 11.25) + np.arange(4) * np.pi / 2
+        for n in (8, 32):
+            tilted = structured_mesh(Domain2D(tuple(zip(np.cos(th), np.sin(th)))), n)
+            cases += [(tilted, Ball((0.0, 0.0), r)) for r in (0.72, 0.70)]
+        l_shape = structured_mesh(L_SHAPE, 16)
+        cases += [(l_shape, b) for b in (Ball((0.8, 0.8), 0.4), Ball((0.6, 0.6), 0.4),
+                                         Ball((1.5, 1.5), 0.1))]
+        square = structured_mesh(UNIT_SQUARE, 8)
+        hole = np.all(np.abs(square.centroids - 0.5) < 0.25, axis=1)
+        frame = TriMesh(square.vertices, square.triangles[~hole])
+        cases += [(frame, Ball((0.5, 0.5), 0.2)), (frame, Ball((0.125, 0.5), 0.1))]
+        cases += [(square8, b) for b in (Ball((1.02, 0.5), 0.01), Ball((0.0, 0.0), 0.005),
+                                         Ball((0.5, 0.0), 0.005))]
+        verdicts = [self.same_verdict(mesh, ball) for mesh, ball in cases]
+        assert verdicts == [False, True] * 3 + [True, False] + [False, True] * 2 + [
+            False, True, False, False, True, False, True, True]
+
+    @pytest.mark.parametrize("name", ["square16", "square64", "hexagon8"])
+    def test_random_balls(self, name):
+        """Centres on vertices, on edges and near the boundary, with radii
+        from below the mesh size to past the boundary."""
+        mesh = WEIGHT_MESHES[name]()
+        rng = np.random.default_rng(5)
+        edges = mesh.triangles[:, :2]
+        g = mesh.vertices.mean(axis=0)
+        size = float(np.max(np.linalg.norm(mesh.vertices - g, axis=1)))
+        verdicts = []
+        for _ in range(60):
+            a, b = mesh.vertices[edges[rng.integers(len(edges))]]
+            edge_point = a + rng.uniform() * (b - a)
+            boundary = mesh.vertices[rng.choice(np.flatnonzero(mesh.boundary_flags))]
+            for c in (a, edge_point, boundary + rng.normal(0, 1e-3, 2) * size):
+                r = size * 10.0 ** rng.uniform(-4, -0.3)
+                verdicts.append(self.same_verdict(mesh, Ball(tuple(c), r)))
+        assert 30 <= sum(verdicts) <= len(verdicts) - 30
+
+
+WEIGHT_MESHES = {
+    "square16": lambda: structured_mesh(UNIT_SQUARE, 16),
+    "square64": lambda: structured_mesh(UNIT_SQUARE, 64),
+    "hexagon8": lambda: structured_mesh(HEXAGON, 8),
+    "refined_hexagon4": lambda: refine(structured_mesh(HEXAGON, 4)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WEIGHT_MESHES))
+def weight_mesh(request):
+    return WEIGHT_MESHES[request.param]()
+
+
+def _weight_balls(mesh, rng):
+    """Random balls (off-centre, through a boundary vertex and centred near
+    the boundary), balls tangent to a boundary edge at its midpoint, circles
+    through mesh vertices around interior vertices, and balls centred on an
+    interior vertex too small to hold any sub-point."""
+    balls = _random_balls(mesh, rng, 60)
+    a, d, length2 = mesh.boundary_segments
+    g = mesh.vertices.mean(axis=0)
+    tangent = []
+    for k in rng.permutation(len(a)):
+        mid = a[k] + 0.5 * d[k]
+        normal = np.array([-d[k][1], d[k][0]]) / np.sqrt(length2[k])
+        normal *= np.sign(normal @ (g - mid))
+        r = rng.uniform(0.1, 0.3) * float(np.linalg.norm(g - mid))
+        c = mid + r * normal
+        t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)
+        # no other boundary edge comes closer to the centre than r
+        if np.all(np.hypot(*(a + t[:, None] * d - c).T) >= r * (1 - 1e-9)):
+            tangent.append(Ball(tuple(c), r))
+        if len(tangent) == 4:
+            break
+    assert len(tangent) == 4
+    balls += tangent
+    inner = mesh.vertices[~mesh.boundary_flags]
+    for v in inner[rng.choice(len(inner), 4, replace=False)]:
+        dist = np.sort(np.linalg.norm(mesh.vertices - v, axis=1))
+        balls.append(Ball(tuple(v), float(dist[rng.integers(5, 40)])))
+        balls.append(Ball(tuple(v), 1e-9 * mesh.h_max))
+    return balls
+
+
+class TestBallWeights:
+    """The per-triangle weights against the ball quadrature they stand in
+    for, and the constant-phase probes that sum against them against the
+    same probes summed at the quadrature's points."""
+
+    def test_weights_are_the_quadrature_masses(self, weight_mesh):
+        mesh = weight_mesh
+        accepted = empty = 0
+        balls = _weight_balls(mesh, np.random.default_rng(7))
+        for k, ball in enumerate(balls):
+            try:
+                q = ball_quadrature(mesh, ball)
+            except ValueError:
+                with pytest.raises(ValueError, match="escapes"):
+                    _BallCells(mesh, ball)
+                # the balls tangent to the boundary stay inside it
+                assert not 60 <= k < 64
+                continue
+            accepted += 1
+            tris, w = _BallCells(mesh, ball).weights()
+            # the triangles with positive W carry the quadrature's points
+            assert np.all(w > 0)
+            assert np.array_equal(np.sort(tris), np.unique(q.tri_index))
+            mass = np.bincount(q.tri_index, q.weights, minlength=mesh.n_triangles)
+            np.testing.assert_allclose(w, mass[tris], rtol=1e-13, atol=0)
+            empty += len(q.weights) == 0
+        assert accepted >= 15 and empty >= 4, (accepted, empty)
+
+    @pytest.mark.parametrize("exps, mu", [((2, 3, 3), (1.0, 0.0)),
+                                          ((1.5, 2.5, 3.7), (0.3, 2.0))])
+    def test_probes_match_the_points(self, weight_mesh, exps, mu):
+        mesh = weight_mesh
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(*exps),
+                                      WeightPair.constants(*mu)), eps=1e-8)
+        ref = PointProbes(fp)
+        x, y = mesh.vertices.T
+        u = FeFunction(mesh, np.sin(np.pi * x) * y + 0.3 * x * x)
+        w = FeFunction(mesh, x * x - y)
+        pairs = []
+        for ball in _weight_balls(mesh, np.random.default_rng(7)):
+            if ball.radius < 1e-6 or len(pairs) == 5:
+                continue
+            try:
+                ball_quadrature(mesh, ball)
+            except ValueError:
+                continue
+            pairs.append((Ball(ball.center, 0.5 * ball.radius), ball))
+        assert len(pairs) == 5
+
+        def close(got, want):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+        for inner, outer in pairs:
+            close(caccioppoli_ratio(fp, u, (inner, outer)), ref.caccioppoli(u, inner, outer))
+            close(sobolev_poincare_ratio(fp, u, outer, 0.75),
+                  ref.sobolev_poincare(u, outer, 0.75))
+            c0 = outer.center[0]
+            z = FeFunction(mesh, np.maximum(x - c0, 0.0) * (1 + y * y))
+            close(sobolev_poincare_zero_set(fp, z, outer, lambda x1, x2: x1 <= c0, 0.5, 0.3),
+                  ref.zero_set(z, outer, 0.5))
+        m_grid = (0.05, 0.2)
+        fam = BallFamily(tuple(b for pair in pairs for b in pair),
+                         tuple((2 * k, 2 * k + 1) for k in range(len(pairs))))
+        close([r for _, _, r in higher_integrability_probe(fp, u, fam, list(m_grid)).per_ball],
+              ref.higher(u, pairs, m_grid))
+        close([r for _, _, r in boundary_higher_integrability_probe(
+                  fp, u, w, pairs, m_grid=m_grid).per_ball],
+              ref.boundary(u, w, pairs, m_grid))
+        zero_trace = FeFunction(mesh, np.where(mesh.boundary_flags, 0.0, u.nodal_values))
+        close(poincare_w0_ratio(fp, zero_trace), ref.poincare_w0(zero_trace))
+        scales = (0.5, 1.0, 2.0)
+        rows = check_coercive(fp, zero_trace, scales)
+        norms = ref.coercive_norms(zero_trace, scales)
+        disc = PhaseDiscretization(fp, mesh)
+        for (c, ratio, bound), nrm in zip(rows, norms):
+            cv = c * zero_trace.nodal_values
+            pairing = float(disc.residual(cv, eps=fp.check_eps) @ cv[disc.free])
+            close(ratio, pairing / nrm)
+            close(bound, min(nrm ** (exps[0] - 1.0), nrm ** (exps[2] - 1.0)))
+
+
+class TestPointQuadraturesOnlyWhereNeeded:
+    """A kernel classifies its ball once and builds the point quadrature
+    only for integrands that vary within a triangle."""
+
+    @staticmethod
+    def count(monkeypatch):
+        cells, quads = [], []
+
+        class Counted(_BallCells):
+            def __init__(self, mesh, ball):
+                cells.append(ball)
+                super().__init__(mesh, ball)
+
+        def counted_quadrature(mesh, ball):
+            quads.append(ball)
+            return ball_quadrature(mesh, ball)
+
+        monkeypatch.setattr(regularity, "_BallCells", Counted)
+        monkeypatch.setattr(regularity, "ball_quadrature", counted_quadrature)
+        return cells, quads
+
+    def test_constant_phase(self, square16, triple_phase, monkeypatch):
+        fp = FluxParams(triple_phase, eps=0.0)
+        u = TestPhiPerTriangle.state(square16)
+        inner, outer = Ball((0.5, 0.5), 0.1), Ball((0.5, 0.5), 0.2)
+        cells, quads = self.count(monkeypatch)
+        caccioppoli_ratio(fp, u, (inner, outer))
+        # only the outer ball's oscillation needs points
+        assert cells == [inner, outer] and len(quads) == 1
+        assert isinstance(quads[0], _BallCells)
+        cells.clear(), quads.clear()
+        sobolev_poincare_ratio(fp, u, outer, 0.5)
+        # the points of u - its mean and the weights of phi(|grad u|)^delta
+        # from one classification
+        assert cells == [outer] and len(quads) == 1
+        assert isinstance(quads[0], _BallCells)
+        cells.clear(), quads.clear()
+        fam = _ball_family({})
+        higher_integrability_probe(fp, u, fam, [0.05, 0.2])
+        assert len(cells) == 2 * len(fam.pairing) and quads == []
+
+    def test_variable_phase(self, square16, variable_phase, monkeypatch):
+        fp = FluxParams(variable_phase, eps=1e-8)
+        u = TestPhiPerTriangle.state(square16)
+        cells, quads = self.count(monkeypatch)
+        fam = _ball_family({})
+        higher_integrability_probe(fp, u, fam, [0.05, 0.2])
+        assert len(cells) == len(quads) == 2 * len(fam.pairing)
 
 
 class TestLuxemburgRegulaFalsi:

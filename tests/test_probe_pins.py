@@ -5,9 +5,12 @@ The state is the n = 32 minimiser of the trace sin(pi x) y, for a
 space-varying phase and for the constant (2, 3, 3) phase with mu = (1, 0).
 A refactor of the probes that keeps every sum in its order keeps these
 values to the last bit; a change to the minimiser or to the quadrature
-moves them and has to pin them again.  The quadrature sums are einsum
-contractions, not BLAS dots, so the values hold under any BLAS thread
-count.
+moves them and has to pin them again.  On the constant phase the sums of
+phi(|grad u|) and its powers run per triangle, against the ball's
+per-triangle weights or, for the zero-trace Poincare ratio and the
+coercivity check, the triangle areas; every other sum runs over quadrature
+points.  The sums are einsum contractions, not BLAS dots, so the values
+hold under any BLAS thread count.
 
 Regenerate the table by running this file as a script:
     PYTHONPATH=src python tests/test_probe_pins.py
@@ -111,25 +114,25 @@ PINNED = {
                  'coercive': [(0.5, 0.31908186923088117, 0.15922195002905942),
                               (1.0, 0.7507129750625275, 0.6368878001162028),
                               (2.0, 1.839741978256426, 1.5961050092223956)]},
-    "constant": {'caccioppoli': [0.2131485925657935, 0.19182947685243962],
+    "constant": {'caccioppoli': [0.21314859256579993, 0.19182947685244073],
                  'truncation': [0.1984473216505689, 0.2350122700268837],
-                 'sobolev_poincare': [0.10906037696496398, 0.159907577126826],
-                 'zero_set': 0.22310276137740895,
-                 'higher': [0.49641677067631756,
-                            0.4992469342981232,
-                            0.7093641554979385,
-                            0.7154573009632144,
-                            0.7154573009632144],
+                 'sobolev_poincare': [0.10906037696496278, 0.1599075771268293],
+                 'zero_set': 0.2231027613774133,
+                 'higher': [0.49641677067632706,
+                            0.4992469342981311,
+                            0.709364155497954,
+                            0.715457300963235,
+                            0.715457300963235],
                  'largest_stable_m': 0.2,
-                 'boundary': [0.23996052471473928,
-                              0.22731877838240325,
-                              0.33679017109310666,
-                              0.32400937641117894,
-                              0.33679017109310666],
-                 'poincare_w0': 0.22482274341005587,
-                 'coercive': [(0.5, 0.29064066987497805, 0.16323295804182142),
-                              (1.0, 0.7350049666157555, 0.6529318321560591),
-                              (2.0, 2.084904440674378, 1.616083948507964)]},
+                 'boundary': [0.23996052471473994,
+                              0.22731877838240636,
+                              0.3367901710931054,
+                              0.3240093764111775,
+                              0.3367901710931054],
+                 'poincare_w0': 0.22482274341005584,
+                 'coercive': [(0.5, 0.290640669874978, 0.16323295804182147),
+                              (1.0, 0.7350049666157555, 0.6529318321560593),
+                              (2.0, 2.084904440674378, 1.6160839485079643)]},
 }
 
 

@@ -7,7 +7,10 @@ from multiphase import (Ball, BallFamily, FeFunction, UNIT_SQUARE,
                         interpolate, minimize_dirichlet, poincare_w0_ratio,
                         refine, sobolev_poincare_ratio,
                         sobolev_poincare_zero_set, structured_mesh)
-from multiphase.solver import first_eigenvalue
+from multiphase import solver
+from multiphase.operator import PhaseDiscretization
+from multiphase.solver import (PhaseProblem, SourceTerm, first_eigenvalue,
+                               weak_residual_sup)
 
 from conftest import random_fe
 
@@ -40,6 +43,21 @@ class TestMinimizeDirichlet:
         u = minimize_dirichlet(triple_flux, square16,
                                lambda x, y: np.sin(np.pi * x) * y)
         assert np.all(np.isfinite(u.nodal_values))
+
+    def test_carries_no_discretization(self, triple_flux, square16):
+        """The minimizer comes without the solve's discretization, and its
+        residual check reads what a freshly built discretization reads."""
+        def trace(x, y):
+            return np.sin(np.pi * x) * y
+
+        u = minimize_dirichlet(triple_flux, square16, trace)
+        assert u.discretization is None
+        prob = PhaseProblem(square16, triple_flux, SourceTerm.zero(),
+                            interpolate(trace, square16).nodal_values)
+        fresh = PhaseDiscretization(triple_flux, square16)
+        load = solver._source_load(fresh, prob.source, u.nodal_values)
+        assert weak_residual_sup(prob, u) == solver._sup_norm(
+            fresh.residual(u.nodal_values, load, eps=triple_flux.check_eps))
 
 
 class TestCaccioppoli:
