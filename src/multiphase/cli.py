@@ -326,18 +326,20 @@ def cmd_verify_modular(cfg, args, manifest):
 
 
 def _ball_family(cfg):
-    probe = cfg.get("probe", {})
-    if "ball_pairs" in probe:
-        spec = [((p["center"][0], p["center"][1]), (p["r1"], p["r2"]))
-                for p in probe["ball_pairs"]]
-    else:
-        # default: 20 concentric pairs on a grid of interior centers
-        centers = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
-        spec = [(c, (0.1, 0.2)) for c in centers]
-        spec += [(c, (0.05, 0.15)) for c in centers]
-        spec += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
-    balls = tuple(Ball(center, r) for center, radii in spec for r in radii)
-    return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
+    """probe.ball_pairs, [{center: [x, y], r1, r2}, ...], or 20 pairs."""
+    # default: 20 concentric pairs on a grid of interior centers
+    centers = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
+    spec = [(c, (0.1, 0.2)) for c in centers]
+    spec += [(c, (0.05, 0.15)) for c in centers]
+    spec += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
+    try:
+        if "ball_pairs" in cfg.get("probe", {}):
+            spec = [(p["center"], [_number(p[r], r) for r in ("r1", "r2")])
+                    for p in cfg["probe"]["ball_pairs"]]
+        balls = tuple(Ball(center, r) for center, radii in spec for r in radii)
+        return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"probe.ball_pairs: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_probe(cfg, args, manifest):
@@ -346,8 +348,8 @@ def cmd_probe(cfg, args, manifest):
     fp, mesh = prob.fp, prob.mesh
     probe_cfg = cfg.get("probe", {})
     with manifest.stage(f"probe_{which}"):
-        u = minimize_dirichlet(fp, mesh, prob.dirichlet)
         fam = _ball_family(cfg)
+        u = minimize_dirichlet(fp, mesh, prob.dirichlet)
         rows = []
         if which == "caccioppoli":
             for i, j in fam.pairing:

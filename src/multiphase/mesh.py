@@ -50,7 +50,8 @@ class QuadratureMeasure:
     tri_index maps each point to the mesh triangle it lies in, which lets
     P1 data be evaluated without point location.  A quadrature built from a
     barycentric rule table also records which row of `rule` each point is,
-    so P1 data need no barycentric solve either.
+    so P1 data need no barycentric solve either.  A cell measure, one point
+    per triangle, integrates what is constant on each, as a P1 gradient is.
     """
 
     points: np.ndarray        # (M, 2)
@@ -66,6 +67,17 @@ class QuadratureMeasure:
     @property
     def total_mass(self):
         return float(self.weights.sum())
+
+    def integral(self, vals):
+        """The weighted sum of vals: an np.einsum contraction, not a BLAS
+        dot, whose split of a long sum follows the BLAS thread count, so the
+        same inputs give the same bits under any number of threads."""
+        return float(np.einsum("i,i->", self.weights, vals))
+
+    def mean(self, vals):
+        """integral / total_mass: a constant is its own mean also on a
+        region that the mesh clips."""
+        return self.integral(vals) / self.total_mass
 
 
 @dataclass(frozen=True)
@@ -468,16 +480,16 @@ class Ball:
 
 class _BallCells:
     """The triangles of a mesh that meet a ball, classified once for both
-    of its integration paths: `ball_quadrature`, for integrands that vary
-    within a triangle, and `weights`, for integrands constant on each.
+    of its measures: `ball_quadrature`, for integrands that vary within a
+    triangle, and `cell_measure`, for integrands constant on each.
 
     A triangle is inside the ball when its three vertices are, and crosses
     the circle when only its bounding circle meets the ball.  The points of
     the _BALL_DEGREE rule on each piece of a crossing triangle's
     _BALL_DEPTH regular 4-splits are its sub-points; `kept` flags those in
     the ball.  The sub-points themselves are formed again where a point
-    quadrature needs them, not held: most balls need only the weights.  A
-    ball that escapes the mesh by more than a slack below the P1
+    quadrature needs them, not held: most balls need only the cell measure.
+    A ball that escapes the mesh by more than a slack below the P1
     resolution is rejected (`_check_in_mesh`)."""
 
     def __init__(self, mesh, ball):
@@ -504,23 +516,23 @@ class _BallCells:
         K = len(quad_rule(_BALL_DEGREE)[1])
         return (table[K:] @ self.crossing_verts).reshape(-1, 2)
 
-    def weights(self):
-        """The triangles that carry points in the ball's quadrature, inside
-        ones first, and their weights W: the area of a triangle inside the
-        ball, and for a crossing one its area times the summed unit weights
-        of its kept sub-points.  W_t is the sum of the quadrature's weights
-        on triangle t up to rounding, so an integrand constant on each
-        triangle is integrated against W without forming a point.  A
-        crossing triangle that keeps no sub-point carries no point, and is
-        left out."""
+    def cell_measure(self):
+        """One point, the centroid, on each triangle that carries points in
+        the ball's quadrature, inside ones first, weighted by W: the area of
+        a triangle inside the ball, and for a crossing one its area times
+        the summed unit weights of its kept sub-points.  W_t is the sum of
+        the quadrature's weights on triangle t up to rounding.  A crossing
+        triangle that keeps no sub-point carries no point, and is left out."""
         _, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
         # einsum, not a BLAS gemv: the sums do not follow the thread count
         share = np.einsum("ts,s->t", self.kept.reshape(-1, len(sub_w)), sub_w)
         held = np.flatnonzero(share > 0.0)
         crossing, areas = np.take(self.crossing, held), self.mesh.areas
-        return (np.concatenate([self.inside, crossing]),
-                np.concatenate([np.take(areas, self.inside),
-                                np.take(areas, crossing) * np.take(share, held)]))
+        tris = np.concatenate([self.inside, crossing])
+        return QuadratureMeasure(
+            np.take(self.mesh.centroids, tris, axis=0),
+            np.concatenate([np.take(areas, self.inside),
+                            np.take(areas, crossing) * np.take(share, held)]), tris)
 
 
 def ball_quadrature(mesh, ball):
@@ -531,9 +543,7 @@ def ball_quadrature(mesh, ball):
     Returns a QuadratureMeasure whose tri_index refers to the *parent*
     triangles, so P1 data can still be evaluated per parent.  `ball` may
     also be the _BallCells of a ball on this mesh, classified already by a
-    caller that takes its per-triangle weights too: integrands constant on
-    each triangle, such as phi(|grad u|) on a constant phase, are summed
-    against those weights, and only the others need these points.
+    caller that takes its cell measure too.
 
     Rows are gathered with np.take and np.compress, which give what fancy
     indexing gives several times faster, and written straight into the

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExponentTriple, WeightPair
-from .mesh import QuadratureMeasure
 
 # relative tolerance on rho(u / alpha) = 1 of every Luxemburg norm
 REL_TOL = 1e-10
@@ -59,11 +58,8 @@ class PropertyReport:
 class SampledPhase:
     """The phase function sampled once at a point set: a quadrature measure,
     or bare (M, 2) points for the pointwise checks; `phi` of a constant
-    phase needs none, and takes where = None.
-
-    Quadrature sums are np.einsum contractions, not BLAS dots, whose
-    split of a long sum follows the BLAS thread count: the same inputs give
-    the same bits under any number of threads.
+    phase needs none, and takes where = None.  Its sums are the
+    quadrature's own (`QuadratureMeasure.integral`).
 
     The N-function is written out here and, fused with the flux
     coefficient, in PhaseDiscretization._reduced.  When p, q, r, mu1 and
@@ -104,7 +100,7 @@ class SampledPhase:
         vals = self.phi(u_abs)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand in modular")
-        return float(np.einsum("i,i->", self.weights, vals))
+        return self.quad.integral(vals)
 
     def scaled_modular(self, u_abs):
         """alpha -> modular of u/alpha.  On a constant phase it is
@@ -116,8 +112,7 @@ class SampledPhase:
         # each power over the contiguous |u| as phi takes it, several times
         # faster than one (M, 3) power or contraction
         terms = [(1.0, self.p), *self.qr_terms]
-        sums = np.array([c * np.einsum("i,i->", self.weights, u_abs ** x)
-                         for c, x in terms])
+        sums = np.array([c * self.quad.integral(u_abs ** x) for c, x in terms])
         e = np.array([x for _, x in terms])
 
         def rho(alpha):
@@ -214,19 +209,12 @@ def luxemburg_norm(tf, u, quad, sampled=None):
     return ModularReport(R, alpha, bracket, iters)
 
 
-def grad_norm_samples(tf, u, sampled):
-    """|grad u| on u's mesh and the SampledPhase to take its modular and
-    Luxemburg norm with, from `sampled`, tf sampled on the mesh's own
-    quadrature.  On a constant phase |grad u| and phi of it are constant on
-    each triangle, as the P1 gradient is, so each triangle is one point
-    weighted by its area; a variable phase, whose exponents and weights
-    vary within a triangle, keeps `sampled` and its points."""
-    if not sampled.constant:
-        return u.grad_norm_at(sampled.quad), sampled
-    mesh = u.mesh
-    cells = QuadratureMeasure(mesh.centroids, mesh.areas,
-                              np.arange(mesh.n_triangles))
-    return u.grad_norms(), SampledPhase(tf, cells)
+def grad_quadrature(tf, mesh):
+    """The quadrature of mesh that norms of |grad u|, u P1, are summed over.
+    On a constant phase phi(|grad u|) is constant on each triangle, as the
+    P1 gradient is: the cell measure, the degree-1 rule weighted by the
+    areas.  A variable phase varies within a triangle: the degree-5 rule."""
+    return mesh.quadrature(1 if tf.constant else 5)
 
 
 def weighted_seminorm(exponent, weight, u, quad):
@@ -238,7 +226,7 @@ def weighted_seminorm(exponent, weight, u, quad):
     vals = np.abs(_as_values(u, quad))
 
     def rho(alpha):
-        return float(np.einsum("i,i->", quad.weights, wv * (vals / alpha) ** e))
+        return quad.integral(wv * (vals / alpha) ** e)
 
     R = rho(1.0)
     if R == 0.0:
@@ -251,9 +239,9 @@ def check_norm_modular_relations(tf, u, quad):
     """Unit-ball equivalences and the two-sided power bounds between the
     Luxemburg norm and the modular."""
     sp = SampledPhase(tf, quad)
-    rep = luxemburg_norm(tf, u, quad, sampled=sp)
-    rho, nrm = rep.modular_value, rep.luxemburg_norm
     vals = np.abs(_as_values(u, quad))
+    rep = luxemburg_norm(tf, vals, quad, sampled=sp)
+    rho, nrm = rep.modular_value, rep.luxemburg_norm
     pm, rp = sp.p_minus, sp.r_plus
     slacks = {}
     if rho == 0.0:
@@ -323,9 +311,10 @@ def check_uniform_convexity(tf, eps, xs, ts, ss):
 
 def check_seminorm_domination(tf, u, quad):
     """Weighted single-term seminorms never exceed the full Luxemburg norm."""
-    nrm = luxemburg_norm(tf, u, quad).luxemburg_norm
-    s1 = weighted_seminorm(tf.exp.q, tf.w.mu1, u, quad)
-    s2 = weighted_seminorm(tf.exp.r, tf.w.mu2, u, quad)
+    vals = np.abs(_as_values(u, quad))
+    nrm = luxemburg_norm(tf, vals, quad).luxemburg_norm
+    s1 = weighted_seminorm(tf.exp.q, tf.w.mu1, vals, quad)
+    s2 = weighted_seminorm(tf.exp.r, tf.w.mu2, vals, quad)
     slacks = {"mu1_term": nrm - s1 + 1e-8, "mu2_term": nrm - s2 + 1e-8}
     return PropertyReport("seminorm_domination",
                           all(v >= 0 for v in slacks.values()), slacks)

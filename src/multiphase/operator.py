@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import SampledPhase, grad_norm_samples, luxemburg_norm
+from .modular import SampledPhase, grad_quadrature, luxemburg_norm
 
 
 @dataclass(frozen=True)
@@ -227,20 +227,23 @@ def check_monotone(fp, u, v):
 
 def check_coercive(fp, u, scales):
     """Rayleigh-type coercivity ratios <A(cu), cu> / ||grad(cu)||_T along
-    increasing scales, with the norm-power lower bound per scale."""
+    increasing scales, with the norm-power lower bound per scale.  A scale
+    may be negative but not 0, where both norm and pairing vanish."""
     disc = PhaseDiscretization(fp, u.mesh)
     if np.any(u.nodal_values[u.mesh.boundary_flags] != 0):
         raise ValueError("u must vanish on the boundary")
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
-    quad = u.mesh.quadrature()
-    gvals, sp_ = grad_norm_samples(fp.tf, u, SampledPhase(fp.tf, quad))
+    if any(c == 0 for c in scales):
+        raise ValueError("scales must be nonzero")
+    quad = grad_quadrature(fp.tf, u.mesh)
+    gvals, sp_ = u.grad_norm_at(quad), SampledPhase(fp.tf, quad)
     out = []
     for c in scales:
         cv = c * u.nodal_values
         res = disc.residual(cv, eps=fp.check_eps)
         pairing = float(res @ cv[disc.free])
-        nrm = luxemburg_norm(fp.tf, c * gvals, sp_.quad, sampled=sp_).luxemburg_norm
+        nrm = luxemburg_norm(fp.tf, c * gvals, quad, sampled=sp_).luxemburg_norm
         ratio = pairing / nrm
         bound = min(nrm ** (sp_.p_minus - 1.0), nrm ** (sp_.r_plus - 1.0))
         out.append((float(c), ratio, bound))

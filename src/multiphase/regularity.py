@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import Ball, _BallCells, ball_quadrature, interpolate
-from .modular import SampledPhase, grad_norm_samples, luxemburg_norm
+from .modular import SampledPhase, grad_quadrature, luxemburg_norm
 from .solver import PhaseProblem, SourceTerm, solve_variational
 
 
@@ -68,70 +68,35 @@ def _ratio(lhs, rhs):
 
 
 class _BallKernel:
-    """One ball classified once (mesh._BallCells), with its two ways to
-    integrate, each built on first use: the ball's point quadrature, for
-    integrands that vary within a triangle (u, its oscillation and
-    truncations, and every integrand of a variable phase, whose exponents
-    and weights vary within a triangle), and its per-triangle weights W.
-
-    On a constant phase phi(|grad u|) is constant on each triangle, as the
-    P1 gradient is, so it and its powers are formed once per mesh triangle
-    and summed against W: no point is formed for them, and the sums are
-    those of the point quadrature up to rounding.  Sums are np.einsum
-    contractions, independent of the BLAS thread count."""
+    """One ball classified once (mesh._BallCells) and its two measures, each
+    built on first use: `quad`, the ball's point quadrature, for integrands
+    that vary within a triangle (u, its oscillation and truncations, and
+    every integrand of a variable phase, whose exponents and weights vary
+    within a triangle), and `grad_quad` for phi(|grad u|) and its powers: on
+    a constant phase, where they are constant on each triangle as the P1
+    gradient is, the ball's cell measure, which forms no sub-point and sums
+    as the point quadrature does up to rounding.  A ball that holds no
+    quadrature point is a ValueError."""
 
     def __init__(self, tf, mesh, ball):
-        self.mesh = mesh
         self.cells = _BallCells(mesh, ball)
+        if len(self.cells.inside) == 0 and not self.cells.kept.any():
+            raise ValueError(f"{ball} holds no quadrature point")
         # a constant phase is sampled at no point
         self.phase = SampledPhase(tf, None if tf.constant else self.quad)
 
     @cached_property
     def quad(self):
-        return ball_quadrature(self.mesh, self.cells)
+        return ball_quadrature(self.cells.mesh, self.cells)
 
     @cached_property
-    def tri_weights(self):
-        """(triangles, W): mesh._BallCells.weights."""
-        return self.cells.weights()
+    def grad_quad(self):
+        return self.cells.cell_measure() if self.phase.constant else self.quad
 
-    def integral(self, vals):
-        """The integral of values at the ball's points."""
-        return float(np.einsum("i,i->", self.quad.weights, vals))
-
-    def mean(self, vals):
-        # normalized by the clipped quadrature mass, not pi R^2, so constant
-        # fields are reproduced exactly despite the geometric clipping
-        return self.integral(vals) / self.quad.total_mass
-
-    def phi_grad_integrals(self, u, exponents, per_tri):
-        """The integrals over the ball of phi(|grad u|)^e for each e of
-        exponents, e = 1 giving phi(|grad u|) itself.
-
-        On a constant phase the per-triangle values are the same for every
-        ball of the mesh: they are formed once per state and exponent and
-        kept in `per_tri`, a dict the caller passes to all kernels for
-        that state, and summed against W.  A variable phase forms them at
-        the ball's points."""
-        values = per_tri if self.phase.constant else {}
-        if 1.0 not in values:
-            values[1.0] = self.phase.phi(u.grad_norms() if self.phase.constant
-                                         else u.grad_norm_at(self.quad))
-        for e in exponents:
-            if e not in values:
-                values[e] = values[1.0] ** e
-        if not self.phase.constant:
-            return [self.integral(values[e]) for e in exponents]
-        tris, w = self.tri_weights
-        return [float(np.einsum("t,t->", w, np.take(values[e], tris)))
-                for e in exponents]
-
-    def phi_grad_means(self, u, exponents, per_tri):
-        """phi_grad_integrals over the mass of the measure they sum over:
-        the total of W on a constant phase, else the quadrature's."""
-        mass = (float(np.einsum("t->", self.tri_weights[1])) if self.phase.constant
-                else self.quad.total_mass)
-        return [s / mass for s in self.phi_grad_integrals(u, exponents, per_tri)]
+    def phi_grad(self, g):
+        """phi(|grad u|) at the points of grad_quad, from g = u.grad_norms(),
+        |grad u| on each mesh triangle."""
+        return self.phase.phi(np.take(g, self.grad_quad.tri_index))
 
 
 def _check_m_grid(m_grid):
@@ -142,10 +107,9 @@ def _check_m_grid(m_grid):
 
 
 def _pair_kernels(tf, mesh, pair):
-    """Kernels of a concentric (inner, outer) ball pair and R2 - R1."""
-    inner, outer = pair
-    if inner.center != outer.center or not inner.radius < outer.radius:
-        raise ValueError("need concentric balls with R1 < R2")
+    """Kernels of an (inner, outer) ball pair, checked as a BallFamily
+    checks its pairs, and R2 - R1."""
+    inner, outer = BallFamily(tuple(pair), ((0, 1),)).balls
     return (_BallKernel(tf, mesh, inner), _BallKernel(tf, mesh, outer),
             outer.radius - inner.radius)
 
@@ -155,10 +119,10 @@ def caccioppoli_ratio(fp, u, pair):
     gradient energy on the inner ball against the scaled oscillation
     energy on the outer ball."""
     ki, ko, gap = _pair_kernels(fp.tf, u.mesh, pair)
-    lhs = ki.phi_grad_integrals(u, [1.0], {})[0]
+    lhs = ki.grad_quad.integral(ki.phi_grad(u.grad_norms()))
     uo = u.at_quad(ko.quad)
-    osc = np.abs(uo - ko.mean(uo)) / gap
-    return _ratio(lhs, ko.integral(ko.phase.phi(osc)))
+    osc = np.abs(uo - ko.quad.mean(uo)) / gap
+    return _ratio(lhs, ko.quad.integral(ko.phase.phi(osc)))
 
 
 def caccioppoli_truncation_ratio(fp, u, pair, l, sign):
@@ -169,9 +133,9 @@ def caccioppoli_truncation_ratio(fp, u, pair, l, sign):
     ki, ko, gap = _pair_kernels(fp.tf, u.mesh, pair)
     active_i = sign * (u.at_quad(ki.quad) - l) > 0
     gi = u.grad_norm_at(ki.quad) * active_i
-    lhs = ki.integral(ki.phase.phi(gi))
+    lhs = ki.quad.integral(ki.phase.phi(gi))
     trunc_o = np.maximum(sign * (u.at_quad(ko.quad) - l), 0.0)
-    return _ratio(lhs, ko.integral(ko.phase.phi(trunc_o / gap)))
+    return _ratio(lhs, ko.quad.integral(ko.phase.phi(trunc_o / gap)))
 
 
 def sobolev_poincare_ratio(fp, u, ball, delta):
@@ -180,10 +144,10 @@ def sobolev_poincare_ratio(fp, u, ball, delta):
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     k = _BallKernel(fp.tf, u.mesh, ball)
-    uq = u.at_quad(k.quad)
-    osc = np.abs(uq - k.mean(uq)) / ball.radius
-    lhs = k.mean(k.phase.phi(osc))
-    avg_pow = k.phi_grad_means(u, [delta], {})[0]
+    q = k.quad
+    uq = u.at_quad(q)
+    lhs = q.mean(k.phase.phi(np.abs(uq - q.mean(uq)) / ball.radius))
+    avg_pow = k.grad_quad.mean(k.phi_grad(u.grad_norms()) ** delta)
     return lhs / (1.0 + avg_pow ** (1.0 / delta))
 
 
@@ -195,7 +159,7 @@ def sobolev_poincare_zero_set(fp, u, ball, E_indicator, delta, gamma):
     k = _BallKernel(fp.tf, u.mesh, ball)
     q = k.quad
     ind = np.asarray(E_indicator(q.points[:, 0], q.points[:, 1]), dtype=bool)
-    if k.integral(ind) < gamma * q.total_mass:
+    if q.integral(ind) < gamma * q.total_mass:
         raise ValueError("zero-set measure below gamma")
     # nodal vanishing check on E
     nv = u.mesh.vertices
@@ -204,8 +168,8 @@ def sobolev_poincare_zero_set(fp, u, ball, E_indicator, delta, gamma):
                       nv[:, 1] - ball.center[1]) <= ball.radius
     if np.any(np.abs(u.nodal_values[node_in & inside]) > 1e-12):
         raise ValueError("u does not vanish on E")
-    lhs = k.mean(k.phase.phi(np.abs(u.at_quad(q)) / ball.radius))
-    rhs = k.phi_grad_means(u, [delta], {})[0] ** (1.0 / delta)
+    lhs = q.mean(k.phase.phi(np.abs(u.at_quad(q)) / ball.radius))
+    rhs = k.grad_quad.mean(k.phi_grad(u.grad_norms()) ** delta) ** (1.0 / delta)
     return _ratio(lhs, rhs)
 
 
@@ -215,11 +179,12 @@ def poincare_w0_ratio(fp, u):
         raise ValueError("u must vanish on boundary nodes")
     if not np.any(u.nodal_values != 0):
         raise ValueError("u must be nonzero")
-    quad = u.mesh.quadrature()
+    quad, gquad = u.mesh.quadrature(), grad_quadrature(fp.tf, u.mesh)
     sp = SampledPhase(fp.tf, quad)
     num = luxemburg_norm(fp.tf, u, quad, sampled=sp).luxemburg_norm
-    grads, gsp = grad_norm_samples(fp.tf, u, sp)
-    den = luxemburg_norm(fp.tf, grads, gsp.quad, sampled=gsp).luxemburg_norm
+    gsp = sp if gquad is quad else SampledPhase(fp.tf, gquad)
+    den = luxemburg_norm(fp.tf, u.grad_norm_at(gquad), gquad,
+                         sampled=gsp).luxemburg_norm
     return num / den
 
 
@@ -229,14 +194,14 @@ def higher_integrability_probe(fp, u, family, m_grid, stability_factor=10.0):
     _check_m_grid(m_grid)
     if not family.pairing:
         raise ValueError("ball family has no pairs")
-    rows, per_tri = [], {}
-    exponents = [1.0 + m for m in m_grid]
+    rows, g = [], u.grad_norms()
     for i, j in family.pairing:
         ki, ko, _ = _pair_kernels(fp.tf, u.mesh,
                                   (family.balls[i], family.balls[j]))
-        avg_o = ko.phi_grad_means(u, [1.0], per_tri)[0]
-        for m, gi in zip(m_grid, ki.phi_grad_means(u, exponents, per_tri)):
-            lhs = gi ** (1.0 / (1.0 + m))
+        avg_o = ko.grad_quad.mean(ko.phi_grad(g))
+        phi_i = ki.phi_grad(g)
+        for m in m_grid:
+            lhs = ki.grad_quad.mean(phi_i ** (1.0 + m)) ** (1.0 / (1.0 + m))
             rows.append(((i, j), m, lhs / (1.0 + avg_o)))
     per_m = {m: max(r for _, mm, r in rows if mm == m) for m in m_grid}
     stable = [m for m in m_grid if per_m[m] < stability_factor]
@@ -252,15 +217,14 @@ def boundary_higher_integrability_probe(fp, v, w, ball_pairs, m_grid=(0.05,)):
     _check_m_grid(m_grid)
     if len(ball_pairs) == 0:
         raise ValueError("ball_pairs is empty")
-    rows, per_tri_v, per_tri_w = [], {}, {}
-    exponents = [1.0 + m for m in m_grid]
+    rows, gv, gw = [], v.grad_norms(), w.grad_norms()
     for inner, outer in ball_pairs:
         ki, ko, _ = _pair_kernels(fp.tf, v.mesh, (inner, outer))
-        avg_v = ko.phi_grad_means(v, [1.0], per_tri_v)[0]
-        for m, lhs, gw_o in zip(m_grid,
-                                ki.phi_grad_means(v, exponents, per_tri_v),
-                                ko.phi_grad_means(w, exponents, per_tri_w)):
-            rhs = avg_v ** (1.0 + m) + gw_o + 1.0
+        avg_v = ko.grad_quad.mean(ko.phi_grad(gv))
+        phi_vi, phi_wo = ki.phi_grad(gv), ko.phi_grad(gw)
+        for m in m_grid:
+            lhs = ki.grad_quad.mean(phi_vi ** (1.0 + m))
+            rhs = avg_v ** (1.0 + m) + ko.grad_quad.mean(phi_wo ** (1.0 + m)) + 1.0
             rows.append(((inner.radius, outer.radius), m, _ratio(lhs, rhs)))
     return ProbeReport("boundary_higher_integrability", rows,
                        max(r for _, _, r in rows),

@@ -277,6 +277,23 @@ class TestMain:
         assert code == EXIT_USAGE
         assert "'d'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, message", [
+        ({"center": [0.5, 0.5], "r1": 0.1}, "KeyError"),
+        ({"center": [0.5, 0.5], "r1": 0.2, "r2": 0.2}, "R1 < R2"),
+        ({"center": [0.5, 0.5], "r1": "wide", "r2": 0.2}, "r1 must be a number"),
+        ({"center": [0.5, 0.5], "r1": -0.1, "r2": 0.2}, "radius must be positive"),
+        ({"center": [0.5], "r1": 0.1, "r2": 0.2}, "IndexError"),
+        (0.1, "TypeError"),
+    ], ids=["missing_r2", "r1_not_below_r2", "non_numeric", "negative",
+            "short_center", "not_an_object"])
+    def test_malformed_ball_pair_exit_usage(self, tmp_path, capsys, pair, message):
+        path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"ball_pairs": [pair]}})
+        code = main(["--config", path, "--out", str(tmp_path / "out"),
+                     "probe", "caccioppoli"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: probe.ball_pairs" in err and message in err
+
     def test_probe_without_ratios_fails(self, tmp_path):
         path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"ball_pairs": []}})
         code = main(["--config", path, "--out", str(tmp_path / "out"),

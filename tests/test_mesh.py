@@ -213,6 +213,16 @@ class TestBallQuadrature:
         assert np.all(q.tri_index >= 0)
         assert np.all(q.tri_index < square32.n_triangles)
 
+    def test_integral_and_mean(self, square32):
+        """integral is the einsum contraction of weights and values, and
+        mean divides it by total_mass, so a constant is its own mean on
+        the clipped ball."""
+        q = ball_quadrature(square32, Ball((0.5, 0.5), 0.3))
+        vals = np.sin(q.points[:, 0]) + q.points[:, 1]
+        assert q.integral(vals) == float(np.einsum("i,i->", q.weights, vals))
+        assert q.mean(vals) == q.integral(vals) / q.total_mass
+        assert q.mean(np.full(len(q.weights), 2.5)) == pytest.approx(2.5, rel=1e-15)
+
 
 def _reference_vtk(mesh, point_data, cell_data, comment):
     """Legacy VTK text formatted one numpy element at a time."""

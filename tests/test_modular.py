@@ -9,8 +9,8 @@ from multiphase import (ExponentTriple, FeFunction, ScalarField, UNIT_SQUARE,
                         check_seminorm_domination, check_subadditivity,
                         check_uniform_convexity, interpolate, luxemburg_norm,
                         modular, t_value, weighted_seminorm)
-from multiphase.modular import (NormBracketError, PhaseFunction, SampledPhase,
-                                _luxemburg_bisect)
+from multiphase.modular import (REL_TOL, NormBracketError, PhaseFunction,
+                                SampledPhase, _luxemburg_bisect)
 
 from conftest import random_fe
 
@@ -320,6 +320,49 @@ class TestSeminormDomination:
         rep = check_seminorm_domination(variable_phase,
                                         random_fe(square16, rng, scale=2.0), quad16)
         assert rep.passed
+
+
+class TestStateEvaluatedOnce:
+    """The norm-modular relations and the seminorm domination evaluate |u|
+    at the quadrature once and pass the values on, with the slacks of the
+    norms evaluated from u each."""
+
+    @staticmethod
+    def count_at_quad(monkeypatch):
+        calls = []
+        original = FeFunction.at_quad
+
+        def counted(self, quad, bary=None):
+            calls.append(quad)
+            return original(self, quad, bary)
+
+        monkeypatch.setattr(FeFunction, "at_quad", counted)
+        return calls
+
+    @pytest.mark.parametrize("phase", ["triple_phase", "variable_phase"])
+    def test_norm_modular_relations(self, request, phase, square16, quad16,
+                                    monkeypatch):
+        tf = request.getfixturevalue(phase)
+        u = random_fe(square16, np.random.default_rng(14), scale=2.0)
+        nrm = luxemburg_norm(tf, u, quad16).luxemburg_norm
+        unit = SampledPhase(tf, quad16).modular(np.abs(u.at_quad(quad16)) / nrm)
+        calls = self.count_at_quad(monkeypatch)
+        rep = check_norm_modular_relations(tf, u, quad16)
+        assert len(calls) == 1
+        assert rep.slacks["unit_sphere"] == REL_TOL - abs(unit - 1.0)
+
+    @pytest.mark.parametrize("phase", ["triple_phase", "variable_phase"])
+    def test_seminorm_domination(self, request, phase, square16, quad16,
+                                 monkeypatch):
+        tf = request.getfixturevalue(phase)
+        u = random_fe(square16, np.random.default_rng(15), scale=2.0)
+        nrm = luxemburg_norm(tf, u, quad16).luxemburg_norm
+        s1 = weighted_seminorm(tf.exp.q, tf.w.mu1, u, quad16)
+        s2 = weighted_seminorm(tf.exp.r, tf.w.mu2, u, quad16)
+        calls = self.count_at_quad(monkeypatch)
+        rep = check_seminorm_domination(tf, u, quad16)
+        assert len(calls) == 1
+        assert rep.slacks == {"mu1_term": nrm - s1 + 1e-8, "mu2_term": nrm - s2 + 1e-8}
 
 
 class TestDoublePhaseReduction:

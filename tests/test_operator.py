@@ -215,6 +215,17 @@ class TestCoercive:
         with pytest.raises(ValueError, match="nonzero"):
             check_coercive(triple_flux, u, [1.0])
 
+    def test_zero_scale_rejected(self, triple_flux, square8):
+        """At scale 0 both the pairing and the norm vanish; a negative scale
+        gives the ratio and bound of its absolute value."""
+        u = random_fe(square8, np.random.default_rng(32))
+        with pytest.raises(ValueError, match="nonzero"):
+            check_coercive(triple_flux, u, [1.0, 0.0])
+        (_, neg, neg_bound), (_, pos, pos_bound) = check_coercive(
+            triple_flux, u, [-2.0, 2.0])
+        assert neg == pytest.approx(pos, rel=1e-12)
+        assert neg_bound == pos_bound
+
 
 class TestReductionRegressions:
     """Degenerate weights must reproduce simpler operators exactly."""

@@ -195,13 +195,14 @@ def phi_grad(k, u):
 
 
 def grad_mean(k, vals):
-    """The ball mean of phi_grad values or of a power of them: against the
-    ball's per-triangle weights on a constant phase, else at its points."""
+    """The ball mean of phi_grad values or of a power of them: over the
+    ball's cell measure, gathered from every mesh triangle, on a constant
+    phase, else at its points."""
     if k.phase.constant:
-        tris, w = k.cells.weights()
-        return (float(np.einsum("t,t->", w, np.take(vals, tris)))
-                / float(np.einsum("t->", w)))
-    return k.mean(vals)
+        cells = k.cells.cell_measure()
+        return (float(np.einsum("t,t->", cells.weights, np.take(vals, cells.tri_index)))
+                / float(cells.weights.sum()))
+    return float(np.einsum("i,i->", k.quad.weights, vals)) / k.quad.total_mass
 
 
 def per_pair_higher_integrability(tf, u, family, m_grid):
@@ -499,9 +500,9 @@ class TestPhiPerTriangle:
                                           ((1.5, 2.5, 3.7), (0.3, 2.0))])
     def test_constant_phase_per_triangle(self, exps, mu):
         """On a constant phase phi(|grad u|) and its powers are formed once
-        per triangle and summed against the ball's weights: the kernel
-        forms no point for them, and its means are those of the points of
-        the ball quadrature up to rounding."""
+        per triangle and summed over the ball's cell measure: the kernel
+        forms no sub-point for them, and its means are those of the points
+        of the ball quadrature up to rounding."""
         tf = PhaseFunction(ExponentTriple.constants(*exps), WeightPair.constants(*mu))
         mesh = structured_mesh(UNIT_SQUARE, 32)
         u = self.state(mesh)
@@ -509,8 +510,11 @@ class TestPhiPerTriangle:
         for ball in (Ball((0.5, 0.5), 0.2), Ball((0.3, 0.7), 0.05)):
             k = _BallKernel(tf, mesh, ball)
             assert k.phase.constant
-            got = k.phi_grad_means(u, exponents, {})
+            phi = k.phi_grad(u.grad_norms())
+            got = [k.grad_quad.mean(phi ** e) for e in exponents]
             assert "quad" not in vars(k)
+            # one point per triangle
+            assert len(np.unique(k.grad_quad.tri_index)) == len(phi)
             q = ball_quadrature(mesh, ball)
             per_point = k.phase.phi(u.grad_norm_at(q))
             for e, mean in zip(exponents, got):
@@ -519,22 +523,20 @@ class TestPhiPerTriangle:
 
     def test_variable_phase_per_point(self, variable_phase):
         """A variable phase samples phi at the ball's points and forms no
-        per-triangle weights."""
+        cell measure."""
         mesh = structured_mesh(UNIT_SQUARE, 32)
         u = self.state(mesh)
         k = _BallKernel(variable_phase, mesh, Ball((0.5, 0.5), 0.2))
         assert not k.phase.constant
+        assert k.grad_quad is k.quad
         g = k.phase.phi(u.grad_norm_at(k.quad))
-        assert k.phi_grad_integrals(u, [1.0, 1.2], {}) == [k.integral(g),
-                                                           k.integral(g ** 1.2)]
-        assert k.phi_grad_means(u, [1.2], {}) == [k.mean(g ** 1.2)]
-        assert "tri_weights" not in vars(k)
+        assert np.array_equal(k.phi_grad(u.grad_norms()), g)
 
 
 class TestPhiGradOncePerCall:
-    """On a constant phase the higher-integrability probes form
-    phi(|grad u|) once per call and state, not for every ball, with the rows
-    of the per-pair evaluation to the last bit."""
+    """The higher-integrability probes form |grad u| once per call and
+    state on both phase kinds, not for every ball, with the rows of the
+    per-pair evaluation to the last bit."""
 
     M_GRID = (0.02, 0.05, 0.1, 0.2, 0.4)
 
@@ -564,14 +566,14 @@ class TestPhiGradOncePerCall:
         assert len(calls) == 1
         assert rep.per_ball == ref
 
-    def test_variable_phase_per_pair(self, square16, variable_phase, monkeypatch):
+    def test_variable_phase(self, square16, variable_phase, monkeypatch):
         fam = _ball_family({})
         u = TestPhiPerTriangle.state(square16)
         ref = per_pair_higher_integrability(variable_phase, u, fam, self.M_GRID)
         calls = self.count_grad_norms(monkeypatch)
         rep = higher_integrability_probe(FluxParams(variable_phase, eps=1e-8), u,
                                          fam, list(self.M_GRID))
-        assert len(calls) == 2 * len(fam.pairing)
+        assert len(calls) == 1
         assert rep.per_ball == ref
 
     @pytest.mark.parametrize("constant", [True, False])
@@ -586,7 +588,7 @@ class TestPhiGradOncePerCall:
         calls = self.count_grad_norms(monkeypatch)
         rep = boundary_higher_integrability_probe(FluxParams(tf, eps=1e-8), v, w,
                                                   pairs, m_grid=self.M_GRID)
-        assert len(calls) == (2 if constant else 3 * len(pairs))
+        assert len(calls) == 2
         assert rep.per_ball == ref
 
 
@@ -634,6 +636,15 @@ class TestMeshQuadratureContraction:
             got = u.at_quad(quad)
             assert got.shape == quad.weights.shape
             assert np.array_equal(got, gathered_at_quad(u, quad))
+
+    def test_degree_one_is_the_cell_measure(self, at_quad_mesh):
+        """The degree-1 rule is one point per triangle weighted by its area
+        bit for bit: the cell measure that the zero-trace Poincare ratio and
+        the coercivity check sum |grad u| over on a constant phase."""
+        q = at_quad_mesh.quadrature(1)
+        assert np.array_equal(q.weights, at_quad_mesh.areas)
+        assert np.array_equal(q.tri_index, np.arange(at_quad_mesh.n_triangles))
+        np.testing.assert_allclose(q.points, at_quad_mesh.centroids, rtol=0, atol=1e-15)
 
     def test_other_measures_gather_rows(self, square16, monkeypatch):
         """A measure built by hand from the mesh quadrature's arrays, a ball
@@ -824,9 +835,9 @@ def _weight_balls(mesh, rng):
 
 
 class TestBallWeights:
-    """The per-triangle weights against the ball quadrature they stand in
-    for, and the constant-phase probes that sum against them against the
-    same probes summed at the quadrature's points."""
+    """The cell measure of a ball against the ball quadrature it stands in
+    for, and the constant-phase probes that sum over it against the same
+    probes summed at the quadrature's points."""
 
     def test_weights_are_the_quadrature_masses(self, weight_mesh):
         mesh = weight_mesh
@@ -842,7 +853,9 @@ class TestBallWeights:
                 assert not 60 <= k < 64
                 continue
             accepted += 1
-            tris, w = _BallCells(mesh, ball).weights()
+            cells = _BallCells(mesh, ball).cell_measure()
+            tris, w = cells.tri_index, cells.weights
+            assert np.array_equal(cells.points, mesh.centroids[tris])
             # the triangles with positive W carry the quadrature's points
             assert np.all(w > 0)
             assert np.array_equal(np.sort(tris), np.unique(q.tri_index))

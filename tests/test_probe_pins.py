@@ -6,11 +6,13 @@ space-varying phase and for the constant (2, 3, 3) phase with mu = (1, 0).
 A refactor of the probes that keeps every sum in its order keeps these
 values to the last bit; a change to the minimiser or to the quadrature
 moves them and has to pin them again.  On the constant phase the sums of
-phi(|grad u|) and its powers run per triangle, against the ball's
-per-triangle weights or, for the zero-trace Poincare ratio and the
-coercivity check, the triangle areas; every other sum runs over quadrature
-points.  The sums are einsum contractions, not BLAS dots, so the values
-hold under any BLAS thread count.
+phi(|grad u|) and its powers run over a cell measure, one point per
+triangle: the ball's cell measure for the ball probes and the mesh's
+degree-1 quadrature, weighted by the triangle areas, for the zero-trace
+Poincare ratio and the coercivity check.  Every other sum runs over the
+points of a quadrature.  Every mean divides by its measure's total_mass.
+The sums are einsum contractions, not BLAS dots, so the values hold under
+any BLAS thread count.
 
 Regenerate the table by running this file as a script:
     PYTHONPATH=src python tests/test_probe_pins.py
@@ -117,18 +119,18 @@ PINNED = {
     "constant": {'caccioppoli': [0.21314859256579993, 0.19182947685244073],
                  'truncation': [0.1984473216505689, 0.2350122700268837],
                  'sobolev_poincare': [0.10906037696496278, 0.1599075771268293],
-                 'zero_set': 0.2231027613774133,
-                 'higher': [0.49641677067632706,
-                            0.4992469342981311,
+                 'zero_set': 0.22310276137741328,
+                 'higher': [0.4964167706763269,
+                            0.4992469342981309,
                             0.709364155497954,
-                            0.715457300963235,
-                            0.715457300963235],
+                            0.7154573009632351,
+                            0.7154573009632351],
                  'largest_stable_m': 0.2,
-                 'boundary': [0.23996052471473994,
-                              0.22731877838240636,
-                              0.3367901710931054,
-                              0.3240093764111775,
-                              0.3367901710931054],
+                 'boundary': [0.23996052471473986,
+                              0.2273187783824063,
+                              0.33679017109310544,
+                              0.32400937641117755,
+                              0.33679017109310544],
                  'poincare_w0': 0.22482274341005584,
                  'coercive': [(0.5, 0.290640669874978, 0.16323295804182147),
                               (1.0, 0.7350049666157555, 0.6529318321560593),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from multiphase import (Ball, BallFamily, FeFunction, UNIT_SQUARE,
+from multiphase import (Ball, BallFamily, FeFunction, FluxParams, UNIT_SQUARE,
+                        ball_quadrature,
                         boundary_higher_integrability_probe, caccioppoli_ratio,
                         caccioppoli_truncation_ratio, higher_integrability_probe,
                         interpolate, minimize_dirichlet, poincare_w0_ratio,
@@ -228,3 +229,37 @@ class TestBoundaryHigherIntegrability:
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             boundary_higher_integrability_probe(triple_flux, v, v,
                                                 [CENTER_PAIR], m_grid=(m,))
+
+
+class TestBallWithoutPoints:
+    """A ball that holds no quadrature point is a ValueError naming the
+    ball, from all six ball probes on both phase kinds."""
+
+    TINY = Ball((0.51, 0.52), 1e-7)
+    PAIR = (TINY, Ball((0.51, 0.52), 2e-7))
+    PROBES = {
+        "caccioppoli": lambda fp, u, pair: caccioppoli_ratio(fp, u, pair),
+        "truncation": lambda fp, u, pair: caccioppoli_truncation_ratio(
+            fp, u, pair, 0.0, +1),
+        "sobolev_poincare": lambda fp, u, pair: sobolev_poincare_ratio(
+            fp, u, pair[0], 0.5),
+        "zero_set": lambda fp, u, pair: sobolev_poincare_zero_set(
+            fp, u, pair[0], lambda x, y: x >= 0, 0.5, 0.1),
+        "higher": lambda fp, u, pair: higher_integrability_probe(
+            fp, u, BallFamily(pair, ((0, 1),)), [0.1]),
+        "boundary": lambda fp, u, pair: boundary_higher_integrability_probe(
+            fp, u, u, [pair]),
+    }
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize("phase", ["triple_flux", "variable"])
+    def test_value_error(self, request, square16, variable_phase, phase, probe):
+        fp = (request.getfixturevalue(phase) if phase == "triple_flux"
+              else FluxParams(variable_phase, eps=1e-8))
+        x, y = square16.vertices.T
+        u = FeFunction(square16, x * y)
+        with pytest.raises(ValueError, match=r"Ball\(center=\(0\.51, 0\.52\), "
+                                             r"radius=1e-07\) holds no quadrature"):
+            self.PROBES[probe](fp, u, self.PAIR)
+        # the ball quadrature itself is empty, not an error
+        assert len(ball_quadrature(square16, self.TINY).weights) == 0
