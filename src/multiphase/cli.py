@@ -255,6 +255,8 @@ def cmd_solve(cfg, args, manifest):
     prob = build_problem(cfg)
     solver_cfg = cfg.get("solver", {})
     tol = _number(solver_cfg.get("tol", 1e-10), "solver.tol")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"solver.tol must be a positive finite number, got {tol}")
     max_iter = _number(solver_cfg.get("max_iter", 100), "solver.max_iter", int)
     with manifest.stage("solve"):
         if prob.source.grad_dependent:
@@ -281,9 +283,11 @@ def cmd_eigen(cfg, args, manifest):
     m = _number(cfg.get("eigen_m", 2.0), "eigen_m")
     if m <= 1:
         raise ConfigError("eigen_m must exceed 1")
+    k = _number(cfg.get("refinements", 0), "refinements", int)
+    if k < 0:
+        raise ConfigError(f"refinements must be >= 0, got {k}")
     domain = build_domain(cfg)
     mesh = structured_mesh(domain, _mesh_n(cfg))
-    k = _number(cfg.get("refinements", 0), "refinements", int)
     rows = []
     with manifest.stage("eigen"):
         for level in range(k + 1):

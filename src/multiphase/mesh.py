@@ -50,8 +50,15 @@ class QuadratureMeasure:
     tri_index maps each point to the mesh triangle it lies in, which lets
     P1 data be evaluated without point location.  A quadrature built from a
     barycentric rule table also records which row of `rule` each point is,
-    so P1 data need no barycentric solve either.  A cell measure, one point
-    per triangle, integrates what is constant on each, as a P1 gradient is.
+    so P1 data need no barycentric solve either.  The mesh's own and ball
+    quadratures (private subclasses) also hold their triangle blocks:
+    `blocks` holds a (tris, rows, keep) for each run of points, which are
+    the rule points rule[rows] on each triangle mesh.triangles[tris] in
+    turn, all of them where keep is None, else the flat entries of that
+    (triangles, rows) grid that keep lists, and `FeFunction.at_quad`
+    evaluates P1 data on them block by block.  Any other measure has none.
+    A cell measure, one point per triangle, integrates what is constant on
+    each, as a P1 gradient is.
     """
 
     points: np.ndarray        # (M, 2)
@@ -59,6 +66,7 @@ class QuadratureMeasure:
     tri_index: np.ndarray     # (M,) int
     rule_index: np.ndarray | None = None   # (M,) int row of `rule`
     rule: np.ndarray | None = None         # (K, 3) barycentric points
+    blocks = None             # not a field: set by the private subclasses
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -78,6 +86,16 @@ class QuadratureMeasure:
         """integral / total_mass: a constant is its own mean also on a
         region that the mesh clips."""
         return self.integral(vals) / self.total_mass
+
+
+# frozen dataclasses too: on a subclass that is not one, the base's
+# __setattr__ refuses only the fields, and `blocks` is not a field
+@dataclass(frozen=True)
+class _MeshQuadrature(QuadratureMeasure):
+    """The measure of `TriMesh.quadrature`: one block, the whole rule on
+    every triangle."""
+
+    blocks = ((slice(None), slice(None), None),)
 
 
 @dataclass(frozen=True)
@@ -223,7 +241,7 @@ class TriMesh:
                       np.tile(np.arange(len(w), dtype=np.int32), self.n_triangles))
             for a in arrays:
                 a.setflags(write=False)
-            self._quadratures[degree] = QuadratureMeasure(*arrays, bary)
+            self._quadratures[degree] = _MeshQuadrature(*arrays, bary)
         return self._quadratures[degree]
 
     @cached_property
@@ -414,17 +432,31 @@ class FeFunction:
         return (self.mesh.grad_operator @ self.nodal_values).reshape(-1, 2)
 
     def at_quad(self, quad, bary=None):
-        """Values at quadrature points using the recorded triangle indices
-        and, where the quadrature records them, the rule points.
+        """Values at quadrature points.
 
-        On a quadrature that mesh.quadrature returned, whose points run
-        through the rule on each triangle in turn, each triangle's nodal
-        values are contracted with the rule directly: the same values
-        without the two (M, 3) row gathers."""
-        own = self.mesh._quadratures.values()
-        if bary is None and any(quad is q for q in own):
-            tri_vals = np.take(self.nodal_values, self.mesh.triangles)
-            return np.einsum("tj,kj->tk", tri_vals, quad.rule).ravel()
+        On a quadrature with triangle blocks (the mesh's own and ball
+        quadratures) each block's nodal values are contracted with its rule
+        rows, and a block's kept entries taken into the output: the values
+        of the gathered path bit for bit, without its two (M, 3) row gathers
+        or the index arrays.  Otherwise, or given barycentric rows `bary`,
+        each point's nodal values and barycentric row (the recorded rule
+        point, else a barycentric solve) are gathered as rows."""
+        if bary is None and quad.blocks is not None:
+            out = np.empty(len(quad.weights))
+            at = 0
+            for tris, rows, keep in quad.blocks:
+                tri_vals = np.take(self.nodal_values, self.mesh.triangles[tris])
+                rule = quad.rule[rows]
+                if keep is None:
+                    n = len(tri_vals) * len(rule)
+                    np.einsum("tj,kj->tk", tri_vals, rule,
+                              out=out[at:at + n].reshape(-1, len(rule)))
+                else:
+                    n = len(keep)
+                    np.take(np.einsum("tj,kj->tk", tri_vals, rule), keep,
+                            out=out[at:at + n], mode="clip")
+                at += n
+            return out
         if bary is None and quad.rule_index is not None:
             bary = np.take(quad.rule, quad.rule_index, axis=0)
         elif bary is None:
@@ -487,8 +519,11 @@ class _BallCells:
     the circle when only its bounding circle meets the ball.  The points of
     the _BALL_DEGREE rule on each piece of a crossing triangle's
     _BALL_DEPTH regular 4-splits are its sub-points; `kept` flags those in
-    the ball.  The sub-points themselves are formed again where a point
-    quadrature needs them, not held: most balls need only the cell measure.
+    the ball, triangle by triangle.  The keep test reads the x and the y of
+    the sub-points (`sub_coords`) and squares them in place: half the
+    memory of the interleaved (C S, 2) sub-points and their coordinate
+    temporaries, with the same distances bit for bit.  The sub-points are
+    not held: a ball quadrature forms them again where its points are read.
     A ball that escapes the mesh by more than a slack below the P1
     resolution is rejected (`_check_in_mesh`)."""
 
@@ -506,15 +541,23 @@ class _BallCells:
         self.inside, self.crossing = np.compress(all_in, near), np.compress(~all_in, near)
         self.inside_verts = np.compress(all_in, verts, axis=0)
         self.crossing_verts = np.compress(~all_in, verts, axis=0)
-        self.kept = _dist2(self.sub_points(), c) <= R * R
+        x, y = self.sub_coords()
+        x -= c[0]
+        x *= x
+        y -= c[1]
+        y *= y
+        x += y
+        self.kept = (x <= R * R).ravel()
 
-    def sub_points(self):
-        """The sub-points of the crossing triangles, triangle by triangle."""
-        # rows [0, K) of the rule table are the plain rule, rows K on the
-        # subdivided one
-        table, _ = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
-        K = len(quad_rule(_BALL_DEGREE)[1])
-        return (table[K:] @ self.crossing_verts).reshape(-1, 2)
+    def sub_coords(self):
+        """The x, then the y of the sub-points of the C crossing triangles,
+        each (C, S) over the S sub-rule points, triangle by triangle: one
+        product (C, 3) @ (3, S) of vertex coordinates and sub-rule each, so
+        that the keep test and a ball quadrature's points read the same
+        coordinates, whatever rounding the BLAS kernel gives them.  A
+        generator: a caller that takes one at a time holds one."""
+        table, K, _ = _ball_table()
+        return (self.crossing_verts[:, :, d] @ table[K:].T for d in (0, 1))
 
     def cell_measure(self):
         """One point, the centroid, on each triangle that carries points in
@@ -523,7 +566,7 @@ class _BallCells:
         the summed unit weights of its kept sub-points.  W_t is the sum of
         the quadrature's weights on triangle t up to rounding.  A crossing
         triangle that keeps no sub-point carries no point, and is left out."""
-        _, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
+        _, _, sub_w = _ball_table()
         # einsum, not a BLAS gemv: the sums do not follow the thread count
         share = np.einsum("ts,s->t", self.kept.reshape(-1, len(sub_w)), sub_w)
         held = np.flatnonzero(share > 0.0)
@@ -535,48 +578,88 @@ class _BallCells:
                             np.take(areas, crossing) * np.take(share, held)]), tris)
 
 
+def _ball_table():
+    """The ball quadratures' rule table (`_ball_rule`), the number K of its
+    leading plain-rule rows, and the unit weights of the sub-rule rows."""
+    table, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
+    return table, len(table) - len(sub_w), sub_w
+
+
+@dataclass(frozen=True, init=False)
+class _BallQuadrature(QuadratureMeasure):
+    """The measure of `ball_quadrature` in two triangle blocks: the plain
+    rule on the triangles inside the ball, then the kept sub-rule entries on
+    the crossing ones.  The weights are formed with it; points, tri_index
+    and rule_index, which `at_quad` does not read, on first read.  Rows are
+    gathered with np.take, several times faster than fancy indexing,
+    straight into the outputs; mode="clip" on indices in range skips the
+    buffer that `out` takes under the default mode."""
+
+    def __init__(self, cells):
+        table, K, sub_w = _ball_table()
+        keep = np.flatnonzero(cells.kept)
+        n_in = K * len(cells.inside)
+        # past the frozen __setattr__, as the cached properties set theirs
+        vars(self).update(cells=cells, rule=table, _K=K, _n_in=n_in, _keep=keep,
+                          blocks=((cells.inside, slice(0, K), None),
+                                  (cells.crossing, slice(K, None), keep)),
+                          weights=np.empty(n_in + len(keep)))
+        areas = cells.mesh.areas
+        np.multiply(np.take(areas, cells.inside)[:, None], quad_rule(_BALL_DEGREE)[1],
+                    out=self.weights[:n_in].reshape(-1, K))
+        parent, row = self._kept_entries()
+        np.multiply(np.take(np.take(areas, cells.crossing), parent),
+                    np.take(sub_w, row), out=self.weights[n_in:])
+        self.__post_init__()
+
+    def _kept_entries(self):
+        """The crossing triangle, as its position in cells.crossing, and the
+        sub-rule row of each kept sub-point."""
+        S = len(self.rule) - self._K
+        parent = self._keep // S        # faster than np.divmod
+        return parent, self._keep - parent * S
+
+    @cached_property
+    def points(self):
+        cells, n_in = self.cells, self._n_in
+        points = np.empty((len(self.weights), 2))
+        points[:n_in] = (quad_rule(_BALL_DEGREE)[0] @ cells.inside_verts).reshape(-1, 2)
+        # the kept sub-points, one coordinate at a time
+        for d, coord in enumerate(cells.sub_coords()):
+            np.take(coord, self._keep, out=points[n_in:, d], mode="clip")
+        return points
+
+    @cached_property
+    def tri_index(self):
+        cells, n_in = self.cells, self._n_in
+        tri_index = np.empty(len(self.weights), np.int64)
+        tri_index[:n_in] = np.repeat(cells.inside, self._K)
+        np.take(cells.crossing, self._kept_entries()[0], out=tri_index[n_in:],
+                mode="clip")
+        return tri_index
+
+    @cached_property
+    def rule_index(self):
+        K, n_in = self._K, self._n_in
+        rule_index = np.empty(len(self.weights), np.int64)
+        rule_index[:n_in] = np.tile(np.arange(K), len(self.cells.inside))
+        np.add(self._kept_entries()[1], K, out=rule_index[n_in:])
+        return rule_index
+
+
 def ball_quadrature(mesh, ball):
     """Quadrature over the intersection of the mesh with a ball.
 
     Triangles inside the ball carry the _BALL_DEGREE rule; triangles
     crossing the circle carry their kept sub-points (`_BallCells`).
     Returns a QuadratureMeasure whose tri_index refers to the *parent*
-    triangles, so P1 data can still be evaluated per parent.  `ball` may
-    also be the _BallCells of a ball on this mesh, classified already by a
-    caller that takes its cell measure too.
-
-    Rows are gathered with np.take and np.compress, which give what fancy
-    indexing gives several times faster, and written straight into the
-    output arrays.
+    triangles, so P1 data can still be evaluated per parent.  Its weights
+    are formed here, its points, tri_index and rule_index when first read
+    (`_BallQuadrature`).  `ball` may also be the _BallCells of a ball on
+    this mesh, classified already by a caller that takes its cell measure
+    too.
     """
-    cells = ball if isinstance(ball, _BallCells) else _BallCells(mesh, ball)
-    inside, crossing = cells.inside, cells.crossing
-    table, sub_w = _ball_rule(_BALL_DEPTH, _BALL_DEGREE)
-    bary, w = quad_rule(_BALL_DEGREE)
-    K, S = len(w), len(sub_w)
-    keep = np.flatnonzero(cells.kept)
-
-    n_in = K * len(inside)
-    M = n_in + len(keep)
-    points = np.empty((M, 2))
-    points[:n_in] = (bary @ cells.inside_verts).reshape(-1, 2)
-    # the sub-points are not held while the other outputs are filled; the
-    # indices are in range: mode="clip" skips the buffer that `out` takes
-    # under the default mode
-    np.take(cells.sub_points(), keep, axis=0, out=points[n_in:], mode="clip")
-    parent = keep // S              # faster than np.divmod
-    row = keep - parent * S
-    weights = np.empty(M)
-    tri_index, rule_index = np.empty(M, np.int64), np.empty(M, np.int64)
-    np.multiply(np.take(mesh.areas, inside)[:, None], w,
-                out=weights[:n_in].reshape(-1, K))
-    tri_index[:n_in] = np.repeat(inside, K)
-    rule_index[:n_in] = np.tile(np.arange(K), len(inside))
-    np.take(crossing, parent, out=tri_index[n_in:], mode="clip")
-    np.multiply(np.take(mesh.areas, tri_index[n_in:]), np.take(sub_w, row),
-                out=weights[n_in:])
-    np.add(row, K, out=rule_index[n_in:])
-    return QuadratureMeasure(points, weights, tri_index, rule_index, table)
+    return _BallQuadrature(ball if isinstance(ball, _BallCells) else _BallCells(mesh, ball))
 
 
 def _dist2(pts, c):

@@ -3,6 +3,7 @@ problem, plus the first Dirichlet eigenvalue of the m-Laplacian."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,11 +205,17 @@ def solve_variational(prob, tol=1e-10, max_iter=100, initial=None):
     """
     if prob.source.grad_dependent:
         raise ValueError("solve_variational needs a gradient-independent source")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     disc = PhaseDiscretization(prob.fp, prob.mesh)
     load = _source_load(disc, prob.source, np.zeros(prob.mesh.n_vertices))
     return _newton(disc, prob, load, tol, max_iter, initial)
+
+
+def _check_tol(tol):
+    """Raise unless tol is a positive finite number: no residual or change
+    is at most a NaN tol, so an iteration given one never stops early."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
 def _ray_start(mesh, free, load, lift, merit):
@@ -449,6 +456,7 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     "tolerance", "max_iter_outer", "growth" (the outer distance grew five
     times in a row), "line_search" or "singular" (the stop of an inner
     solve)."""
+    _check_tol(tol)
     disc = PhaseDiscretization(prob.fp, prob.mesh)
     mesh = prob.mesh
     u = np.where(mesh.boundary_flags, prob.dirichlet,
@@ -520,7 +528,9 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000):
     lambda = N(u) / D(u); it stops when lambda changes by at most tol
     relative, and raises RuntimeError when max_iter steps do not get there
     or a step is not solved, as near m = 1 and for large m on fine meshes.
-    A mesh without free nodes raises ValueError."""
+    A mesh without free nodes or a tol that is not a positive finite
+    number raises ValueError."""
+    _check_tol(tol)
     if m <= 1:
         raise ValueError("m must exceed 1")
     free = np.flatnonzero(~mesh.boundary_flags)

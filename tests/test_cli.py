@@ -337,6 +337,29 @@ class TestMain:
         else:
             assert stages == {}
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_refinements_exit_usage(self, tmp_path, capsys, k):
+        """A negative refinement count is a config error naming the key, not
+        an UnboundLocalError from a ladder that never ran."""
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, {"refinements": k, "mesh_n": 4})
+        assert main(["--config", path, "--out", str(out), "eigen"]) == EXIT_USAGE
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == f"config error: refinements must be >= 0, got {k}"
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tol_exit_usage(self, tmp_path, capsys, tol):
+        """A solver.tol that is not a positive finite number (JSON reads NaN
+        and Infinity) is a config error naming the key, not the solver's
+        ValueError from inside the solve stage."""
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path, {"mesh_n": 4, "solver": {"tol": tol}})
+        assert main(["--config", path, "--out", str(out), "solve"]) == EXIT_USAGE
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error == f"config error: solver.tol must be a positive finite number, got {tol}"
+        assert error in capsys.readouterr().err
+
     def test_successful_command_has_no_error(self, tmp_path):
         out = tmp_path / "out"
         path = write_cfg(tmp_path, {"mesh_n": 4})

@@ -6,6 +6,9 @@ every ball pair and, on a constant phase, at every point of the ball
 quadrature instead of per triangle, P1 values by gathering each point's
 rows, and the Luxemburg norm by bisection."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +174,29 @@ def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
         wts.append(mesh.areas[tris[-1]] * sub_w[row])
         rows.append(K + row)
     return tuple(map(np.concatenate, (pts, wts, tris, rows)))
+
+
+def eager_ball_quadrature(mesh, ball):
+    """ball_quadrature as it was before it formed its index arrays on
+    demand: the keep test on the interleaved (C S, 2) sub-points of the
+    crossing triangles, and the points, weights, triangle and rule indices
+    all formed at once.  Returns the kept mask and those four arrays."""
+    cells = _BallCells(mesh, ball)
+    table, sub_w = _ball_rule(mesh_mod._BALL_DEPTH, mesh_mod._BALL_DEGREE)
+    bary, w = quad_rule(mesh_mod._BALL_DEGREE)
+    K, S = len(w), len(sub_w)
+    sub_points = (table[K:] @ cells.crossing_verts).reshape(-1, 2)
+    kept = _dist2(sub_points, ball.center) <= ball.radius ** 2
+    keep = np.flatnonzero(kept)
+    inside, crossing = cells.inside, cells.crossing
+    parent, row = keep // S, keep % S
+    points = np.concatenate([(bary @ cells.inside_verts).reshape(-1, 2),
+                             sub_points[keep]])
+    tri_index = np.concatenate([np.repeat(inside, K), crossing[parent]])
+    weights = np.concatenate([(mesh.areas[inside][:, None] * w).ravel(),
+                              mesh.areas[crossing[parent]] * sub_w[row]])
+    rule_index = np.concatenate([np.tile(np.arange(K), len(inside)), K + row])
+    return kept, points, weights, tri_index, rule_index
 
 
 def gathered_at_quad(u, quad, bary=None):
@@ -647,8 +673,9 @@ class TestMeshQuadratureContraction:
         np.testing.assert_allclose(q.points, at_quad_mesh.centroids, rtol=0, atol=1e-15)
 
     def test_other_measures_gather_rows(self, square16, monkeypatch):
-        """A measure built by hand from the mesh quadrature's arrays, a ball
-        quadrature and explicit barycentric rows take the gathered path."""
+        """A measure built by hand from the mesh quadrature's arrays and
+        explicit barycentric rows take the gathered path; a ball quadrature
+        is contracted per triangle block, inside and crossing."""
         u = TestPhiPerTriangle.state(square16)
         own = square16.quadrature()
         by_hand = QuadratureMeasure(own.points, own.weights, own.tri_index,
@@ -657,10 +684,12 @@ class TestMeshQuadratureContraction:
         bary = np.take(own.rule, own.rule_index, axis=0)
         spy = _EinsumSpy()
         monkeypatch.setattr(mesh_mod, "np", spy)
-        for quad, kwargs in ((by_hand, {}), (ball, {}), (own, {"bary": bary})):
+        for quad, kwargs, path in ((by_hand, {}, ["mj,mj->m"]),
+                                   (ball, {}, ["tj,kj->tk", "tj,kj->tk"]),
+                                   (own, {"bary": bary}, ["mj,mj->m"])):
             spy.subscripts.clear()
             got = u.at_quad(quad, **kwargs)
-            assert spy.subscripts == ["mj,mj->m"]
+            assert spy.subscripts == path
             assert np.array_equal(got, gathered_at_quad(u, quad, **kwargs))
         spy.subscripts.clear()
         assert np.array_equal(u.at_quad(own), u.at_quad(by_hand))
@@ -965,6 +994,149 @@ class TestPointQuadraturesOnlyWhereNeeded:
         fam = _ball_family({})
         higher_integrability_probe(fp, u, fam, [0.05, 0.2])
         assert len(cells) == len(quads) == 2 * len(fam.pairing)
+
+
+class TestBallQuadratureOnDemand:
+    """The keep test on two (C, S) coordinate products, P1 values per
+    triangle block and index arrays formed on first read give the eager
+    construction bit for bit, and a constant-phase Caccioppoli pair forms
+    neither the sub-points nor the index arrays."""
+
+    @staticmethod
+    def balls():
+        """The probe commands' default family and 200 seeded random balls in
+        the unit square, with radii from 1e-3 of the room to the boundary
+        up to all of it."""
+        rng = np.random.default_rng(26)
+        balls = list(_ball_family({}).balls)
+        for c in rng.uniform(0.02, 0.98, (200, 2)):
+            room = min(c.min(), 1.0 - c.max())
+            balls.append(Ball(tuple(c), room * 10.0 ** rng.uniform(-3, 0)))
+        return balls
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_bit_identical_to_eager(self, n):
+        mesh = structured_mesh(UNIT_SQUARE, n)
+        x, y = mesh.vertices.T
+        u = FeFunction(mesh, np.sin(np.pi * x) * y + 0.3 * x * x)
+        balls = self.balls()
+        split = 0
+        for ball in balls:
+            kept, *arrays = eager_ball_quadrature(mesh, ball)
+            q = ball_quadrature(mesh, ball)
+            assert np.array_equal(q.cells.kept, kept)
+            # the values first, from the blocks alone
+            got = u.at_quad(q)
+            assert not {"points", "tri_index", "rule_index"} & set(vars(q))
+            assert np.array_equal(got, gathered_at_quad(u, q))
+            for have, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
+                                  arrays):
+                assert have.dtype == want.dtype
+                assert np.array_equal(have, want)
+            split += np.count_nonzero(kept)
+        assert split > 0
+
+    def test_frozen_and_checked(self, square16):
+        """The mesh's shared quadrature and a ball quadrature, its on-demand
+        arrays formed or not, are read-only, and a ball quadrature checks
+        its weights as every other measure does."""
+        ball = Ball((0.5, 0.5), 0.3)
+        read = ball_quadrature(square16, ball)
+        read.points, read.tri_index, read.rule_index
+        for quad in (square16.quadrature(), ball_quadrature(square16, ball), read):
+            for name in ("points", "weights", "tri_index", "rule_index", "rule",
+                         "blocks"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(quad, name, None)
+        cells = _BallCells(square16, ball)
+        cells.mesh = SimpleNamespace(areas=np.zeros(square16.n_triangles))
+        with pytest.raises(ValueError, match="weights must be positive"):
+            ball_quadrature(square16, cells)
+
+    @staticmethod
+    def bench_inputs():
+        """The benchmark's probe inputs without its minimiser: the n = 64
+        square, the constant (2, 3, 3) phase and the 20-pair family."""
+        mesh = structured_mesh(UNIT_SQUARE, 64)
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(2, 3, 3),
+                                      WeightPair.constants(1.0, 0.0)), eps=0.0)
+        x, y = mesh.vertices.T
+        u = FeFunction(mesh, np.sin(np.pi * x) * y)
+        fam = _ball_family({})
+        assert len(fam.pairing) == 20
+        return fp, u, [(fam.balls[i], fam.balls[j]) for i, j in fam.pairing]
+
+    def test_caccioppoli_peak_memory(self):
+        """The tracemalloc peak of each Caccioppoli pair stays at most 4.5 MB
+        (6.7 MB when the keep test formed the (C S, 2) sub-points and the
+        values were gathered as (M, 3) rows)."""
+        import tracemalloc
+
+        fp, u, pairs = self.bench_inputs()
+        for pair in pairs:           # the mesh's cached geometry, once
+            caccioppoli_ratio(fp, u, pair)
+        peaks = []
+        for pair in pairs:
+            tracemalloc.start()
+            try:
+                caccioppoli_ratio(fp, u, pair)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 4.5e6, max(peaks)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The ball quadratures the probes build, and the classification
+        behind each reading of sub-point coordinates."""
+        quads, reads = [], []
+        original = _BallCells.sub_coords
+
+        def counted_quadrature(mesh, ball):
+            quads.append(ball_quadrature(mesh, ball))
+            return quads[-1]
+
+        def counted_sub_coords(self):
+            reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(regularity, "ball_quadrature", counted_quadrature)
+        monkeypatch.setattr(_BallCells, "sub_coords", counted_sub_coords)
+        return quads, reads
+
+    def test_constant_phase_forms_no_index_arrays(self, monkeypatch):
+        fp, u, pairs = self.bench_inputs()
+        quads, reads = self.spy(monkeypatch)
+        for pair in pairs:
+            caccioppoli_ratio(fp, u, pair)
+        # one outer quadrature per pair, which only sums values and weights;
+        # each classification reads the sub-point coordinates once, for its
+        # keep test (reads holds them all, so no id is reused)
+        assert len(quads) == len(pairs)
+        assert len(reads) == len({id(cells) for cells in reads}) == 2 * len(pairs)
+        for q in quads:
+            assert not {"points", "tri_index", "rule_index"} & set(vars(q))
+
+    def test_variable_phase_forms_them(self, variable_phase, monkeypatch):
+        _, u, pairs = self.bench_inputs()
+        fp = FluxParams(variable_phase, eps=1e-8)
+        quads, reads = self.spy(monkeypatch)
+        for inner, outer in pairs[:4]:
+            caccioppoli_ratio(fp, u, (inner, outer))
+            qi, qo = quads[-2:]
+            # the phase is sampled at both balls' points; phi(|grad u|) is
+            # gathered by the inner ball's triangle indices
+            assert {"points", "tri_index"} <= set(vars(qi))
+            assert "points" in vars(qo)
+            for q, ball in ((qi, inner), (qo, outer)):
+                _, *arrays = eager_ball_quadrature(u.mesh, ball)
+                for have, want in zip((q.points, q.weights, q.tri_index,
+                                       q.rule_index), arrays):
+                    assert np.array_equal(have, want)
+        # each quadrature's classification: the keep test's reading and the
+        # points' one
+        assert len(quads) == 8
+        assert all(reads.count(q.cells) == 2 for q in quads)
 
 
 class TestLuxemburgRegulaFalsi:

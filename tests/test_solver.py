@@ -1513,3 +1513,46 @@ def test_eigenvalue_without_free_nodes_raises():
     for m in (2.0, 3.0):
         with pytest.raises(ValueError, match="no free nodes"):
             first_eigenvalue(mesh, m)
+
+
+class TestBadTol:
+    """A tol that is not a positive finite number is a ValueError before any
+    work: a NaN tol stops no iteration, so a solve ran to max_iter."""
+
+    BAD = [np.nan, -1.0, 0.0, np.inf]
+
+    @staticmethod
+    def no_discretization(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a discretization was built")
+
+        monkeypatch.setattr(solver, "PhaseDiscretization", refused)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_solve_variational(self, triple_flux, square8, tol, monkeypatch):
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        self.no_discretization(monkeypatch)
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            solve_variational(prob, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_solve_convection(self, triple_flux, square8, tol, monkeypatch):
+        prob = TestConvection().make_problem(square8, triple_flux)
+        self.no_discretization(monkeypatch)
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            solve_convection(prob, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_first_eigenvalue(self, square8, tol, monkeypatch):
+        self.no_discretization(monkeypatch)
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            first_eigenvalue(square8, 3.0, tol=tol)
+
+    def test_positive_tol_still_solves(self, triple_flux, square8):
+        prob = PhaseProblem(square8, triple_flux, sine_load(),
+                            dirichlet_zero(square8))
+        assert solve_variational(prob, tol=1e-9).converged
+        assert solve_convection(TestConvection().make_problem(square8, triple_flux),
+                                tol=1e-9).converged
+        assert first_eigenvalue(square8, 2.0, tol=1e-9)[0] > TWO_PI_SQ
