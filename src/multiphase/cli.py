@@ -13,14 +13,15 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .expressions import ExpressionError
 from .fields import (Domain2D, ExponentTriple, ScalarField, UNIT_SQUARE,
                      WeightPair, check_h1, check_hprime)
-from .mesh import Ball, FeFunction, refine, structured_mesh, write_vtk
+from .mesh import (Ball, FeFunction, _check_in_mesh, refine, structured_mesh,
+                   write_vtk)
 from .modular import (PhaseFunction, check_delta2, check_norm_modular_relations,
                       check_seminorm_domination, check_subadditivity,
                       check_uniform_convexity)
@@ -43,42 +44,92 @@ class ConfigError(ValueError):
     pass
 
 
-# -- strict config schema ----------------------------------------------------
+# -- the config schema -------------------------------------------------------
 
-_SOLVER_KEYS = {"tol", "max_iter", "eps"}
-_PROBE_KEYS = {"delta", "m_grid", "ball_pairs", "sigma", "stability_factor"}
-# growth constants: check_h2 reads k3 and k4, check_h3 reads k5 and k6
-_SOURCE_CONSTANTS = ("k3", "k4", "k5", "k6")
-_SOURCE_KEYS = {"expr", "const", "affine", "grad_coeff", "state_coeff",
-                *_SOURCE_CONSTANTS}
-_TOP_KEYS = {"domain", "p", "q", "r", "mu1", "mu2", "source", "dirichlet",
-             "mesh_n", "refinements", "solver", "probe", "seed", "eigen_m",
-             "quad_degree", "sample_grid"}
+_NOUNS = {"int": "an integer", "number": "a number", "pair": "a pair",
+          "numbers": "a non-empty list of numbers"}
+# each range as its error message words it after "must", and its test
+_RANGES = {
+    "be >= 0": lambda v: v >= 0,
+    "be >= 1": lambda v: v >= 1,
+    "be a finite number": np.isfinite,
+    "be a nonnegative finite number": lambda v: 0 <= v < np.inf,
+    "be a positive finite number": lambda v: 0 < v < np.inf,
+    "exceed 1 and be finite": lambda v: 1 < v < np.inf,
+    "lie in (0, 1)": lambda v: 0 < v < 1,
+    "lie in (0, 1]": lambda v: 0 < v <= 1,
+}
+_CENTERS = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
+# every key a config may hold, dotted below its section: (kind, default, or
+# None for none, range of the numbers in it); a spec's builder checks it
+_SCHEMA = {
+    "domain": ("spec", "unit_square", None),
+    **{k: ("spec", {"const": 2.0}, None) for k in ("p", "q", "r")},
+    **{k: ("spec", {"const": 0.0}, None) for k in ("mu1", "mu2", "dirichlet")},
+    "sample_grid": ("int", 128, "be >= 0"),
+    "mesh_n": ("int", 16, "be >= 1"),
+    "refinements": ("int", 0, "be >= 0"),
+    "seed": ("int", 0, "be >= 0"),
+    "quad_degree": ("int", 5, "be >= 0"),
+    "eigen_m": ("number", 2.0, "exceed 1 and be finite"),
+    **{f"source.{k}": ("spec", None, None) for k in ("expr", "const", "affine")},
+    "source.grad_coeff": ("pair", (0.0, 0.0), "be a finite number"),
+    "source.state_coeff": ("number", 0.0, "be a finite number"),
+    # growth constants: check_h2 reads k3 and k4, check_h3 reads k5 and k6
+    **{f"source.{k}": ("number", None, "be a nonnegative finite number")
+       for k in ("k3", "k4", "k5", "k6")},
+    "solver.tol": ("number", 1e-10, "be a positive finite number"),
+    "solver.max_iter": ("int", 100, "be >= 1"),
+    "solver.eps": ("number", 1e-8, "be a nonnegative finite number"),
+    "probe.sigma": ("number", 1.0, "lie in (0, 1]"),
+    "probe.delta": ("number", 0.75, "lie in (0, 1)"),
+    "probe.m_grid": ("numbers", (0.05, 0.1, 0.2, 0.4), "lie in (0, 1)"),
+    "probe.stability_factor": ("number", 10.0, "be a positive finite number"),
+    # 20 concentric pairs, 18 of them on a grid of interior centres
+    "probe.ball_pairs": ("spec", [
+        {"center": c, "r1": r1, "r2": r2}
+        for r1, r2, centers in ((0.1, 0.2, _CENTERS), (0.05, 0.15, _CENTERS),
+                                (0.15, 0.25, [(0.5, 0.5)]), (0.12, 0.22, [(0.4, 0.4)]))
+        for c in centers], None),
+}
 
 
-def _reject_unknown(d, allowed, where):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+def _checked(key, value, kind, range_):
+    """value as the int or float that kind names, within range_; integers
+    take integral numbers, and neither kind takes a bool or a string."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind == "int" and not (isinstance(value, int) or value.is_integer())):
+        raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+    value = int(value) if kind == "int" else float(value)
+    if not _RANGES[range_](value):
+        raise ConfigError(f"{key} must {range_}, got {value!r}")
+    return value
 
 
-def _number(value, what, kind=float):
-    """kind(value) for a number read from the config; a value that is not
-    one is a ConfigError."""
+def _value(cfg, key):
+    """The value of the dotted config key, checked as its _SCHEMA entry
+    says, or the entry's default when the key is absent."""
+    kind, default, range_ = _SCHEMA[key]
+    section, _, name = key.rpartition(".")
+    given = cfg.get(section, {}) if section else cfg
+    if name not in given or kind == "spec":
+        return given.get(name, default)
+    value = given[name]
+    if kind in ("int", "number"):
+        return _checked(key, value, kind, range_)
+    if isinstance(value, list) and (len(value) == 2 if kind == "pair" else value):
+        return [_checked(key, v, "number", range_) for v in value]
+    raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+
+
+@contextmanager
+def _keyed(key):
+    """Raise a TypeError or ValueError of the block, a violated hypothesis
+    or a malformed expression among them, as a ConfigError naming key."""
     try:
-        return kind(value)
+        yield
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from exc
-
-
-def _field(spec, what):
-    """ScalarField.from_spec for a field read from the config; a malformed
-    spec is a ConfigError."""
-    try:
-        return ScalarField.from_spec(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def load_config(path):
@@ -87,79 +138,101 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config root")
-    for sub, keys in (("solver", _SOLVER_KEYS), ("probe", _PROBE_KEYS),
-                      ("source", _SOURCE_KEYS)):
-        if sub in raw:
-            _reject_unknown(raw[sub], keys, sub)
+    sections = {k.split(".")[0] for k in _SCHEMA if "." in k}
+    for where in ("config root", *sorted(sections & raw.keys())):
+        given = raw if where == "config root" else raw[where]
+        if not isinstance(given, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {given!r}")
+        prefix = "" if given is raw else f"{where}."
+        unknown = set(given) - {k[len(prefix):].split(".")[0] for k in _SCHEMA
+                                if k.startswith(prefix)}
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
     return raw
 
 
+def _field(cfg, key):
+    """The ScalarField of the spec under key."""
+    spec = _value(cfg, key)
+    with _keyed(key):
+        return ScalarField.from_spec(spec)
+
+
 def build_domain(cfg):
-    spec = cfg.get("domain", "unit_square")
+    spec = _value(cfg, "domain")
     if spec == "unit_square":
         return UNIT_SQUARE
     if isinstance(spec, dict) and "polygon" in spec:
-        return Domain2D(tuple(map(tuple, spec["polygon"])))
+        with _keyed("domain"):
+            return Domain2D(tuple(map(tuple, spec["polygon"])))
     raise ConfigError(f"bad domain spec {spec!r}")
 
 
 def build_phase(cfg, domain):
-    n = _number(cfg.get("sample_grid", 128), "sample_grid", int)
-    p, q, r = (_field(cfg.get(k, {"const": 2.0}), k) for k in ("p", "q", "r"))
-    exp = ExponentTriple.sample(p, q, r, domain, n=n)
-    w = WeightPair.sample(_field(cfg.get("mu1", {"const": 0.0}), "mu1"),
-                          _field(cfg.get("mu2", {"const": 0.0}), "mu2"),
-                          domain, n=n)
-    return PhaseFunction(exp, w)
+    n = _value(cfg, "sample_grid")
+    p, q, r, mu1, mu2 = (_field(cfg, k) for k in ("p", "q", "r", "mu1", "mu2"))
+    with _keyed("p, q, r"):
+        exp = ExponentTriple.sample(p, q, r, domain, n=n)
+    with _keyed("mu1, mu2"):
+        return PhaseFunction(exp, WeightPair.sample(mu1, mu2, domain, n=n))
 
 
 def build_source(cfg):
-    src = cfg.get("source")
-    if src is None:
+    if "source" not in cfg:
         return SourceTerm.zero()
-    constants = {k: _number(src[k], f"source.{k}")
-                 for k in _SOURCE_CONSTANTS if k in src}
+    src = cfg["source"]
+    constants = {k: _value(cfg, f"source.{k}")
+                 for k in ("k3", "k4", "k5", "k6") if k in src}
     kinds = [k for k in ("expr", "const", "affine") if k in src]
     if len(kinds) > 1:
         raise ConfigError(f"source takes one of expr, const and affine, got {kinds}")
-    base = (_field({kinds[0]: src[kinds[0]]}, "source") if kinds
-            else ScalarField.constant(0.0))
-    gc = src.get("grad_coeff", [0.0, 0.0])
-    if not isinstance(gc, list) or len(gc) != 2:
-        raise ConfigError(f"source.grad_coeff must be a pair, got {gc!r}")
-    gc = [_number(c, "source.grad_coeff") for c in gc]
-    sc = _number(src.get("state_coeff", 0.0), "source.state_coeff")
-    grad_dependent = any(c != 0.0 for c in gc)
+    with _keyed("source"):
+        base = (ScalarField.from_spec({kinds[0]: src[kinds[0]]}) if kinds
+                else ScalarField.constant(0.0))
+    gc, sc = _value(cfg, "source.grad_coeff"), _value(cfg, "source.state_coeff")
 
     def evaluate(x1, x2, t, z1, z2):
         return base(x1, x2) + sc * t + gc[0] * z1 + gc[1] * z2
 
-    return SourceTerm(evaluate, grad_dependent=grad_dependent or sc != 0.0,
+    return SourceTerm(evaluate, grad_dependent=any(c != 0.0 for c in (*gc, sc)),
                       constants=constants)
 
 
-def _mesh_n(cfg):
-    return _number(cfg.get("mesh_n", 16), "mesh_n", int)
+def _ball_family(cfg):
+    """The concentric pairs of probe.ball_pairs, [{center: [x, y], r1, r2}, ...]."""
+    try:
+        balls = tuple(Ball(pair["center"], _checked(r, pair[r], "number",
+                                                    "be a finite number"))
+                      for pair in _value(cfg, "probe.ball_pairs") for r in ("r1", "r2"))
+        return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"probe.ball_pairs: {type(exc).__name__}: {exc}") from exc
 
 
-def build_problem(cfg):
+def _setup(cfg):
+    """Check every key of cfg and build, once before its command runs, the
+    domain, fp (the FluxParams of the phase), source, dirichlet field and
+    ball family it implies; a value that breaks a hypothesis of the paper
+    is a ConfigError naming its key."""
+    for key in _SCHEMA:
+        _value(cfg, key)
     domain = build_domain(cfg)
     tf = build_phase(cfg, domain)
-    solver_cfg = cfg.get("solver", {})
-    eps = _number(solver_cfg.get("eps", 1e-8), "solver.eps")
-    fp = FluxParams(tf, eps=eps)
-    mesh = structured_mesh(domain, _mesh_n(cfg))
-    source = build_source(cfg)
-    dirichlet = np.zeros(mesh.n_vertices)
-    if "dirichlet" in cfg:
-        bc = _field(cfg["dirichlet"], "dirichlet")
-        dirichlet = bc(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    return PhaseProblem(mesh, fp, source, dirichlet)
+    with _keyed("solver.eps"):
+        fp = FluxParams(tf, eps=_value(cfg, "solver.eps"))
+    return SimpleNamespace(domain=domain, fp=fp, source=build_source(cfg),
+                           dirichlet=_field(cfg, "dirichlet"), family=_ball_family(cfg))
+
+
+def build_problem(cfg, setup):
+    mesh = structured_mesh(setup.domain, _value(cfg, "mesh_n"))
+    with _keyed("dirichlet"):
+        return PhaseProblem(mesh, setup.fp, setup.source,
+                            setup.dirichlet.at(mesh.vertices))
 
 
 # -- output helpers ----------------------------------------------------------
@@ -224,19 +297,16 @@ class Manifest:
 
 # -- subcommands -------------------------------------------------------------
 
-def cmd_check_hypotheses(cfg, args, manifest):
-    domain = build_domain(cfg)
-    tf = build_phase(cfg, domain)
-    samples = domain.sample_grid(64)
+def cmd_check_hypotheses(cfg, setup, args, manifest):
+    tf, src = setup.fp.tf, setup.source
+    samples = setup.domain.sample_grid(64)
     reports = []
     with manifest.stage("check_hypotheses"):
         # the domain is planar: N = 2
         reports.append(check_h1(tf.exp, tf.w, 2, samples))
-        sigma = _number(cfg.get("probe", {}).get("sigma", 1.0), "probe.sigma")
-        reports.append(check_hprime(tf.exp, sigma, 2, samples))
-        src = build_source(cfg)
+        reports.append(check_hprime(tf.exp, _value(cfg, "probe.sigma"), 2, samples))
         if src.constants:
-            mesh = structured_mesh(domain, _mesh_n(cfg))
+            mesh = structured_mesh(setup.domain, _value(cfg, "mesh_n"))
             lam_p, _ = first_eigenvalue(mesh, tf.exp.p_minus)
             lam_2, _ = first_eigenvalue(mesh, 2.0)
             reports.append(check_h2(src, lam_p))
@@ -251,13 +321,9 @@ def cmd_check_hypotheses(cfg, args, manifest):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_solve(cfg, args, manifest):
-    prob = build_problem(cfg)
-    solver_cfg = cfg.get("solver", {})
-    tol = _number(solver_cfg.get("tol", 1e-10), "solver.tol")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"solver.tol must be a positive finite number, got {tol}")
-    max_iter = _number(solver_cfg.get("max_iter", 100), "solver.max_iter", int)
+def cmd_solve(cfg, setup, args, manifest):
+    prob = build_problem(cfg, setup)
+    tol, max_iter = _value(cfg, "solver.tol"), _value(cfg, "solver.max_iter")
     with manifest.stage("solve"):
         if prob.source.grad_dependent:
             rep = solve_convection(prob, tol=tol, max_iter_outer=max_iter)
@@ -279,18 +345,12 @@ def cmd_solve(cfg, args, manifest):
     return EXIT_OK if rep.converged else EXIT_FAIL
 
 
-def cmd_eigen(cfg, args, manifest):
-    m = _number(cfg.get("eigen_m", 2.0), "eigen_m")
-    if m <= 1:
-        raise ConfigError("eigen_m must exceed 1")
-    k = _number(cfg.get("refinements", 0), "refinements", int)
-    if k < 0:
-        raise ConfigError(f"refinements must be >= 0, got {k}")
-    domain = build_domain(cfg)
-    mesh = structured_mesh(domain, _mesh_n(cfg))
+def cmd_eigen(cfg, setup, args, manifest):
+    m = _value(cfg, "eigen_m")
+    mesh = structured_mesh(setup.domain, _value(cfg, "mesh_n"))
     rows = []
     with manifest.stage("eigen"):
-        for level in range(k + 1):
+        for level in range(_value(cfg, "refinements") + 1):
             mesh = refine(mesh) if level else mesh
             lam, ef = first_eigenvalue(mesh, m)
             rows.append((mesh.h_max, lam))
@@ -301,14 +361,14 @@ def cmd_eigen(cfg, args, manifest):
     return EXIT_OK
 
 
-def cmd_verify_modular(cfg, args, manifest):
-    domain = build_domain(cfg)
-    tf = build_phase(cfg, domain)
-    mesh = structured_mesh(domain, _mesh_n(cfg))
-    quad = mesh.quadrature(_number(cfg.get("quad_degree", 5), "quad_degree", int))
-    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
+def cmd_verify_modular(cfg, setup, args, manifest):
+    tf = setup.fp.tf
+    mesh = structured_mesh(setup.domain, _value(cfg, "mesh_n"))
+    with _keyed("quad_degree"):
+        quad = mesh.quadrature(_value(cfg, "quad_degree"))
+    rng = np.random.default_rng(_value(cfg, "seed"))
     with manifest.stage("verify_modular"):
-        pts = domain.sample_grid(32)
+        pts = setup.domain.sample_grid(32)
         idx = rng.integers(0, len(pts), size=10000)
         ts = 10.0 ** rng.uniform(-6, 3, size=10000)
         ss = 10.0 ** rng.uniform(-6, 3, size=10000)
@@ -329,30 +389,18 @@ def cmd_verify_modular(cfg, args, manifest):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _ball_family(cfg):
-    """probe.ball_pairs, [{center: [x, y], r1, r2}, ...], or 20 pairs."""
-    # default: 20 concentric pairs on a grid of interior centers
-    centers = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
-    spec = [(c, (0.1, 0.2)) for c in centers]
-    spec += [(c, (0.05, 0.15)) for c in centers]
-    spec += [((0.5, 0.5), (0.15, 0.25)), ((0.4, 0.4), (0.12, 0.22))]
-    try:
-        if "ball_pairs" in cfg.get("probe", {}):
-            spec = [(p["center"], [_number(p[r], r) for r in ("r1", "r2")])
-                    for p in cfg["probe"]["ball_pairs"]]
-        balls = tuple(Ball(center, r) for center, radii in spec for r in radii)
-        return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"probe.ball_pairs: {type(exc).__name__}: {exc}") from exc
-
-
-def cmd_probe(cfg, args, manifest):
+def cmd_probe(cfg, setup, args, manifest):
     which = args.which
-    prob = build_problem(cfg)
-    fp, mesh = prob.fp, prob.mesh
-    probe_cfg = cfg.get("probe", {})
+    prob = build_problem(cfg, setup)
+    fp, mesh, fam = prob.fp, prob.mesh, setup.family
+    # a ball that escapes the mesh is a config error, found before the solve:
+    # sobolev-poincare integrates over inner balls, the other ball probes over
+    # outer ones too, and an outer ball escapes whenever its inner one does
+    largest = 0 if which == "sobolev-poincare" else 1
+    with _keyed("probe.ball_pairs"):
+        for pair in fam.pairing if which != "poincare-w0" else ():
+            _check_in_mesh(mesh, fam.balls[pair[largest]])
     with manifest.stage(f"probe_{which}"):
-        fam = _ball_family(cfg)
         u = minimize_dirichlet(fp, mesh, prob.dirichlet)
         rows = []
         if which == "caccioppoli":
@@ -362,32 +410,28 @@ def cmd_probe(cfg, args, manifest):
                 rows.append(("caccioppoli", b1.center[0], b1.center[1],
                              b1.radius, b2.radius, 0.0, r))
         elif which == "sobolev-poincare":
-            delta = _number(probe_cfg.get("delta", 0.75), "probe.delta")
+            delta = _value(cfg, "probe.delta")
             for i, _j in fam.pairing:
                 b = fam.balls[i]
                 r = sobolev_poincare_ratio(fp, u, b, delta)
                 rows.append(("sobolev_poincare", b.center[0], b.center[1],
                              b.radius, b.radius, delta, r))
         elif which == "higher-integrability":
-            m_grid = [_number(v, "probe.m_grid")
-                      for v in probe_cfg.get("m_grid", (0.05, 0.1, 0.2, 0.4))]
             rep = higher_integrability_probe(
-                fp, u, fam, m_grid, stability_factor=_number(
-                    probe_cfg.get("stability_factor", 10.0), "probe.stability_factor"))
+                fp, u, fam, _value(cfg, "probe.m_grid"),
+                stability_factor=_value(cfg, "probe.stability_factor"))
             print(f"largest_stable_m={rep.parameters['largest_stable_m']}")
             for (i, j), m, r in rep.per_ball:
                 b1, b2 = fam.balls[i], fam.balls[j]
                 rows.append(("higher_integrability", b1.center[0], b1.center[1],
                              b1.radius, b2.radius, m, r))
         elif which == "poincare-w0":
-            rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
+            rng = np.random.default_rng(_value(cfg, "seed"))
             for k in range(POINCARE_TESTS):
                 vals = np.where(mesh.boundary_flags, 0.0,
                                 rng.uniform(-1, 1, mesh.n_vertices))
                 r = poincare_w0_ratio(fp, FeFunction(mesh, vals))
                 rows.append(("poincare_w0", 0.0, 0.0, 0.0, 0.0, float(k), r))
-        else:
-            raise ConfigError(f"unknown probe {which!r}")
     manifest.csv(f"probe_{which}.csv", ["inequality", "center_x", "center_y",
                                         "R1", "R2", "param", "ratio"], rows)
     finite = [row[-1] for row in rows if np.isfinite(row[-1])]
@@ -420,11 +464,8 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level if level != "WARN" else "WARNING",
                                       logging.WARNING))
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         manifest = Manifest(args.config, args.out)
-    except ConfigError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     handlers = {
@@ -435,10 +476,13 @@ def main(argv=None):
         "probe": cmd_probe,
     }
     # a failed command still writes its manifest, with the error and the
-    # stages timed before it
+    # stages timed before it; every config error comes before the first stage
     try:
-        code = handlers[args.command](cfg, args, manifest)
-    except (ConfigError, ExpressionError) as exc:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        code = handlers[args.command](cfg, _setup(cfg), args, manifest)
+    except ConfigError as exc:
         manifest.error, code = f"config error: {exc}", EXIT_USAGE
         print(manifest.error, file=sys.stderr)
     except Exception as exc:

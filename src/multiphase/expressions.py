@@ -87,6 +87,8 @@ def _compile(node):
 
 def parse_expression(text):
     """Compile ``text`` into a vectorized callable of (x1, x2)."""
+    if not isinstance(text, str):
+        raise ExpressionError(f"expression must be a string, got {text!r}")
     text = text.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")

@@ -674,14 +674,17 @@ def _dist2(pts, c):
     return x
 
 
-def _check_in_mesh(mesh, ball, dist):
+def _check_in_mesh(mesh, ball, dist=None):
     """Raise unless the ball's centre lies in a triangle of the mesh and the
     ball reaches across no boundary edge by more than _EDGE_SLACK of that
     edge's length (on criss-cross grids, 5 % of a boundary triangle's
-    height).  dist holds each centroid's distance to the centre.  A
-    triangle lies within its radius of its centroid, so only triangles
-    whose centroid is that close to the centre can hold it, and only those
-    get the barycentric test; the slacks cover rounding."""
+    height).  dist holds each centroid's distance to the centre, formed
+    here when not given.  A triangle lies within its radius of its
+    centroid, so only triangles whose centroid is that close to the centre
+    can hold it, and only those get the barycentric test; the slacks cover
+    rounding."""
+    if dist is None:
+        dist = np.sqrt(_dist2(mesh.centroids, ball.center))
     c = np.asarray(ball.center)
     a, d, length2 = mesh.boundary_segments
     t = np.clip(np.einsum("ij,ij->i", c - a, d) / length2, 0.0, 1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from multiphase import (UNIT_SQUARE, check_h2, check_h3, cli, first_eigenvalue,
                         structured_mesh)
+from multiphase.operator import PhaseDiscretization
 from multiphase.cli import (ConfigError, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                             build_domain, build_phase, build_source,
                             load_config, main, _ball_family)
@@ -74,8 +75,8 @@ class TestConfigLoading:
             load_config(str(path))
 
     def test_readme_key_table_matches_schema(self):
-        """The README's key table names exactly the keys load_config accepts:
-        the top-level keys, with solver, probe and source as dotted sub-keys."""
+        """The README's key table names exactly the keys load_config accepts,
+        the dotted keys of the schema."""
         text = README.read_text(encoding="utf-8")
         after = text.split("Config keys that `load_config` accepts")[1]
         rows = []
@@ -86,11 +87,7 @@ class TestConfigLoading:
                 break
         listed = {k for row in rows for k in re.findall(r"`([^`]+)`",
                                                         row.split("|")[1])}
-        subs = {"solver": cli._SOLVER_KEYS, "probe": cli._PROBE_KEYS,
-                "source": cli._SOURCE_KEYS}
-        accepted = ((cli._TOP_KEYS - set(subs))
-                    | {f"{sub}.{k}" for sub, keys in subs.items() for k in keys})
-        assert listed == accepted
+        assert listed == set(cli._SCHEMA)
 
     def test_readme_quick_example_runs(self, capsys):
         code = compile(readme_block("Quick example", "python"), "README.md", "exec")
@@ -439,6 +436,153 @@ class TestConfigKeys:
                      str(tmp_path / "out"), "probe", "higher-integrability"])
         assert code == EXIT_OK
         assert f"largest_stable_m={largest}\n" in capsys.readouterr().out
+
+
+def escaping(center):
+    return {"probe": {"ball_pairs": [{"center": center, "r1": 0.1, "r2": 0.2}]}}
+
+
+class TestConfigSweep:
+    """A config that breaks one range of the schema or one hypothesis of the
+    paper exits 2 with its key named, before any stage runs and before any
+    PhaseDiscretization is built."""
+
+    @pytest.fixture
+    def disc_builds(self, monkeypatch):
+        builds = []
+        init = PhaseDiscretization.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhaseDiscretization, "__init__", counting)
+        return builds
+
+    def run(self, tmp_path, change, argv):
+        out = tmp_path / "out"
+        code = main(["--config", write_cfg(tmp_path, {**BASE_CFG, **change}),
+                     "--out", str(out), *argv])
+        return code, json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("change, argv, key", [
+        ({"mesh_n": 1.5}, ["solve"], "mesh_n"),
+        ({"mesh_n": True}, ["solve"], "mesh_n"),
+        ({"mesh_n": 0}, ["solve"], "mesh_n"),
+        ({"mesh_n": -3}, ["solve"], "mesh_n"),
+        ({"refinements": 1.5}, ["eigen"], "refinements"),
+        ({"seed": 1.5}, ["probe", "poincare-w0"], "seed"),
+        ({"seed": -1}, ["verify-modular"], "seed"),
+        ({}, ["--seed", "-1", "probe", "poincare-w0"], "seed"),
+        ({"solver": {"max_iter": 0}}, ["solve"], "solver.max_iter"),
+        ({"solver": {"max_iter": -5}}, ["solve"], "solver.max_iter"),
+        ({"solver": {"eps": -1}}, ["solve"], "solver.eps"),
+        ({"solver": {"eps": float("inf")}}, ["solve"], "solver.eps"),
+        ({"solver": {"eps": 0.0}, "p": {"const": 1.5}}, ["solve"], "solver.eps"),
+        ({"p": {"const": 0.5}}, ["solve"], "p, q, r"),
+        ({"q": {"const": 1.5}}, ["solve"], "p, q, r"),
+        ({"mu1": {"const": -1.0}}, ["solve"], "mu1, mu2"),
+        ({"source": {"expr": 5}}, ["solve"], "source"),
+        ({"domain": {"polygon": [[0, 0], [1, 0]]}}, ["eigen"], "domain"),
+        ({"domain": {"polygon": [[0, 0], [1, 1], [1, 0], [0, 1]]}}, ["eigen"],
+         "domain"),
+        ({"probe": {"sigma": 0}}, ["check-hypotheses"], "probe.sigma"),
+        ({"probe": {"sigma": 2}}, ["check-hypotheses"], "probe.sigma"),
+        ({"probe": {"delta": 1.5}}, ["probe", "sobolev-poincare"], "probe.delta"),
+        ({"probe": {"m_grid": 0.1}}, ["probe", "higher-integrability"],
+         "probe.m_grid"),
+        ({"probe": {"m_grid": [-1]}}, ["probe", "higher-integrability"],
+         "probe.m_grid"),
+        ({"probe": {"m_grid": []}}, ["probe", "higher-integrability"],
+         "probe.m_grid"),
+        ({"probe": {"stability_factor": -1}}, ["probe", "higher-integrability"],
+         "probe.stability_factor"),
+        (escaping([0.05, 0.5]), ["probe", "caccioppoli"], "probe.ball_pairs"),
+        (escaping([1.5, 0.5]), ["probe", "caccioppoli"], "probe.ball_pairs"),
+        ({"sample_grid": 2.5}, ["solve"], "sample_grid"),
+        ({"quad_degree": 2.7}, ["verify-modular"], "quad_degree"),
+        ({"quad_degree": 6}, ["verify-modular"], "quad_degree"),
+    ], ids=["mesh_n-fraction", "mesh_n-bool", "mesh_n-zero", "mesh_n-negative",
+            "refinements-fraction", "seed-fraction", "seed-negative",
+            "seed-flag-negative", "max_iter-zero", "max_iter-negative",
+            "eps-negative", "eps-infinite", "eps-zero-below-p2", "p-below-1",
+            "q-below-p", "mu1-negative", "expr-not-text", "polygon-two-vertices",
+            "polygon-self-crossing", "sigma-zero", "sigma-above-1",
+            "delta-above-1", "m_grid-scalar", "m_grid-negative", "m_grid-empty",
+            "stability_factor-negative", "ball-across-edge",
+            "ball-outside", "sample_grid-fraction", "quad_degree-fraction",
+            "quad_degree-above-5"])
+    def test_exit_usage_before_any_work(self, tmp_path, capsys, disc_builds,
+                                        change, argv, key):
+        code, manifest = self.run(tmp_path, change, argv)
+        assert code == EXIT_USAGE
+        assert manifest["error"].startswith(f"config error: {key}")
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["stage_seconds"] == {} and manifest["outputs"] == []
+        assert disc_builds == []
+
+    @pytest.mark.parametrize("which, code", [
+        ("caccioppoli", EXIT_USAGE), ("higher-integrability", EXIT_USAGE),
+        ("sobolev-poincare", EXIT_OK)])
+    def test_escape_checks_the_balls_each_probe_integrates(self, tmp_path, which,
+                                                          code):
+        """Of the pair B(0.1) in B(0.2) centred 0.15 from the square's left
+        edge only the outer ball escapes, and sobolev-poincare integrates
+        over the inner ball alone."""
+        got, manifest = self.run(tmp_path, escaping([0.15, 0.5]), ["probe", which])
+        assert got == code
+        assert manifest["error"] == (None if code == EXIT_OK else
+                                     "config error: probe.ball_pairs: "
+                                     "ball escapes the meshed domain")
+
+    @pytest.mark.parametrize("change, argv", [
+        ({"sample_grid": 0}, ["solve"]),
+        ({"sample_grid": 1}, ["solve"]),
+        ({"quad_degree": 0}, ["verify-modular"]),
+        ({"quad_degree": 4}, ["verify-modular"]),
+    ], ids=["sample_grid-0", "sample_grid-1", "quad_degree-0", "quad_degree-4"])
+    def test_small_grids_and_degrees_run(self, tmp_path, disc_builds, change, argv):
+        code, manifest = self.run(tmp_path, change, argv)
+        assert code == EXIT_OK and manifest["error"] is None
+        # the count sees the discretizations that a solve builds
+        assert (len(disc_builds) > 0) == (argv == ["solve"])
+
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps({**BASE_CFG, "bogus": True}), "unknown config key(s) in "
+                                                  "config root: ['bogus']"),
+        ('{"p": }', ":1:"),
+        ("[1, 2]", "config root must be a JSON object"),
+        (json.dumps({**BASE_CFG, "solver": 5}), "solver must be a JSON object"),
+    ], ids=["unknown-key", "malformed-json", "non-object-root", "non-object-section"])
+    def test_unloadable_config_writes_manifest(self, tmp_path, capsys, text, error):
+        """Once the config file can be read, a config that cannot be loaded
+        still leaves a manifest naming the error, with no stage timed."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(out), "solve"]) == EXIT_USAGE
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith("config error: ")
+        assert error in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["stage_seconds"] == {} and manifest["outputs"] == []
+
+    def test_unreadable_config_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--config", str(tmp_path / "nope.json"), "--out", str(out),
+                     "solve"]) == EXIT_USAGE
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, error", [
+        ({"mesh_n": "8"}, "mesh_n must be an integer, got '8'"),
+        ({"solver": {"tol": "1e-8"}}, "solver.tol must be a number, got '1e-8'"),
+        ({"mesh_n": 8.0}, None),
+    ], ids=["text-int", "text-number", "integral-float"])
+    def test_numbers_are_json_numbers(self, tmp_path, capsys, change, error):
+        """A numeric string is not a number; an integral float is an integer."""
+        code, manifest = self.run(tmp_path, change, ["solve"])
+        assert code == (EXIT_OK if error is None else EXIT_USAGE)
+        assert manifest["error"] == (error and f"config error: {error}")
 
 
 class TestSolveManifest:
