@@ -100,7 +100,11 @@ def _checked(key, value, kind, range_):
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind == "int" and not (isinstance(value, int) or value.is_integer())):
         raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
-    value = int(value) if kind == "int" else float(value)
+    try:
+        value = int(value) if kind == "int" else float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must {range_}, got an integer of "
+                          f"{len(str(value))} digits") from None
     if not _RANGES[range_](value):
         raise ConfigError(f"{key} must {range_}, got {value!r}")
     return value

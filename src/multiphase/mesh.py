@@ -56,7 +56,8 @@ class QuadratureMeasure:
     the rule points rule[rows] on each triangle mesh.triangles[tris] in
     turn, all of them where keep is None, else the flat entries of that
     (triangles, rows) grid that keep lists, and `FeFunction.at_quad`
-    evaluates P1 data on them block by block.  Any other measure has none.
+    evaluates P1 data on them with one BLAS product per block.  Any other
+    measure has none, and P1 data on it gather each point's rows.
     A cell measure, one point per triangle, integrates what is constant on
     each, as a P1 gradient is.
     """
@@ -435,12 +436,14 @@ class FeFunction:
         """Values at quadrature points.
 
         On a quadrature with triangle blocks (the mesh's own and ball
-        quadratures) each block's nodal values are contracted with its rule
-        rows, and a block's kept entries taken into the output: the values
-        of the gathered path bit for bit, without its two (M, 3) row gathers
-        or the index arrays.  Otherwise, or given barycentric rows `bary`,
-        each point's nodal values and barycentric row (the recorded rule
-        point, else a barycentric solve) are gathered as rows."""
+        quadratures) each block's (t, 3) nodal values times its (k, 3) rule
+        rows transposed is one BLAS product, written into the output or its
+        kept entries taken: no (M, 3) row gathers, no index arrays.  Each
+        value is a three-term dot that no BLAS thread split divides, within
+        2 gamma_3 sum_j |u_j lambda_j| of the gathered rows' einsum.
+        Otherwise, or given barycentric rows `bary`, each point's nodal
+        values and barycentric row (the recorded rule point, else a
+        barycentric solve) are gathered as rows."""
         if bary is None and quad.blocks is not None:
             out = np.empty(len(quad.weights))
             at = 0
@@ -449,11 +452,11 @@ class FeFunction:
                 rule = quad.rule[rows]
                 if keep is None:
                     n = len(tri_vals) * len(rule)
-                    np.einsum("tj,kj->tk", tri_vals, rule,
+                    np.matmul(tri_vals, rule.T,
                               out=out[at:at + n].reshape(-1, len(rule)))
                 else:
                     n = len(keep)
-                    np.take(np.einsum("tj,kj->tk", tri_vals, rule), keep,
+                    np.take(np.matmul(tri_vals, rule.T), keep,
                             out=out[at:at + n], mode="clip")
                 at += n
             return out

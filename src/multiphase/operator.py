@@ -97,10 +97,6 @@ class PhaseDiscretization:
     def _gradients(self, u_vals):
         return (self.mesh.grad_operator @ u_vals).reshape(-1, 2)
 
-    def at_quad(self, u_vals):
-        """Values of the P1 state u_vals at the quadrature points, (T, K)."""
-        return u_vals[self.mesh.triangles] @ self.bary.T
-
     @staticmethod
     def _pow(s, e, out=None):
         """s**e as exp(e log s), one pass over the broadcast of s and e, into

@@ -189,7 +189,7 @@ def _source_load(disc, source, u_vals):
     """Nodal load of f(x, u, grad u) for the P1 state u_vals."""
     qp = disc.qpoints
     shape = qp.shape[:2]
-    tvals = disc.at_quad(u_vals)
+    tvals = FeFunction(disc.mesh, u_vals).at_quad(disc.mesh.quadrature()).reshape(shape)
     g = disc._gradients(u_vals)
     z1 = np.broadcast_to(g[:, 0:1], shape)
     z2 = np.broadcast_to(g[:, 1:2], shape)
@@ -591,7 +591,8 @@ def _m_power_quantities(disc, m, u_vals):
     """N(u) = int |grad u|^m, D(u) = int |u|^m and the nodal gradient of D;
     disc is of the m-phase, whose energy is N / m."""
     N = m * disc.energy(u_vals)
-    tvals = disc.at_quad(u_vals)
+    tvals = FeFunction(disc.mesh, u_vals).at_quad(disc.mesh.quadrature())
+    tvals = tvals.reshape(disc.qweights.shape)
     D = float(np.sum(disc.qweights * np.abs(tvals) ** m))
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = m * np.abs(tvals) ** (m - 2.0) * tvals

@@ -303,7 +303,8 @@ class TestMain:
 
     def test_unknown_key_exit_usage(self, tmp_path):
         path = write_cfg(tmp_path, {**BASE_CFG, "bogus": True})
-        assert main(["--config", path, "solve"]) == EXIT_USAGE
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     "solve"]) == EXIT_USAGE
 
     def test_missing_file_exit_usage(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),
@@ -478,6 +479,7 @@ class TestConfigSweep:
         ({"solver": {"max_iter": -5}}, ["solve"], "solver.max_iter"),
         ({"solver": {"eps": -1}}, ["solve"], "solver.eps"),
         ({"solver": {"eps": float("inf")}}, ["solve"], "solver.eps"),
+        ({"solver": {"tol": 10 ** 400}}, ["solve"], "solver.tol"),
         ({"solver": {"eps": 0.0}, "p": {"const": 1.5}}, ["solve"], "solver.eps"),
         ({"p": {"const": 0.5}}, ["solve"], "p, q, r"),
         ({"q": {"const": 1.5}}, ["solve"], "p, q, r"),
@@ -505,8 +507,9 @@ class TestConfigSweep:
     ], ids=["mesh_n-fraction", "mesh_n-bool", "mesh_n-zero", "mesh_n-negative",
             "refinements-fraction", "seed-fraction", "seed-negative",
             "seed-flag-negative", "max_iter-zero", "max_iter-negative",
-            "eps-negative", "eps-infinite", "eps-zero-below-p2", "p-below-1",
-            "q-below-p", "mu1-negative", "expr-not-text", "polygon-two-vertices",
+            "eps-negative", "eps-infinite", "tol-beyond-float",
+            "eps-zero-below-p2", "p-below-1", "q-below-p", "mu1-negative",
+            "expr-not-text", "polygon-two-vertices",
             "polygon-self-crossing", "sigma-zero", "sigma-above-1",
             "delta-above-1", "m_grid-scalar", "m_grid-negative", "m_grid-empty",
             "stability_factor-negative", "ball-across-edge",

@@ -3,10 +3,12 @@ ball quadrature by subdividing every crossing triangle, by forming every
 subdivided point's weight before the cut and by fancy-index gathers, the
 ball containment test by a box scan of every centroid, phi(|grad u|) for
 every ball pair and, on a constant phase, at every point of the ball
-quadrature instead of per triangle, P1 values by gathering each point's
-rows, and the Luxemburg norm by bisection."""
+quadrature instead of per triangle, P1 values by the same block products
+formed from fancy-index gathers and, within the rounding of a three-term
+dot, by gathering each point's rows, and the Luxemburg norm by bisection."""
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +24,7 @@ from multiphase import (Ball, BallFamily, Domain2D, ExponentTriple, FeFunction,
                         sobolev_poincare_ratio, sobolev_poincare_zero_set,
                         structured_mesh)
 from multiphase import mesh as mesh_mod
-from multiphase import regularity
+from multiphase import regularity, solver
 from multiphase.cli import _ball_family
 from multiphase.mesh import (_BallCells, _ball_rule, _barycentric,
                              _check_in_mesh, _dist2, quad_rule)
@@ -134,7 +136,9 @@ def dense_ball_quadrature(mesh, ball, depth=3, degree=5):
 def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
     """ball_quadrature with fancy-index and boolean-mask gathers, the
     containment test forming each boundary edge per ball, and the arrays
-    concatenated at the end."""
+    concatenated at the end.  Returns the points, weights, triangle and rule
+    indices, and the inside triangles, the crossing ones and the kept
+    entries of their sub-rule grid."""
     c = np.asarray(ball.center)
     R = ball.radius
     a, b = mesh.vertices[mesh._boundary_edges].transpose(1, 0, 2)
@@ -157,6 +161,7 @@ def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
     bary, w = quad_rule(degree)
     K = len(w)
     pts, wts, tris, rows = [], [], [], []
+    keep = np.zeros(0, np.int64)
     if np.any(all_in):
         idx = near[all_in]
         pts.append((bary @ verts[all_in]).reshape(-1, 2))
@@ -173,7 +178,8 @@ def fancy_ball_quadrature(mesh, ball, depth=3, degree=5):
         tris.append(idx[parent])
         wts.append(mesh.areas[tris[-1]] * sub_w[row])
         rows.append(K + row)
-    return tuple(map(np.concatenate, (pts, wts, tris, rows)))
+    return (*map(np.concatenate, (pts, wts, tris, rows)),
+            near[all_in], near[~all_in], keep)
 
 
 def eager_ball_quadrature(mesh, ball):
@@ -199,17 +205,47 @@ def eager_ball_quadrature(mesh, ball):
     return kept, points, weights, tri_index, rule_index
 
 
-def gathered_at_quad(u, quad, bary=None):
-    """FeFunction.at_quad with each point's barycentric row and its
-    triangle's nodal values gathered as (M, 3) rows, on every quadrature."""
+def gathered_rows(u, quad, bary=None):
+    """Each point's triangle's nodal values and its barycentric row, (M, 3)
+    each, on every quadrature."""
     mesh = u.mesh
     if bary is None and quad.rule_index is not None:
         bary = np.take(quad.rule, quad.rule_index, axis=0)
     elif bary is None:
         tris = np.take(mesh.triangles, quad.tri_index, axis=0)
         bary = _barycentric(quad.points, np.take(mesh.vertices, tris, axis=0))
-    vals = np.take(np.take(u.nodal_values, mesh.triangles), quad.tri_index, axis=0)
-    return np.einsum("mj,mj->m", vals, bary)
+    return np.take(np.take(u.nodal_values, mesh.triangles), quad.tri_index, axis=0), bary
+
+
+def gathered_at_quad(u, quad, bary=None):
+    """FeFunction.at_quad with each point's barycentric row and its
+    triangle's nodal values gathered as (M, 3) rows, on every quadrature."""
+    return np.einsum("mj,mj->m", *gathered_rows(u, quad, bary))
+
+
+# gamma_3 = 3 u / (1 - 3 u), u the unit roundoff: a three-term dot product
+# is within gamma_3 sum_j |a_j b_j| of the exact one (Higham 2002, 3.1)
+GAMMA3 = 1.5 * np.finfo(float).eps / (1.0 - 1.5 * np.finfo(float).eps)
+
+
+def assert_near_gathered(got, u, quad):
+    """got, P1 values from triangle block products, against the gathered
+    rows' einsum: two roundings of the same three-term dots differ by at
+    most 2 gamma_3 sum_j |u_j lambda_j| at each point."""
+    vals, bary = gathered_rows(u, quad)
+    bound = 2.0 * GAMMA3 * np.einsum("mj,mj->m", np.abs(vals), np.abs(bary))
+    assert np.all(np.abs(got - np.einsum("mj,mj->m", vals, bary)) <= bound)
+
+
+def block_at_quad(u, inside, crossing, keep):
+    """P1 values on a ball quadrature's two blocks from fancy-index gathers:
+    the inside and the crossing triangles' nodal values times the plain and
+    the sub-rule rows transposed, the crossing product's kept entries
+    taken."""
+    table, K, _ = mesh_mod._ball_table()
+    vals = u.nodal_values[u.mesh.triangles]
+    return np.concatenate([(vals[inside] @ table[:K].T).ravel(),
+                           (vals[crossing] @ table[K:].T).ravel()[keep]])
 
 
 def phi_grad(k, u):
@@ -496,14 +532,15 @@ class TestBallQuadratureMatchesFancy:
         domain, ball = FANCY_CASES[case]
         mesh = structured_mesh(domain, n)
         q = ball_quadrature(mesh, ball)
+        *arrays, inside, crossing, keep = fancy_ball_quadrature(mesh, ball)
         for got, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
-                             fancy_ball_quadrature(mesh, ball)):
+                             arrays, strict=True):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         u = FeFunction(mesh, np.sin(3 * mesh.vertices[:, 0]) * mesh.vertices[:, 1])
-        tris = mesh.triangles[q.tri_index]
-        assert np.array_equal(u.at_quad(q), np.einsum(
-            "mj,mj->m", u.nodal_values[tris], q.rule[q.rule_index]))
+        got = u.at_quad(q)
+        assert np.array_equal(got, block_at_quad(u, inside, crossing, keep))
+        assert_near_gathered(got, u, q)
         assert np.array_equal(u.grad_norm_at(q),
                               np.linalg.norm(u.gradients(), axis=1)[q.tri_index])
 
@@ -637,23 +674,37 @@ def at_quad_mesh(request):
     return AT_QUAD_MESHES[request.param]()
 
 
-class _EinsumSpy:
-    """Stands in for numpy in multiphase.mesh and records einsum subscripts."""
+@functools.lru_cache(maxsize=None)
+def _unit_square(n):
+    return structured_mesh(UNIT_SQUARE, n)
+
+
+class _ContractionSpy:
+    """Stands in for numpy in multiphase.mesh and records its contractions:
+    an einsum by its subscripts, a matmul by its operands' shapes."""
 
     def __init__(self):
-        self.subscripts = []
+        self.calls = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def einsum(self, subscripts, *operands, **kwargs):
-        self.subscripts.append(subscripts)
+        self.calls.append(subscripts)
         return np.einsum(subscripts, *operands, **kwargs)
+
+    def matmul(self, a, b, **kwargs):
+        self.calls.append((a.shape, b.shape))
+        return np.matmul(a, b, **kwargs)
 
 
 class TestMeshQuadratureContraction:
     @pytest.mark.parametrize("degree", [1, 2, 5])
     def test_bit_identical_to_gathered_rows(self, at_quad_mesh, degree):
+        """The (T, 3) rows of nodal values gathered by fancy indexing times
+        the rule transposed, the product the solver once formed itself, bit
+        for bit; and each point's gathered rows within a three-term dot's
+        rounding."""
         quad = at_quad_mesh.quadrature(degree)
         rng = np.random.default_rng(degree)
         for scale in (1e-8, 1.0, 1e8):
@@ -661,7 +712,9 @@ class TestMeshQuadratureContraction:
                            scale * rng.uniform(-1, 1, at_quad_mesh.n_vertices))
             got = u.at_quad(quad)
             assert got.shape == quad.weights.shape
-            assert np.array_equal(got, gathered_at_quad(u, quad))
+            want = u.nodal_values[at_quad_mesh.triangles] @ quad.rule.T
+            assert np.array_equal(got, want.ravel())
+            assert_near_gathered(got, u, quad)
 
     def test_degree_one_is_the_cell_measure(self, at_quad_mesh):
         """The degree-1 rule is one point per triangle weighted by its area
@@ -674,26 +727,78 @@ class TestMeshQuadratureContraction:
 
     def test_other_measures_gather_rows(self, square16, monkeypatch):
         """A measure built by hand from the mesh quadrature's arrays and
-        explicit barycentric rows take the gathered path; a ball quadrature
-        is contracted per triangle block, inside and crossing."""
+        explicit barycentric rows take the gathered path, one einsum; the
+        mesh quadrature is one block product and a ball quadrature two, of
+        its inside and its crossing triangles with their rule rows."""
         u = TestPhiPerTriangle.state(square16)
         own = square16.quadrature()
         by_hand = QuadratureMeasure(own.points, own.weights, own.tri_index,
                                     own.rule_index, own.rule)
         ball = ball_quadrature(square16, Ball((0.4, 0.6), 0.23))
         bary = np.take(own.rule, own.rule_index, axis=0)
-        spy = _EinsumSpy()
+        K = len(own.rule)
+        S = len(ball.rule) - K
+        blocks = [((len(ball.cells.inside), 3), (3, K)),
+                  ((len(ball.cells.crossing), 3), (3, S))]
+        spy = _ContractionSpy()
         monkeypatch.setattr(mesh_mod, "np", spy)
         for quad, kwargs, path in ((by_hand, {}, ["mj,mj->m"]),
-                                   (ball, {}, ["tj,kj->tk", "tj,kj->tk"]),
-                                   (own, {"bary": bary}, ["mj,mj->m"])):
-            spy.subscripts.clear()
+                                   (own, {"bary": bary}, ["mj,mj->m"]),
+                                   (own, {}, [((square16.n_triangles, 3), (3, K))]),
+                                   (ball, {}, blocks)):
+            spy.calls.clear()
             got = u.at_quad(quad, **kwargs)
-            assert spy.subscripts == path
-            assert np.array_equal(got, gathered_at_quad(u, quad, **kwargs))
-        spy.subscripts.clear()
-        assert np.array_equal(u.at_quad(own), u.at_quad(by_hand))
-        assert spy.subscripts == ["tj,kj->tk", "mj,mj->m"]
+            assert spy.calls == path
+            if path == ["mj,mj->m"]:
+                assert np.array_equal(got, gathered_at_quad(u, quad, **kwargs))
+            else:
+                assert_near_gathered(got, u, quad)
+        assert np.array_equal(u.at_quad(own, bary=bary), u.at_quad(by_hand))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 64), degree=st.sampled_from([1, 2, 5]),
+           seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-8.0, 8.0),
+           centre=st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+           reach=st.floats(0.05, 1.0))
+    def test_block_products_within_dot_bound(self, n, degree, seed, log_scale,
+                                             centre, reach):
+        """On the mesh quadrature of each degree and on a random ball's, the
+        block products are within 2 gamma_3 sum_j |u_j lambda_j| of the
+        gathered rows' einsum at every point, at scales from 1e-8 to 1e8."""
+        mesh = _unit_square(n)
+        rng = np.random.default_rng(seed)
+        u = FeFunction(mesh, 10.0 ** log_scale
+                       * rng.uniform(-1, 1, mesh.n_vertices))
+        room = min(min(centre), 1.0 - max(centre))
+        for quad in (mesh.quadrature(degree),
+                     ball_quadrature(mesh, Ball(centre, reach * room))):
+            assert_near_gathered(u.at_quad(quad), u, quad)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_solver_reads_the_same_values(self, n, monkeypatch):
+        """The source load and the m-power quantities of the eigen path
+        read FeFunction.at_quad on the mesh quadrature, bit for bit."""
+        mesh = structured_mesh(UNIT_SQUARE, n)
+        x, y = mesh.vertices.T
+        u_vals = np.where(mesh.boundary_flags, 0.0, np.sin(np.pi * x) * y - 0.2)
+        quad = mesh.quadrature()
+        want = FeFunction(mesh, u_vals).at_quad(quad).reshape(-1, len(quad.rule))
+        m = 3.0
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(m, m, m),
+                                      WeightPair.constants(0, 0)), eps=1e-10)
+        disc = PhaseDiscretization(fp, mesh)
+        seen = []
+
+        def source(x1, x2, t, z1, z2):
+            seen.append(t)
+            return t
+
+        solver._source_load(disc, source, u_vals)
+        assert np.array_equal(seen.pop(), want)
+        monkeypatch.setattr(disc, "load_vector", lambda dens: seen.append(dens))
+        _, D, _ = solver._m_power_quantities(disc, m, u_vals)
+        assert D == float(np.sum(disc.qweights * np.abs(want) ** m))
+        assert np.array_equal(seen.pop(), m * np.abs(want) ** (m - 2.0) * want)
 
 
 class TestBallContainment:
@@ -999,8 +1104,9 @@ class TestPointQuadraturesOnlyWhereNeeded:
 class TestBallQuadratureOnDemand:
     """The keep test on two (C, S) coordinate products, P1 values per
     triangle block and index arrays formed on first read give the eager
-    construction bit for bit, and a constant-phase Caccioppoli pair forms
-    neither the sub-points nor the index arrays."""
+    construction bit for bit (the values as the block products of its kept
+    flags), and a constant-phase Caccioppoli pair forms neither the
+    sub-points nor the index arrays."""
 
     @staticmethod
     def balls():
@@ -1028,7 +1134,9 @@ class TestBallQuadratureOnDemand:
             # the values first, from the blocks alone
             got = u.at_quad(q)
             assert not {"points", "tri_index", "rule_index"} & set(vars(q))
-            assert np.array_equal(got, gathered_at_quad(u, q))
+            assert np.array_equal(got, block_at_quad(
+                u, q.cells.inside, q.cells.crossing, np.flatnonzero(kept)))
+            assert_near_gathered(got, u, q)
             for have, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
                                   arrays):
                 assert have.dtype == want.dtype

@@ -11,8 +11,10 @@ triangle: the ball's cell measure for the ball probes and the mesh's
 degree-1 quadrature, weighted by the triangle areas, for the zero-trace
 Poincare ratio and the coercivity check.  Every other sum runs over the
 points of a quadrature.  Every mean divides by its measure's total_mass.
-The sums are einsum contractions, not BLAS dots, so the values hold under
-any BLAS thread count.
+P1 values at the points are one BLAS product per triangle block, each
+value a three-term dot that no thread split divides, and the sums are
+einsum contractions, not BLAS dots, so the values hold under any BLAS
+thread count.
 
 Regenerate the table by running this file as a script:
     PYTHONPATH=src python tests/test_probe_pins.py
@@ -96,11 +98,11 @@ def probe_values(tf):
 
 
 PINNED = {
-    "variable": {'caccioppoli': [0.22924765124131094, 0.19360140057003936],
-                 'truncation': [0.25110358978320546, 0.18494797187604678],
-                 'sobolev_poincare': [0.08919078519538734,
+    "variable": {'caccioppoli': [0.22924765124131102, 0.19360140057003936],
+                 'truncation': [0.25110358978320546, 0.1849479718760468],
+                 'sobolev_poincare': [0.08919078519538731,
                                       0.15602871840032395],
-                 'zero_set': 0.2391545989118247,
+                 'zero_set': 0.23915459891182472,
                  'higher': [0.37694164959872833,
                             0.37932869102358086,
                             0.6307919319920252,
@@ -116,9 +118,9 @@ PINNED = {
                  'coercive': [(0.5, 0.31908186923088117, 0.15922195002905942),
                               (1.0, 0.7507129750625275, 0.6368878001162028),
                               (2.0, 1.839741978256426, 1.5961050092223956)]},
-    "constant": {'caccioppoli': [0.21314859256579993, 0.19182947685244073],
+    "constant": {'caccioppoli': [0.21314859256579988, 0.1918294768524407],
                  'truncation': [0.1984473216505689, 0.2350122700268837],
-                 'sobolev_poincare': [0.10906037696496278, 0.1599075771268293],
+                 'sobolev_poincare': [0.10906037696496278, 0.15990757712682924],
                  'zero_set': 0.22310276137741328,
                  'higher': [0.4964167706763269,
                             0.4992469342981309,
