@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -59,16 +60,31 @@ _RANGES = {
     "lie in (0, 1)": lambda v: 0 < v < 1,
     "lie in (0, 1]": lambda v: 0 < v <= 1,
 }
+
+
+def _at_most(hi):
+    """The range of the numbers up to hi, its test added to _RANGES."""
+    range_ = f"not exceed {hi}"
+    _RANGES[range_] = lambda v: v <= hi
+    return range_
+
+
+# the largest side n of a grid whose n**2 entries the mesh's int32 index
+# arrays can number (46,340), which bounds mesh_n, sample_grid and
+# mesh_n * 2**refinements; 2**15 is the largest power of 2 within it
+_MAX_SIDE = math.isqrt(np.iinfo(np.int32).max)
+_MAX_LEVELS = _MAX_SIDE.bit_length() - 1
 _CENTERS = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.3, 0.5, 0.7)]
 # every key a config may hold, dotted below its section: (kind, default, or
-# None for none, range of the numbers in it); a spec's builder checks it
+# None for none, range of the numbers in it, or a tuple of ranges); a spec is
+# checked by what it builds
 _SCHEMA = {
     "domain": ("spec", "unit_square", None),
     **{k: ("spec", {"const": 2.0}, None) for k in ("p", "q", "r")},
     **{k: ("spec", {"const": 0.0}, None) for k in ("mu1", "mu2", "dirichlet")},
-    "sample_grid": ("int", 128, "be >= 0"),
-    "mesh_n": ("int", 16, "be >= 1"),
-    "refinements": ("int", 0, "be >= 0"),
+    "sample_grid": ("int", 128, ("be >= 0", _at_most(_MAX_SIDE))),
+    "mesh_n": ("int", 16, ("be >= 1", _at_most(_MAX_SIDE))),
+    "refinements": ("int", 0, ("be >= 0", _at_most(_MAX_LEVELS))),
     "seed": ("int", 0, "be >= 0"),
     "quad_degree": ("int", 5, "be >= 0"),
     "eigen_m": ("number", 2.0, "exceed 1 and be finite"),
@@ -95,18 +111,22 @@ _SCHEMA = {
 
 
 def _checked(key, value, kind, range_):
-    """value as the int or float that kind names, within range_; integers
+    """value as the int or float that kind names, within range_ (or within
+    each of a tuple of ranges, the first one it breaks named); integers
     take integral numbers, and neither kind takes a bool or a string."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind == "int" and not (isinstance(value, int) or value.is_integer())):
         raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+    ranges = (range_,) if isinstance(range_, str) else range_
     try:
         value = int(value) if kind == "int" else float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} must {range_}, got an integer of "
-                          f"{len(str(value))} digits") from None
-    if not _RANGES[range_](value):
-        raise ConfigError(f"{key} must {range_}, got {value!r}")
+        broken = [r for r in ranges if not _RANGES[r](value)]
+    except OverflowError:       # an integer beyond the floats
+        broken = ranges
+    if broken:
+        digits = len(str(abs(value))) if isinstance(value, int) else 0
+        raise ConfigError(f"{key} must {broken[0]}, got " + (
+            f"an integer of {digits} digits" if digits > 20 else repr(value)))
     return value
 
 
@@ -144,6 +164,8 @@ def load_config(path):
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc)) from exc
+    except ValueError as exc:   # an integer of more digits than Python reads
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     sections = {k.split(".")[0] for k in _SCHEMA if "." in k}
@@ -224,6 +246,10 @@ def _setup(cfg):
     is a ConfigError naming its key."""
     for key in _SCHEMA:
         _value(cfg, key)
+    n, levels = _value(cfg, "mesh_n"), _value(cfg, "refinements")
+    if n << levels > _MAX_SIDE:
+        raise ConfigError(f"refinements: mesh_n * 2**refinements must not exceed "
+                          f"{_MAX_SIDE}, got {n} * 2**{levels}")
     domain = build_domain(cfg)
     tf = build_phase(cfg, domain)
     with _keyed("solver.eps"):

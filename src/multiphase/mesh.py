@@ -513,6 +513,28 @@ class Ball:
                            (float(self.center[0]), float(self.center[1])))
 
 
+class _Centred:
+    """A mesh seen from one centre, shared by the concentric balls
+    classified on it: each centroid's distance to the centre, formed once,
+    and the largest radius that has passed `_check_in_mesh` there.  A ball
+    passes whenever a concentric larger one has: the test of the centre is
+    the same, and the smaller ball reaches less far across every boundary
+    edge, so one check of the largest ball covers them all."""
+
+    def __init__(self, mesh, center):
+        self.mesh, self.center, self.checked = mesh, center, 0.0
+        self.dist = np.sqrt(_dist2(mesh.centroids, center))
+
+    def check(self, ball):
+        """Raise as `_check_in_mesh` does for a ball about this centre,
+        unless one at least as large has passed."""
+        if ball.center != self.center:
+            raise ValueError(f"{ball} is not centred at {self.center}")
+        if ball.radius > self.checked:
+            _check_in_mesh(self.mesh, ball, self.dist)
+            self.checked = ball.radius
+
+
 class _BallCells:
     """The triangles of a mesh that meet a ball, classified once for both
     of its measures: `ball_quadrature`, for integrands that vary within a
@@ -522,43 +544,51 @@ class _BallCells:
     the circle when only its bounding circle meets the ball.  The points of
     the _BALL_DEGREE rule on each piece of a crossing triangle's
     _BALL_DEPTH regular 4-splits are its sub-points; `kept` flags those in
-    the ball, triangle by triangle.  The keep test reads the x and the y of
-    the sub-points (`sub_coords`) and squares them in place: half the
-    memory of the interleaved (C S, 2) sub-points and their coordinate
-    temporaries, with the same distances bit for bit.  The sub-points are
-    not held: a ball quadrature forms them again where its points are read.
-    A ball that escapes the mesh by more than a slack below the P1
-    resolution is rejected (`_check_in_mesh`)."""
+    the ball, triangle by triangle.  The keep test forms no sub-point: the
+    sub-point x = sum_i lam_i v_i of the vertices v_i has |x - c|^2 =
+    lam^T M lam with M_ij = (v_i - c).(v_j - c), so the six distinct
+    entries of each crossing triangle's M times the cached (6, S) table of
+    the lam_i lam_j (`_ball_form`) give the squared distances of its S
+    sub-points, all in one (C, 6) @ (6, S) product.  Its error, a few units
+    of rounding of (sum_i lam_i |v_i - c|)^2, is far below the gaps between
+    the sub-points' distances near the circle, so it keeps the points that
+    their coordinates (`sub_coords`) keep; only a ball quadrature's points
+    form those.  `mesh` is a TriMesh or a `_Centred` view of one about the
+    ball's centre, which concentric balls share.  A ball that escapes the
+    mesh by more than a slack below the P1 resolution is rejected
+    (`_check_in_mesh`)."""
 
     def __init__(self, mesh, ball):
-        c, R = ball.center, ball.radius
-        dist = np.sqrt(_dist2(mesh.centroids, c))
-        _check_in_mesh(mesh, ball, dist)
+        site = mesh if isinstance(mesh, _Centred) else _Centred(mesh, ball.center)
+        site.check(ball)
+        mesh, (c0, c1), R = site.mesh, ball.center, ball.radius
         # only triangles whose bounding circle meets the ball can contribute
-        near = np.flatnonzero(dist <= R + mesh.radii)
+        near = np.flatnonzero(site.dist <= R + mesh.radii)
         if len(near) == 0:
             raise ValueError("ball does not intersect the mesh")
         verts = np.take(mesh.tri_vertices, near, axis=0)
-        all_in = np.all(_dist2(verts, c) <= R * R, axis=1)
+        # each vertex less the centre, and its squared length
+        ax, ay = verts[:, :, 0] - c0, verts[:, :, 1] - c1
+        vd2 = ax * ax + ay * ay
+        all_in = np.all(vd2 <= R * R, axis=1)
+        cross = ~all_in
         self.mesh = mesh
-        self.inside, self.crossing = np.compress(all_in, near), np.compress(~all_in, near)
+        self.inside, self.crossing = np.compress(all_in, near), np.compress(cross, near)
         self.inside_verts = np.compress(all_in, verts, axis=0)
-        self.crossing_verts = np.compress(~all_in, verts, axis=0)
-        x, y = self.sub_coords()
-        x -= c[0]
-        x *= x
-        y -= c[1]
-        y *= y
-        x += y
-        self.kept = (x <= R * R).ravel()
+        self.crossing_verts = np.compress(cross, verts, axis=0)
+        ax, ay = np.compress(cross, ax, axis=0), np.compress(cross, ay, axis=0)
+        M = np.empty((len(ax), 6))
+        M[:, :3] = np.compress(cross, vd2, axis=0)
+        i, j = _FORM_PAIRS
+        M[:, 3:] = ax[:, i] * ax[:, j] + ay[:, i] * ay[:, j]
+        self.kept = (M @ _ball_form(_BALL_DEPTH, _BALL_DEGREE) <= R * R).ravel()
 
     def sub_coords(self):
         """The x, then the y of the sub-points of the C crossing triangles,
         each (C, S) over the S sub-rule points, triangle by triangle: one
-        product (C, 3) @ (3, S) of vertex coordinates and sub-rule each, so
-        that the keep test and a ball quadrature's points read the same
-        coordinates, whatever rounding the BLAS kernel gives them.  A
-        generator: a caller that takes one at a time holds one."""
+        product (C, 3) @ (3, S) of vertex coordinates and sub-rule each.
+        Only a ball quadrature's points read them; the keep test forms
+        none.  A generator: a caller that takes one at a time holds one."""
         table, K, _ = _ball_table()
         return (self.crossing_verts[:, :, d] @ table[K:].T for d in (0, 1))
 
@@ -713,6 +743,24 @@ def _ball_rule(depth, degree):
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
+
+
+# the entries (i, j) of M = [(v_i - c).(v_j - c)] off its diagonal
+_FORM_PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+
+
+@lru_cache(maxsize=None)
+def _ball_form(depth, degree):
+    """The (6, S) coefficients of the squared distances to the centre of the
+    S sub-rule points of `_ball_rule`(depth, degree): lam_i**2 against the
+    diagonal entries M_00, M_11 and M_22, then 2 lam_i lam_j against M_01,
+    M_02 and M_12, for the barycentric row lam of each sub-rule point."""
+    table, sub_w = _ball_rule(depth, degree)
+    lam = table[len(table) - len(sub_w):]
+    i, j = _FORM_PAIRS
+    form = np.concatenate([lam * lam, 2.0 * lam[:, i] * lam[:, j]], axis=1).T.copy()
+    form.setflags(write=False)
+    return form
 
 
 def _split4(tv):

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import Ball, _BallCells, ball_quadrature, interpolate
+from .mesh import Ball, _BallCells, _Centred, ball_quadrature, interpolate
 from .modular import SampledPhase, grad_quadrature, luxemburg_norm
 from .solver import PhaseProblem, SourceTerm, solve_variational
 
@@ -75,8 +75,9 @@ class _BallKernel:
     within a triangle), and `grad_quad` for phi(|grad u|) and its powers: on
     a constant phase, where they are constant on each triangle as the P1
     gradient is, the ball's cell measure, which forms no sub-point and sums
-    as the point quadrature does up to rounding.  A ball that holds no
-    quadrature point is a ValueError."""
+    as the point quadrature does up to rounding.  mesh is a TriMesh, or the
+    mesh._Centred view of one that a concentric pair shares.  A ball that
+    holds no quadrature point is a ValueError."""
 
     def __init__(self, tf, mesh, ball):
         self.cells = _BallCells(mesh, ball)
@@ -108,9 +109,21 @@ def _check_m_grid(m_grid):
 
 def _pair_kernels(tf, mesh, pair):
     """Kernels of an (inner, outer) ball pair, checked as a BallFamily
-    checks its pairs, and R2 - R1."""
+    checks its pairs, and R2 - R1.  The pair is concentric, so both balls
+    are classified on one `_Centred` view of the mesh: the centroid
+    distances are formed once, and only the outer ball is checked for
+    escaping the mesh, which the inner one does only if the outer one does.
+    The errors are those of each ball checked and classified in turn: when
+    the outer ball escapes, the inner one's own error, if it has one, comes
+    first."""
     inner, outer = BallFamily(tuple(pair), ((0, 1),)).balls
-    return (_BallKernel(tf, mesh, inner), _BallKernel(tf, mesh, outer),
+    site = _Centred(mesh, inner.center)
+    try:
+        site.check(outer)
+    except ValueError:
+        _BallKernel(tf, site, inner)
+        raise
+    return (_BallKernel(tf, site, inner), _BallKernel(tf, site, outer),
             outer.radius - inner.radius)
 
 

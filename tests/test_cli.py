@@ -524,6 +524,49 @@ class TestConfigSweep:
         assert manifest["stage_seconds"] == {} and manifest["outputs"] == []
         assert disc_builds == []
 
+    @pytest.mark.parametrize("change, argv, key, error", [
+        ({"mesh_n": 10 ** 400}, ["solve"], "mesh_n",
+         "must not exceed 46340, got an integer of 401 digits"),
+        ({"mesh_n": 100000}, ["solve"], "mesh_n", "got 100000"),
+        ({"mesh_n": 46341}, ["probe", "caccioppoli"], "mesh_n", "got 46341"),
+        ({"sample_grid": 46341}, ["solve"], "sample_grid",
+         "must not exceed 46340, got 46341"),
+        ({"refinements": 10 ** 400}, ["eigen"], "refinements",
+         "must not exceed 15, got an integer of 401 digits"),
+        ({"refinements": 16}, ["eigen"], "refinements", "got 16"),
+        ({"mesh_n": 16, "refinements": 12}, ["eigen"], "refinements",
+         "mesh_n * 2**refinements must not exceed 46340, got 16 * 2**12"),
+        ({"mesh_n": 2, "refinements": 15}, ["solve"], "refinements",
+         "got 2 * 2**15"),
+    ], ids=["mesh_n-401-digits", "mesh_n-100000", "mesh_n-past-int32",
+            "sample_grid-past-int32", "refinements-401-digits",
+            "refinements-16", "refined-side-past-int32", "refined-side-solve"])
+    def test_sizes_past_the_int32_indices_exit_usage(self, tmp_path, capsys,
+                                                     disc_builds, change, argv,
+                                                     key, error):
+        """mesh_n, sample_grid and mesh_n * 2**refinements are bounded by
+        the 46,340 per side that the mesh's int32 index arrays can number:
+        a larger one exits 2 naming its key before any stage runs."""
+        code, manifest = self.run(tmp_path, change, argv)
+        assert code == EXIT_USAGE
+        assert manifest["error"].startswith(f"config error: {key}")
+        assert error in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["stage_seconds"] == {} and manifest["outputs"] == []
+        assert disc_builds == []
+
+    def test_integer_past_the_digit_limit_exits_usage(self, tmp_path, capsys):
+        """An integer of more digits than Python converts is a config error
+        of the file, not a failure of the command."""
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text('{"mesh_n": 1' + "0" * 5000 + "}")
+        assert main(["--config", str(path), "--out", str(out), "solve"]) == EXIT_USAGE
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(f"config error: {path}: ")
+        assert "5001 digits" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["stage_seconds"] == {} and manifest["outputs"] == []
+
     @pytest.mark.parametrize("which, code", [
         ("caccioppoli", EXIT_USAGE), ("higher-integrability", EXIT_USAGE),
         ("sobolev-poincare", EXIT_OK)])

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multiphase import (Ball, BallFamily, Domain2D, ExponentTriple, FeFunction,
                         FluxParams, QuadratureMeasure, TriMesh, UNIT_SQUARE,
@@ -801,6 +801,126 @@ class TestMeshQuadratureContraction:
         assert np.array_equal(seen.pop(), m * np.abs(want) ** (m - 2.0) * want)
 
 
+class TestKeepTestByQuadraticForm:
+    """The keep test's squared distances lam^T M lam against the coordinate
+    test (x - c0)**2 + (y - c1)**2 <= R**2 on the sub-points' coordinates."""
+
+    U = np.finfo(float).eps / 2      # the unit roundoff
+
+    @classmethod
+    def band(cls, cells, c, d2):
+        """A bound on the distance between the two tests' squared distances
+        of each sub-point p = sum_i lam_i v_i, (C, S) as d2, which is the
+        coordinate test's.  The form's error is below 11 u A**2, A =
+        sum_i lam_i |v_i - c|: the rounding of the v_i - c and of their
+        dots, then of a six-term dot with coefficients lam_i lam_j >= 0.  The
+        coordinates' is below 9 u d V + 6 u d**2, d = |p - c| and V =
+        sum_i lam_i max(|v_i|): three-term dots, then the differences, the
+        squares and their sum.  16 u (A**2 + 2 d (V + d)) covers both."""
+        table, K, _ = mesh_mod._ball_table()
+        lam, tv = table[K:], cells.crossing_verts
+        A = np.linalg.norm(tv - np.asarray(c), axis=2) @ lam.T
+        V = np.abs(tv).max(axis=2) @ lam.T
+        d = np.sqrt(d2)
+        return 16 * cls.U * (A * A + 2 * d * (V + d))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(4, 64), log_scale=st.floats(-6.0, 6.0),
+           depth=st.integers(0, 3), degree=st.sampled_from([1, 2, 5]),
+           centre=st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
+           log_reach=st.floats(-3.0, 0.0))
+    def test_kept_as_the_coordinate_test(self, n, log_scale, depth, degree,
+                                         centre, log_reach):
+        """On meshes of n = 4 to 64 scaled by 1e-6 to 1e6, with every rule
+        depth and degree, the quadratic form keeps the sub-points that the
+        coordinate test keeps outside the rounding band around the circle,
+        and no sub-point falls in that band."""
+        base, scale = _unit_square(n), 10.0 ** log_scale
+        mesh = TriMesh(scale * base.vertices, base.triangles)
+        room = min(min(centre), 1.0 - max(centre))
+        ball = Ball(tuple(scale * np.asarray(centre)),
+                    scale * room * 10.0 ** log_reach)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mesh_mod, "_BALL_DEPTH", depth)
+            mp.setattr(mesh_mod, "_BALL_DEGREE", degree)
+            cells = _BallCells(mesh, ball)
+            x, y = cells.sub_coords()
+            (c0, c1), R = ball.center, ball.radius
+            d2 = (x - c0) ** 2 + (y - c1) ** 2
+            far = (np.abs(d2 - R * R) > self.band(cells, ball.center, d2)).ravel()
+        assert np.array_equal(cells.kept[far], (d2 <= R * R).ravel()[far])
+        assert far.all()
+
+
+class TestPairLocatedOnce:
+    """A concentric pair is located once: its centroid distances are formed
+    and its outer ball checked for escaping the mesh once, and the pair's
+    kernels and errors are those of its balls classified one at a time."""
+
+    @staticmethod
+    def one_at_a_time(tf, mesh, inner, outer):
+        """The pair's kernels as each ball builds its own, in turn."""
+        return _BallKernel(tf, mesh, inner), _BallKernel(tf, mesh, outer)
+
+    @staticmethod
+    def outcome(build):
+        """The kept flags of both kernels, or the error's type and text."""
+        try:
+            return [k.cells.kept for k in build()[:2]]
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 32), centre=st.tuples(st.floats(-0.2, 1.2),
+                                                  st.floats(-0.2, 1.2)),
+           log_r1=st.floats(-7.0, 0.0), log_grow=st.floats(1e-4, 7.0))
+    @example(n=16, centre=(0.51, 0.52), log_r1=-7.0, log_grow=7.0)
+    def test_as_one_at_a_time(self, triple_phase, n, centre, log_r1, log_grow):
+        """Over centres in and around the square and radii from 1e-7, both
+        balls inside, the outer or both escaping, or a ball holding no
+        point: the same kept flags, or the same error.  The example is an
+        inner ball holding no point in an outer one that escapes."""
+        mesh = _unit_square(n)
+        inner = Ball(centre, 10.0 ** log_r1)
+        outer = Ball(centre, inner.radius * 10.0 ** log_grow)
+        got = self.outcome(lambda: regularity._pair_kernels(triple_phase, mesh,
+                                                            (inner, outer)))
+        want = self.outcome(lambda: self.one_at_a_time(triple_phase, mesh,
+                                                       inner, outer))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_check_and_one_distance_per_pair(self, triple_phase, monkeypatch):
+        """On the probe commands' default family, each pair checks its outer
+        ball and forms the centroid distances once."""
+        mesh, fam = _unit_square(64), _ball_family({})
+        checked, centred = [], []
+        check, dist2 = mesh_mod._check_in_mesh, mesh_mod._dist2
+
+        def counted_check(on, ball, dist=None):
+            checked.append(ball)
+            return check(on, ball, dist)
+
+        def counted_dist2(pts, c):
+            centred.append(pts is mesh.centroids)
+            return dist2(pts, c)
+
+        monkeypatch.setattr(mesh_mod, "_check_in_mesh", counted_check)
+        monkeypatch.setattr(mesh_mod, "_dist2", counted_dist2)
+        for i, j in fam.pairing:
+            regularity._pair_kernels(triple_phase, mesh, (fam.balls[i], fam.balls[j]))
+        assert checked == [fam.balls[j] for _, j in fam.pairing]
+        assert centred.count(True) == len(fam.pairing)
+
+    def test_centre_of_the_view(self, square16):
+        """A ball classified on a view about another centre is an error."""
+        site = mesh_mod._Centred(square16, (0.5, 0.5))
+        with pytest.raises(ValueError, match="is not centred at"):
+            _BallCells(site, Ball((0.5, 0.6), 0.1))
+
+
 class TestBallContainment:
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_same_verdict_on_every_mesh(self, n):
@@ -1102,11 +1222,11 @@ class TestPointQuadraturesOnlyWhereNeeded:
 
 
 class TestBallQuadratureOnDemand:
-    """The keep test on two (C, S) coordinate products, P1 values per
-    triangle block and index arrays formed on first read give the eager
-    construction bit for bit (the values as the block products of its kept
-    flags), and a constant-phase Caccioppoli pair forms neither the
-    sub-points nor the index arrays."""
+    """The keep test by one quadratic form, P1 values per triangle block
+    and index arrays formed on first read give the eager construction bit
+    for bit (the values as the block products of its kept flags), and a
+    constant-phase Caccioppoli pair forms neither the sub-points nor the
+    index arrays."""
 
     @staticmethod
     def balls():
@@ -1218,10 +1338,10 @@ class TestBallQuadratureOnDemand:
         for pair in pairs:
             caccioppoli_ratio(fp, u, pair)
         # one outer quadrature per pair, which only sums values and weights;
-        # each classification reads the sub-point coordinates once, for its
-        # keep test (reads holds them all, so no id is reused)
+        # no classification reads the sub-point coordinates: the keep test
+        # forms none, and no quadrature reads its points
         assert len(quads) == len(pairs)
-        assert len(reads) == len({id(cells) for cells in reads}) == 2 * len(pairs)
+        assert reads == []
         for q in quads:
             assert not {"points", "tri_index", "rule_index"} & set(vars(q))
 
@@ -1241,10 +1361,10 @@ class TestBallQuadratureOnDemand:
                 for have, want in zip((q.points, q.weights, q.tri_index,
                                        q.rule_index), arrays):
                     assert np.array_equal(have, want)
-        # each quadrature's classification: the keep test's reading and the
-        # points' one
-        assert len(quads) == 8
-        assert all(reads.count(q.cells) == 2 for q in quads)
+        # each quadrature's classification, once, for its points; the keep
+        # test reads none
+        assert len(quads) == len(reads) == 8
+        assert all(reads.count(q.cells) == 1 for q in quads)
 
 
 class TestLuxemburgRegulaFalsi:
