@@ -231,11 +231,17 @@ def build_source(cfg):
 def _ball_family(cfg):
     """The concentric pairs of probe.ball_pairs, [{center: [x, y], r1, r2}, ...]."""
     try:
+        pairs = _value(cfg, "probe.ball_pairs")
+        for pair in pairs:
+            if not isinstance(pair, dict):
+                raise TypeError(f"a ball pair must be an object, got {pair!r}")
+            if unknown := set(pair) - {"center", "r1", "r2"}:
+                raise ValueError(f"unknown key(s) in a ball pair: {sorted(unknown)}")
         balls = tuple(Ball(pair["center"], _checked(r, pair[r], "number",
                                                     "be a finite number"))
-                      for pair in _value(cfg, "probe.ball_pairs") for r in ("r1", "r2"))
+                      for pair in pairs for r in ("r1", "r2"))
         return BallFamily(balls, tuple((k, k + 1) for k in range(0, len(balls), 2)))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"probe.ball_pairs: {type(exc).__name__}: {exc}") from exc
 
 

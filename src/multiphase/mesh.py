@@ -45,33 +45,31 @@ def quad_rule(degree):
 
 @dataclass(frozen=True)
 class QuadratureMeasure:
-    """Weighted point set discretizing an area integral.
+    """Weighted point set discretizing an area integral: barycentric rule
+    points in triangle blocks on a mesh.
 
-    tri_index maps each point to the mesh triangle it lies in, which lets
-    P1 data be evaluated without point location.  A quadrature built from a
-    barycentric rule table also records which row of `rule` each point is,
-    so P1 data need no barycentric solve either.  The mesh's own and ball
-    quadratures (private subclasses) also hold their triangle blocks:
-    `blocks` holds a (tris, rows, keep) for each run of points, which are
-    the rule points rule[rows] on each triangle mesh.triangles[tris] in
-    turn, all of them where keep is None, else the flat entries of that
-    (triangles, rows) grid that keep lists, and `FeFunction.at_quad`
-    evaluates P1 data on them with one BLAS product per block.  Any other
-    measure has none, and P1 data on it gather each point's rows.
+    `blocks` holds a (tris, rows, keep) for each run of points: the rule
+    points rule[rows] on each triangle triangles[tris] in turn, all of them
+    where keep is None, else the flat entries of that (triangles, rows)
+    grid that keep lists.  `vertices` and `triangles` are the mesh's own
+    arrays; a measure holds no TriMesh, which caches its measures.
+    `FeFunction.at_quad` evaluates P1 data with one BLAS product per block;
+    `points`, `tri_index` and `rule_index` (each point's triangle and row of
+    `rule`) are formed on first read.  These and the weights are read-only.
     A cell measure, one point per triangle, integrates what is constant on
     each, as a P1 gradient is.
     """
 
-    points: np.ndarray        # (M, 2)
+    vertices: np.ndarray      # (N, 2) the mesh's
+    triangles: np.ndarray     # (T, 3) the mesh's
+    rule: np.ndarray          # (K, 3) barycentric points
+    blocks: tuple             # ((tris, rows, keep), ...)
     weights: np.ndarray       # (M,) positive, sums to the region area
-    tri_index: np.ndarray     # (M,) int
-    rule_index: np.ndarray | None = None   # (M,) int row of `rule`
-    rule: np.ndarray | None = None         # (K, 3) barycentric points
-    blocks = None             # not a field: set by the private subclasses
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
+        self.weights.setflags(write=False)
 
     @property
     def total_mass(self):
@@ -88,15 +86,46 @@ class QuadratureMeasure:
         region that the mesh clips."""
         return self.integral(vals) / self.total_mass
 
+    @cached_property
+    def points(self):
+        """rule[rows] @ each block's triangle vertices; a kept block forms
+        one coordinate's (t, k) product at a time and takes its entries."""
+        points, at = np.empty((len(self.weights), 2)), 0
+        for tris, rows, keep in self.blocks:
+            verts, rule = self.vertices[self.triangles[tris]], self.rule[rows]
+            if keep is None:
+                n = len(verts) * len(rule)
+                np.matmul(rule, verts, out=points[at:at + n].reshape(-1, len(rule), 2))
+            else:
+                n = len(keep)
+                # mode="clip" on indices in range skips the buffer of `out`
+                for d in (0, 1):
+                    np.take(verts[:, :, d] @ rule.T, keep, out=points[at:at + n, d],
+                            mode="clip")
+            at += n
+        points.setflags(write=False)
+        return points
 
-# frozen dataclasses too: on a subclass that is not one, the base's
-# __setattr__ refuses only the fields, and `blocks` is not a field
-@dataclass(frozen=True)
-class _MeshQuadrature(QuadratureMeasure):
-    """The measure of `TriMesh.quadrature`: one block, the whole rule on
-    every triangle."""
+    def _per_point(self, axis):
+        """Each point's triangle (axis 0) or rule row (axis 1), np.intp."""
+        parts = []
+        for tris, rows, keep in self.blocks:
+            tris = np.arange(len(self.triangles))[tris]
+            rows = np.arange(len(self.rule))[rows]
+            entries = np.arange(len(tris) * len(rows)) if keep is None else keep
+            parts.append(np.take(tris, entries // len(rows)) if axis == 0
+                         else np.take(rows, entries % len(rows)))
+        index = np.concatenate(parts, dtype=np.intp)
+        index.setflags(write=False)
+        return index
 
-    blocks = ((slice(None), slice(None), None),)
+    @cached_property
+    def tri_index(self):
+        return self._per_point(0)
+
+    @cached_property
+    def rule_index(self):
+        return self._per_point(1)
 
 
 @dataclass(frozen=True)
@@ -232,17 +261,13 @@ class TriMesh:
         return float(self.areas.sum())
 
     def quadrature(self, degree=5):
-        """The degree rule on every triangle, built once per mesh and degree
-        and shared, so its arrays are read-only."""
+        """The degree rule on every triangle, one block, built once per mesh
+        and degree and shared, so its arrays are read-only."""
         if degree not in self._quadratures:
             bary, w = quad_rule(degree)
-            arrays = ((bary @ self.vertices[self.triangles]).reshape(-1, 2),
-                      (self.areas[:, None] * w).ravel(),
-                      np.repeat(np.arange(self.n_triangles, dtype=np.int32), len(w)),
-                      np.tile(np.arange(len(w), dtype=np.int32), self.n_triangles))
-            for a in arrays:
-                a.setflags(write=False)
-            self._quadratures[degree] = _MeshQuadrature(*arrays, bary)
+            self._quadratures[degree] = QuadratureMeasure(
+                self.vertices, self.triangles, bary,
+                ((slice(None), slice(None), None),), (self.areas[:, None] * w).ravel())
         return self._quadratures[degree]
 
     @cached_property
@@ -433,42 +458,38 @@ class FeFunction:
         return (self.mesh.grad_operator @ self.nodal_values).reshape(-1, 2)
 
     def at_quad(self, quad, bary=None):
-        """Values at quadrature points.
+        """Values at the points of a quadrature of this mesh: each triangle
+        block's (t, 3) nodal values times its (k, 3) rule rows transposed is
+        one BLAS product, written into the output or its kept entries taken,
+        with no (M, 3) row gathers and no index arrays.  Each value is a
+        three-term dot that no BLAS thread split divides, within 2 gamma_3
+        sum_j |u_j lambda_j| of the gathered rows' einsum.  Given barycentric
+        rows `bary`, (M, 3), each point's nodal values are gathered as rows
+        and dotted with them.  A measure of another mesh, even one of as many
+        triangles, is a ValueError."""
+        self._check_own(quad)
+        if bary is not None:
+            vals = np.take(np.take(self.nodal_values, self.mesh.triangles),
+                           quad.tri_index, axis=0)
+            return np.einsum("mj,mj->m", vals, bary)
+        out, at = np.empty(len(quad.weights)), 0
+        for tris, rows, keep in quad.blocks:
+            tri_vals = np.take(self.nodal_values, self.mesh.triangles[tris])
+            rule = quad.rule[rows]
+            if keep is None:
+                n = len(tri_vals) * len(rule)
+                np.matmul(tri_vals, rule.T, out=out[at:at + n].reshape(-1, len(rule)))
+            else:
+                n = len(keep)
+                np.take(np.matmul(tri_vals, rule.T), keep,
+                        out=out[at:at + n], mode="clip")
+            at += n
+        return out
 
-        On a quadrature with triangle blocks (the mesh's own and ball
-        quadratures) each block's (t, 3) nodal values times its (k, 3) rule
-        rows transposed is one BLAS product, written into the output or its
-        kept entries taken: no (M, 3) row gathers, no index arrays.  Each
-        value is a three-term dot that no BLAS thread split divides, within
-        2 gamma_3 sum_j |u_j lambda_j| of the gathered rows' einsum.
-        Otherwise, or given barycentric rows `bary`, each point's nodal
-        values and barycentric row (the recorded rule point, else a
-        barycentric solve) are gathered as rows."""
-        if bary is None and quad.blocks is not None:
-            out = np.empty(len(quad.weights))
-            at = 0
-            for tris, rows, keep in quad.blocks:
-                tri_vals = np.take(self.nodal_values, self.mesh.triangles[tris])
-                rule = quad.rule[rows]
-                if keep is None:
-                    n = len(tri_vals) * len(rule)
-                    np.matmul(tri_vals, rule.T,
-                              out=out[at:at + n].reshape(-1, len(rule)))
-                else:
-                    n = len(keep)
-                    np.take(np.matmul(tri_vals, rule.T), keep,
-                            out=out[at:at + n], mode="clip")
-                at += n
-            return out
-        if bary is None and quad.rule_index is not None:
-            bary = np.take(quad.rule, quad.rule_index, axis=0)
-        elif bary is None:
-            tris = np.take(self.mesh.triangles, quad.tri_index, axis=0)
-            bary = _barycentric(quad.points, np.take(self.mesh.vertices, tris, axis=0))
-        # each triangle's nodal values, gathered as rows to its points
-        vals = np.take(np.take(self.nodal_values, self.mesh.triangles),
-                       quad.tri_index, axis=0)
-        return np.einsum("mj,mj->m", vals, bary)
+    def _check_own(self, quad):
+        if not (quad.triangles is self.mesh.triangles
+                and quad.vertices is self.mesh.vertices):
+            raise ValueError("the quadrature is not on this function's mesh")
 
     def grad_norms(self):
         """|grad u| on each triangle, shape (n_triangles,): the values of
@@ -478,6 +499,7 @@ class FeFunction:
 
     def grad_norm_at(self, quad):
         """|grad u| at the quadrature points, from their triangles."""
+        self._check_own(quad)
         return np.take(self.grad_norms(), quad.tri_index)
 
 
@@ -507,10 +529,12 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center",
-                           (float(self.center[0]), float(self.center[1])))
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        center = tuple(map(float, self.center))
+        if len(center) != 2 or not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be two finite numbers, got {self.center!r}")
+        object.__setattr__(self, "center", center)
 
 
 class _Centred:
@@ -552,11 +576,10 @@ class _BallCells:
     sub-points, all in one (C, 6) @ (6, S) product.  Its error, a few units
     of rounding of (sum_i lam_i |v_i - c|)^2, is far below the gaps between
     the sub-points' distances near the circle, so it keeps the points that
-    their coordinates (`sub_coords`) keep; only a ball quadrature's points
-    form those.  `mesh` is a TriMesh or a `_Centred` view of one about the
-    ball's centre, which concentric balls share.  A ball that escapes the
-    mesh by more than a slack below the P1 resolution is rejected
-    (`_check_in_mesh`)."""
+    their coordinates keep; only a ball quadrature's `points` form those.
+    `mesh` is a TriMesh or a `_Centred` view of one about the ball's
+    centre, which concentric balls share.  A ball that escapes the mesh by
+    more than a slack below the P1 resolution is rejected (`_check_in_mesh`)."""
 
     def __init__(self, mesh, ball):
         site = mesh if isinstance(mesh, _Centred) else _Centred(mesh, ball.center)
@@ -574,8 +597,6 @@ class _BallCells:
         cross = ~all_in
         self.mesh = mesh
         self.inside, self.crossing = np.compress(all_in, near), np.compress(cross, near)
-        self.inside_verts = np.compress(all_in, verts, axis=0)
-        self.crossing_verts = np.compress(cross, verts, axis=0)
         ax, ay = np.compress(cross, ax, axis=0), np.compress(cross, ay, axis=0)
         M = np.empty((len(ax), 6))
         M[:, :3] = np.compress(cross, vd2, axis=0)
@@ -583,32 +604,23 @@ class _BallCells:
         M[:, 3:] = ax[:, i] * ax[:, j] + ay[:, i] * ay[:, j]
         self.kept = (M @ _ball_form(_BALL_DEPTH, _BALL_DEGREE) <= R * R).ravel()
 
-    def sub_coords(self):
-        """The x, then the y of the sub-points of the C crossing triangles,
-        each (C, S) over the S sub-rule points, triangle by triangle: one
-        product (C, 3) @ (3, S) of vertex coordinates and sub-rule each.
-        Only a ball quadrature's points read them; the keep test forms
-        none.  A generator: a caller that takes one at a time holds one."""
-        table, K, _ = _ball_table()
-        return (self.crossing_verts[:, :, d] @ table[K:].T for d in (0, 1))
-
     def cell_measure(self):
-        """One point, the centroid, on each triangle that carries points in
-        the ball's quadrature, inside ones first, weighted by W: the area of
-        a triangle inside the ball, and for a crossing one its area times
-        the summed unit weights of its kept sub-points.  W_t is the sum of
-        the quadrature's weights on triangle t up to rounding.  A crossing
+        """The degree-1 rule on each triangle that carries points in the
+        ball's quadrature, inside ones first, weighted by W: the area of a
+        triangle inside the ball, and for a crossing one its area times the
+        summed unit weights of its kept sub-points.  W_t is the sum of the
+        quadrature's weights on triangle t up to rounding.  A crossing
         triangle that keeps no sub-point carries no point, and is left out."""
         _, _, sub_w = _ball_table()
         # einsum, not a BLAS gemv: the sums do not follow the thread count
         share = np.einsum("ts,s->t", self.kept.reshape(-1, len(sub_w)), sub_w)
         held = np.flatnonzero(share > 0.0)
-        crossing, areas = np.take(self.crossing, held), self.mesh.areas
-        tris = np.concatenate([self.inside, crossing])
+        crossing, mesh = np.take(self.crossing, held), self.mesh
+        blocks = ((np.concatenate([self.inside, crossing]), slice(None), None),)
         return QuadratureMeasure(
-            np.take(self.mesh.centroids, tris, axis=0),
-            np.concatenate([np.take(areas, self.inside),
-                            np.take(areas, crossing) * np.take(share, held)]), tris)
+            mesh.vertices, mesh.triangles, quad_rule(1)[0], blocks,
+            np.concatenate([np.take(mesh.areas, self.inside),
+                            np.take(mesh.areas, crossing) * np.take(share, held)]))
 
 
 def _ball_table():
@@ -618,81 +630,28 @@ def _ball_table():
     return table, len(table) - len(sub_w), sub_w
 
 
-@dataclass(frozen=True, init=False)
-class _BallQuadrature(QuadratureMeasure):
-    """The measure of `ball_quadrature` in two triangle blocks: the plain
-    rule on the triangles inside the ball, then the kept sub-rule entries on
-    the crossing ones.  The weights are formed with it; points, tri_index
-    and rule_index, which `at_quad` does not read, on first read.  Rows are
-    gathered with np.take, several times faster than fancy indexing,
-    straight into the outputs; mode="clip" on indices in range skips the
-    buffer that `out` takes under the default mode."""
-
-    def __init__(self, cells):
-        table, K, sub_w = _ball_table()
-        keep = np.flatnonzero(cells.kept)
-        n_in = K * len(cells.inside)
-        # past the frozen __setattr__, as the cached properties set theirs
-        vars(self).update(cells=cells, rule=table, _K=K, _n_in=n_in, _keep=keep,
-                          blocks=((cells.inside, slice(0, K), None),
-                                  (cells.crossing, slice(K, None), keep)),
-                          weights=np.empty(n_in + len(keep)))
-        areas = cells.mesh.areas
-        np.multiply(np.take(areas, cells.inside)[:, None], quad_rule(_BALL_DEGREE)[1],
-                    out=self.weights[:n_in].reshape(-1, K))
-        parent, row = self._kept_entries()
-        np.multiply(np.take(np.take(areas, cells.crossing), parent),
-                    np.take(sub_w, row), out=self.weights[n_in:])
-        self.__post_init__()
-
-    def _kept_entries(self):
-        """The crossing triangle, as its position in cells.crossing, and the
-        sub-rule row of each kept sub-point."""
-        S = len(self.rule) - self._K
-        parent = self._keep // S        # faster than np.divmod
-        return parent, self._keep - parent * S
-
-    @cached_property
-    def points(self):
-        cells, n_in = self.cells, self._n_in
-        points = np.empty((len(self.weights), 2))
-        points[:n_in] = (quad_rule(_BALL_DEGREE)[0] @ cells.inside_verts).reshape(-1, 2)
-        # the kept sub-points, one coordinate at a time
-        for d, coord in enumerate(cells.sub_coords()):
-            np.take(coord, self._keep, out=points[n_in:, d], mode="clip")
-        return points
-
-    @cached_property
-    def tri_index(self):
-        cells, n_in = self.cells, self._n_in
-        tri_index = np.empty(len(self.weights), np.int64)
-        tri_index[:n_in] = np.repeat(cells.inside, self._K)
-        np.take(cells.crossing, self._kept_entries()[0], out=tri_index[n_in:],
-                mode="clip")
-        return tri_index
-
-    @cached_property
-    def rule_index(self):
-        K, n_in = self._K, self._n_in
-        rule_index = np.empty(len(self.weights), np.int64)
-        rule_index[:n_in] = np.tile(np.arange(K), len(self.cells.inside))
-        np.add(self._kept_entries()[1], K, out=rule_index[n_in:])
-        return rule_index
-
-
 def ball_quadrature(mesh, ball):
-    """Quadrature over the intersection of the mesh with a ball.
-
-    Triangles inside the ball carry the _BALL_DEGREE rule; triangles
-    crossing the circle carry their kept sub-points (`_BallCells`).
-    Returns a QuadratureMeasure whose tri_index refers to the *parent*
-    triangles, so P1 data can still be evaluated per parent.  Its weights
-    are formed here, its points, tri_index and rule_index when first read
-    (`_BallQuadrature`).  `ball` may also be the _BallCells of a ball on
-    this mesh, classified already by a caller that takes its cell measure
-    too.
-    """
-    return _BallQuadrature(ball if isinstance(ball, _BallCells) else _BallCells(mesh, ball))
+    """Quadrature over the intersection of the mesh with a ball, in two
+    triangle blocks: the _BALL_DEGREE rule on the triangles inside the
+    ball, then the kept sub-points of the triangles crossing the circle
+    (`_BallCells`), so P1 data are still evaluated per parent triangle.
+    `ball` may also be the _BallCells of a ball on this mesh, classified
+    already by a caller that takes its cell measure too.  The weights are
+    formed here, gathered with np.take, several times faster than fancy
+    indexing, straight into the output."""
+    cells = ball if isinstance(ball, _BallCells) else _BallCells(mesh, ball)
+    table, K, sub_w = _ball_table()
+    keep = np.flatnonzero(cells.kept)
+    n_in, areas = K * len(cells.inside), cells.mesh.areas
+    weights = np.empty(n_in + len(keep))
+    np.multiply(np.take(areas, cells.inside)[:, None], quad_rule(_BALL_DEGREE)[1],
+                out=weights[:n_in].reshape(-1, K))
+    parent = keep // len(sub_w)       # faster than np.divmod
+    np.multiply(np.take(np.take(areas, cells.crossing), parent),
+                np.take(sub_w, keep - parent * len(sub_w)), out=weights[n_in:])
+    return QuadratureMeasure(cells.mesh.vertices, cells.mesh.triangles, table,
+                             ((cells.inside, slice(0, K), None),
+                              (cells.crossing, slice(K, None), keep)), weights)
 
 
 def _dist2(pts, c):

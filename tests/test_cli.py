@@ -279,10 +279,20 @@ class TestMain:
         ({"center": [0.5, 0.5], "r1": 0.2, "r2": 0.2}, "R1 < R2"),
         ({"center": [0.5, 0.5], "r1": "wide", "r2": 0.2}, "r1 must be a number"),
         ({"center": [0.5, 0.5], "r1": -0.1, "r2": 0.2}, "radius must be positive"),
-        ({"center": [0.5], "r1": 0.1, "r2": 0.2}, "IndexError"),
+        ({"center": [0.5], "r1": 0.1, "r2": 0.2}, "center must be two finite"),
         (0.1, "TypeError"),
+        ({"center": [0.5, 0.5, 7], "r1": 0.1, "r2": 0.2},
+         "center must be two finite numbers, got [0.5, 0.5, 7]"),
+        ({"center": [float("nan"), 0.5], "r1": 0.1, "r2": 0.2},
+         "center must be two finite numbers, got [nan, 0.5]"),
+        ({"center": [0.5, float("inf")], "r1": 0.1, "r2": 0.2},
+         "center must be two finite numbers, got [0.5, inf]"),
+        ({"center": [0.5, 0.5], "r1": 0.1, "r2": 0.2, "r3": 5},
+         "unknown key(s) in a ball pair: ['r3']"),
+        ([[0.5, 0.5], 0.1, 0.2], "a ball pair must be an object"),
     ], ids=["missing_r2", "r1_not_below_r2", "non_numeric", "negative",
-            "short_center", "not_an_object"])
+            "short_center", "not_an_object", "three_entry_center", "nan_center",
+            "infinite_center", "extra_key", "list_pair"])
     def test_malformed_ball_pair_exit_usage(self, tmp_path, capsys, pair, message):
         path = write_cfg(tmp_path, {**BASE_CFG, "probe": {"ball_pairs": [pair]}})
         code = main(["--config", path, "--out", str(tmp_path / "out"),
@@ -501,6 +511,11 @@ class TestConfigSweep:
          "probe.stability_factor"),
         (escaping([0.05, 0.5]), ["probe", "caccioppoli"], "probe.ball_pairs"),
         (escaping([1.5, 0.5]), ["probe", "caccioppoli"], "probe.ball_pairs"),
+        (escaping([0.5, 0.5, 7]), ["probe", "caccioppoli"], "probe.ball_pairs"),
+        (escaping([float("nan"), 0.5]), ["probe", "caccioppoli"], "probe.ball_pairs"),
+        ({"probe": {"ball_pairs": [{"center": [0.5, 0.5], "r1": 0.1, "r2": 0.2,
+                                    "r3": 5}]}}, ["probe", "caccioppoli"],
+         "probe.ball_pairs"),
         ({"sample_grid": 2.5}, ["solve"], "sample_grid"),
         ({"quad_degree": 2.7}, ["verify-modular"], "quad_degree"),
         ({"quad_degree": 6}, ["verify-modular"], "quad_degree"),
@@ -513,7 +528,8 @@ class TestConfigSweep:
             "polygon-self-crossing", "sigma-zero", "sigma-above-1",
             "delta-above-1", "m_grid-scalar", "m_grid-negative", "m_grid-empty",
             "stability_factor-negative", "ball-across-edge",
-            "ball-outside", "sample_grid-fraction", "quad_degree-fraction",
+            "ball-outside", "ball-three-entry-center", "ball-nan-center",
+            "ball-extra-key", "sample_grid-fraction", "quad_degree-fraction",
             "quad_degree-above-5"])
     def test_exit_usage_before_any_work(self, tmp_path, capsys, disc_builds,
                                         change, argv, key):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from multiphase import mesh as mesh_mod
 
-from multiphase import (Ball, Domain2D, UNIT_SQUARE, ball_quadrature,
-                        interpolate, refine, structured_mesh, write_vtk)
+from multiphase import (Ball, Domain2D, ExponentTriple, PhaseFunction,
+                        UNIT_SQUARE, WeightPair, ball_quadrature, interpolate,
+                        luxemburg_norm, refine, structured_mesh, write_vtk)
 
 
 class TestStructuredMesh:
@@ -280,3 +281,45 @@ class TestVtk:
         assert f"POINTS {square8.n_vertices} double" in text
         assert "SCALARS u double 1" in text
         assert "VECTORS grad double" in text
+
+
+class TestBall:
+    """A ball is two finite centre coordinates and 0 < radius < inf."""
+
+    @pytest.mark.parametrize("center, radius, error", [
+        ((0.5, 0.5), np.nan, "radius"),
+        ((0.5, 0.5), np.inf, "radius"),
+        ((np.nan, 0.5), 0.1, "center"),
+        ((0.5, -np.inf), 0.1, "center"),
+        ((0.5, 0.5, 7.0), 0.1, "center"),
+        ((0.5,), 0.1, "center"),
+    ], ids=["nan-radius", "infinite-radius", "nan-center",
+            "infinite-center", "three-entries", "one-entry"])
+    def test_rejects(self, center, radius, error):
+        with pytest.raises(ValueError, match=f"{error} must be"):
+            Ball(center, radius)
+
+
+class TestMeasureOfAnotherMesh:
+    """A P1 function read on the quadrature of another mesh, even one of as
+    many triangles, is a ValueError, not values off by the mismatch."""
+
+    def test_same_triangle_count_rejected(self):
+        coarse = refine(structured_mesh(UNIT_SQUARE, 8))
+        fine = structured_mesh(UNIT_SQUARE, 16)
+        assert coarse.n_triangles == fine.n_triangles == 512
+        u = interpolate(lambda x, y: x + 2 * y, coarse)
+        tf = PhaseFunction(ExponentTriple.constants(2, 3, 4),
+                           WeightPair.constants(1, 1))
+        for quad in (fine.quadrature(), fine.quadrature(1),
+                     ball_quadrature(fine, Ball((0.5, 0.5), 0.2))):
+            with pytest.raises(ValueError, match="not on this function's mesh"):
+                u.at_quad(quad)
+            with pytest.raises(ValueError, match="not on this function's mesh"):
+                u.grad_norm_at(quad)
+            with pytest.raises(ValueError, match="not on this function's mesh"):
+                luxemburg_norm(tf, u, quad)
+        # its own mesh's quadrature reads the affine function exactly
+        quad = coarse.quadrature()
+        x, y = quad.points.T
+        np.testing.assert_allclose(u.at_quad(quad), x + 2 * y, rtol=0, atol=1e-15)

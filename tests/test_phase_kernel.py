@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiphase import (Ball, Domain2D, ExponentTriple, FeFunction,
-                        QuadratureMeasure, ScalarField, TriMesh, UNIT_SQUARE,
-                        WeightPair, ball_quadrature, interpolate, luxemburg_norm,
-                        modular, refine, structured_mesh)
+                        ScalarField, TriMesh, UNIT_SQUARE, WeightPair,
+                        ball_quadrature, interpolate, luxemburg_norm, modular,
+                        refine, structured_mesh)
 from multiphase import fields as fields_mod, mesh as mesh_mod
-from multiphase.mesh import _barycentric, quad_rule
+from multiphase.mesh import _BallCells, _barycentric, quad_rule
 from multiphase.modular import PhaseFunction, SampledPhase
 
 
@@ -196,18 +196,16 @@ def _assert_record_matches_barycentric(mesh, quad):
     point: the two differ only by the rounding of the stored coordinates,
     which a P1 function turns into an error of its gradient times that."""
     assert quad.rule_index is not None
-    plain = QuadratureMeasure(quad.points, quad.weights, quad.tri_index)
     bary = _barycentric(quad.points, mesh.vertices[mesh.triangles[quad.tri_index]])
     smooth = interpolate(lambda x, y: np.sin(x + 0.3) * np.cos(0.7 * y), mesh)
     rough = FeFunction(mesh, np.random.default_rng(4).uniform(-1, 1, mesh.n_vertices))
     for u in (smooth, rough):
-        ref = u.at_quad(plain)
-        np.testing.assert_array_equal(ref, u.at_quad(quad, bary))
+        ref = u.at_quad(quad, bary)
         err = np.abs(u.at_quad(quad) - ref)
         slope = np.linalg.norm(u.gradients(), axis=1)[quad.tri_index]
         reach = np.max(np.abs(mesh.vertices))
         assert np.all(err <= 1e-14 * np.maximum(1.0, slope * reach / 10.0))
-    assert np.max(np.abs(smooth.at_quad(quad) - smooth.at_quad(plain))) <= 1e-14
+    assert np.max(np.abs(smooth.at_quad(quad) - smooth.at_quad(quad, bary))) <= 1e-14
 
 
 class TestRecordedRulePoints:
@@ -234,8 +232,14 @@ class TestRecordedRulePoints:
         assert plain and split
 
     def test_points_are_the_recorded_rule_points(self, mesh_and_balls):
+        """On the mesh quadrature, ball quadratures and ball cell measures,
+        whose points are those of the mesh's degree-1 rule bit for bit."""
         mesh, balls = mesh_and_balls
-        for q in [mesh.quadrature(5)] + [ball_quadrature(mesh, b) for b in balls]:
+        cells = [_BallCells(mesh, b).cell_measure() for b in balls]
+        for q in cells:
+            assert np.array_equal(q.points, mesh.quadrature(1).points[q.tri_index])
+        quads = [mesh.quadrature(5)] + [ball_quadrature(mesh, b) for b in balls]
+        for q in quads + cells:
             verts = mesh.tri_vertices[q.tri_index]
             pts = np.einsum("mj,mjd->md", q.rule[q.rule_index], verts)
             assert np.max(np.abs(pts - q.points)) <= 1e-15
@@ -250,8 +254,11 @@ class TestSharedMeshQuadrature:
     @pytest.mark.parametrize("name", ["points", "weights", "tri_index",
                                       "rule_index", "rule"])
     def test_arrays_are_read_only(self, name):
-        quad = structured_mesh(UNIT_SQUARE, 4).quadrature(5)
-        arr = getattr(quad, name)
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-        assert not arr.flags.writeable
+        """On the mesh's shared quadrature and on a ball's cell measure."""
+        mesh = structured_mesh(UNIT_SQUARE, 4)
+        for quad in (mesh.quadrature(5),
+                     _BallCells(mesh, Ball((0.5, 0.5), 0.3)).cell_measure()):
+            arr = getattr(quad, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+            assert not arr.flags.writeable

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multiphase import (Ball, BallFamily, Domain2D, ExponentTriple, FeFunction,
-                        FluxParams, QuadratureMeasure, TriMesh, UNIT_SQUARE,
-                        WeightPair, ball_quadrature,
+                        FluxParams, TriMesh, UNIT_SQUARE, WeightPair,
+                        ball_quadrature,
                         boundary_higher_integrability_probe,
                         caccioppoli_ratio, higher_integrability_probe,
                         interpolate, luxemburg_norm, poincare_w0_ratio, refine,
@@ -191,12 +191,12 @@ def eager_ball_quadrature(mesh, ball):
     table, sub_w = _ball_rule(mesh_mod._BALL_DEPTH, mesh_mod._BALL_DEGREE)
     bary, w = quad_rule(mesh_mod._BALL_DEGREE)
     K, S = len(w), len(sub_w)
-    sub_points = (table[K:] @ cells.crossing_verts).reshape(-1, 2)
+    sub_points = (table[K:] @ mesh.tri_vertices[cells.crossing]).reshape(-1, 2)
     kept = _dist2(sub_points, ball.center) <= ball.radius ** 2
     keep = np.flatnonzero(kept)
     inside, crossing = cells.inside, cells.crossing
     parent, row = keep // S, keep % S
-    points = np.concatenate([(bary @ cells.inside_verts).reshape(-1, 2),
+    points = np.concatenate([(bary @ mesh.tri_vertices[inside]).reshape(-1, 2),
                              sub_points[keep]])
     tri_index = np.concatenate([np.repeat(inside, K), crossing[parent]])
     weights = np.concatenate([(mesh.areas[inside][:, None] * w).ravel(),
@@ -209,11 +209,8 @@ def gathered_rows(u, quad, bary=None):
     """Each point's triangle's nodal values and its barycentric row, (M, 3)
     each, on every quadrature."""
     mesh = u.mesh
-    if bary is None and quad.rule_index is not None:
+    if bary is None:
         bary = np.take(quad.rule, quad.rule_index, axis=0)
-    elif bary is None:
-        tris = np.take(mesh.triangles, quad.tri_index, axis=0)
-        bary = _barycentric(quad.points, np.take(mesh.vertices, tris, axis=0))
     return np.take(np.take(u.nodal_values, mesh.triangles), quad.tri_index, axis=0), bary
 
 
@@ -726,24 +723,20 @@ class TestMeshQuadratureContraction:
         np.testing.assert_allclose(q.points, at_quad_mesh.centroids, rtol=0, atol=1e-15)
 
     def test_other_measures_gather_rows(self, square16, monkeypatch):
-        """A measure built by hand from the mesh quadrature's arrays and
-        explicit barycentric rows take the gathered path, one einsum; the
+        """Explicit barycentric rows take the gathered path, one einsum; the
         mesh quadrature is one block product and a ball quadrature two, of
         its inside and its crossing triangles with their rule rows."""
         u = TestPhiPerTriangle.state(square16)
         own = square16.quadrature()
-        by_hand = QuadratureMeasure(own.points, own.weights, own.tri_index,
-                                    own.rule_index, own.rule)
         ball = ball_quadrature(square16, Ball((0.4, 0.6), 0.23))
         bary = np.take(own.rule, own.rule_index, axis=0)
         K = len(own.rule)
         S = len(ball.rule) - K
-        blocks = [((len(ball.cells.inside), 3), (3, K)),
-                  ((len(ball.cells.crossing), 3), (3, S))]
+        (inside, _, _), (crossing, _, _) = ball.blocks
+        blocks = [((len(inside), 3), (3, K)), ((len(crossing), 3), (3, S))]
         spy = _ContractionSpy()
         monkeypatch.setattr(mesh_mod, "np", spy)
-        for quad, kwargs, path in ((by_hand, {}, ["mj,mj->m"]),
-                                   (own, {"bary": bary}, ["mj,mj->m"]),
+        for quad, kwargs, path in ((own, {"bary": bary}, ["mj,mj->m"]),
                                    (own, {}, [((square16.n_triangles, 3), (3, K))]),
                                    (ball, {}, blocks)):
             spy.calls.clear()
@@ -753,7 +746,6 @@ class TestMeshQuadratureContraction:
                 assert np.array_equal(got, gathered_at_quad(u, quad, **kwargs))
             else:
                 assert_near_gathered(got, u, quad)
-        assert np.array_equal(u.at_quad(own, bary=bary), u.at_quad(by_hand))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 64), degree=st.sampled_from([1, 2, 5]),
@@ -818,7 +810,7 @@ class TestKeepTestByQuadraticForm:
         sum_i lam_i max(|v_i|): three-term dots, then the differences, the
         squares and their sum.  16 u (A**2 + 2 d (V + d)) covers both."""
         table, K, _ = mesh_mod._ball_table()
-        lam, tv = table[K:], cells.crossing_verts
+        lam, tv = table[K:], cells.mesh.tri_vertices[cells.crossing]
         A = np.linalg.norm(tv - np.asarray(c), axis=2) @ lam.T
         V = np.abs(tv).max(axis=2) @ lam.T
         d = np.sqrt(d2)
@@ -844,7 +836,10 @@ class TestKeepTestByQuadraticForm:
             mp.setattr(mesh_mod, "_BALL_DEPTH", depth)
             mp.setattr(mesh_mod, "_BALL_DEGREE", degree)
             cells = _BallCells(mesh, ball)
-            x, y = cells.sub_coords()
+            # the sub-points' coordinates, (C, S) each
+            table, K, _ = mesh_mod._ball_table()
+            x, y = (mesh.tri_vertices[cells.crossing][:, :, d] @ table[K:].T
+                    for d in (0, 1))
             (c0, c1), R = ball.center, ball.radius
             d2 = (x - c0) ** 2 + (y - c1) ** 2
             far = (np.abs(d2 - R * R) > self.band(cells, ball.center, d2)).ravel()
@@ -1109,7 +1104,7 @@ class TestBallWeights:
             accepted += 1
             cells = _BallCells(mesh, ball).cell_measure()
             tris, w = cells.tri_index, cells.weights
-            assert np.array_equal(cells.points, mesh.centroids[tris])
+            assert np.array_equal(cells.points, mesh.quadrature(1).points[tris])
             # the triangles with positive W carry the quadrature's points
             assert np.all(w > 0)
             assert np.array_equal(np.sort(tris), np.unique(q.tri_index))
@@ -1250,12 +1245,12 @@ class TestBallQuadratureOnDemand:
         for ball in balls:
             kept, *arrays = eager_ball_quadrature(mesh, ball)
             q = ball_quadrature(mesh, ball)
-            assert np.array_equal(q.cells.kept, kept)
+            (inside, _, _), (crossing, _, keep) = q.blocks
+            assert np.array_equal(keep, np.flatnonzero(kept))
             # the values first, from the blocks alone
             got = u.at_quad(q)
             assert not {"points", "tri_index", "rule_index"} & set(vars(q))
-            assert np.array_equal(got, block_at_quad(
-                u, q.cells.inside, q.cells.crossing, np.flatnonzero(kept)))
+            assert np.array_equal(got, block_at_quad(u, inside, crossing, keep))
             assert_near_gathered(got, u, q)
             for have, want in zip((q.points, q.weights, q.tri_index, q.rule_index),
                                   arrays):
@@ -1277,7 +1272,9 @@ class TestBallQuadratureOnDemand:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(quad, name, None)
         cells = _BallCells(square16, ball)
-        cells.mesh = SimpleNamespace(areas=np.zeros(square16.n_triangles))
+        cells.mesh = SimpleNamespace(areas=np.zeros(square16.n_triangles),
+                                     vertices=square16.vertices,
+                                     triangles=square16.triangles)
         with pytest.raises(ValueError, match="weights must be positive"):
             ball_quadrature(square16, cells)
 
@@ -1315,40 +1312,32 @@ class TestBallQuadratureOnDemand:
 
     @staticmethod
     def spy(monkeypatch):
-        """The ball quadratures the probes build, and the classification
-        behind each reading of sub-point coordinates."""
-        quads, reads = [], []
-        original = _BallCells.sub_coords
+        """The ball quadratures the probes build."""
+        quads = []
 
         def counted_quadrature(mesh, ball):
             quads.append(ball_quadrature(mesh, ball))
             return quads[-1]
 
-        def counted_sub_coords(self):
-            reads.append(self)
-            return original(self)
-
         monkeypatch.setattr(regularity, "ball_quadrature", counted_quadrature)
-        monkeypatch.setattr(_BallCells, "sub_coords", counted_sub_coords)
-        return quads, reads
+        return quads
 
     def test_constant_phase_forms_no_index_arrays(self, monkeypatch):
         fp, u, pairs = self.bench_inputs()
-        quads, reads = self.spy(monkeypatch)
+        quads = self.spy(monkeypatch)
         for pair in pairs:
             caccioppoli_ratio(fp, u, pair)
-        # one outer quadrature per pair, which only sums values and weights;
-        # no classification reads the sub-point coordinates: the keep test
-        # forms none, and no quadrature reads its points
+        # one outer quadrature per pair, which only sums values and weights:
+        # none forms its sub-point coordinates, as its points, or its
+        # index arrays
         assert len(quads) == len(pairs)
-        assert reads == []
         for q in quads:
             assert not {"points", "tri_index", "rule_index"} & set(vars(q))
 
     def test_variable_phase_forms_them(self, variable_phase, monkeypatch):
         _, u, pairs = self.bench_inputs()
         fp = FluxParams(variable_phase, eps=1e-8)
-        quads, reads = self.spy(monkeypatch)
+        quads = self.spy(monkeypatch)
         for inner, outer in pairs[:4]:
             caccioppoli_ratio(fp, u, (inner, outer))
             qi, qo = quads[-2:]
@@ -1361,10 +1350,8 @@ class TestBallQuadratureOnDemand:
                 for have, want in zip((q.points, q.weights, q.tri_index,
                                        q.rule_index), arrays):
                     assert np.array_equal(have, want)
-        # each quadrature's classification, once, for its points; the keep
-        # test reads none
-        assert len(quads) == len(reads) == 8
-        assert all(reads.count(q.cells) == 1 for q in quads)
+        # one quadrature per ball; its points were formed on first read
+        assert len(quads) == 8
 
 
 class TestLuxemburgRegulaFalsi:
