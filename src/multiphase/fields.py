@@ -177,6 +177,8 @@ class ExponentTriple:
             raise HypothesisError("exponent p must exceed 1 everywhere")
         if np.any(qv < pv) or np.any(rv < qv):
             raise HypothesisError("exponents must satisfy p <= q <= r")
+        if not np.all(np.isfinite([pv, qv, rv])):
+            raise HypothesisError("exponents must be finite")
         return ExponentTriple(p, q, r,
                               float(pv.min()), float(pv.max()),
                               float(qv.min()), float(qv.max()),

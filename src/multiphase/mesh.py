@@ -573,10 +573,10 @@ class _BallCells:
     lam^T M lam with M_ij = (v_i - c).(v_j - c), so the six distinct
     entries of each crossing triangle's M times the cached (6, S) table of
     the lam_i lam_j (`_ball_form`) give the squared distances of its S
-    sub-points, all in one (C, 6) @ (6, S) product.  Its error, a few units
-    of rounding of (sum_i lam_i |v_i - c|)^2, is far below the gaps between
-    the sub-points' distances near the circle, so it keeps the points that
-    their coordinates keep; only a ball quadrature's `points` form those.
+    sub-points, all in one (C, 6) @ (6, S) product.  Its error is a few
+    units of rounding of (sum_i lam_i |v_i - c|)^2: it keeps the points that
+    their coordinates keep, but within that rounding of the circle the two
+    may differ.  Only a ball quadrature's `points` form the coordinates.
     `mesh` is a TriMesh or a `_Centred` view of one about the ball's
     centre, which concentric balls share.  A ball that escapes the mesh by
     more than a slack below the P1 resolution is rejected (`_check_in_mesh`)."""

@@ -19,8 +19,9 @@ class FluxParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError("eps must be a nonnegative finite number, "
+                             f"got {self.eps!r}")
         if self.eps == 0 and self.tf.exp.p_minus < 2:
             raise ValueError("eps = 0 needs p_minus >= 2 "
                              "(flux derivative singular at zero gradient)")

@@ -67,20 +67,20 @@ class PhaseProblem:
 
 @dataclass
 class SolveReport:
-    solution: FeFunction
-    iterations: int
-    residual_history: list           # residual sup-norms at the final eps,
-                                     # then at check_eps in the check stage;
-                                     # the last entry is at check_eps.
-                                     # solve_convection: the outer distances
-                                     # sup |u_k - u_(k-1)|
-    energy_history: list             # merits at the final eps, then at
-                                     # check_eps in the check stage, one per
-                                     # residual there; the last entry is the
-                                     # eps = 0 energy of the solution
-    converged: bool
-    eps_schedule: list               # the eps of each stage and retry run,
-                                     # the check stage's when it ran
+    """What a solve did; _newton and solve_convection fill it as they go."""
+
+    solution: FeFunction = None
+    iterations: int = 0
+    # residual sup-norms at the final eps, then at check_eps in the check
+    # stage; the last entry is at check_eps.  solve_convection: the outer
+    # distances sup |u_k - u_(k-1)|
+    residual_history: list = field(default_factory=list)
+    # merits at the final eps, then at check_eps in the check stage, one per
+    # residual there; the last entry is the eps = 0 energy of the solution
+    energy_history: list = field(default_factory=list)
+    converged: bool = False
+    # the eps of each stage and retry run, the check stage's when it ran
+    eps_schedule: list = field(default_factory=list)
     start: str = "lift"              # Newton's start: "initial" or "lift"
     stop_reason: str | None = None   # "line_search" when a step found no
                                      # descent, "singular" when a check-stage
@@ -89,8 +89,8 @@ class SolveReport:
                                      # solve; solve_convection: also
                                      # "tolerance", "max_iter_outer", "growth"
     factorizations: int = 0          # matrices factored, the start's Poisson
-                                     # solve included (summed over the inner
-                                     # solves of solve_convection)
+                                     # solve included, as its _HeldFactor
+                                     # counted them
     check_eps: float = 0.0           # eps of `converged` and the last residual
 
 
@@ -165,13 +165,21 @@ def _stiffness(mesh):
 
 
 class _HeldFactor:
-    """At most one factored Jacobian, kept for chord steps, and its eps."""
+    """At most one factored Jacobian, kept for chord steps, and its eps;
+    made counts the matrices factored for it, the Poisson starts included."""
 
-    def __init__(self):
-        self.release()
+    solve = eps = None
+    made = 0
 
     def release(self):
         self.solve, self.eps = None, None
+
+    def refactor(self, disc, u, eps):
+        """Release, count and factor disc's Jacobian at u and eps."""
+        self.release()              # never two factors alive
+        self.made += 1
+        self.solve, self.eps = _factor(disc.jacobian(u, eps=eps),
+                                       disc.mesh.free_pattern.band_layout), eps
 
 
 def _eps_schedule(fp):
@@ -246,6 +254,47 @@ def _ray_start(mesh, free, load, lift, merit):
     return (u, m) if m < m_lift else (lift, m_lift)
 
 
+def _step(disc, merit, u, res, eps, m0, held, chord, t_min):
+    """One damped Newton step from u at eps: (trial, its merit, step length),
+    or None when a fresh step finds no Armijo descent down to t_min.
+
+    res is u's residual at eps and m0() its merit, evaluated after the
+    linear solve; merit(vals, eps) is a trial's.  A chord step solves with
+    the factor in `held` and halves down to T_MIN; if its solve fails, or it
+    does not pass or not descend, a fresh factor of the Jacobian at u redoes
+    it.  A failed step releases its factor; a singular fresh factor or a
+    non-finite step raises np.linalg.LinAlgError."""
+    for fresh in ((False, True) if chord else (True,)):
+        try:
+            if fresh:
+                held.refactor(disc, u, eps)
+            step = _linear_solve(held.solve, -res)
+            if not np.all(np.isfinite(step)):
+                raise np.linalg.LinAlgError("non-finite step")
+        except np.linalg.LinAlgError:
+            held.release()
+            if fresh:
+                raise
+            continue
+        m, slope = m0(), float(res @ step)  # slope < 0: a descent direction
+        # near convergence the Armijo decrease 1e-4 t slope falls below
+        # the rounding error of the merit, which then cannot reject a step
+        noise = 1e-13 * abs(m)
+        t, trial = 1.0, u.copy()
+        while t >= (t_min if fresh else T_MIN):
+            trial[disc.free] = u[disc.free] + t * step
+            m_trial = merit(trial, eps)
+            if m_trial <= m + 1e-4 * t * slope + noise:
+                # the noise allowance can pass a tiny ascent step: a chord
+                # step must descend as well
+                if fresh or slope < 0:
+                    return trial, m_trial, t
+                break
+            t *= 0.5
+        held.release()
+    return None
+
+
 def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             choose_start=True, forcing=0.0):
     """Damped Newton, at the final eps unless a step struggles.
@@ -259,29 +308,27 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     along its Poisson correction by _ray_start, at the merit of that eps;
     that linear solve counts as a factorisation.
 
-    A fresh step struggles when its factorisation is singular or its solve
-    not finite, or when its Armijo search needs a step length below T_MIN.
-    The first such step is dropped and the solve climbs to the top rung of
-    the ladder and walks down it again, stage by stage (Deuflhard 2004,
-    ch. 3: on a strictly convex energy, eps continuation is needed for
-    conditioning only).  After that climb, or on a one-rung ladder, a
-    singular step raises eps within its stage (ten-fold, at least to 1e-6),
-    a damped step is taken, and a step that finds no descent in 30 halvings
-    stops the solve with stop_reason "line_search".
-
-    A last stage that converges above tol at check_eps (p_minus >= 2 with a
-    user eps > 0, or after an eps retry) is followed by the check stage at
-    check_eps, which never climbs or raises eps: a singular step there stops
-    the solve with stop_reason "singular".
+    Each step is one _step.  A fresh step struggles when its factor is
+    singular, its solve not finite or its search finds no descent, and then
+    does what the policy of its stage says:
+    - "climb" (the first stage, unless the ladder has one rung; its steps
+      halve down to T_MIN): climb to the top rung of the ladder and walk
+      down it again, stage by stage (Deuflhard 2004, ch. 3: on a strictly
+      convex energy, eps continuation is needed for conditioning only);
+    - "retry" (each rung after a climb, or the one rung): raise eps within
+      the stage when singular (ten-fold, at least to 1e-6), else stop the
+      solve with stop_reason "line_search" after 30 halvings;
+    - "stop" (the check stage at check_eps, after a last stage that
+      converges above tol at check_eps: p_minus >= 2 with a user eps > 0,
+      or after an eps retry): stop the solve with stop_reason "singular"
+      or "line_search".
 
     A step reuses the factor in `held` (a chord step: Shamanskii 1967,
     Kelley 2003) when it was made at the current eps, the previous step was
     not damped and, after the first step of a stage, cut the residual
-    sup-norm by CHORD_CONTRACTION.  Any other step assembles and factors the
-    Jacobian anew, after releasing the held factor, and so does a chord step
-    that finds no descent above T_MIN or whose solve fails.  A caller that
-    passes `held` gets the last factor back for its next solve, unless the
-    last accepted step was damped.
+    sup-norm by CHORD_CONTRACTION.  A caller that passes `held` gets the
+    last factor back unless the last step failed or was damped; the report
+    counts this solve's share of held.made as its factorizations.
 
     With forcing > 0 the solve aims at max(tol, forcing * r0) in place of
     tol, r0 its first residual sup-norm (at the start state and the final
@@ -294,10 +341,11 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
+    made = held.made
     ladder = _eps_schedule(prob.fp)
     final_eps = ladder[-1]
     check_eps = prob.fp.check_eps
-    res_hist, energy_hist, eps_used = [], [], []
+    report = SolveReport(check_eps=check_eps)
     target = tol                    # max(tol, forcing * r0) once r0 is known
 
     def merit(vals, eps):
@@ -313,131 +361,88 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
                                      if quantity == "res" else merit(u, eps))
         return record[quantity, eps]
 
-    start = "lift"
-    iters = factorizations = 0
     if initial is not None:
         warm = np.where(mesh.boundary_flags, prob.dirichlet,
                         np.asarray(initial, dtype=float))
         if not choose_start:
-            u, start = warm, "initial"
+            u, report.start = warm, "initial"
         else:
             m_lift = at_u("merit", final_eps)
             m_warm = merit(warm, final_eps)   # evaluated last: stays memoised
             if m_warm <= m_lift:
-                u, start = warm, "initial"
+                u, report.start = warm, "initial"
                 record = {("merit", final_eps): m_warm}
     elif len(free):
         held.release()              # never two factors alive
-        factorizations += 1
+        held.made += 1
         u, record["merit", final_eps] = _ray_start(
             mesh, free, load, u, lambda vals: merit(vals, final_eps))
 
-    stages = [final_eps]            # the stages still to run
-    climbed = len(ladder) == 1      # no rung left to climb to
-    checking = False                # the check stage at check_eps is running
-    stop_reason = None
-    while stages and stop_reason is None:
-        eps = stages.pop(0)
-        eps_used.append(eps)
-        retries = 0
+    # the stages still to run: each eps, and what a struggling step does there
+    stages = [(final_eps, "climb" if len(ladder) > 1 else "retry")]
+    while stages and report.stop_reason is None:
+        eps, policy = stages.pop(0)
+        report.eps_schedule.append(eps)
         stage_tol = target if eps in (final_eps, check_eps) else max(tol, 1e-8)
-        stage_iters = 0
-        tested = False              # u has had the residual test at eps
-        prev_rnorm = None           # residual before the last step of the stage
-        damped = False
+        t_min = T_MIN if policy == "climb" else 0.5 ** 29
+        retries = stage_iters = 0
+        prev_rnorm, damped = None, False  # residual before the last step
         while stage_iters < max_iter:
             if held.eps != eps:
                 held.release()
             res = at_u("res", eps)
             rnorm = _sup_norm(res)
-            if not tested:
-                tested = True
-                if eps in (final_eps, check_eps):
-                    if not res_hist and np.isfinite(rnorm):
-                        target = stage_tol = max(tol, forcing * rnorm)
-                    res_hist.append(rnorm)
-                    energy_hist.append(at_u("merit", eps))
-                if rnorm <= stage_tol:
-                    # the eps-regularized iteration may stop above the
-                    # residual at check_eps; the check stage closes the gap
-                    if (not stages and eps != check_eps
-                            and _sup_norm(at_u("res", check_eps)) > target):
-                        stages, climbed, checking = [check_eps], True, True
-                    break
+            if eps in (final_eps, check_eps):
+                if not report.residual_history and np.isfinite(rnorm):
+                    target = stage_tol = max(tol, forcing * rnorm)
+                report.residual_history.append(rnorm)
+                report.energy_history.append(at_u("merit", eps))
+            if rnorm <= stage_tol:
+                # the eps-regularized iteration may stop above the
+                # residual at check_eps; the check stage closes the gap
+                if (not stages and eps != check_eps
+                        and _sup_norm(at_u("res", check_eps)) > target):
+                    stages = [(check_eps, "stop")]
+                break
             contracting = (prev_rnorm is None
                            or rnorm <= CHORD_CONTRACTION * prev_rnorm)
             chord = held.solve is not None and not damped and contracting
+            why = "line_search"
             try:
-                if not chord:
-                    held.release()          # never two factors alive
-                    factorizations += 1
-                    held.solve = _factor(disc.jacobian(u, eps=eps),
-                                         mesh.free_pattern.band_layout)
-                    held.eps = eps
-                step = _linear_solve(held.solve, -res)
-                if not np.all(np.isfinite(step)):
-                    raise np.linalg.LinAlgError("non-finite step")
+                stepped = _step(disc, merit, u, res, eps,
+                                lambda: at_u("merit", eps), held, chord, t_min)
             except np.linalg.LinAlgError:
-                held.release()
-                if chord:
+                stepped, why = None, "singular"
+            if stepped is None:
+                if policy == "retry" and why == "singular":
+                    retries += 1
+                    if retries > 5:
+                        raise RuntimeError("singular Jacobian after 5 eps retries")
+                    eps = max(eps * 10.0, 1e-6)
+                    report.eps_schedule.append(eps)
+                    prev_rnorm, damped = None, False
                     continue
-                if checking:
-                    stop_reason = "singular"
-                    break
-                if not climbed:
-                    climbed, stages = True, list(ladder)
-                    break
-                retries += 1
-                if retries > 5:
-                    raise RuntimeError("singular Jacobian after 5 eps retries")
-                eps = max(eps * 10.0, 1e-6) if eps > 0 else 1e-6
-                eps_used.append(eps)
-                tested, prev_rnorm, damped = False, None, False
-                continue
-            m0 = at_u("merit", eps)
-            slope = float(res @ step)   # negative for a descent direction
-            # near convergence the Armijo decrease 1e-4 t slope falls below
-            # the rounding error of the merit, which then cannot reject a step
-            noise = 1e-13 * abs(m0)
-            # a step with somewhere to go on failure stops halving at T_MIN
-            t_min = T_MIN if chord or not climbed else 0.5 ** 29
-            t = 1.0
-            trial = u.copy()
-            passed = False
-            while t >= t_min:
-                trial[free] = u[free] + t * step
-                m_trial = merit(trial, eps)
-                if m_trial <= m0 + 1e-4 * t * slope + noise:
-                    passed = True
-                    break
-                t *= 0.5
-            # the noise allowance can pass a tiny ascent step: a chord step
-            # must descend and pass, else it is redone from u with a fresh
-            # Jacobian
-            if chord and not (passed and slope < 0):
-                held.release()
-                continue
-            if not passed:
-                if climbed:
-                    stop_reason = "line_search"
+                if policy == "climb":
+                    stages = [(rung, "retry") for rung in ladder]
                 else:
-                    climbed, stages = True, list(ladder)
+                    report.stop_reason = why
                 break
-            u, record, tested = trial, {("merit", eps): m_trial}, False
+            u, m, t = stepped
+            record = {("merit", eps): m}
             prev_rnorm, damped = rnorm, t < 1.0
-            iters += 1
+            report.iterations += 1
             stage_iters += 1
     if damped:                      # the next solve's first step factors
         held.release()
     rnorm = _sup_norm(at_u("res", check_eps))
-    res_hist.append(rnorm)
-    energy_hist.append(at_u("merit", 0.0))
-    converged = rnorm <= target and stop_reason is None
-    if not converged and stop_reason is None:
-        stop_reason = "max_iter"
-    return SolveReport(FeFunction(prob.mesh, u, disc), iters, res_hist,
-                       energy_hist, converged, eps_used, start, stop_reason,
-                       factorizations, check_eps)
+    report.residual_history.append(rnorm)
+    report.energy_history.append(at_u("merit", 0.0))
+    report.converged = rnorm <= target and report.stop_reason is None
+    if not report.converged and report.stop_reason is None:
+        report.stop_reason = "max_iter"
+    report.solution = FeFunction(prob.mesh, u, disc)
+    report.factorizations = held.made - made
+    return report
 
 
 def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
@@ -458,18 +463,14 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     solve)."""
     _check_tol(tol)
     disc = PhaseDiscretization(prob.fp, prob.mesh)
-    mesh = prob.mesh
-    u = np.where(mesh.boundary_flags, prob.dirichlet,
+    u = np.where(prob.mesh.boundary_flags, prob.dirichlet,
                  0.0 if initial is None else np.asarray(initial, dtype=float))
-    hist, eps_used, energy_hist = [], [], []
-    grow = 0
-    prev_dist = np.inf
-    start = "lift"
-    stop_reason = "max_iter_outer"
+    report = SolveReport(stop_reason="max_iter_outer",
+                         check_eps=prob.fp.check_eps)
+    grow, prev_dist = 0, np.inf
     held = _HeldFactor()        # one factor, handed from inner solve to the next
-    factorizations = 0
-    it = 0
     for it in range(1, max_iter_outer + 1):
+        report.iterations = it
         load = _source_load(disc, prob.source, u)
         # only the first inner solve weighs its start against the lift: later
         # ones start from the last iterate, which always wins
@@ -477,28 +478,27 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
                         initial=initial if it == 1 else u, held=held,
                         choose_start=it == 1, forcing=INNER_FORCING)
         if it == 1:
-            start = inner.start
-        factorizations += inner.factorizations
-        eps_used = inner.eps_schedule
+            report.start = inner.start
+        report.eps_schedule = inner.eps_schedule
         dist = _sup_norm(inner.solution.nodal_values[disc.free] - u[disc.free])
         u = inner.solution.nodal_values
-        hist.append(dist)
-        energy_hist.append(inner.energy_history[-1])
+        report.residual_history.append(dist)
+        report.energy_history.append(inner.energy_history[-1])
         if (dist <= tol and inner.converged
                 and inner.residual_history[-1] <= tol):
-            stop_reason = "tolerance"
+            report.stop_reason = "tolerance"
             break
         if inner.stop_reason in ("line_search", "singular"):
-            stop_reason = inner.stop_reason
+            report.stop_reason = inner.stop_reason
             break
-        grow = grow + 1 if dist > prev_dist else 0
-        prev_dist = dist
+        grow, prev_dist = (grow + 1 if dist > prev_dist else 0), dist
         if grow >= 5:
-            stop_reason = "growth"
+            report.stop_reason = "growth"
             break
-    return SolveReport(FeFunction(mesh, u), it, hist, energy_hist,
-                       stop_reason == "tolerance", eps_used, start,
-                       stop_reason, factorizations, prob.fp.check_eps)
+    report.solution = FeFunction(prob.mesh, u)
+    report.converged = report.stop_reason == "tolerance"
+    report.factorizations = held.made
+    return report
 
 
 def weak_residual_sup(prob, u):
@@ -531,8 +531,8 @@ def first_eigenvalue(mesh, m, tol=1e-10, max_iter=2000):
     A mesh without free nodes or a tol that is not a positive finite
     number raises ValueError."""
     _check_tol(tol)
-    if m <= 1:
-        raise ValueError("m must exceed 1")
+    if not 1 < m < math.inf:
+        raise ValueError(f"m must exceed 1 and be finite, got {m!r}")
     free = np.flatnonzero(~mesh.boundary_flags)
     if not len(free):
         raise ValueError("the mesh has no free nodes")

@@ -493,6 +493,9 @@ class TestConfigSweep:
         ({"solver": {"eps": 0.0}, "p": {"const": 1.5}}, ["solve"], "solver.eps"),
         ({"p": {"const": 0.5}}, ["solve"], "p, q, r"),
         ({"q": {"const": 1.5}}, ["solve"], "p, q, r"),
+        ({"p": {"const": float("nan")}}, ["solve"], "p, q, r"),
+        ({"r": {"const": float("inf")}, "mu2": {"const": 1.0},
+          "source": {"const": 1.0}}, ["solve"], "p, q, r"),
         ({"mu1": {"const": -1.0}}, ["solve"], "mu1, mu2"),
         ({"source": {"expr": 5}}, ["solve"], "source"),
         ({"domain": {"polygon": [[0, 0], [1, 0]]}}, ["eigen"], "domain"),
@@ -523,7 +526,8 @@ class TestConfigSweep:
             "refinements-fraction", "seed-fraction", "seed-negative",
             "seed-flag-negative", "max_iter-zero", "max_iter-negative",
             "eps-negative", "eps-infinite", "tol-beyond-float",
-            "eps-zero-below-p2", "p-below-1", "q-below-p", "mu1-negative",
+            "eps-zero-below-p2", "p-below-1", "q-below-p", "p-nan", "r-infinite",
+            "mu1-negative",
             "expr-not-text", "polygon-two-vertices",
             "polygon-self-crossing", "sigma-zero", "sigma-above-1",
             "delta-above-1", "m_grid-scalar", "m_grid-negative", "m_grid-empty",

@@ -156,6 +156,20 @@ class TestH1:
         with pytest.raises(HypothesisError):
             WeightPair.constants(-0.5, 0)
 
+    @pytest.mark.parametrize("p, q, r", [(np.nan, 2, 3), (2, np.nan, 3),
+                                         (2, 3, np.nan), (2, 3, np.inf),
+                                         (np.inf, np.inf, np.inf)])
+    def test_non_finite_exponents_rejected(self, p, q, r):
+        """NaN fails neither p > 1 nor p <= q <= r, and r = inf passes both."""
+        with pytest.raises(HypothesisError, match="exponents must be finite"):
+            ExponentTriple.constants(p, q, r)
+
+    def test_non_finite_exponent_somewhere_rejected(self):
+        r = ScalarField(lambda x1, x2: np.where(x1 > 0.5, np.inf, 4.0))
+        with pytest.raises(HypothesisError, match="exponents must be finite"):
+            ExponentTriple.sample(ScalarField.constant(2.0),
+                                  ScalarField.constant(3.0), r, UNIT_SQUARE, n=8)
+
 
 class TestHprime:
     def test_pass(self):

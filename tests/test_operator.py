@@ -20,6 +20,11 @@ class TestFluxParams:
         with pytest.raises(ValueError):
             FluxParams(laplace_phase, eps=-1e-3)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, laplace_phase, eps):
+        with pytest.raises(ValueError, match="nonnegative finite"):
+            FluxParams(laplace_phase, eps=eps)
+
     def test_zero_eps_needs_p2(self):
         tf = PhaseFunction(ExponentTriple.constants(1.5, 2, 3),
                            WeightPair.constants(0, 0))

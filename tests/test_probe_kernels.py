@@ -9,6 +9,7 @@ dot, by gathering each point's rows, and the Luxemburg norm by bisection."""
 
 import dataclasses
 import functools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -821,12 +822,17 @@ class TestKeepTestByQuadraticForm:
            depth=st.integers(0, 3), degree=st.sampled_from([1, 2, 5]),
            centre=st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)),
            log_reach=st.floats(-3.0, 0.0))
+    @example(n=4, log_scale=0.0, depth=0, degree=1,
+             centre=(0.5, 0.3333333333333333), log_reach=0.0)
     def test_kept_as_the_coordinate_test(self, n, log_scale, depth, degree,
                                          centre, log_reach):
         """On meshes of n = 4 to 64 scaled by 1e-6 to 1e6, with every rule
         depth and degree, the quadratic form keeps the sub-points that the
-        coordinate test keeps outside the rounding band around the circle,
-        and no sub-point falls in that band."""
+        coordinate test keeps outside the rounding band around the circle.
+        A sub-point in that band lies on the circle up to rounding: the
+        exact squared distance of its coordinates is within twice the band
+        of R**2.  The example has a crossing triangle's centroid (5/6, 1/3)
+        on the circle, which both tests keep."""
         base, scale = _unit_square(n), 10.0 ** log_scale
         mesh = TriMesh(scale * base.vertices, base.triangles)
         room = min(min(centre), 1.0 - max(centre))
@@ -842,9 +848,14 @@ class TestKeepTestByQuadraticForm:
                     for d in (0, 1))
             (c0, c1), R = ball.center, ball.radius
             d2 = (x - c0) ** 2 + (y - c1) ** 2
-            far = (np.abs(d2 - R * R) > self.band(cells, ball.center, d2)).ravel()
+            band = self.band(cells, ball.center, d2).ravel()
+            far = np.abs(d2.ravel() - R * R) > band
         assert np.array_equal(cells.kept[far], (d2 <= R * R).ravel()[far])
-        assert far.all()
+        near = ~far
+        for xi, yi, b in zip(x.ravel()[near], y.ravel()[near], band[near]):
+            exact = ((Fraction(xi) - Fraction(c0)) ** 2
+                     + (Fraction(yi) - Fraction(c1)) ** 2)
+            assert abs(exact - Fraction(R) ** 2) <= 2 * Fraction(b)
 
 
 class TestPairLocatedOnce:

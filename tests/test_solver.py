@@ -225,6 +225,12 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             first_eigenvalue(square8, 1.0)
 
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_non_finite_m(self, square8, m):
+        """A typed error, not an eps retry of the inverse power step."""
+        with pytest.raises(ValueError, match="exceed 1 and be finite"):
+            first_eigenvalue(square8, m)
+
     # lambda of the Rayleigh descent the inverse power method replaced
     # (seed 7, n = 16); a minimised quotient may only come out lower
     DESCENT_M3_N16 = 63.9569147823
@@ -634,11 +640,12 @@ class TestChordSteps:
             return rep
 
         monkeypatch.setattr(solver, "_newton", recording_newton)
-        for seed in (21, 22):
+        # without an initial state the Poisson start's solve is counted too
+        for initial in (None, rough_start(square16, 21, square16.h_max),
+                        rough_start(square16, 22, square16.h_max)):
             made.clear()
             inner.clear()
-            rep = solve_convection(
-                prob, initial=rough_start(square16, seed, square16.h_max))
+            rep = solve_convection(prob, initial=initial)
             assert rep.converged
             assert rep.factorizations == len(made)
             assert rep.factorizations == sum(f for _, f in inner)
