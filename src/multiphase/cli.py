@@ -326,8 +326,8 @@ class Manifest:
             "solve": self.solve,
             "error": self.error,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as fh:   # vars: each StepRecord
+            json.dump(data, fh, indent=2, sort_keys=True, default=vars)
         return path
 
 
@@ -367,7 +367,7 @@ def cmd_solve(cfg, setup, args, manifest):
             rep = solve_variational(prob, tol=tol, max_iter=max_iter)
     manifest.solve = {"start": rep.start, "stop_reason": rep.stop_reason,
                       "factorizations": rep.factorizations,
-                      "check_eps": rep.check_eps}
+                      "check_eps": rep.check_eps, "trace": rep.trace}
     manifest.vtk("solution.vtk", prob.mesh, {"u": rep.solution.nodal_values},
                  {"grad_u": rep.solution.gradients()})
     # a convection report's history holds its outer distances

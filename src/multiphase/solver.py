@@ -3,6 +3,7 @@ problem, plus the first Dirichlet eigenvalue of the m-Laplacian."""
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -14,6 +15,7 @@ from .mesh import BAND_MAX, BandLayout, FeFunction
 from .modular import PhaseFunction
 from .operator import FluxParams, PhaseDiscretization
 
+log = logging.getLogger("multiphase")
 UNIQUENESS_SEED = 0xC0FFEE
 # A held factor serves the next step only while each step cuts the residual
 # sup-norm by at least this factor (Kelley 2003, the chord method).
@@ -65,33 +67,54 @@ class PhaseProblem:
             raise ValueError("dirichlet values must be finite")
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """One step of a solve, an entry of SolveReport.trace."""
+
+    eps: float | None
+    residual: float | None
+    merit: float | None = None
+    t: float | None = None
+    kind: str | None = None
+    factored: int = 0
+    inner: tuple = field(default=(), repr=False)
+
+
 @dataclass
 class SolveReport:
-    """What a solve did; _newton and solve_convection fill it as they go."""
+    """What a solve did: one StepRecord per step in trace, from which the
+    five summaries are read.
+
+    _newton records each residual it reads: its eps and sup-norm, the merit
+    at the final eps and check_eps, the length t of the step taken, the
+    kind of step tried ("fresh", "chord", or None at a converged residual)
+    and the matrices factored for it.  A Poisson start comes first, as kind
+    "ray", and kind "end" last, with the residual at check_eps and the
+    eps = 0 merit.  solve_convection records each outer step as kind
+    "outer": the outer distance sup |u_k - u_(k-1)|, the inner solve's last
+    merit, t = 1, its factorisations and its trace as inner.  eps_schedule
+    lists the eps of each stage and eps retry, of the last inner solve for
+    solve_convection."""
 
     solution: FeFunction = None
-    iterations: int = 0
-    # residual sup-norms at the final eps, then at check_eps in the check
-    # stage; the last entry is at check_eps.  solve_convection: the outer
-    # distances sup |u_k - u_(k-1)|
-    residual_history: list = field(default_factory=list)
-    # merits at the final eps, then at check_eps in the check stage, one per
-    # residual there; the last entry is the eps = 0 energy of the solution
-    energy_history: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     converged: bool = False
-    # the eps of each stage and retry run, the check stage's when it ran
-    eps_schedule: list = field(default_factory=list)
     start: str = "lift"              # Newton's start: "initial" or "lift"
-    stop_reason: str | None = None   # "line_search" when a step found no
-                                     # descent, "singular" when a check-stage
-                                     # Jacobian was singular, "max_iter" when
-                                     # the step budget ended an unconverged
-                                     # solve; solve_convection: also
-                                     # "tolerance", "max_iter_outer", "growth"
-    factorizations: int = 0          # matrices factored, the start's Poisson
-                                     # solve included, as its _HeldFactor
-                                     # counted them
+    stop_reason: str | None = None   # see _newton and solve_convection
     check_eps: float = 0.0           # eps of `converged` and the last residual
+
+    iterations = property(lambda s: sum(r.t is not None for r in s.trace))
+    factorizations = property(lambda s: sum(r.factored for r in s.trace))
+    residual_history = property(lambda s: [r.residual for r in s.trace
+                                           if r.merit is not None])
+    energy_history = property(lambda s: [r.merit for r in s.trace
+                                         if r.merit is not None])
+
+    @property
+    def eps_schedule(self):
+        trace = (self.trace[-1].inner or self.trace) if self.trace else []
+        run = [r.eps for r in trace if r.kind not in ("ray", "end")]
+        return [e for k, e in enumerate(run) if not k or e != run[k - 1]]
 
 
 def _factor(J, layout=None):
@@ -166,7 +189,7 @@ def _stiffness(mesh):
 
 class _HeldFactor:
     """At most one factored Jacobian, kept for chord steps, and its eps;
-    made counts the matrices factored for it, the Poisson starts included."""
+    made counts the matrices factored since a StepRecord took the count."""
 
     solve = eps = None
     made = 0
@@ -327,21 +350,20 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     Kelley 2003) when it was made at the current eps, the previous step was
     not damped and, after the first step of a stage, cut the residual
     sup-norm by CHORD_CONTRACTION.  A caller that passes `held` gets the
-    last factor back unless the last step failed or was damped; the report
-    counts this solve's share of held.made as its factorizations.
+    last factor back unless the last step failed or was damped.
 
     With forcing > 0 the solve aims at max(tol, forcing * r0) in place of
     tol, r0 its first residual sup-norm (at the start state and the final
-    eps), and `converged` means that relaxed target was met.
+    eps), and `converged` means that relaxed target was met.  After
+    max_iter steps in all the solve stops, with stop_reason "max_iter"
+    unless it has converged.
 
-    Each residual at the final eps, and in the check stage at check_eps,
-    adds the merit at that eps to energy_history; its last entry is the
-    eps = 0 energy of the solution.  The residual and the merit of a state
-    at an eps are each evaluated at most once, on first use."""
+    The residual and the merit of a state at an eps are each evaluated at
+    most once, on first use; each residual read adds a record to the
+    report's trace (see SolveReport)."""
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
-    made = held.made
     ladder = _eps_schedule(prob.fp)
     final_eps = ladder[-1]
     check_eps = prob.fp.check_eps
@@ -351,15 +373,21 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     def merit(vals, eps):
         return disc.energy(vals, eps=eps) - float(load[free] @ vals[free])
 
+    def add(eps, residual, m=None, t=None, kind=None):
+        """Trace and log a record of the matrices factored since the last."""
+        report.trace.append(StepRecord(eps, residual, m, t, kind, held.made))
+        log.info("%s", report.trace[-1])
+        held.made = 0
+
     u = np.where(mesh.boundary_flags, prob.dirichlet, 0.0)
-    record = {}                     # ("res" | "merit", eps) -> its value at u
+    memo = {}                       # ("res" | "merit", eps) -> its value at u
 
     def at_u(quantity, eps):
         """The residual or merit of u at eps, evaluated on first use."""
-        if (quantity, eps) not in record:
-            record[quantity, eps] = (disc.residual(u, load, eps=eps)
-                                     if quantity == "res" else merit(u, eps))
-        return record[quantity, eps]
+        if (quantity, eps) not in memo:
+            memo[quantity, eps] = (disc.residual(u, load, eps=eps)
+                                   if quantity == "res" else merit(u, eps))
+        return memo[quantity, eps]
 
     if initial is not None:
         warm = np.where(mesh.boundary_flags, prob.dirichlet,
@@ -371,77 +399,73 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
             m_warm = merit(warm, final_eps)   # evaluated last: stays memoised
             if m_warm <= m_lift:
                 u, report.start = warm, "initial"
-                record = {("merit", final_eps): m_warm}
+                memo = {("merit", final_eps): m_warm}
     elif len(free):
         held.release()              # never two factors alive
         held.made += 1
-        u, record["merit", final_eps] = _ray_start(
+        u, memo["merit", final_eps] = _ray_start(
             mesh, free, load, u, lambda vals: merit(vals, final_eps))
+        add(final_eps, None, kind="ray")
 
     # the stages still to run: each eps, and what a struggling step does there
     stages = [(final_eps, "climb" if len(ladder) > 1 else "retry")]
-    while stages and report.stop_reason is None:
+    while (stages and report.stop_reason is None
+           and report.iterations < max_iter):
         eps, policy = stages.pop(0)
-        report.eps_schedule.append(eps)
         stage_tol = target if eps in (final_eps, check_eps) else max(tol, 1e-8)
         t_min = T_MIN if policy == "climb" else 0.5 ** 29
-        retries = stage_iters = 0
-        prev_rnorm, damped = None, False  # residual before the last step
-        while stage_iters < max_iter:
+        retries = 0
+        while report.iterations < max_iter:
             if held.eps != eps:
                 held.release()
             res = at_u("res", eps)
             rnorm = _sup_norm(res)
-            if eps in (final_eps, check_eps):
-                if not report.residual_history and np.isfinite(rnorm):
-                    target = stage_tol = max(tol, forcing * rnorm)
-                report.residual_history.append(rnorm)
-                report.energy_history.append(at_u("merit", eps))
+            listed = eps in (final_eps, check_eps)
+            if listed and not report.residual_history and np.isfinite(rnorm):
+                target = stage_tol = max(tol, forcing * rnorm)
+            m = at_u("merit", eps) if listed else None
             if rnorm <= stage_tol:
+                add(eps, rnorm, m)
                 # the eps-regularized iteration may stop above the
                 # residual at check_eps; the check stage closes the gap
                 if (not stages and eps != check_eps
                         and _sup_norm(at_u("res", check_eps)) > target):
                     stages = [(check_eps, "stop")]
                 break
-            contracting = (prev_rnorm is None
-                           or rnorm <= CHORD_CONTRACTION * prev_rnorm)
-            chord = held.solve is not None and not damped and contracting
+            # a chord step opens a stage or an eps retry, or follows a step
+            # that cut the residual sup-norm by CHORD_CONTRACTION
+            chord = held.solve is not None and all(
+                rnorm <= CHORD_CONTRACTION * r.residual
+                for r in report.trace[-1:] if r.t is not None)
             why = "line_search"
             try:
                 stepped = _step(disc, merit, u, res, eps,
                                 lambda: at_u("merit", eps), held, chord, t_min)
             except np.linalg.LinAlgError:
                 stepped, why = None, "singular"
+            trial, m_trial, t = stepped or (u, None, None)
+            add(eps, rnorm, m, t, "fresh" if held.made else "chord")
             if stepped is None:
                 if policy == "retry" and why == "singular":
                     retries += 1
                     if retries > 5:
                         raise RuntimeError("singular Jacobian after 5 eps retries")
                     eps = max(eps * 10.0, 1e-6)
-                    report.eps_schedule.append(eps)
-                    prev_rnorm, damped = None, False
                     continue
                 if policy == "climb":
                     stages = [(rung, "retry") for rung in ladder]
                 else:
                     report.stop_reason = why
                 break
-            u, m, t = stepped
-            record = {("merit", eps): m}
-            prev_rnorm, damped = rnorm, t < 1.0
-            report.iterations += 1
-            stage_iters += 1
-    if damped:                      # the next solve's first step factors
-        held.release()
+            u, memo = trial, {("merit", eps): m_trial}
+            if t < 1.0:             # the step after a damped one factors
+                held.release()
     rnorm = _sup_norm(at_u("res", check_eps))
-    report.residual_history.append(rnorm)
-    report.energy_history.append(at_u("merit", 0.0))
+    add(check_eps, rnorm, at_u("merit", 0.0), kind="end")
     report.converged = rnorm <= target and report.stop_reason is None
     if not report.converged and report.stop_reason is None:
         report.stop_reason = "max_iter"
     report.solution = FeFunction(prob.mesh, u, disc)
-    report.factorizations = held.made - made
     return report
 
 
@@ -455,22 +479,18 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
     at most tol and the last inner solve reached tol itself, so the answer
     is as accurate as with inner solves to tol throughout.
 
-    The report's residual_history holds the outer distances
-    sup |u_k - u_(k-1)|, not residuals; its start is that of the first
-    inner solve ("lift" without an initial state); stop_reason is
-    "tolerance", "max_iter_outer", "growth" (the outer distance grew five
-    times in a row), "line_search" or "singular" (the stop of an inner
-    solve)."""
+    The report's start is that of the first inner solve ("lift" without an
+    initial state); stop_reason is "tolerance", "max_iter_outer", "growth"
+    (the outer distance grew five times in a row), "line_search" or
+    "singular" (the stop of an inner solve)."""
     _check_tol(tol)
     disc = PhaseDiscretization(prob.fp, prob.mesh)
     u = np.where(prob.mesh.boundary_flags, prob.dirichlet,
                  0.0 if initial is None else np.asarray(initial, dtype=float))
     report = SolveReport(stop_reason="max_iter_outer",
                          check_eps=prob.fp.check_eps)
-    grow, prev_dist = 0, np.inf
     held = _HeldFactor()        # one factor, handed from inner solve to the next
     for it in range(1, max_iter_outer + 1):
-        report.iterations = it
         load = _source_load(disc, prob.source, u)
         # only the first inner solve weighs its start against the lift: later
         # ones start from the last iterate, which always wins
@@ -479,11 +499,11 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
                         choose_start=it == 1, forcing=INNER_FORCING)
         if it == 1:
             report.start = inner.start
-        report.eps_schedule = inner.eps_schedule
         dist = _sup_norm(inner.solution.nodal_values[disc.free] - u[disc.free])
         u = inner.solution.nodal_values
-        report.residual_history.append(dist)
-        report.energy_history.append(inner.energy_history[-1])
+        report.trace.append(StepRecord(None, dist, inner.energy_history[-1],
+                                       1.0, "outer", inner.factorizations,
+                                       tuple(inner.trace)))
         if (dist <= tol and inner.converged
                 and inner.residual_history[-1] <= tol):
             report.stop_reason = "tolerance"
@@ -491,13 +511,12 @@ def solve_convection(prob, tol=1e-10, max_iter_outer=60, initial=None):
         if inner.stop_reason in ("line_search", "singular"):
             report.stop_reason = inner.stop_reason
             break
-        grow, prev_dist = (grow + 1 if dist > prev_dist else 0), dist
-        if grow >= 5:
+        last = report.residual_history[-6:]
+        if len(last) == 6 and all(a < b for a, b in zip(last, last[1:])):
             report.stop_reason = "growth"
             break
     report.solution = FeFunction(prob.mesh, u)
     report.converged = report.stop_reason == "tolerance"
-    report.factorizations = held.made
     return report
 
 

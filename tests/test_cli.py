@@ -674,7 +674,7 @@ class TestSolveManifest:
         # p- = 1.8 < 2: judged at the regularised eps of the solver
         assert rec == {"start": "lift", "stop_reason": None,
                        "factorizations": rec["factorizations"],
-                       "check_eps": 1e-8}
+                       "check_eps": 1e-8, "trace": rec["trace"]}
         assert 1 <= rec["factorizations"]
 
     def test_check_stage(self, tmp_path):
@@ -692,8 +692,22 @@ class TestSolveManifest:
         assert code == EXIT_OK
         assert rec == {"start": "lift", "stop_reason": "tolerance",
                        "factorizations": rec["factorizations"],
-                       "check_eps": 0.0}
+                       "check_eps": 0.0, "trace": rec["trace"]}
         assert 1 <= rec["factorizations"]
+
+    @pytest.mark.parametrize("kind", ["variational", "convection"])
+    def test_trace_counts(self, tmp_path, capsys, kind):
+        """The manifest's trace holds one record per step taken, Newton or
+        outer, and the factorisations of each."""
+        cfg = BASE_CFG if kind == "variational" else self.CONVECTION_CFG
+        code, rec = self.solve(tmp_path, cfg)
+        assert code == EXIT_OK
+        printed = re.search(r"iterations=(\d+)", capsys.readouterr().out)
+        assert (sum(r["t"] is not None for r in rec["trace"])
+                == int(printed.group(1)) >= 1)
+        assert sum(r["factored"] for r in rec["trace"]) == rec["factorizations"]
+        assert rec["trace"][-1]["kind"] == ("end" if kind == "variational"
+                                            else "outer")
 
     def test_convergence_csv_column(self, tmp_path):
         """The convection history is one outer distance per iteration, the

@@ -1,3 +1,4 @@
+import logging
 import weakref
 
 import numpy as np
@@ -1563,3 +1564,139 @@ class TestBadTol:
         assert solve_convection(TestConvection().make_problem(square8, triple_flux),
                                 tol=1e-9).converged
         assert first_eigenvalue(square8, 2.0, tol=1e-9)[0] > TWO_PI_SQ
+
+
+class TestTrace:
+    """Each report keeps one record per step in its trace and reads its five
+    summaries from it; the summaries below were recorded before the trace
+    replaced them."""
+
+    make_problem = TestConvection.make_problem
+
+    @staticmethod
+    def assert_summaries(rep, iterations, factorizations, eps_schedule,
+                         residuals, merits):
+        assert rep.iterations == iterations
+        assert rep.factorizations == factorizations
+        assert rep.eps_schedule == eps_schedule
+        assert rep.residual_history == pytest.approx(residuals, rel=1e-9,
+                                                     abs=1e-12)
+        assert rep.energy_history == pytest.approx(merits, rel=1e-9,
+                                                   abs=1e-12)
+
+    def test_climbing_solve(self, square16, monkeypatch):
+        made = count_factors(monkeypatch)
+        prob = PhaseProblem(square16, constant_flux(3.5), unit_sine_load(),
+                            dirichlet_zero(square16))
+        rep = solve_variational(prob, tol=1e-10,
+                                initial=np.zeros(square16.n_vertices))
+        assert rep.converged
+        assert sum(r.factored for r in rep.trace) == len(made)
+        assert rep.trace[-1].kind == "end"
+        self.assert_summaries(
+            rep, 11, 10, [1e-8] + solver._eps_schedule(prob.fp),
+            [0.003881230770196727, 1.1837476250955992e-09,
+             1.2663481374630692e-16, 1.1622647289044608e-16],
+            [2.858761622318299e-29, -0.02454126593670498,
+             -0.02454126593670503, -0.024541265936705043])
+
+    def test_check_stage_solve(self, monkeypatch):
+        made = count_factors(monkeypatch)
+        rep = solve_variational(check_stage_problem((2.2, 2.6, 3.0), 0.1),
+                                tol=1e-10)
+        assert rep.converged
+        # the Poisson start comes first, the check stage's records at
+        # check_eps = 0 after the stage at eps = 0.1
+        assert rep.trace[0].kind == "ray" and rep.trace[0].factored == 1
+        assert sum(r.factored for r in rep.trace) == len(made)
+        assert [r.eps for r in rep.trace if r.merit is not None][7:] == [0.0] * 6
+        self.assert_summaries(
+            rep, 10, 4, [0.1, 0.0],
+            [0.0002035886374821182, 7.400103942618473e-06,
+             5.399447661445247e-07, 3.930814927374793e-08,
+             2.8049224502844743e-09, 1.9637422997388285e-10,
+             1.4013449309378118e-11, 0.0004940799762171479,
+             5.228960818277743e-05, 3.3472956357605624e-07,
+             4.313241306437218e-09, 5.5749423306938883e-11,
+             5.5749423306938883e-11],
+            [-0.0015530499891583689, -0.0017040045255129754,
+             -0.001704136427134073, -0.0017041369088463768,
+             -0.0017041369107045293, -0.0017041369107118221,
+             -0.001704136910711855, -0.0069327380440159896,
+             -0.007003647575669301, -0.0070036943901116006,
+             -0.007003694390216511, -0.007003694390216518,
+             -0.007003694390216518])
+
+    def test_kinds_match_the_factor_spies(self, triple_flux, square16,
+                                          monkeypatch):
+        """A fresh record assembled and factored a Jacobian for its step, a
+        chord record solved with the factor held from before."""
+        made = count_factors(monkeypatch)
+        jacobians, solves, last = [], [], [None]
+        real_jacobian = PhaseDiscretization.jacobian
+        real_solve = solver._linear_solve
+
+        def recording_jacobian(self, u_vals, eps=None):
+            jacobians.append(eps)
+            return real_jacobian(self, u_vals, eps)
+
+        def recording_solve(solve, rhs):
+            solves.append("chord" if solve is last[0] else "fresh")
+            last[0] = solve
+            return real_solve(solve, rhs)
+
+        monkeypatch.setattr(PhaseDiscretization, "jacobian", recording_jacobian)
+        monkeypatch.setattr(solver, "_linear_solve", recording_solve)
+        rep = solve_convection(self.make_problem(square16, triple_flux))
+        assert rep.converged
+        records = [r for outer in rep.trace for r in outer.inner]
+        steps = [r for r in records if r.kind in ("fresh", "chord")]
+        assert [r.kind for r in steps] == solves
+        assert "chord" in solves
+        assert all(r.factored == (r.kind == "fresh") for r in steps)
+        # the Poisson start's factor is the one that is not a Jacobian's
+        assert sum(r.factored for r in steps) == len(jacobians)
+        assert [r.kind for r in records if r.factored] == (
+            ["ray"] + ["fresh"] * len(jacobians))
+        assert rep.factorizations == len(made) == len(jacobians) + 1
+        assert rep.iterations == len(rep.trace)
+
+    def test_convection_fixed_point(self, triple_flux, square16, monkeypatch):
+        made = count_factors(monkeypatch)
+        rep = solve_convection(self.make_problem(square16, triple_flux),
+                               tol=1e-10)
+        assert rep.converged
+        assert all(r.kind == "outer" and r.t == 1.0 for r in rep.trace)
+        assert all(r.factored == sum(s.factored for s in r.inner)
+                   and r.merit == r.inner[-1].merit for r in rep.trace)
+        assert sum(r.factored for r in rep.trace) == len(made)
+        self.assert_summaries(
+            rep, 5, 2, [0.0],
+            [0.045500060479611845, 0.000160813045283148,
+             5.832693444896009e-07, 3.6970075542597236e-09, 0.0],
+            [-0.005803112146901091, -0.005828224127737134,
+             -0.005828116876099311, -0.005828116180869224,
+             -0.005828116180738233])
+
+    def test_one_log_line_per_record(self, variable_phase, square16, caplog):
+        prob = PhaseProblem(square16, FluxParams(variable_phase, eps=1e-8),
+                            unit_sine_load(), dirichlet_zero(square16))
+        caplog.set_level(logging.INFO, logger="multiphase")
+        rep = solve_variational(prob, tol=1e-10)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            str(r) for r in rep.trace]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_iter_bounds_the_whole_solve(self, square8, seed):
+        """max_iter counts the steps of every eps stage together: this
+        solve climbs the ladder and took 7 steps over six stages when the
+        budget was per stage."""
+        fp = FluxParams(PhaseFunction(ExponentTriple.constants(3.5, 3.6, 4),
+                                      WeightPair.constants(1, 1)), eps=1e-6)
+        prob = PhaseProblem(square8, fp, sine_load(), dirichlet_zero(square8))
+        initial = np.random.default_rng(seed).uniform(-1, 1,
+                                                      square8.n_vertices)
+        rep = solve_variational(prob, max_iter=2, initial=initial)
+        assert rep.iterations == 2
+        assert not rep.converged and rep.stop_reason == "max_iter"
+        assert rep.trace[-1].kind == "end"
