@@ -16,6 +16,11 @@ import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+try:
+    import resource
+except ImportError:             # not on every platform
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -277,6 +282,15 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _peak_rss_mb():
+    """This process's peak resident set so far in MB, None without the
+    resource module.  ru_maxrss counts KiB on Linux and bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 class Manifest:
     def __init__(self, cfg_path, out_dir):
         with open(cfg_path, "rb") as fh:
@@ -325,6 +339,7 @@ class Manifest:
             "outputs": self.outputs,
             "solve": self.solve,
             "error": self.error,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         with open(path, "w", encoding="utf-8") as fh:   # vars: each StepRecord
             json.dump(data, fh, indent=2, sort_keys=True, default=vars)

@@ -37,6 +37,20 @@ def _column_sums(C, Y):
     return Y[:, 0] @ C if Y.shape[1] == 1 else np.einsum("ij,ij->j", C, Y)
 
 
+_CHUNK_ENTRIES = 2 ** 17     # entries of X reduced at once
+
+
+def _chunks(rows, n):
+    """(lo, hi) spans of n triangles that tile them in order, each with at
+    most about _CHUNK_ENTRIES / rows triangles.  Every span starts at a
+    multiple of 8, so BLAS sums each column in the blocks it uses on all n
+    columns at once, and the last has at least two triangles, since einsum
+    sums a single column in another order: no per-triangle sum changes."""
+    step = max(8, _CHUNK_ENTRIES // rows // 8 * 8)
+    edges = [*range(0, max(n - 1, 1), step), n]
+    return zip(edges, edges[1:])
+
+
 class PhaseDiscretization:
     """Field samples for repeated assembly through the mesh's quadrature, P1
     gradient operator G and free x free pattern, shared per mesh.
@@ -49,16 +63,21 @@ class PhaseDiscretization:
 
     The fields p, q, r, mu1 and mu2 are sampled once, through SampledPhase.
     The exponents are stacked as X, next to the quadrature weights times
-    (1, mu1, mu2), Wa, and to 1 / X, so a state's three powers of s are one
-    exp-log pass over X with the weights folded in, reduced by contractions.
-    Their last axis runs over the triangles, along which s and every
-    per-triangle result vary.  On a space-varying phase X, Wa and 1 / X are
-    (3 K, T), p, q and r are (T, K) views of X, and mu1 and mu2 are (T, K)
-    samples.  When all five fields are constant no point is sampled: P1
-    gradients make s constant on a triangle, so X is the (3, 1) column of
-    exponents, Wa the triangle weight totals times (1, mu1, mu2), (3, T),
-    each power is taken once per triangle, and p, q, r, mu1 and mu2 are
-    (T, 1) columns.
+    (1, mu1, mu2), Wa, so a state's three powers of s are one exp-log pass
+    over X with the weights folded in, reduced by contractions.  Their last
+    axis runs over the triangles, along which s and every per-triangle
+    result vary.  On a space-varying phase X and Wa are (3 K, T), the only
+    per-point arrays held: p, q and r are (T, K) views of X, and mu1 and
+    mu2 live only in Wa.  When all five fields are constant no point is
+    sampled: P1 gradients make s constant on a triangle, so X is the (3, 1)
+    column of exponents, Wa the triangle weight totals times (1, mu1, mu2),
+    (3, T), each power is taken once per triangle, and p, q, r, mu1 and
+    mu2 are (T, 1) columns.
+
+    A state is reduced in chunks of whole triangles, at most _CHUNK_ENTRIES
+    entries of X each, so its scratch (the powers C and 1 / X) stays a
+    fixed size however fine the mesh.  Every per-triangle sum keeps its
+    terms and their order, so the chunking changes no bit of a result.
     """
 
     def __init__(self, fp, mesh):
@@ -80,15 +99,13 @@ class PhaseDiscretization:
             X = np.empty((3,) + shape[::-1])
             for x, v in zip(X, (ph.p, ph.q, ph.r)):
                 x[...] = v.reshape(shape).T
-            self.m1, self.m2 = ph.m1.reshape(shape), ph.m2.reshape(shape)
-            del ph          # frees the samples of p, q and r, copied into X
             Wa = np.empty_like(X)
             Wa[0] = self.qweights.T
-            np.multiply(Wa[0], self.m1.T, out=Wa[1])
-            np.multiply(Wa[0], self.m2.T, out=Wa[2])
+            for wa, m in zip(Wa[1:], (ph.m1, ph.m2)):
+                np.multiply(Wa[0], m.reshape(shape).T, out=wa)
+            del ph          # frees the samples, copied into X and Wa
             self.p, self.q, self.r = X[0].T, X[1].T, X[2].T
             self._X, self._Wa = X.reshape(-1, T), Wa.reshape(-1, T)
-        self._inv_X = np.reciprocal(self._X)
         self._ones = np.ones(len(self._X))
         self.free = np.flatnonzero(~mesh.boundary_flags)
         self._memo = None        # (eps, private copy of u_vals, reductions)
@@ -139,16 +156,23 @@ class PhaseDiscretization:
             return memo[2]
         g = self._gradients(u_vals)
         s2 = g[:, 0] ** 2 + g[:, 1] ** 2 + eps ** 2      # (T,)
-        C = np.subtract(self._X, 2.0, out=np.empty(self._Wa.shape))
-        self._pow(np.sqrt(s2), C, out=C)
-        C *= self._Wa
-        energy = float(s2 @ _column_sums(C, self._inv_X))
-        a_bar = self._ones @ C
+        s = np.sqrt(s2)
+        # per triangle: the sums of C / X, of C (a) and of C X
+        inv_sums, a_bar, x_sums = (np.empty(len(s2)) for _ in range(3))
+        for lo, hi in _chunks(*self._Wa.shape):
+            X = self._X if self._X.shape[1] == 1 else self._X[:, lo:hi]
+            C = np.subtract(X, 2.0, out=np.empty((len(X), hi - lo)))
+            self._pow(s[lo:hi], C, out=C)
+            C *= self._Wa[:, lo:hi]
+            inv_sums[lo:hi] = _column_sums(C, np.reciprocal(X))
+            a_bar[lo:hi] = self._ones @ C
+            x_sums[lo:hi] = _column_sums(C, X)
+        energy = float(s2 @ inv_sums)
         # B carries a g g^T factor that vanishes with s: its s = 0 limit is 0.
         # At eps = 0 with p- < 2 a tiny s overflows b, which is unused there:
         # the Jacobian of such a phase needs eps > 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b_bar = (_column_sums(C, self._X) - 2.0 * a_bar) / s2
+            b_bar = (x_sums - 2.0 * a_bar) / s2
         if eps == 0.0:
             b_bar[~(s2 > 0)] = 0.0
         reduced = (energy, a_bar, b_bar, g)

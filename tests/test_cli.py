@@ -169,6 +169,23 @@ class TestMain:
         assert "solution.vtk" in manifest["outputs"]
         assert "solve" in manifest["stage_seconds"]
 
+    @pytest.mark.parametrize("cfg", [BASE_CFG, {"mesh_n": 1.5}],
+                             ids=["solve", "config-error"])
+    def test_manifest_records_peak_rss(self, tmp_path, monkeypatch, cfg):
+        """Every manifest records the process's peak resident set in MB,
+        ru_maxrss in KiB, and null where the resource module is missing."""
+        resource = pytest.importorskip("resource")
+        path = write_cfg(tmp_path, cfg)
+        main(["--config", path, "--out", str(tmp_path / "out"), "solve"])
+        peak = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+            "peak_rss_mb"]
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert isinstance(peak, float) and 10 < peak <= after
+        monkeypatch.setattr(cli, "resource", None)
+        main(["--config", path, "--out", str(tmp_path / "none"), "solve"])
+        manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
+        assert manifest["peak_rss_mb"] is None
+
     def test_csv_has_config_hash(self, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from multiphase import (ExponentTriple, FeFunction, FluxParams, ScalarField,
                         check_gateaux, check_monotone, energy, interpolate,
                         structured_mesh)
 from multiphase.modular import PhaseFunction
+from multiphase import operator as op
 from multiphase.operator import PhaseDiscretization
 from multiphase.solver import PhaseProblem, SourceTerm, solve_variational
 
@@ -311,10 +314,9 @@ def _coo_jacobian(disc, u, eps):
 
 def _seven_point(disc):
     """A copy of disc whose constant fields are spread over every point,
-    with the stacked arrays the kernel reads (X, Wa = w (1, mu1, mu2) and
-    1 / X) rebuilt from them here in the (3 K, T) layout of a space-varying
-    phase, so the copy shares none of the per-triangle ones made in
-    __init__."""
+    with the stacked arrays the kernel reads (X and Wa = w (1, mu1, mu2))
+    rebuilt from them here in the (3 K, T) layout of a space-varying phase,
+    so the copy shares none of the per-triangle ones made in __init__."""
     full = PhaseDiscretization(disc.fp, disc.mesh)
     shape = disc.qweights.shape
     for name in ("p", "q", "r", "m1", "m2"):
@@ -322,10 +324,9 @@ def _seven_point(disc):
     X = np.concatenate([full.p.T, full.q.T, full.r.T])
     Wa = np.concatenate([full.qweights.T, (full.qweights * full.m1).T,
                          (full.qweights * full.m2).T])
-    full._X, full._Wa, full._inv_X = X, Wa, 1 / X
+    full._X, full._Wa = X, Wa
     full._ones = np.ones(len(X))
-    assert all(a.shape == (3 * shape[1], shape[0])
-               for a in (full._X, full._Wa, full._inv_X))
+    assert all(a.shape == (3 * shape[1], shape[0]) for a in (full._X, full._Wa))
     return full
 
 
@@ -566,9 +567,9 @@ class TestPhasePowers:
                             ref[disc.free]) <= 1e-14
 
     def test_per_point_buffers_within_budget(self, square8, variable_phase):
-        """A space-varying phase keeps at most 11 (T, K) float arrays:
-        X, Wa and 1 / X (three each) and the mu1 and mu2 samples, with no
-        base buffer counted twice and the mesh's quadrature not counted."""
+        """A space-varying phase keeps at most 6 (T, K) float arrays, X and
+        Wa (three each), with no base buffer counted twice and the mesh's
+        quadrature not counted."""
         disc = PhaseDiscretization(FluxParams(variable_phase, eps=1e-8),
                                    square8)
         disc.jacobian(random_fe(square8, np.random.default_rng(16)).nodal_values)
@@ -592,4 +593,69 @@ class TestPhasePowers:
                  if id(b := base(a)) not in shared}
         assert disc.p.base is not None and base(disc.p) is base(disc.r)
         per_point = sum(b.nbytes for b in owned.values() if b.size >= T * K)
-        assert per_point <= 11 * T * K * 8
+        assert per_point <= 6 * T * K * 8
+
+
+class TestChunkedReduction:
+    """A state is reduced in chunks of whole triangles: the chunking must
+    change no bit of a result, and its scratch must stay chunk-sized."""
+
+    @pytest.mark.parametrize("rows", [3, 21])
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 17, 25, 127, 128, 1033])
+    def test_chunks_tile_the_triangles(self, monkeypatch, rows, n):
+        monkeypatch.setattr(op, "_CHUNK_ENTRIES", 24 * rows)
+        spans = list(op._chunks(rows, n))
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        assert all(lo % 8 == 0 and hi - lo <= 24 for lo, hi in spans[:-1])
+        assert spans[-1][1] - spans[-1][0] >= min(n, 2)
+
+    @pytest.mark.parametrize("phase", ["triple_phase", "variable_phase"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_bit_identical_to_one_chunk(self, request, square8, monkeypatch,
+                                        phase, eps, flat):
+        """A budget of 24 triangles splits the 128 into five chunks and a
+        ragged sixth of 8; with flat, u vanishes on the left half, whose
+        triangles have zero gradient (s = 0 at eps = 0)."""
+        fp = FluxParams(request.getfixturevalue(phase), eps=1e-8)
+        rng = np.random.default_rng(17)
+        u = random_fe(square8, rng).nodal_values
+        if flat:
+            u[square8.vertices[:, 0] <= 0.5] = 0.0
+        load = rng.standard_normal(square8.n_vertices)
+        rows = len(PhaseDiscretization(fp, square8)._Wa)
+        monkeypatch.setattr(op, "_CHUNK_ENTRIES", 2 ** 40)
+        assert len(list(op._chunks(rows, square8.n_triangles))) == 1
+        one = TestStateMemo._all(PhaseDiscretization(fp, square8), u, load, eps)
+        monkeypatch.setattr(op, "_CHUNK_ENTRIES", 24 * rows)
+        spans = list(op._chunks(rows, square8.n_triangles))
+        assert [hi - lo for lo, hi in spans] == [24] * 5 + [8]
+        chunked = TestStateMemo._all(PhaseDiscretization(fp, square8), u, load,
+                                     eps)
+        TestStateMemo._assert_identical(chunked, one)
+
+    def test_scratch_within_chunk_budget(self, square32, variable_phase,
+                                         monkeypatch):
+        """One reduction of a variable phase in eight chunks allocates at
+        most its chunk scratch, C and 1 / X, plus 12 (T,) float vectors:
+        well below the 2 * 21 (T,) vectors of one full-size C and 1 / X."""
+        disc = PhaseDiscretization(FluxParams(variable_phase, eps=1e-8),
+                                   square32)
+        rows, T = disc._Wa.shape
+        budget = 256 * rows
+        monkeypatch.setattr(op, "_CHUNK_ENTRIES", budget)
+        assert len(list(op._chunks(rows, T))) == 8
+        u = random_fe(square32, np.random.default_rng(18)).nodal_values
+        disc._gradients(u)               # forms the mesh's gradient operator
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            disc.energy(u, eps=1e-8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= (2 * budget + 12 * T) * 8
