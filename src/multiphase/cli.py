@@ -225,12 +225,13 @@ def build_source(cfg):
         base = (ScalarField.from_spec({kinds[0]: src[kinds[0]]}) if kinds
                 else ScalarField.constant(0.0))
     gc, sc = _value(cfg, "source.grad_coeff"), _value(cfg, "source.state_coeff")
+    if all(c == 0.0 for c in (*gc, sc)):
+        return SourceTerm.of_x(base, **constants)
 
     def evaluate(x1, x2, t, z1, z2):
         return base(x1, x2) + sc * t + gc[0] * z1 + gc[1] * z2
 
-    return SourceTerm(evaluate, grad_dependent=any(c != 0.0 for c in (*gc, sc)),
-                      constants=constants)
+    return SourceTerm(evaluate, grad_dependent=True, constants=constants)
 
 
 def _ball_family(cfg):

@@ -57,9 +57,12 @@ class PhaseDiscretization:
 
     Energy, residual and Jacobian of a state all come from one evaluation
     of the phase powers, reduced per triangle.  The reductions of the last
-    state are kept, keyed by eps and by the state's values, so in a Newton
-    step the accepted line-search trial's energy also serves the next
-    residual and Jacobian.  Only one state is held.
+    state are kept in memo, keyed by eps and by the state's values, so in a
+    Newton step the accepted line-search trial's energy also serves the
+    next residual and Jacobian.  Only one state is held; a caller that
+    reduces other states after the one it picks takes memo after that
+    state and puts it back.  x_load holds the load of an x-only source,
+    formed once per discretization (solver._source_load).
 
     The fields p, q, r, mu1 and mu2 are sampled once, through SampledPhase.
     The exponents are stacked as X, next to the quadrature weights times
@@ -108,7 +111,8 @@ class PhaseDiscretization:
             self._X, self._Wa = X.reshape(-1, T), Wa.reshape(-1, T)
         self._ones = np.ones(len(self._X))
         self.free = np.flatnonzero(~mesh.boundary_flags)
-        self._memo = None        # (eps, private copy of u_vals, reductions)
+        self.memo = None         # (eps, private copy of u_vals, reductions)
+        self.x_load = None       # (x-only source function, its load)
 
     # -- low-level pieces ------------------------------------------------
 
@@ -151,7 +155,7 @@ class PhaseDiscretization:
         Served from the memo when it holds the same values at the same eps:
         values, not array identity, are compared, because callers update
         states in place."""
-        memo = self._memo
+        memo = self.memo
         if memo is not None and memo[0] == eps and np.array_equal(memo[1], u_vals):
             return memo[2]
         g = self._gradients(u_vals)
@@ -176,7 +180,7 @@ class PhaseDiscretization:
         if eps == 0.0:
             b_bar[~(s2 > 0)] = 0.0
         reduced = (energy, a_bar, b_bar, g)
-        self._memo = (eps, np.array(u_vals, dtype=float), reduced)
+        self.memo = (eps, np.array(u_vals, dtype=float), reduced)
         return reduced
 
     def energy(self, u_vals, eps=0.0):

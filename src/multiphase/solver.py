@@ -29,12 +29,24 @@ INNER_FORCING = 1e-2
 T_MIN = 1.0 / 128
 
 
+@dataclass(frozen=True, eq=False)
+class _XOnly:
+    """The eval of an x-only source: fn(x1, x2), whatever the state."""
+
+    fn: object
+
+    def __call__(self, x1, x2, t, z1, z2):
+        return self.fn(x1, x2)
+
+
 @dataclass
 class SourceTerm:
     """Right-hand side f(x, t, z) with its declared growth constants.
 
     eval is vectorized: (x1, x2, t, z1, z2) -> array.  The growth
     constants are trusted as declared; nothing certifies the callback.
+    A source built by of_x (or zero) keeps its function of x, which
+    _source_load evaluates with no state, once per discretization.
     """
 
     eval: object
@@ -46,8 +58,7 @@ class SourceTerm:
 
     @staticmethod
     def of_x(fn, **constants):
-        return SourceTerm(lambda x1, x2, t, z1, z2: fn(x1, x2),
-                          grad_dependent=False, constants=constants)
+        return SourceTerm(_XOnly(fn), grad_dependent=False, constants=constants)
 
     @staticmethod
     def zero():
@@ -217,14 +228,41 @@ def _eps_schedule(fp):
 
 
 def _source_load(disc, source, u_vals):
-    """Nodal load of f(x, u, grad u) for the P1 state u_vals."""
+    """Nodal load of f(x, u, grad u) for the P1 state u_vals.
+
+    The x-only function of a source built by SourceTerm.of_x is evaluated
+    at the quadrature points with no state, and its load is formed once per
+    discretization: disc holds it, read-only, keyed by that function, and
+    serves it for any state.  Any other source (or bare callable) is
+    evaluated at u_vals and its gradients on every call.  A value that is
+    not finite raises ValueError."""
     qp = disc.qpoints
     shape = qp.shape[:2]
+    x_only = getattr(source, "eval", None)
+    if isinstance(x_only, _XOnly):
+        if disc.x_load is None or disc.x_load[0] is not x_only:
+            load = _load_of(disc, x_only.fn(qp[..., 0], qp[..., 1]))
+            load.flags.writeable = False
+            disc.x_load = (x_only, load)
+        return disc.x_load[1]
     tvals = FeFunction(disc.mesh, u_vals).at_quad(disc.mesh.quadrature()).reshape(shape)
     g = disc._gradients(u_vals)
     z1 = np.broadcast_to(g[:, 0:1], shape)
     z2 = np.broadcast_to(g[:, 1:2], shape)
-    fvals = np.broadcast_to(source(qp[..., 0], qp[..., 1], tvals, z1, z2), shape)
+    return _load_of(disc, source(qp[..., 0], qp[..., 1], tvals, z1, z2))
+
+
+def _load_of(disc, fvals):
+    """disc's nodal load of the source values fvals at its quadrature
+    points; ValueError unless they are all finite."""
+    qp = disc.qpoints
+    fvals = np.broadcast_to(np.asarray(fvals, dtype=float), qp.shape[:2])
+    bad = ~np.isfinite(fvals)
+    if bad.any():
+        x1, x2 = qp[bad][0]
+        raise ValueError(f"the source f(x, u, grad u) is not finite at "
+                         f"{np.count_nonzero(bad)} of {bad.size} quadrature "
+                         f"points, first at x = ({x1:.6g}, {x2:.6g})")
     return disc.load_vector(fvals)
 
 
@@ -232,7 +270,9 @@ def solve_variational(prob, tol=1e-10, max_iter=100, initial=None):
     """Damped Newton minimization of energy(u) - <load, u>.
 
     Requires a gradient-independent source; f is evaluated at (t, z) =
-    (0, 0), i.e. as a pure function of x.
+    (0, 0), i.e. as a pure function of x, and an x-only source
+    (SourceTerm.of_x) with no state at all.  The answer carries the
+    discretization, with that source's load for weak_residual_sup.
     """
     if prob.source.grad_dependent:
         raise ValueError("solve_variational needs a gradient-independent source")
@@ -249,13 +289,16 @@ def _check_tol(tol):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 
-def _ray_start(mesh, free, load, lift, merit):
+def _ray_start(disc, load, lift, merit):
     """The lowest-merit state found on the ray from the Dirichlet lift g
     along its Poisson correction w = K^-1 (load - K g), K the unit
     stiffness, and its merit: one linear (Kacanov-type) solve as the first
     step of Newton (Diening-Fornasier-Tomasi-Wank 2020).  From t = 1 the
     step length doubles while the merit of g + t w falls, else halves while
-    it falls, within [T_MIN, 1 / T_MIN]; g itself is kept unless beaten."""
+    it falls, within [T_MIN, 1 / T_MIN]; g itself is kept unless beaten.
+    merit(vals) reduces vals on disc, whose memo gets back the chosen
+    state's reductions: its first residual and Jacobian reuse them."""
+    mesh, free = disc.mesh, disc.free
     G = mesh.grad_operator
     kg = G.T @ (np.repeat(mesh.areas, 2) * (G @ lift))
     w = _factor(_stiffness(mesh), mesh.free_pattern.band_layout)(
@@ -264,17 +307,20 @@ def _ray_start(mesh, free, load, lift, merit):
     def point(t):
         v = lift.copy()
         v[free] += t * w
-        return v, merit(v)
+        return v, merit(v), disc.memo
 
-    m_lift = merit(lift)
-    t, (u, m) = 1.0, point(1.0)
+    m_lift, memo_lift = merit(lift), disc.memo
+    t, (u, m, memo) = 1.0, point(1.0)
     factor = 2.0 if m < m_lift else 0.5
     while T_MIN <= t * factor <= 1.0 / T_MIN:
-        v, m_v = point(t * factor)
+        v, m_v, memo_v = point(t * factor)
         if not m_v < m:
             break
-        t, u, m = t * factor, v, m_v
-    return (u, m) if m < m_lift else (lift, m_lift)
+        t, u, m, memo = t * factor, v, m_v, memo_v
+    if not m < m_lift:
+        u, m, memo = lift, m_lift, memo_lift
+    disc.memo = memo
+    return u, m
 
 
 def _step(disc, merit, u, res, eps, m0, held, chord, t_min):
@@ -359,8 +405,9 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
     unless it has converged.
 
     The residual and the merit of a state at an eps are each evaluated at
-    most once, on first use; each residual read adds a record to the
-    report's trace (see SolveReport)."""
+    most once, on first use, and a start choice hands the chosen state's
+    reductions back to disc's memo; each residual read adds a record to
+    the report's trace (see SolveReport)."""
     mesh = prob.mesh
     free = disc.free
     held = _HeldFactor() if held is None else held
@@ -395,16 +442,19 @@ def _newton(disc, prob, load, tol, max_iter, initial=None, held=None,
         if not choose_start:
             u, report.start = warm, "initial"
         else:
-            m_lift = at_u("merit", final_eps)
-            m_warm = merit(warm, final_eps)   # evaluated last: stays memoised
+            m_lift, memo_lift = at_u("merit", final_eps), disc.memo
+            m_warm = merit(warm, final_eps)
             if m_warm <= m_lift:
                 u, report.start = warm, "initial"
                 memo = {("merit", final_eps): m_warm}
+            else:                   # the lift's reductions serve it again
+                disc.memo = memo_lift
+            del memo_lift           # one memo only while Newton steps run
     elif len(free):
         held.release()              # never two factors alive
         held.made += 1
         u, memo["merit", final_eps] = _ray_start(
-            mesh, free, load, u, lambda vals: merit(vals, final_eps))
+            disc, load, u, lambda vals: merit(vals, final_eps))
         add(final_eps, None, kind="ray")
 
     # the stages still to run: each eps, and what a struggling step does there
@@ -525,10 +575,13 @@ def weak_residual_sup(prob, u):
 
     The answer of solve_variational carries the discretization it was
     solved on; when that is of prob's FluxParams object (compared by
-    identity) and mesh, the check reuses its field samples, and the memo of
-    its last state serves the residual.  The check takes it from u, which
-    then carries None, so its memory is freed once the check is done.  Any
-    other state gets a discretization built here."""
+    identity) and mesh, the check reuses its field samples, the memo of
+    its last state serves the residual, and the load of an x-only source
+    (SourceTerm.of_x) that the solve formed serves the check: that source
+    is not evaluated again.  The check takes it from u, which then carries
+    None, so its memory is freed once the check is done.  Any other state
+    gets a discretization built here.  A source value that is not finite
+    raises ValueError."""
     disc, u.discretization = u.discretization, None
     if disc is None or disc.fp is not prob.fp or disc.mesh is not prob.mesh:
         disc = PhaseDiscretization(prob.fp, prob.mesh)

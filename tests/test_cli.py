@@ -8,6 +8,7 @@ import pytest
 
 from multiphase import (UNIT_SQUARE, check_h2, check_h3, cli, first_eigenvalue,
                         structured_mesh)
+from multiphase import FluxParams, SourceTerm, solver
 from multiphase.operator import PhaseDiscretization
 from multiphase.cli import (ConfigError, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                             build_domain, build_phase, build_source,
@@ -128,6 +129,22 @@ class TestBuilders:
     def test_grad_coeff_marks_dependent(self):
         src = build_source({"source": {"grad_coeff": [0.1, 0.0]}})
         assert src.grad_dependent
+
+    @pytest.mark.parametrize("terms, x_only", [
+        ({}, True), ({"grad_coeff": [0.0, 0.0], "state_coeff": 0.0}, True),
+        ({"state_coeff": 0.5}, False), ({"grad_coeff": [0.0, 0.1]}, False)])
+    def test_x_only_source_load_formed_once(self, terms, x_only):
+        """A source with no state or gradient term has its load formed once
+        per discretization, whatever the state; any other reads the state."""
+        mesh = structured_mesh(UNIT_SQUARE, 8)
+        disc = PhaseDiscretization(FluxParams(build_phase({}, build_domain({}))),
+                                   mesh)
+        src = build_source({"source": {**BASE_CFG["source"], **terms}})
+        x, y = mesh.vertices.T
+        first = solver._source_load(disc, src, x * (1 - x) * y)
+        second = solver._source_load(disc, src, 2 * x * (1 - x) * y)
+        assert (first is second) == x_only
+        assert np.array_equal(first, second) == x_only
 
     def test_default_ball_family_twenty_pairs(self):
         fam = _ball_family({})
@@ -666,6 +683,68 @@ class TestConfigSweep:
         code, manifest = self.run(tmp_path, change, ["solve"])
         assert code == (EXIT_OK if error is None else EXIT_USAGE)
         assert manifest["error"] == (error and f"config error: {error}")
+
+
+def parent_form_source(cfg):
+    """cfg's x-only source written as base + 0 t + 0 z1 + 0 z2, every term
+    evaluated at the state: the form that build_source gives a source with
+    state or gradient terms."""
+    src = build_source(cfg)
+
+    def evaluate(x1, x2, t, z1, z2):
+        return src(x1, x2, t, z1, z2) + 0.0 * t + 0.0 * z1 + 0.0 * z2
+
+    return SourceTerm(evaluate, constants=src.constants)
+
+
+class TestXOnlySolve:
+    """An x-only source of the CLI takes the x-only load path, and changes
+    no output of `solve`."""
+
+    VARIABLE_CFG = {
+        "p": {"affine": [2.0, 0.2, 0.0]}, "q": {"affine": [2.3, 0.2, 0.1]},
+        "r": {"affine": [2.6, 0.2, 0.2]}, "mu1": {"expr": "max(0, x1 - 0.5)"},
+        "mu2": {"const": 0.25}, "dirichlet": {"expr": "sin(3.14159*x1)*x2"},
+        "source": {"expr": "sin(3.14159*x1)*sin(3.14159*x2)"}, "mesh_n": 8}
+
+    def outputs(self, tmp_path, name, capsys):
+        out = tmp_path / name
+        code = main(["--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                     "solve"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key in ("stage_seconds", "peak_rss_mb"):
+            del manifest[key]
+        return (code, capsys.readouterr().out, manifest,
+                (out / "solution.vtk").read_bytes(),
+                (out / "convergence.csv").read_bytes())
+
+    @pytest.mark.parametrize("cfg", [BASE_CFG, VARIABLE_CFG],
+                             ids=["constant", "variable"])
+    def test_outputs_match_every_term_evaluated(self, tmp_path, monkeypatch,
+                                                capsys, cfg):
+        write_cfg(tmp_path, cfg)
+        real_loads = PhaseDiscretization.load_vector
+        loads = []
+        monkeypatch.setattr(PhaseDiscretization, "load_vector",
+                            lambda self, f: loads.append(1) or real_loads(self, f))
+        got = self.outputs(tmp_path, "x_only", capsys)
+        assert got[0] == EXIT_OK and len(loads) == 1
+        monkeypatch.setattr(cli, "build_source", parent_form_source)
+        assert self.outputs(tmp_path, "every_term", capsys) == got
+        assert len(loads) == 3      # the solve's load and the check's
+
+    def test_non_finite_source_names_it(self, tmp_path):
+        """A source value that is not finite fails the solve with an error
+        that names the source, not with eps retries on a singular
+        Jacobian."""
+        cfg = {**BASE_CFG, "source": {"expr": "sin(x1) + 1e309"}}
+        out = tmp_path / "out"
+        code = main(["--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "solve"])
+        assert code == EXIT_FAIL
+        error = json.loads((out / "manifest.json").read_text())["error"]
+        assert error.startswith("ValueError: the source f(x, u, grad u) is "
+                                "not finite at 896 of 896 quadrature points")
 
 
 class TestSolveManifest:
